@@ -1,16 +1,21 @@
 """Action of the matrix logarithm on a vector by Newton-Leja interpolation.
 
-The degree-m interpolant is accumulated incrementally:
+The degree-m interpolant is accumulated incrementally in the
+xi-coordinates of the map z = c + gamma * xi:
 
     w_0 = v,  P_0 = d_0 w_0,
-    w_{m+1} = ((Q - c I)/gamma - xi_m I) w_m,
+    w_{m+1} = Q w_m / gamma - (c / gamma + xi_m) w_m,
     P_{m+1} = P_m + d_{m+1} w_{m+1},
 
-one sparse product per accepted degree.  The recurrence runs in the
-xi-coordinates of the map (dividing out gamma each step), which pairs with
-the coefficients produced by the divided-difference module and keeps the
-iterate norms from over- or underflowing.  The a-posteriori indicator
-e_m = |d_m| * ||w_m||_2 estimates the next correction and drives the stop.
+which is ((Q - c I)/gamma - xi_m I) w_m with the two shifts folded into
+one scalar.  Each degree costs one sparse product, whose fresh output
+becomes the next iterate, and in-place level-1 updates on it: a scaling
+by 1/gamma, one axpy for the shift, one axpy into P and one norm.  No
+other vector is allocated per degree, and the input is never written.
+Dividing out gamma each step pairs with the coefficients produced by the
+divided-difference module and keeps the iterate norms from over- or
+underflowing.  The a-posteriori indicator e_m = |d_m| * ||w_m||_2
+estimates the next correction and drives the stop.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .divdiff import DividedDiffs
 from .sparse import SparseMatrixCSR
@@ -74,8 +80,9 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
     xi = dd.nodes
     cap = min(max_degree, coeffs.shape[0] - 1)
     inv_gamma = 1.0 / mp.gamma
+    shift = mp.c * inv_gamma
 
-    w = v.copy()
+    w = v
     p = coeffs[0] * w
     m = 0
     err = abs(coeffs[0]) * float(np.linalg.norm(w))
@@ -85,9 +92,11 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
         if m >= cap:
             converged = False
             break
-        w = (m_sp @ w - mp.c * w) * inv_gamma - xi[m] * w
+        y = m_sp @ w
+        y *= inv_gamma
+        w = daxpy(w, y, a=-(shift + xi[m]))     # updates y in place, returns it
         m += 1
-        p += coeffs[m] * w
+        p = daxpy(w, p, a=coeffs[m])
         err = abs(coeffs[m]) * float(np.linalg.norm(w))
         history.append(err)
         if not np.isfinite(err):

@@ -131,7 +131,7 @@ def _best_oracle(Q: SparseMatrixCSR, meta: dict):
     return None
 
 
-def _exact_report(cfg, value, oracle_name, elapsed):
+def _exact_report(cfg, value, elapsed):
     return LogDetReport(
         method=cfg.method, estimate=value, trace_estimate=value,
         n_log_sigma=0.0, sigma=1.0, queries=0,
@@ -150,8 +150,8 @@ def run_estimate(cfg: RunConfig) -> dict:
     Q, meta = _get_matrix(cfg)
     if cfg.method in EXACT_METHODS:
         t0 = time.perf_counter()
-        value, oracle_name = _exact_logdet(Q, meta, cfg.method)
-        report = _exact_report(cfg, value, oracle_name, time.perf_counter() - t0)
+        value, _ = _exact_logdet(Q, meta, cfg.method)
+        report = _exact_report(cfg, value, time.perf_counter() - t0)
     else:
         report = _run_estimator(Q, cfg)
     result = {
@@ -299,8 +299,8 @@ def _run_estimator(Q, cfg: RunConfig) -> LogDetReport:
 def _bench_one(Q, meta, cfg: RunConfig) -> LogDetReport:
     if cfg.method in EXACT_METHODS:
         t0 = time.perf_counter()
-        value, name = _exact_logdet(Q, meta, cfg.method)
-        return _exact_report(cfg, value, name, time.perf_counter() - t0)
+        value, _ = _exact_logdet(Q, meta, cfg.method)
+        return _exact_report(cfg, value, time.perf_counter() - t0)
     return _run_estimator(Q, cfg)
 
 
@@ -361,9 +361,10 @@ def _add_common_estimator_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=400)
     p.add_argument("--deterministic", action="store_true", default=True,
-                   help="sequential reductions, bitwise reproducible (default)")
+                   help="run the probe actions one after another (default)")
     p.add_argument("--parallel", dest="deterministic", action="store_false",
-                   help="thread the probe actions; last-bit non-deterministic")
+                   help="run the probe actions on threads; results are bitwise "
+                        "equal to the sequential run")
 
 
 def build_parser() -> argparse.ArgumentParser:

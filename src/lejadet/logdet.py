@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dgemv
 
 from .action import log_matvec
 from .divdiff import divided_differences_log
@@ -37,6 +39,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEGREE = 400
+# entries of a probe block drawn per chunk; the chunk's integers stay in cache
+_RADEMACHER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,25 +93,29 @@ def _degree_stats(degrees):
 
 
 def _rademacher(rng, n, cols):
-    s = rng.integers(0, 2, size=(n, cols)).astype(np.float64) * 2.0 - 1.0
-    for j in range(cols):
-        if not s[:, j].any():           # impossible for +-1 draws; guards future
-            s[:, j] = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
-            if not s[:, j].any():
-                raise RuntimeError("sketch column is identically zero")
-    return s
+    """n x cols column-major block of +-1 entries, written in one pass.
+
+    Rows are drawn in chunks from one stream in the order of
+    ``rng.integers(0, 2, size=(n, cols)) * 2.0 - 1.0``, so the block is
+    bitwise equal to that draw and leaves ``rng`` in the same state.
+    """
+    out = np.empty((n, cols), order="F")
+    rows = max(1, _RADEMACHER_CHUNK // cols)
+    for i in range(0, n, rows):
+        bits = rng.integers(0, 2, size=(min(rows, n - i), cols))
+        bits *= 2
+        bits -= 1
+        out[i:i + bits.shape[0]] = bits
+    return out
 
 
 def _map_actions(func, tasks, reduction):
-    """Apply func over tasks; 'parallel' mode yields in completion order."""
+    """Apply func over tasks; results come back in task order in both modes."""
     if reduction == "parallel":
         with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(func, t) for t in tasks]
-            for fut in as_completed(futures):
-                yield fut.result()
+            yield from pool.map(func, tasks)
     else:
-        for t in tasks:
-            yield func(t)
+        yield from map(func, tasks)
 
 
 class _ActionEngine:
@@ -131,14 +139,25 @@ class _ActionEngine:
                                               scaling=scaling)
         self.results = []
 
-    def act(self, v, label):
-        """log(Q) v; returns (vector, quadratic form v' log(Q~) v)."""
-        tol = None if self.action_tol is None else self.action_tol * float(np.linalg.norm(v))
+    def act(self, v):
+        """log(Q) v; returns (result, quadratic form v' log(Q~) v)."""
+        vv = float(v @ v)
+        tol = None if self.action_tol is None else self.action_tol * math.sqrt(vv)
         res = log_matvec(self.Q, v, self.mp, self.dd, tol=tol,
                          max_degree=self.max_degree)
-        self.results.append((label, res))
-        qform = float(v @ res.vector) - self.log_sigma * float(v @ v)
-        return res.vector, qform
+        qform = float(v @ res.vector) - self.log_sigma * vv
+        return res, qform
+
+    def act_all(self, phase, vector, count, reduction):
+        """Act on ``vector(j)`` for j < count; yields (result, qform) in task order.
+
+        Each result is recorded as "<phase> action j" in task order, so the
+        report is the same in both reduction modes.
+        """
+        results = _map_actions(lambda j: self.act(vector(j)), range(count), reduction)
+        for j, (res, qform) in enumerate(results):
+            self.results.append((f"{phase} action {j}", res))
+            yield res, qform
 
     def report_fields(self):
         degrees = [r.degree_used for _, r in self.results]
@@ -182,41 +201,43 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
     n_res = m_vec - 2 * k
 
     sketch = _rademacher(rng, n, k)
-    y = np.empty((n, k))
+    y = np.empty((n, k), order="F")
+    for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: sketch[:, j], k,
+                                             reduction)):
+        y[:, j] = res.vector
+    # image under log(Q~) = log(Q) - log(sigma) I; the sketch is not needed after
+    sketch *= -eng.log_sigma
+    y += sketch
+    del sketch
 
-    def sketch_action(j):
-        vec, _ = eng.act(sketch[:, j], f"sketch action {j}")
-        return j, vec
-
-    for j, vec in _map_actions(sketch_action, range(k), reduction):
-        y[:, j] = vec - eng.log_sigma * sketch[:, j]
-
-    basis, r = np.linalg.qr(y)
+    # the basis is formed in y's storage; the actions have already checked
+    # that every iterate is finite
+    basis, r = scipy.linalg.qr(y, mode="economic", overwrite_a=True,
+                               check_finite=False)
     rdiag = np.abs(np.diag(r))
     scale = float(rdiag.max()) if rdiag.size else 0.0
     if scale > 0.0:
         keep = rdiag >= 1e-12 * scale
     else:
         keep = np.zeros(rdiag.shape, dtype=bool)   # zero sketch, empty basis
-    basis = np.ascontiguousarray(basis[:, keep])
-
-    def det_action(j):
-        _, qf = eng.act(basis[:, j], f"deterministic action {j}")
-        return qf
+    if not keep.all():
+        basis = np.asfortranarray(basis[:, keep])
 
     det_term = 0.0
-    for qf in _map_actions(det_action, range(basis.shape[1]), reduction):
+    for _, qf in eng.act_all("deterministic", lambda j: basis[:, j],
+                             basis.shape[1], reduction):
         det_term += qf
 
     probes = _rademacher(rng, n, n_res)
 
-    def res_action(j):
-        u = probes[:, j] - basis @ (basis.T @ probes[:, j])
-        _, qf = eng.act(u, f"residual action {j}")
-        return qf
+    def deflated(j):
+        u = probes[:, j]
+        if basis.shape[1]:      # u -= A (A' u), in place
+            u = dgemv(-1.0, basis, basis.T @ u, beta=1.0, y=u, overwrite_y=True)
+        return u
 
     res_term = 0.0
-    for qf in _map_actions(res_action, range(n_res), reduction):
+    for _, qf in eng.act_all("residual", deflated, n_res, reduction):
         res_term += qf
     res_term /= n_res
 
@@ -253,13 +274,8 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None =
     n = Q.n
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, n, m_vec)
-
-    def probe_action(j):
-        _, qf = eng.act(probes[:, j], f"probe action {j}")
-        return qf
-
     total = 0.0
-    for qf in _map_actions(probe_action, range(m_vec), reduction):
+    for _, qf in eng.act_all("probe", lambda j: probes[:, j], m_vec, reduction):
         total += qf
     trace_estimate = total / m_vec
     n_log_sigma = n * eng.log_sigma
@@ -290,7 +306,7 @@ def _lanczos_quadrature(m_sp, v, m_l):
     """
     n = v.shape[0]
     beta0_sq = float(v @ v)
-    basis = np.empty((n, m_l))
+    basis = np.empty((n, m_l), order="F")
     basis[:, 0] = v / np.sqrt(beta0_sq)
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .sparse import SparseMatrixCSR
@@ -108,9 +109,11 @@ def gershgorin_bounds(Q: SparseMatrixCSR, eps_floor: float | None = None) -> Spe
         raise ValueError("Gershgorin bounds require a verified-symmetric matrix")
     m = Q.to_scipy()
     diag = m.diagonal()
-    row_of = np.repeat(np.arange(Q.n), np.diff(Q.row_ptr))
-    absrow = np.bincount(row_of, weights=np.abs(Q.values), minlength=Q.n)
-    radius = absrow - np.abs(diag)
+    # row sums of |Q|: one product of |Q| (sharing Q's index arrays) with ones
+    abs_m = sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape,
+                          copy=False)
+    radius = abs_m @ np.ones(Q.n)
+    radius -= np.abs(diag)
     lambda_max = float(np.max(diag + radius))
     if lambda_max <= 0:
         raise ValueError("Gershgorin upper bound is not positive; matrix is not SPD")

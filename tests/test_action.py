@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from conftest import gmrf_spectrum, random_spd
 from lejadet import (MapParams, SparseMatrixCSR, SpectralInterval,
-                     divided_differences_log, generate_fast_leja,
+                     divided_differences_log, gen_gmrf_grid, generate_fast_leja,
                      gershgorin_bounds, log_matvec, map_params)
 
 
@@ -128,3 +128,46 @@ class TestProperties:
             res = log_matvec(Q, v, mp, dd, tol=tol * np.linalg.norm(v))
             err = np.linalg.norm(res.vector - exact)
             assert err <= 100 * tol * np.linalg.norm(v)
+
+
+def textbook_log_matvec(Q, v, mp, dd, degree):
+    """Reference: the recurrence w <- (Q w - c w) / gamma - xi_m w, unfused."""
+    m_sp = Q.to_scipy()
+    w = v.copy()
+    p = dd.coeffs[0] * w
+    for m in range(degree):
+        w = (m_sp @ w - mp.c * w) / mp.gamma - dd.nodes[m] * w
+        p = p + dd.coeffs[m + 1] * w
+    return p
+
+
+class TestFusedStep:
+    def cases(self):
+        g, theta = 40, -0.24
+        lam = gmrf_spectrum(g, theta)
+        yield gen_gmrf_grid(g, theta), SpectralInterval(lam.min(), lam.max())
+        for seed in (21, 22):
+            Q, w, _ = random_spd(seed)
+            yield Q, SpectralInterval(w.min(), w.max())
+
+    def test_agrees_with_textbook_recurrence(self):
+        for Q, interval in self.cases():
+            mp, dd = make_dd(interval)
+            v = np.random.default_rng(0).standard_normal(Q.n)
+            res = log_matvec(Q, v, mp, dd, tol=1e-10 * np.linalg.norm(v))
+            assert res.converged and res.degree_used > 10
+            ref = textbook_log_matvec(Q, v, mp, dd, res.degree_used)
+            assert np.linalg.norm(res.vector - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_input_untouched_and_strided_view_bitwise_equal(self):
+        for Q, interval in self.cases():
+            mp, dd = make_dd(interval)
+            block = np.random.default_rng(1).standard_normal((Q.n, 3))  # row-major
+            view = block[:, 1]
+            assert not view.flags.c_contiguous
+            before = block.copy()
+            a = log_matvec(Q, view, mp, dd, tol=1e-9 * np.linalg.norm(view))
+            b = log_matvec(Q, view.copy(), mp, dd, tol=1e-9 * np.linalg.norm(view))
+            np.testing.assert_array_equal(block, before)
+            np.testing.assert_array_equal(a.vector, b.vector)
+            np.testing.assert_array_equal(a.error_history, b.error_history)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
+from lejadet import logdet
 from lejadet import (SparseMatrixCSR, SpectralInterval, gen_gmrf_grid,
                      gmrf_grid_logdet_analytic, hutchinson_logdet,
                      hutchpp_logdet, normalize, slq_logdet)
@@ -64,7 +66,19 @@ class TestReportContract:
         seq = hutchpp_logdet(Q, 12, seed=3)
         par = hutchpp_logdet(Q, 12, seed=3, reduction="parallel")
         assert par.reduction == "parallel"
-        assert par.estimate == pytest.approx(seq.estimate, rel=1e-9)
+        assert par.estimate == seq.estimate
+
+    def test_parallel_mode_matches_sequential_report(self):
+        # degree cap hit on every action: the warnings list has one line per
+        # action, and must come out in the same (task) order in both modes
+        Q = gen_gmrf_grid(12, -0.22)
+        for est in (hutchpp_logdet, hutchinson_logdet):
+            seq = est(Q, 12, seed=3, action_tol=1e-12, max_degree=5)
+            par = est(Q, 12, seed=3, action_tol=1e-12, max_degree=5,
+                      reduction="parallel")
+            assert len(seq.warnings) == 12
+            assert (par.estimate, par.degrees, par.matvecs_total, par.warnings) == \
+                (seq.estimate, seq.degrees, seq.matvecs_total, seq.warnings)
 
     def test_degree_statistics_present(self):
         Q = gen_gmrf_grid(12, -0.22)
@@ -194,4 +208,54 @@ class TestSLQ:
         seq = slq_logdet(Q, 10, 8, seed=5)
         par = slq_logdet(Q, 10, 8, seed=5, reduction="parallel")
         assert par.reduction == "parallel"
-        assert par.estimate == pytest.approx(seq.estimate, rel=1e-12)
+        assert par.estimate == seq.estimate
+
+    def test_column_major_basis_matches_row_major_reference(self, monkeypatch):
+        Q = gen_gmrf_grid(40, -0.24)
+        new = slq_logdet(Q, 30, 5, seed=2)
+        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_c_order)
+        ref = slq_logdet(Q, 30, 5, seed=2)
+        assert new.degrees == ref.degrees
+        assert abs(new.estimate - ref.estimate) <= 1e-12 * abs(ref.estimate)
+
+
+def _lanczos_quadrature_c_order(m_sp, v, m_l):
+    """Reference SLQ probe with a row-major Lanczos basis (the original layout)."""
+    n = v.shape[0]
+    beta0_sq = float(v @ v)
+    basis = np.empty((n, m_l))
+    basis[:, 0] = v / np.sqrt(beta0_sq)
+    alphas = np.empty(m_l)
+    betas = np.empty(max(m_l - 1, 0))
+    steps = m_l
+    for j in range(m_l):
+        w = m_sp @ basis[:, j]
+        alphas[j] = float(basis[:, j] @ w)
+        w -= alphas[j] * basis[:, j]
+        if j > 0:
+            w -= betas[j - 1] * basis[:, j - 1]
+        w -= basis[:, :j + 1] @ (basis[:, :j + 1].T @ w)
+        if j == m_l - 1:
+            break
+        b = float(np.linalg.norm(w))
+        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
+            steps = j + 1
+            break
+        betas[j] = b
+        basis[:, j + 1] = w / b
+    theta, vecs = eigh_tridiagonal(alphas[:steps], betas[:steps - 1])
+    return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
+
+
+class TestRademacher:
+    @pytest.mark.parametrize("n,k,seed", [(1, 1, 0), (7, 3, 1), (16384, 4, 2),
+                                          (21846, 3, 3), (50_001, 5, 4)])
+    def test_bitwise_equal_to_one_shot_draw(self, n, k, seed):
+        ref_rng = np.random.default_rng(seed)
+        ref = ref_rng.integers(0, 2, size=(n, k)).astype(float) * 2 - 1
+        rng = np.random.default_rng(seed)
+        got = logdet._rademacher(rng, n, k)
+        assert got.flags.f_contiguous and got.dtype == np.float64
+        np.testing.assert_array_equal(got, ref)
+        # the stream continues where the one-shot draw leaves it
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)

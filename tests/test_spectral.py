@@ -52,6 +52,17 @@ class TestGershgorin:
             # floored lower bound is still a lower bound for these spectra
             assert iv.lambda_min <= w.min()
 
+    def test_bitwise_equal_to_entrywise_row_sums(self):
+        from lejadet import gen_pentadiagonal
+        for Q in (gen_pentadiagonal(10_000, seed=1), random_spd(3, n=120)[0]):
+            rows = np.repeat(np.arange(Q.n), np.diff(Q.row_ptr))
+            diag = Q.to_scipy().diagonal()
+            radius = (np.bincount(rows, weights=np.abs(Q.values), minlength=Q.n)
+                      - np.abs(diag))
+            iv = gershgorin_bounds(Q)
+            assert iv.lambda_max == np.max(diag + radius)
+            assert iv.lambda_min == max(1e-8 * iv.lambda_max, np.min(diag - radius))
+
 
 class TestLanczosExtremes:
     def test_known_diagonal(self):
