@@ -17,6 +17,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -93,13 +94,14 @@ def _degree_stats(degrees):
 
 
 def _rademacher(rng, n, cols):
-    """n x cols column-major block of +-1 entries, written in one pass.
+    """n x cols column-major int8 block of +-1 entries, written in one pass.
 
     Rows are drawn in chunks from one stream in the order of
-    ``rng.integers(0, 2, size=(n, cols)) * 2.0 - 1.0``, so the block is
-    bitwise equal to that draw and leaves ``rng`` in the same state.
+    ``rng.integers(0, 2, size=(n, cols)) * 2.0 - 1.0``, so the block cast to
+    float is bitwise equal to that draw and ``rng`` is left in the same
+    state.  A probe is used as ``_column(block, j)``, a float copy.
     """
-    out = np.empty((n, cols), order="F")
+    out = np.empty((n, cols), dtype=np.int8, order="F")
     rows = max(1, _RADEMACHER_CHUNK // cols)
     for i in range(0, n, rows):
         bits = rng.integers(0, 2, size=(min(rows, n - i), cols))
@@ -107,6 +109,11 @@ def _rademacher(rng, n, cols):
         bits -= 1
         out[i:i + bits.shape[0]] = bits
     return out
+
+
+def _column(block, j):
+    """Column j of an int8 probe block as a fresh float vector."""
+    return block[:, j].astype(np.float64)
 
 
 def _map_actions(func, tasks, reduction):
@@ -118,8 +125,22 @@ def _map_actions(func, tasks, reduction):
         yield from map(func, tasks)
 
 
+class _ActionRecord(NamedTuple):
+    """Diagnostics of one action, as the report needs them."""
+
+    label: str
+    degree: int
+    matvecs: int
+    converged: bool
+    error_estimate: float
+
+
 class _ActionEngine:
-    """Shared setup for Leja actions on one matrix: bounds, map, coefficients."""
+    """Shared setup for Leja actions on one matrix: bounds, map, coefficients.
+
+    ``records`` keeps each action's diagnostics for the report, never its
+    result vector.
+    """
 
     def __init__(self, Q, bounds, scaling, action_tol, max_degree, leja_count):
         if not Q.symmetric_verified:
@@ -137,7 +158,7 @@ class _ActionEngine:
             count = max(leja_count, max_degree + 1)
             self.dd = divided_differences_log(generate_fast_leja(count), self.mp,
                                               scaling=scaling)
-        self.results = []
+        self.records = []
 
     def act(self, v):
         """log(Q) v; returns (result, quadratic form v' log(Q~) v)."""
@@ -151,22 +172,24 @@ class _ActionEngine:
     def act_all(self, phase, vector, count, reduction):
         """Act on ``vector(j)`` for j < count; yields (result, qform) in task order.
 
-        Each result is recorded as "<phase> action j" in task order, so the
+        Each action is recorded as "<phase> action j" in task order, so the
         report is the same in both reduction modes.
         """
         results = _map_actions(lambda j: self.act(vector(j)), range(count), reduction)
         for j, (res, qform) in enumerate(results):
-            self.results.append((f"{phase} action {j}", res))
+            self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
+                                              res.matvecs, res.converged,
+                                              res.error_estimate))
             yield res, qform
 
     def report_fields(self):
-        degrees = [r.degree_used for _, r in self.results]
-        matvecs = sum(r.matvecs for _, r in self.results)
-        all_converged = all(r.converged for _, r in self.results)
+        degrees = [r.degree for r in self.records]
+        matvecs = sum(r.matvecs for r in self.records)
+        all_converged = all(r.converged for r in self.records)
         warnings = [
-            f"{label}: not converged at degree {r.degree_used} "
+            f"{r.label}: not converged at degree {r.degree} "
             f"(error estimate {r.error_estimate:.3e})"
-            for label, r in self.results if not r.converged
+            for r in self.records if not r.converged
         ]
         if self.dd is not None and self.dd.truncated:
             warnings.append(
@@ -202,12 +225,11 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
 
     sketch = _rademacher(rng, n, k)
     y = np.empty((n, k), order="F")
-    for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: sketch[:, j], k,
-                                             reduction)):
+    for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: _column(sketch, j),
+                                             k, reduction)):
+        # image under log(Q~) = log(Q) - log(sigma) I
         y[:, j] = res.vector
-    # image under log(Q~) = log(Q) - log(sigma) I; the sketch is not needed after
-    sketch *= -eng.log_sigma
-    y += sketch
+        y[:, j] += sketch[:, j] * -eng.log_sigma
     del sketch
 
     # the basis is formed in y's storage; the actions have already checked
@@ -231,7 +253,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
     probes = _rademacher(rng, n, n_res)
 
     def deflated(j):
-        u = probes[:, j]
+        u = _column(probes, j)
         if basis.shape[1]:      # u -= A (A' u), in place
             u = dgemv(-1.0, basis, basis.T @ u, beta=1.0, y=u, overwrite_y=True)
         return u
@@ -275,7 +297,7 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None =
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, n, m_vec)
     total = 0.0
-    for _, qf in eng.act_all("probe", lambda j: probes[:, j], m_vec, reduction):
+    for _, qf in eng.act_all("probe", lambda j: _column(probes, j), m_vec, reduction):
         total += qf
     trace_estimate = total / m_vec
     n_log_sigma = n * eng.log_sigma
@@ -356,7 +378,7 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0,
     probes = _rademacher(rng, n, n_v)
 
     def one_probe(j):
-        return _lanczos_quadrature(m_sp, probes[:, j], m_l)
+        return _lanczos_quadrature(m_sp, _column(probes, j), m_l)
 
     total = 0.0
     steps_used = []

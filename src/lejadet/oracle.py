@@ -49,12 +49,12 @@ def band_logdet_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> float:
         raise ValueError(f"matrix has entries at offset {actual}, "
                          f"outside bandwidth {bandwidth}")
     m = Q.to_scipy()
-    ab = np.zeros((bandwidth + 1, n))
+    # column-major, so LAPACK factors it in place
+    ab = np.zeros((bandwidth + 1, n), order="F")
     for off in range(bandwidth + 1):
-        d = m.diagonal(-off)
-        ab[off, : n - off] = d
+        ab[off, : n - off] = m.diagonal(-off)
     try:
-        cb = cholesky_banded(ab, lower=True, check_finite=False)
+        cb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
     return 2.0 * float(np.sum(np.log(cb[0])))

@@ -9,6 +9,7 @@ product, bitwise reproducible for fixed input).
 from __future__ import annotations
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
 __all__ = [
@@ -32,6 +33,10 @@ class SparseMatrixCSR:
       each row (so there are no duplicate entries);
     - all values are finite.
 
+    ``row_ptr`` and ``col_idx`` are stored as int32 when both n and nnz fit
+    in int32, and as int64 otherwise; the range checks run on the input
+    arrays, before any narrowing.  The stored arrays are read-only.
+
     ``symmetric_verified`` is True only if an explicit check found a stored
     ``(j, i)`` partner with a bitwise-equal value for every stored ``(i, j)``.
     """
@@ -39,34 +44,33 @@ class SparseMatrixCSR:
     __slots__ = ("_mat", "symmetric_verified")
 
     def __init__(self, row_ptr, col_idx, values, n=None, check_symmetry=True):
-        row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
+        row_ptr = np.asarray(row_ptr)
+        col_idx = np.asarray(col_idx)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if n is None:
             n = row_ptr.shape[0] - 1
         if row_ptr.ndim != 1 or row_ptr.shape[0] != n + 1:
             raise ValueError("row_ptr must have length n+1")
-        if row_ptr[0] != 0 or row_ptr[-1] != values.shape[0]:
+        nnz = values.shape[0]
+        if row_ptr[0] != 0 or row_ptr[-1] != nnz:
             raise ValueError("row_ptr[0] must be 0 and row_ptr[n] must equal nnz")
         if col_idx.shape != values.shape:
             raise ValueError("col_idx and values must have equal length")
-        counts = np.diff(row_ptr)
-        if np.any(counts < 0):
+        if np.any(np.diff(row_ptr) < 0):
             raise ValueError("row_ptr must be non-decreasing")
-        if values.shape[0]:
-            if col_idx.min() < 0 or col_idx.max() >= n:
-                raise ValueError("column index out of range")
-            # strictly increasing within each row: consecutive entries that
-            # belong to the same row must have increasing column indices
-            row_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-            same_row = row_of[1:] == row_of[:-1]
-            if np.any(col_idx[1:][same_row] <= col_idx[:-1][same_row]):
-                raise ValueError("column indices must be strictly increasing within rows")
+        if nnz and (col_idx.min() < 0 or col_idx.max() >= n):
+            raise ValueError("column index out of range")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix values must be finite")
-        for arr in (row_ptr, col_idx, values):
+        index = _index_dtype(n, nnz)
+        mat = sp.csr_matrix((values, np.ascontiguousarray(col_idx, dtype=index),
+                             np.ascontiguousarray(row_ptr, dtype=index)),
+                            shape=(n, n), copy=False)
+        # strictly increasing columns within each row, checked in C
+        if not mat.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing within rows")
+        for arr in (mat.indptr, mat.indices, mat.data):
             arr.flags.writeable = False
-        mat = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n), copy=False)
         object.__setattr__(self, "_mat", mat)
         sym = _is_symmetric(mat) if check_symmetry else False
         object.__setattr__(self, "symmetric_verified", sym)
@@ -122,19 +126,31 @@ class SparseMatrixCSR:
 
     def bandwidth(self) -> int:
         """Largest |i - j| over stored entries (0 for diagonal matrices)."""
-        if self.nnz == 0:
+        ptr, cols = self.row_ptr, self.col_idx
+        rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+        if rows.size == 0:
             return 0
-        row_of = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_ptr))
-        return int(np.max(np.abs(self.col_idx - row_of)))
+        # columns are sorted, so each row's extremes are its first and last entry
+        below = rows - cols[ptr[rows]]
+        above = cols[ptr[rows + 1] - 1] - rows
+        return int(max(below.max(), above.max()))
 
     def __repr__(self):
         return (f"SparseMatrixCSR(n={self.n}, nnz={self.nnz}, "
                 f"symmetric_verified={self.symmetric_verified})")
 
 
+def _index_dtype(n: int, nnz: int):
+    """int32 when n and nnz both fit, int64 otherwise."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
 def _is_symmetric(mat: sp.csr_matrix) -> bool:
-    diff = (mat - mat.T).tocsr()
-    return diff.nnz == 0 or float(np.max(np.abs(diff.data))) == 0.0
+    """Same pattern and values as the transpose (both canonical CSR)."""
+    t = mat.T.tocsr()
+    return (np.array_equal(mat.indptr, t.indptr)
+            and np.array_equal(mat.indices, t.indices)
+            and np.array_equal(mat.data, t.data))
 
 
 def matvec(Q: SparseMatrixCSR, v: np.ndarray) -> np.ndarray:
@@ -160,44 +176,24 @@ def load_matrix_market(path) -> SparseMatrixCSR:
     Symmetric-storage files are expanded to full storage, duplicate entries
     are summed, and the result is sorted per the CSR invariants.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if len(parts) != 5 or parts[0].lower() != "%%matrixmarket":
-            raise ValueError(f"malformed Matrix Market header: {header!r}")
-        obj, fmt, field, symmetry = (p.lower() for p in parts[1:])
-        if obj != "matrix" or fmt != "coordinate":
-            raise ValueError(f"unsupported Matrix Market type: {header!r}")
-        if field == "complex":
-            raise ValueError("complex field is not supported")
-        if field not in ("real", "integer"):
-            raise ValueError(f"unsupported field {field!r}")
-        if symmetry not in ("general", "symmetric"):
-            raise ValueError(f"unsupported symmetry {symmetry!r}")
-        line = fh.readline()
-        while line and line.lstrip().startswith("%"):
-            line = fh.readline()
-        size = line.split()
-        if len(size) != 3:
-            raise ValueError(f"malformed size line: {line!r}")
-        rows, cols, nnz = (int(t) for t in size)
-        if rows != cols:
-            raise ValueError(f"matrix is not square: {rows}x{cols}")
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments="%")
-    if data.size == 0:
-        data = data.reshape(0, 3)
-    if data.shape[0] != nnz:
-        raise ValueError(f"declared {nnz} entries but file holds {data.shape[0]}")
-    if data.shape[1] != 3:
-        raise ValueError("each entry must be 'row col value'")
-    i = data[:, 0].astype(np.int64) - 1
-    j = data[:, 1].astype(np.int64) - 1
-    v = data[:, 2]
-    if symmetry == "symmetric":
-        off = i != j
-        i, j = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
-        v = np.concatenate([v, v[off]])
-    coo = sp.coo_matrix((v, (i, j)), shape=(rows, cols))
+    try:
+        rows, cols, _, fmt, field, symmetry = scipy.io.mminfo(path)
+    except ValueError as exc:
+        raise ValueError(f"malformed Matrix Market header in {path}: {exc}") from exc
+    if fmt != "coordinate":
+        raise ValueError(f"unsupported Matrix Market type: {fmt!r} (need coordinate)")
+    if field == "complex":
+        raise ValueError("complex field is not supported")
+    if field not in ("real", "integer"):
+        raise ValueError(f"unsupported field {field!r}")
+    if symmetry not in ("general", "symmetric"):
+        raise ValueError(f"unsupported symmetry {symmetry!r}")
+    if rows != cols:
+        raise ValueError(f"matrix is not square: {rows}x{cols}")
+    try:
+        coo = scipy.io.mmread(path)
+    except ValueError as exc:
+        raise ValueError(f"malformed Matrix Market entries in {path}: {exc}") from exc
     return SparseMatrixCSR.from_scipy(coo)
 
 
@@ -207,12 +203,8 @@ def write_matrix_market(Q: SparseMatrixCSR, path) -> None:
     Values use shortest round-trip decimal form, so load(write(Q)) restores
     CSR content bitwise.
     """
-    coo = Q.to_scipy().tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{Q.n} {Q.n} {Q.nnz}\n")
-        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            fh.write(f"{i + 1} {j + 1} {v!r}\n")
+    with open(path, "wb") as fh:       # a file object: mmwrite keeps the name as given
+        scipy.io.mmwrite(fh, Q.to_scipy(), symmetry="general")
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +219,41 @@ def gen_pentadiagonal(n: int, seed: int) -> SparseMatrixCSR:
     is symmetrized and shifted: ``Q + Q.T + n*I``.  Diagonal dominance makes
     the result SPD: every off-diagonal magnitude is below 2 while the
     diagonal is at least n.
+
+    The CSR arrays are written directly: an n x 5 band of row slots (row i
+    holds columns i-2 .. i+2) with the six slots outside the matrix
+    dropped, entry by entry equal to building ``Q + Q.T + n*I`` with scipy.
+    Each draw is freed once it is used.
     """
     if n < 3:
         raise ValueError("pentadiagonal generator needs n >= 3")
     rng = np.random.default_rng(seed)
-    diagonals = [rng.random(n), rng.random(n - 1), rng.random(n - 2),
-                 rng.random(n - 1), rng.random(n - 2)]
-    q = sp.diags(diagonals, [0, 1, 2, -1, -2], format="csr")
-    q = q + q.T + float(n) * sp.identity(n, format="csr")
-    return SparseMatrixCSR.from_scipy(q)
+    band = np.empty((n, 5))
+    d0 = rng.random(n)
+    d0 += d0
+    d0 += float(n)
+    band[:, 2] = d0
+    del d0
+    u1, u2, l1 = rng.random(n - 1), rng.random(n - 2), rng.random(n - 1)
+    u1 += l1                      # entries (i, i+1) and (i+1, i)
+    del l1
+    band[:-1, 3] = u1
+    band[1:, 1] = u1
+    del u1
+    u2 += rng.random(n - 2)       # entries (i, i+2) and (i+2, i)
+    band[:-2, 4] = u2
+    band[2:, 0] = u2
+    del u2
+    index = _index_dtype(n, 5 * n)
+    cols = np.arange(n, dtype=index)[:, None] + np.arange(-2, 3, dtype=index)
+    inside = (cols >= 0) & (cols < n)
+    values = band[inside]
+    del band
+    col_idx = cols[inside]
+    del cols
+    row_ptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(inside.sum(axis=1), out=row_ptr[1:])
+    return SparseMatrixCSR(row_ptr, col_idx, values, n=n)
 
 
 def gen_gmrf_grid(g: int, theta: float) -> SparseMatrixCSR:

@@ -255,7 +255,40 @@ class TestRademacher:
         ref = ref_rng.integers(0, 2, size=(n, k)).astype(float) * 2 - 1
         rng = np.random.default_rng(seed)
         got = logdet._rademacher(rng, n, k)
-        assert got.flags.f_contiguous and got.dtype == np.float64
-        np.testing.assert_array_equal(got, ref)
+        assert got.flags.f_contiguous and got.dtype == np.int8
+        assert got.astype(float).tobytes() == ref.tobytes()
+        assert logdet._column(got, k - 1).tobytes() == ref[:, k - 1].tobytes()
         # the stream continues where the one-shot draw leaves it
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+def test_hutchpp_engine_keeps_no_vectors(monkeypatch):
+    """After an estimate the engine holds diagnostics, not action results."""
+    engines = []
+
+    class Recording(logdet._ActionEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(logdet, "_ActionEngine", Recording)
+    Q = gen_gmrf_grid(50, -0.2)
+    rep = hutchpp_logdet(Q, 12, seed=0)
+    (eng,) = engines
+    assert len(eng.records) == 12
+    assert eng.report_fields()[1] == rep.matvecs_total
+
+    def arrays(obj, seen):
+        if id(obj) in seen or obj is Q:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for x in obj:
+                yield from arrays(x, seen)
+        elif hasattr(obj, "__dict__"):
+            for x in vars(obj).values():
+                yield from arrays(x, seen)
+
+    assert all(a.size < Q.n for a in arrays(eng, set()))

@@ -1,0 +1,59 @@
+"""Memory budgets of matrix build, Hutch++ and the band oracle (tracemalloc).
+
+numpy reports its array buffers to tracemalloc, so the traced peak above
+the starting level is the largest set of arrays a call holds at once.  The
+budgets are in CSR bytes or in dense n-vectors (8n bytes) at n = 2*10^5;
+the working sets they bound are listed in each test.
+"""
+
+import tracemalloc
+
+import pytest
+
+from lejadet import (band_logdet_cholesky, estimate_interval, gen_pentadiagonal,
+                     generate_fast_leja, hutchpp_logdet)
+from lejadet.leja import DEFAULT_POOL_SIZE
+
+N = 200_000
+
+
+def traced_peak(func):
+    """(result, peak bytes above the level at the call) of func()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = func()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def penta():
+    Q = gen_pentadiagonal(N, seed=0)
+    return Q, estimate_interval(Q, "gershgorin")
+
+
+def test_gen_pentadiagonal_peak():
+    # the n x 5 band and its column pattern, then the CSR and its transpose
+    # for the symmetry check
+    Q, peak = traced_peak(lambda: gen_pentadiagonal(N, seed=0))
+    m = Q.to_scipy()
+    csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    assert peak <= 2.5 * csr
+
+
+def test_hutchpp_peak_above_matrix(penta):
+    # image/basis (4 columns), int8 sketch and probes, one float probe and
+    # the action's iterate, sum and product
+    Q, bounds = penta
+    generate_fast_leja(DEFAULT_POOL_SIZE)      # the process-wide pool, built once
+    _, peak = traced_peak(lambda: hutchpp_logdet(Q, m_vec=12, seed=1, bounds=bounds))
+    assert peak <= 12 * 8 * N
+
+
+def test_band_logdet_cholesky_peak(penta):
+    # the (bandwidth + 1) x n band, factored in place, and the log of its diagonal
+    Q, _ = penta
+    _, peak = traced_peak(lambda: band_logdet_cholesky(Q, 2))
+    assert peak <= 9 * 8 * N

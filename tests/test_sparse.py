@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lejadet import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, matvec, write_matrix_market)
@@ -60,21 +61,42 @@ class TestCSRInvariants:
                             np.array([1.0, 1.0]))
 
     def test_unsorted_columns(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SparseMatrixCSR(np.array([0, 2, 2]), np.array([1, 0]),
-                            np.array([1.0, 1.0]))
+        for cols in ([1, 0], [0, 0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SparseMatrixCSR(np.array([0, 2, 2]), np.array(cols),
+                                np.array([1.0, 1.0]))
 
     def test_immutable(self):
         Q = SparseMatrixCSR.from_dense(np.eye(2))
         with pytest.raises(AttributeError):
             Q.symmetric_verified = False
-        assert not Q.values.flags.writeable
+        for arr in (Q.row_ptr, Q.col_idx, Q.values):
+            assert not arr.flags.writeable
+        m = Q.to_scipy()
+        assert m.indptr is Q.row_ptr and m.indices is Q.col_idx
+
+    def test_index_dtype_int32_when_it_fits(self):
+        Q = SparseMatrixCSR(np.array([0, 1, 2], dtype=np.int64),
+                            np.array([0, 1], dtype=np.int64), np.array([1.0, 1.0]))
+        assert Q.row_ptr.dtype == np.int32 and Q.col_idx.dtype == np.int32
+
+    def test_wide_column_index_rejected_before_narrowing(self):
+        # 2**33 wraps to 0 in int32; the range check must see the input value
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrixCSR(np.array([0, 1, 2]), np.array([0, 2**33], dtype=np.int64),
+                            np.array([1.0, 1.0]), n=2)
 
     def test_symmetry_flag(self):
         sym = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         assert sym.symmetric_verified
         asym = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [0.0, 2.0]]))
         assert not asym.symmetric_verified
+
+    def test_unpartnered_explicit_zero_is_not_symmetric(self):
+        # stored (0, 1) = 0.0 has no stored (1, 0) partner
+        Q = SparseMatrixCSR(np.array([0, 2, 3]), np.array([0, 1, 1]),
+                            np.array([2.0, 0.0, 2.0]))
+        assert not Q.symmetric_verified
 
 
 class TestMatrixMarket:
@@ -147,6 +169,19 @@ class TestPentadiagonalGenerator:
     def test_too_small(self):
         with pytest.raises(ValueError):
             gen_pentadiagonal(2, seed=0)
+
+    @pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (5, 0), (50, 3), (1000, 7)])
+    def test_bitwise_equal_to_scipy_formula(self, n, seed):
+        rng = np.random.default_rng(seed)
+        diagonals = [rng.random(n), rng.random(n - 1), rng.random(n - 2),
+                     rng.random(n - 1), rng.random(n - 2)]
+        q = sp.diags(diagonals, [0, 1, 2, -1, -2], format="csr")
+        ref = (q + q.T + float(n) * sp.identity(n, format="csr")).tocsr()
+        ref.sort_indices()
+        Q = gen_pentadiagonal(n, seed)
+        assert np.array_equal(Q.row_ptr, ref.indptr)
+        assert np.array_equal(Q.col_idx, ref.indices)
+        assert Q.values.tobytes() == ref.data.tobytes()
 
     def test_seed_reproducible(self):
         a = gen_pentadiagonal(64, seed=42)
