@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, ddot
 
 from .divdiff import DividedDiffs
 from .sparse import SparseMatrixCSR
@@ -64,7 +64,7 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
     if v.shape != (Q.n,):
         raise ValueError(f"vector has shape {v.shape}, expected ({Q.n},)")
     if tol is None:
-        tol = 1e-7 * float(np.linalg.norm(v))
+        tol = 1e-7 * math.sqrt(ddot(v, v))
     if mp.degenerate:
         out = math.log(mp.c) * v
         return ActionResult(vector=out, degree_used=0, error_estimate=0.0,
@@ -85,7 +85,7 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
     w = v
     p = coeffs[0] * w
     m = 0
-    err = abs(coeffs[0]) * float(np.linalg.norm(w))
+    err = abs(coeffs[0]) * math.sqrt(ddot(w, w))
     history = [err]
     converged = True
     while err > tol:
@@ -97,7 +97,7 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
         w = daxpy(w, y, a=-(shift + xi[m]))     # updates y in place, returns it
         m += 1
         p = daxpy(w, p, a=coeffs[m])
-        err = abs(coeffs[m]) * float(np.linalg.norm(w))
+        err = abs(coeffs[m]) * math.sqrt(ddot(w, w))
         history.append(err)
         if not np.isfinite(err):
             raise FloatingPointError(f"non-finite iterate at degree {m}")

@@ -14,6 +14,7 @@ sequences nested by construction.
 from __future__ import annotations
 
 import bisect
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,17 +46,25 @@ class LejaSequence:
 
 
 class _Pool:
-    """Process-wide growing sequence with its candidate bookkeeping."""
+    """Process-wide growing sequence with its candidate bookkeeping.
+
+    ``extend_to`` holds a lock, so concurrent callers each get a prefix of
+    the one sequence.
+    """
 
     def __init__(self):
+        self._lock = threading.Lock()
         self.accepted = [2.0]          # acceptance order; xi_0 is the right endpoint
         self.sorted = [2.0]
         self.cand = [-2.0]             # left endpoint is the only initial candidate
         self.prod = [4.0]              # |-2 - 2|
 
     def extend_to(self, count):
-        while len(self.accepted) < count:
-            self._accept_next()
+        """The first ``count`` accepted points, generating any still missing."""
+        with self._lock:
+            while len(self.accepted) < count:
+                self._accept_next()
+            return self.accepted[:count]
 
     def _accept_next(self):
         best = max(range(len(self.prod)), key=lambda i: (self.prod[i], -self.cand[i]))
@@ -89,8 +98,7 @@ def generate_fast_leja(count: int) -> LejaSequence:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    _POOL.extend_to(count)
-    return LejaSequence(np.asarray(_POOL.accepted[:count]))
+    return LejaSequence(np.asarray(_POOL.extend_to(count)))
 
 
 def map_nodes(seq: LejaSequence, mp: MapParams) -> np.ndarray:

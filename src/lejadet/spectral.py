@@ -36,6 +36,9 @@ __all__ = [
     "map_params",
 ]
 
+# rows per block of the Gershgorin row sums; the block's |values| stay small
+_GERSHGORIN_ROWS = 4096
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solve did not reach its tolerance; carries the residual."""
@@ -108,20 +111,36 @@ def gershgorin_bounds(Q: SparseMatrixCSR, eps_floor: float | None = None) -> Spe
     if not Q.symmetric_verified:
         raise ValueError("Gershgorin bounds require a verified-symmetric matrix")
     m = Q.to_scipy()
+    n = Q.n
     diag = m.diagonal()
-    # row sums of |Q|: one product of |Q| (sharing Q's index arrays) with ones
-    abs_m = sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape,
-                          copy=False)
-    radius = abs_m @ np.ones(Q.n)
-    radius -= np.abs(diag)
-    lambda_max = float(np.max(diag + radius))
+    # row sums of |Q|, one block of rows at a time: |values| of the block go
+    # into one reusable buffer, and a product of the block (sharing Q's
+    # column indices) with ones sums each row in storage order
+    radius = np.empty(n)
+    ones = np.ones(n)
+    indptr = m.indptr
+    buf = np.empty(0)
+    for r0 in range(0, n, _GERSHGORIN_ROWS):
+        r1 = min(r0 + _GERSHGORIN_ROWS, n)
+        lo, hi = int(indptr[r0]), int(indptr[r1])
+        if buf.shape[0] < hi - lo:
+            buf = np.empty(hi - lo)
+        vals = np.abs(m.data[lo:hi], out=buf[:hi - lo])
+        block = sp.csr_matrix((vals, m.indices[lo:hi], indptr[r0:r1 + 1] - lo),
+                              shape=(r1 - r0, n), copy=False)
+        radius[r0:r1] = block @ ones
+    del ones
+    scratch = np.abs(diag)
+    radius -= scratch
+    lambda_max = float(np.max(np.add(diag, radius, out=scratch)))
     if lambda_max <= 0:
         raise ValueError("Gershgorin upper bound is not positive; matrix is not SPD")
     if eps_floor is None:
         eps_floor = 1e-8 * lambda_max
     if eps_floor <= 0:
         raise ValueError("eps_floor must be positive")
-    lambda_min = max(float(eps_floor), float(np.min(diag - radius)))
+    lambda_min = max(float(eps_floor),
+                     float(np.min(np.subtract(diag, radius, out=scratch))))
     return SpectralInterval(lambda_min, lambda_max, method="gershgorin")
 
 

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from lejadet import leja
 from lejadet import (MapParams, SpectralInterval, dump_points,
                      generate_fast_leja, map_nodes, map_params)
 
@@ -66,6 +70,35 @@ class TestGeneration:
             mine = np.prod(np.abs(pts[j] - pts[:j]))
             best = np.max(np.prod(np.abs(grid[:, None] - pts[None, :j]), axis=1))
             assert mine >= 0.8 * best
+
+    def test_concurrent_requests_get_prefixes(self):
+        """Threads growing one fresh pool to different lengths at once each
+        get a prefix of the sequentially generated sequence."""
+        reference = leja._Pool().extend_to(300)
+        pool = leja._Pool()
+        counts = [40, 300, 120, 250, 80, 200, 300, 160]
+        start = threading.Barrier(len(counts))
+        results = {}
+
+        def request(i):
+            start.wait()
+            results[i] = pool.extend_to(counts[i])
+
+        threads = [threading.Thread(target=request, args=(i,))
+                   for i in range(len(counts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)        # switch threads often to expose races
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, count in enumerate(counts):
+            assert results[i] == reference[:count]
+        assert pool.accepted == reference
 
 
 class TestMapping:

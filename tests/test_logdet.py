@@ -5,10 +5,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
+from conftest import random_spd
 from lejadet import logdet
 from lejadet import (SparseMatrixCSR, SpectralInterval, gen_gmrf_grid,
-                     gmrf_grid_logdet_analytic, hutchinson_logdet,
-                     hutchpp_logdet, normalize, slq_logdet)
+                     gen_pentadiagonal, gmrf_grid_logdet_analytic,
+                     hutchinson_logdet, hutchpp_logdet, normalize, slq_logdet)
 
 LOG120 = math.log(120.0)
 
@@ -217,6 +218,40 @@ class TestSLQ:
         ref = slq_logdet(Q, 30, 5, seed=2)
         assert new.degrees == ref.degrees
         assert abs(new.estimate - ref.estimate) <= 1e-12 * abs(ref.estimate)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_pentadiagonal(10_000, seed=0),
+        lambda: gen_gmrf_grid(40, -0.24),
+        lambda: random_spd(0, n=200, kappa=1e3)[0],
+        lambda: random_spd(1, n=200, kappa=1e3)[0],
+        lambda: random_spd(2, n=200, kappa=1e3)[0],
+    ], ids=["penta-1e4", "lattice-40", "spd-0", "spd-1", "spd-2"])
+    def test_semi_orthogonal_matches_full_reorthogonalization(self, make, monkeypatch):
+        Q = make()
+        semi = slq_logdet(Q, 40, 5, seed=3)
+        monkeypatch.setattr(logdet, "_SEMI_ORTHO", 0.0)   # correct at every step
+        full = slq_logdet(Q, 40, 5, seed=3)
+        assert semi.degrees == full.degrees
+        assert abs(semi.estimate - full.estimate) <= 1e-12 * abs(full.estimate)
+
+    @pytest.mark.parametrize("make,fired", [
+        (lambda: gen_pentadiagonal(10_000, seed=0), False),
+        (lambda: random_spd(2, n=200, kappa=1e3)[0], True),
+    ], ids=["penta-1e4", "spd-2"])
+    def test_corrections_only_where_orthogonality_is_lost(self, make, fired,
+                                                          monkeypatch):
+        Q = make()
+        dgemv = logdet.dgemv
+        corrections = []
+
+        def counting_dgemv(*args, **kwargs):
+            if "y" in kwargs:           # w -= V h; the pass h = V'w passes no y
+                corrections.append(args[0])
+            return dgemv(*args, **kwargs)
+
+        monkeypatch.setattr(logdet, "dgemv", counting_dgemv)
+        slq_logdet(Q, 40, 10, seed=0)
+        assert bool(corrections) == fired
 
 
 def _lanczos_quadrature_c_order(m_sp, v, m_l):

@@ -1,4 +1,4 @@
-"""Memory budgets of matrix build, Hutch++ and the band oracle (tracemalloc).
+"""Memory budgets of matrix build, bounds, Hutch++ and the band oracle (tracemalloc).
 
 numpy reports its array buffers to tracemalloc, so the traced peak above
 the starting level is the largest set of arrays a call holds at once.  The
@@ -41,6 +41,14 @@ def test_gen_pentadiagonal_peak():
     m = Q.to_scipy()
     csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
     assert peak <= 2.5 * csr
+
+
+def test_gershgorin_interval_peak(penta):
+    # the diagonal, the radii, the ones vector and one row block's |values|,
+    # then one scratch vector for both endpoints
+    Q, _ = penta
+    _, peak = traced_peak(lambda: estimate_interval(Q, "gershgorin"))
+    assert peak <= 4.5 * 8 * N
 
 
 def test_hutchpp_peak_above_matrix(penta):
