@@ -5,6 +5,7 @@ Newton interpolation at fast Leja points (with divided differences computed
 through a scaled Taylor expansion of a bidiagonal matrix logarithm), and the
 trace of the logarithm is estimated with Hutch++.  Stochastic Lanczos
 quadrature and exact Cholesky oracles are included for verification.
+``estimate(Q, method)`` is the one entry point to all of them.
 """
 
 from .action import ActionResult, log_matvec
@@ -12,8 +13,9 @@ from .divdiff import (DividedDiffs, divided_differences_log,
                       naive_divided_differences, reference_divided_differences,
                       resolve_scaling)
 from .leja import LejaSequence, dump_points, generate_fast_leja, map_nodes
-from .logdet import (LogDetReport, Normalization, hutchinson_logdet,
-                     hutchpp_logdet, normalize, slq_logdet)
+from .likelihood import gmrf_likelihood_scan
+from .logdet import (METHODS, LogDetReport, Normalization, estimate,
+                     hutchinson_logdet, hutchpp_logdet, normalize, slq_logdet)
 from .oracle import (band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
@@ -31,6 +33,7 @@ __all__ = [
     "EigenEstimate",
     "LejaSequence",
     "LogDetReport",
+    "METHODS",
     "MapParams",
     "Normalization",
     "SparseMatrixCSR",
@@ -39,12 +42,14 @@ __all__ = [
     "dense_logdet_cholesky",
     "divided_differences_log",
     "dump_points",
+    "estimate",
     "estimate_interval",
     "gen_gmrf_grid",
     "gen_pentadiagonal",
     "generate_fast_leja",
     "gershgorin_bounds",
     "gmrf_grid_logdet_analytic",
+    "gmrf_likelihood_scan",
     "hutchinson_logdet",
     "hutchpp_logdet",
     "lanczos_lambda_max",

@@ -47,12 +47,14 @@ class ActionResult:
 
 def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
                dd: DividedDiffs | None, tol: float | None = None,
-               max_degree: int = 400) -> ActionResult:
+               max_degree: int = 400, v_norm: float | None = None) -> ActionResult:
     """Approximate log(Q) v to the requested tolerance.
 
     ``dd`` must hold divided differences computed for the same map
     parameters.  ``tol`` is the absolute stopping threshold for
-    e_m = |d_m| * ||w_m||; the default is 1e-7 * ||v||_2.  If the map is
+    e_m = |d_m| * ||w_m||; the default is 1e-7 * ||v||_2.  A caller that
+    has already computed ||v||_2 passes it as ``v_norm``, which saves one
+    pass over v (it must be ``sqrt(ddot(v, v))``).  If the map is
     degenerate (gamma = 0, the enclosure is a single point c) the result is
     log(c) * v at degree zero and ``dd`` is not consulted.
 
@@ -63,8 +65,10 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (Q.n,):
         raise ValueError(f"vector has shape {v.shape}, expected ({Q.n},)")
+    if v_norm is None:
+        v_norm = math.sqrt(ddot(v, v))
     if tol is None:
-        tol = 1e-7 * math.sqrt(ddot(v, v))
+        tol = 1e-7 * v_norm
     if mp.degenerate:
         out = math.log(mp.c) * v
         return ActionResult(vector=out, degree_used=0, error_estimate=0.0,
@@ -85,7 +89,7 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
     w = v
     p = coeffs[0] * w
     m = 0
-    err = abs(coeffs[0]) * math.sqrt(ddot(w, w))
+    err = abs(coeffs[0]) * v_norm
     history = [err]
     converged = True
     while err > tol:

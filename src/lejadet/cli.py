@@ -10,27 +10,20 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-import scipy.linalg
-
-from .logdet import LogDetReport, hutchinson_logdet, hutchpp_logdet, slq_logdet
-from .oracle import (DENSE_CAP, band_logdet_cholesky, dense_logdet_cholesky,
-                     gmrf_grid_logdet_analytic)
+from .likelihood import gmrf_likelihood_scan
+from .logdet import EXACT_METHODS, METHODS, estimate
+from .oracle import DENSE_CAP
 from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, write_matrix_market)
-from .spectral import estimate_interval
 
-__all__ = ["main", "RunConfig", "gmrf_likelihood_scan"]
+__all__ = ["main", "RunConfig"]
 
-ESTIMATORS = ("leja-hutchpp", "hutchinson", "slq")
-EXACT_METHODS = ("exact-dense", "exact-band", "exact-analytic")
-METHODS = ESTIMATORS + EXACT_METHODS
-SAMPLING_GRID_CAP = 64
+# the oracle behind each exact method, as named in --with-exact results
+ORACLES = {"exact-dense": "dense-cholesky", "exact-band": "band-cholesky",
+           "exact-analytic": "lattice-analytic"}
 
 
 @dataclass
@@ -48,7 +41,6 @@ class RunConfig:
     bounds: str = "gershgorin"
     seed: int = 0
     format: str = "json"
-    deterministic: bool = True
     max_degree: int = 400
     with_exact: bool = False
 
@@ -58,12 +50,6 @@ class RunConfig:
         if (self.matrix is None) == (self.gen is None):
             raise ValueError("exactly one matrix source is required "
                              "(--matrix PATH or --gen SPEC)")
-        if self.method == "leja-hutchpp" and self.queries < 3:
-            raise ValueError("leja-hutchpp needs --queries >= 3")
-        if self.method == "hutchinson" and self.queries < 1:
-            raise ValueError("hutchinson needs --queries >= 1")
-        if self.method == "slq" and (self.slq_degree < 1 or self.probes < 1):
-            raise ValueError("slq needs --slq-degree >= 1 and --probes >= 1")
         if self.bounds not in ("gershgorin", "lanczos"):
             raise ValueError("--bounds must be gershgorin or lanczos")
         if self.s_val not in ("center", "half-max"):
@@ -74,13 +60,12 @@ class RunConfig:
         if self.tol <= 0:
             raise ValueError("--tol must be positive")
 
-    @property
-    def scaling(self):
-        return self.s_val if self.s_val in ("center", "half-max") else float(self.s_val)
-
-    @property
-    def reduction(self):
-        return "sequential" if self.deterministic else "parallel"
+    def options(self) -> dict:
+        """The keyword arguments of ``estimate`` that this run sets, seed aside."""
+        scaling = self.s_val if self.s_val in ("center", "half-max") else float(self.s_val)
+        return {"queries": self.queries, "probes": self.probes,
+                "slq_degree": self.slq_degree, "tol": self.tol, "scaling": scaling,
+                "bounds": self.bounds, "max_degree": self.max_degree}
 
 
 def parse_gen_spec(spec: str, seed: int):
@@ -107,16 +92,14 @@ def _get_matrix(cfg: RunConfig):
     return parse_gen_spec(cfg.gen, cfg.seed)
 
 
-def _exact_logdet(Q: SparseMatrixCSR, meta: dict, how: str) -> tuple[float, str]:
-    if how == "exact-dense":
-        return dense_logdet_cholesky(Q.to_dense(max_n=DENSE_CAP)), "dense-cholesky"
-    if how == "exact-band":
-        return band_logdet_cholesky(Q, Q.bandwidth()), "band-cholesky"
-    if how == "exact-analytic":
-        if meta.get("kind") != "gmrf":
-            raise ValueError("the analytic oracle applies only to --gen gmrf:G:THETA")
-        return gmrf_grid_logdet_analytic(meta["g"], meta["theta"]), "lattice-analytic"
-    raise ValueError(f"unknown exact method {how!r}")
+def _lattice(meta: dict):
+    """(g, theta) of a generated lattice, which the analytic oracle needs."""
+    return (meta["g"], meta["theta"]) if meta.get("kind") == "gmrf" else None
+
+
+def _rel_err(value: float, exact: float) -> float:
+    """|value - exact| / |exact|, defined (as 0 or huge) for an exact value of 0."""
+    return abs(value - exact) / max(abs(exact), 1e-300)
 
 
 def _best_oracle(Q: SparseMatrixCSR, meta: dict):
@@ -131,29 +114,12 @@ def _best_oracle(Q: SparseMatrixCSR, meta: dict):
     return None
 
 
-def _exact_report(cfg, value, elapsed):
-    return LogDetReport(
-        method=cfg.method, estimate=value, trace_estimate=value,
-        n_log_sigma=0.0, sigma=1.0, queries=0,
-        degrees={"min": 0, "median": 0.0, "max": 0}, seed=cfg.seed,
-        wall_time=elapsed, matvecs_total=0, reduction="sequential",
-        warnings=[], converged=True)
-
-
 def run_estimate(cfg: RunConfig) -> dict:
-    """Load or generate the matrix, run the configured method, build the result.
-
-    Wall time for the iterative estimators includes the spectral-bound
-    estimation, which is part of the method's cost.
-    """
+    """Load or generate the matrix, run the configured method, build the result."""
     cfg.validate()
     Q, meta = _get_matrix(cfg)
-    if cfg.method in EXACT_METHODS:
-        t0 = time.perf_counter()
-        value, _ = _exact_logdet(Q, meta, cfg.method)
-        report = _exact_report(cfg, value, time.perf_counter() - t0)
-    else:
-        report = _run_estimator(Q, cfg)
+    lattice = _lattice(meta)
+    report = estimate(Q, cfg.method, seed=cfg.seed, lattice=lattice, **cfg.options())
     result = {
         "config": asdict(cfg),
         "matrix": {"n": Q.n, "nnz": Q.nnz},
@@ -163,145 +129,63 @@ def run_estimate(cfg: RunConfig) -> dict:
     if cfg.with_exact and cfg.method not in EXACT_METHODS:
         how = _best_oracle(Q, meta)
         if how is not None:
-            value, oracle_name = _exact_logdet(Q, meta, how)
-            rel = abs(report.estimate - value) / max(abs(value), 1e-300)
-            result["exact"] = {"value": value, "rel_err": rel, "oracle": oracle_name}
+            value = estimate(Q, how, lattice=lattice).estimate
+            result["exact"] = {"value": value, "rel_err": _rel_err(report.estimate, value),
+                               "oracle": ORACLES[how]}
     return result
 
 
-def gmrf_likelihood_scan(g: int, theta_true: float, thetas, seed: int = 0,
-                         m_vec: int = 12, tol: float = 1e-7, scaling="center",
-                         max_degree: int = 400, sample: bool = True,
-                         reduction: str = "sequential",
-                         bounds_method: str = "gershgorin") -> dict:
-    """Log-likelihood curve of a lattice field sample over a theta grid.
+def run_bench(gens, files, methods, reps, cfg: RunConfig) -> list[dict]:
+    """Per (matrix, method, repetition) rows; failures become error rows.
 
-    Draws one sample x with precision Q(theta_true) by a dense Cholesky
-    solve (grid side capped for feasibility), then for each theta evaluates
-
-        loglik = (logdet_est(Q(theta)) - x' Q(theta) x - n log(2 pi)) / 2
-
-    with the Leja/Hutch++ estimator for the log-determinant term.  One
-    estimator seed is reused across the whole grid (common random numbers),
-    so estimation noise shifts the curve smoothly instead of scrambling the
-    argmax.  With ``sample=False`` only the log-determinant column is
-    produced and the grid side is not capped.
+    Repetition r runs with seed ``cfg.seed + r``; generators use ``cfg.seed``.
     """
-    thetas = [float(t) for t in thetas]
-    for t in thetas + [theta_true]:
-        if abs(t) >= 0.25:
-            raise ValueError(f"|theta| must be below 1/4, got {t}")
-    n = g * g
-    x = None
-    if sample:
-        if g > SAMPLING_GRID_CAP:
-            raise ValueError(
-                f"sampling is limited to grid side {SAMPLING_GRID_CAP} "
-                f"(dense Cholesky); rerun without sampling for the "
-                f"log-determinant curve only")
-        rng = np.random.default_rng(seed)
-        q_true = gen_gmrf_grid(g, theta_true).to_dense(max_n=SAMPLING_GRID_CAP ** 2)
-        chol = np.linalg.cholesky(q_true)
-        z = rng.standard_normal(n)
-        x = scipy.linalg.solve_triangular(chol.T, z, lower=False)
-    rows = []
-    warn_count = 0
-    for theta in thetas:
-        Q = gen_gmrf_grid(g, theta)
-        bounds = estimate_interval(Q, method=bounds_method, seed=seed)
-        report = hutchpp_logdet(Q, m_vec, action_tol=tol, seed=seed,
-                                bounds=bounds, scaling=scaling,
-                                max_degree=max_degree, reduction=reduction)
-        warn_count += len(report.warnings)
-        row = {"theta": theta, "logdet_est": report.estimate,
-               "loglik": None, "quadform": None}
-        if x is not None:
-            quad = float(x @ (Q.to_scipy() @ x))
-            row["quadform"] = quad
-            row["loglik"] = 0.5 * (report.estimate - quad - n * math.log(2.0 * math.pi))
-        rows.append(row)
-    return {
-        "config": {"g": g, "theta_true": theta_true, "thetas": thetas, "seed": seed,
-                   "queries": m_vec, "tol": tol, "s_val": str(scaling),
-                   "sample": sample},
-        "rows": rows,
-        "warnings": warn_count,
-    }
-
-
-def run_bench(gens, files, methods, reps, seed, cfg_defaults: RunConfig) -> list[dict]:
-    """Per (matrix, method, repetition) rows; failures become error rows."""
     corpus = []
     for spec in gens:
-        Q, meta = parse_gen_spec(spec, seed)
+        Q, meta = parse_gen_spec(spec, cfg.seed)
         corpus.append((spec, Q, meta))
     for path in files:
         corpus.append((path, load_matrix_market(path), {"kind": "file", "path": path}))
     rows = []
     for label, Q, meta in corpus:
+        lattice = _lattice(meta)
         oracle_how = _best_oracle(Q, meta)
         exact = None
         if oracle_how is not None:
             try:
-                exact, _ = _exact_logdet(Q, meta, oracle_how)
+                exact = estimate(Q, oracle_how, lattice=lattice).estimate
             except ValueError:
                 exact = None
         for method in methods:
             for rep in range(reps):
-                rep_seed = seed + rep
+                rep_seed = cfg.seed + rep
                 row = {"matrix": label, "n": Q.n, "nnz": Q.nnz, "method": method,
                        "rep": rep, "seed": rep_seed, "estimate": None,
                        "exact": exact, "rel_err": None, "wall_time": None,
                        "warnings": 0, "error": None}
                 try:
-                    cfg = RunConfig(
-                        method=method, queries=cfg_defaults.queries,
-                        probes=cfg_defaults.probes, slq_degree=cfg_defaults.slq_degree,
-                        tol=cfg_defaults.tol, s_val=cfg_defaults.s_val,
-                        bounds=cfg_defaults.bounds, seed=rep_seed,
-                        deterministic=cfg_defaults.deterministic,
-                        max_degree=cfg_defaults.max_degree)
-                    report = _bench_one(Q, meta, cfg)
+                    report = estimate(Q, method, seed=rep_seed, lattice=lattice,
+                                      **cfg.options())
                     row["estimate"] = report.estimate
                     row["wall_time"] = report.wall_time
                     row["warnings"] = len(report.warnings)
                     if exact is not None:
-                        row["rel_err"] = abs(report.estimate - exact) / abs(exact)
+                        row["rel_err"] = _rel_err(report.estimate, exact)
                 except Exception as exc:  # noqa: BLE001 - cell failures must not stop the run
                     row["error"] = str(exc)
                 rows.append(row)
     return rows
 
 
-def _run_estimator(Q, cfg: RunConfig) -> LogDetReport:
-    """Dispatch to an estimator; wall time covers the spectral bounds too,
-    which are part of the interpolation methods' cost (SLQ needs none)."""
-    if cfg.method == "slq":
-        return slq_logdet(Q, cfg.slq_degree, cfg.probes, seed=cfg.seed,
-                          reduction=cfg.reduction)
-    t0 = time.perf_counter()
-    bounds = estimate_interval(Q, method=cfg.bounds, seed=cfg.seed)
-    bounds_time = time.perf_counter() - t0
-    if cfg.method == "leja-hutchpp":
-        report = hutchpp_logdet(Q, cfg.queries, action_tol=cfg.tol, seed=cfg.seed,
-                                bounds=bounds, scaling=cfg.scaling,
-                                max_degree=cfg.max_degree, reduction=cfg.reduction)
-    elif cfg.method == "hutchinson":
-        report = hutchinson_logdet(Q, cfg.queries, action_tol=cfg.tol, seed=cfg.seed,
-                                   bounds=bounds, scaling=cfg.scaling,
-                                   max_degree=cfg.max_degree, reduction=cfg.reduction)
-    else:
-        raise ValueError(f"unknown method {cfg.method!r}")
-    report.wall_time += bounds_time
-    return report
-
-
-def _bench_one(Q, meta, cfg: RunConfig) -> LogDetReport:
-    if cfg.method in EXACT_METHODS:
-        t0 = time.perf_counter()
-        value, _ = _exact_logdet(Q, meta, cfg.method)
-        return _exact_report(cfg, value, time.perf_counter() - t0)
-    return _run_estimator(Q, cfg)
+def _theta_grid(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop; a grid without points is an error."""
+    if step == 0:
+        raise ValueError("--theta-step must be non-zero")
+    steps = round((stop - start) / step)
+    if steps < 0:
+        raise ValueError(f"empty theta grid: --theta-step {step} does not lead "
+                         f"from --theta-start {start} to --theta-stop {stop}")
+    return [start + i * step for i in range(steps + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +244,6 @@ def _add_common_estimator_args(p):
     p.add_argument("--bounds", default="gershgorin", choices=["gershgorin", "lanczos"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=400)
-    p.add_argument("--deterministic", action="store_true", default=True,
-                   help="run the probe actions one after another (default)")
-    p.add_argument("--parallel", dest="deterministic", action="store_false",
-                   help="run the probe actions on threads; results are bitwise "
-                        "equal to the sequential run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,21 +303,18 @@ def main(argv=None) -> int:
                 method=args.method, matrix=args.matrix, gen=args.gen,
                 queries=args.queries, probes=args.probes, slq_degree=args.slq_degree,
                 tol=args.tol, s_val=str(args.s_val), bounds=args.bounds,
-                seed=args.seed, format=args.format,
-                deterministic=args.deterministic, max_degree=args.max_degree,
+                seed=args.seed, format=args.format, max_degree=args.max_degree,
                 with_exact=args.with_exact)
             result = run_estimate(cfg)
             print(_render_estimate(result, args.format))
             return 2 if result["report"]["warnings"] else 0
 
         if args.command == "gmrf-likelihood":
-            steps = round((args.theta_stop - args.theta_start) / args.theta_step)
-            thetas = [args.theta_start + i * args.theta_step for i in range(steps + 1)]
+            thetas = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
             out = gmrf_likelihood_scan(
                 args.grid_side, args.theta_true, thetas, seed=args.seed,
                 m_vec=args.queries, tol=args.tol, scaling=args.s_val,
                 max_degree=args.max_degree, sample=not args.no_sample,
-                reduction="sequential" if args.deterministic else "parallel",
                 bounds_method=args.bounds)
             if args.format == "json":
                 print(json.dumps(out, indent=2))
@@ -449,18 +325,21 @@ def main(argv=None) -> int:
 
         if args.command == "bench":
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+            if not methods:
+                raise ValueError("bench needs at least one method in --methods")
             for m in methods:
                 if m not in METHODS:
                     raise ValueError(f"unknown method {m!r}")
             if not args.gen and not args.matrix:
                 raise ValueError("bench needs at least one --gen or --matrix")
-            defaults = RunConfig(
+            if args.reps < 1:
+                raise ValueError("bench needs --reps >= 1")
+            cfg = RunConfig(
                 method=methods[0], queries=args.queries,
                 probes=args.probes, slq_degree=args.slq_degree, tol=args.tol,
                 s_val=str(args.s_val), bounds=args.bounds, seed=args.seed,
-                deterministic=args.deterministic, max_degree=args.max_degree)
-            rows = run_bench(args.gen, args.matrix, methods, args.reps,
-                             args.seed, defaults)
+                max_degree=args.max_degree)
+            rows = run_bench(args.gen, args.matrix, methods, args.reps, cfg)
             if args.format == "json":
                 print(json.dumps(rows, indent=2))
             else:

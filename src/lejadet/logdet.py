@@ -9,13 +9,16 @@ formed.  Every quadratic form uses the identity
 
 so actions run on Q itself and the report carries the n*log(sigma) term
 separately (the estimate is assembled as their sum).
+
+``estimate`` is the one entry point: it encloses the spectrum for the Leja
+methods and dispatches to the three trace estimators and the three exact
+oracles.  Every report comes from ``_report``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
@@ -27,17 +30,25 @@ from scipy.linalg.blas import daxpy, ddot, dgemv
 from .action import log_matvec
 from .divdiff import divided_differences_log
 from .leja import DEFAULT_POOL_SIZE, generate_fast_leja
+from .oracle import (DENSE_CAP, band_logdet_cholesky, dense_logdet_cholesky,
+                     gmrf_grid_logdet_analytic)
 from .sparse import SparseMatrixCSR
-from .spectral import SpectralInterval, gershgorin_bounds, map_params
+from .spectral import (SpectralInterval, estimate_interval, gershgorin_bounds,
+                       map_params)
 
 __all__ = [
+    "METHODS",
     "Normalization",
     "LogDetReport",
     "normalize",
+    "estimate",
     "hutchpp_logdet",
     "hutchinson_logdet",
     "slq_logdet",
 ]
+
+EXACT_METHODS = ("exact-dense", "exact-band", "exact-analytic")
+METHODS = ("leja-hutchpp", "hutchinson", "slq") + EXACT_METHODS
 
 DEFAULT_MAX_DEGREE = 400
 # semi-orthogonality level sqrt(eps): SLQ reorthogonalizes a Lanczos vector
@@ -76,7 +87,6 @@ class LogDetReport:
     seed: int
     wall_time: float
     matvecs_total: int
-    reduction: str = "sequential"
     warnings: list = field(default_factory=list)
     converged: bool = True
 
@@ -119,15 +129,6 @@ def _column(block, j):
     return block[:, j].astype(np.float64)
 
 
-def _map_actions(func, tasks, reduction):
-    """Apply func over tasks; results come back in task order in both modes."""
-    if reduction == "parallel":
-        with ThreadPoolExecutor() as pool:
-            yield from pool.map(func, tasks)
-    else:
-        yield from map(func, tasks)
-
-
 class _ActionRecord(NamedTuple):
     """Diagnostics of one action, as the report needs them."""
 
@@ -136,6 +137,42 @@ class _ActionRecord(NamedTuple):
     matvecs: int
     converged: bool
     error_estimate: float
+
+
+def _report(method, trace_estimate, *, queries, seed, t0, records=(), sigma=1.0,
+            n=0, dd=None) -> LogDetReport:
+    """The one assembly of a ``LogDetReport``.
+
+    ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
+    the degree statistics, matvec total, warnings and convergence flag come
+    from them.  ``n`` and ``sigma`` give the n*log(sigma) term, ``dd`` adds
+    a warning when its Taylor series was truncated, and the wall time runs
+    from ``t0``.
+    """
+    warnings = [
+        f"{r.label}: not converged at degree {r.degree} "
+        f"(error estimate {r.error_estimate:.3e})"
+        for r in records if not r.converged
+    ]
+    if dd is not None and dd.truncated:
+        warnings.append(
+            f"divided differences truncated after {dd.taylor_terms} Taylor "
+            f"terms (last term norm {dd.last_term_norm:.3e})")
+    n_log_sigma = n * math.log(sigma)
+    return LogDetReport(
+        method=method,
+        estimate=n_log_sigma + trace_estimate,
+        trace_estimate=trace_estimate,
+        n_log_sigma=n_log_sigma,
+        sigma=sigma,
+        queries=queries,
+        degrees=_degree_stats([r.degree for r in records]),
+        seed=seed,
+        wall_time=time.perf_counter() - t0,
+        matvecs_total=sum(r.matvecs for r in records),
+        warnings=warnings,
+        converged=all(r.converged for r in records),
+    )
 
 
 class _ActionEngine:
@@ -166,46 +203,30 @@ class _ActionEngine:
     def act(self, v):
         """log(Q) v; returns (result, quadratic form v' log(Q~) v)."""
         vv = ddot(v, v)
-        tol = None if self.action_tol is None else self.action_tol * math.sqrt(vv)
+        v_norm = math.sqrt(vv)
+        tol = None if self.action_tol is None else self.action_tol * v_norm
         res = log_matvec(self.Q, v, self.mp, self.dd, tol=tol,
-                         max_degree=self.max_degree)
+                         max_degree=self.max_degree, v_norm=v_norm)
         qform = ddot(v, res.vector) - self.log_sigma * vv
         return res, qform
 
-    def act_all(self, phase, vector, count, reduction):
-        """Act on ``vector(j)`` for j < count; yields (result, qform) in task order.
+    def act_all(self, phase, vector, count):
+        """Act on ``vector(j)`` for j < count; yields (result, qform) in order.
 
-        Each action is recorded as "<phase> action j" in task order, so the
-        report is the same in both reduction modes.
+        Each action is recorded as "<phase> action j".
         """
-        results = _map_actions(lambda j: self.act(vector(j)), range(count), reduction)
-        for j, (res, qform) in enumerate(results):
+        for j in range(count):
+            res, qform = self.act(vector(j))
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
                                               res.matvecs, res.converged,
                                               res.error_estimate))
             yield res, qform
 
-    def report_fields(self):
-        degrees = [r.degree for r in self.records]
-        matvecs = sum(r.matvecs for r in self.records)
-        all_converged = all(r.converged for r in self.records)
-        warnings = [
-            f"{r.label}: not converged at degree {r.degree} "
-            f"(error estimate {r.error_estimate:.3e})"
-            for r in self.records if not r.converged
-        ]
-        if self.dd is not None and self.dd.truncated:
-            warnings.append(
-                f"divided differences truncated after {self.dd.taylor_terms} Taylor "
-                f"terms (last term norm {self.dd.last_term_norm:.3e})")
-        return degrees, matvecs, warnings, all_converged
-
 
 def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e-7,
                    seed: int = 0, bounds: SpectralInterval | None = None,
                    scaling="center", max_degree: int = DEFAULT_MAX_DEGREE,
-                   leja_count: int = DEFAULT_POOL_SIZE,
-                   reduction: str = "sequential") -> LogDetReport:
+                   leja_count: int = DEFAULT_POOL_SIZE) -> LogDetReport:
     """Hutch++ estimate of log det Q with Leja-interpolated actions.
 
     With k = floor(m_vec / 3): a Rademacher sketch of k columns is pushed
@@ -229,7 +250,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
     sketch = _rademacher(rng, n, k)
     y = np.empty((n, k), order="F")
     for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: _column(sketch, j),
-                                             k, reduction)):
+                                             k)):
         # image under log(Q~) = log(Q) - log(sigma) I
         y[:, j] = res.vector
         y[:, j] += sketch[:, j] * -eng.log_sigma
@@ -250,7 +271,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
 
     det_term = 0.0
     for _, qf in eng.act_all("deterministic", lambda j: basis[:, j],
-                             basis.shape[1], reduction):
+                             basis.shape[1]):
         det_term += qf
 
     probes = _rademacher(rng, n, n_res)
@@ -263,35 +284,18 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
         return u
 
     res_term = 0.0
-    for _, qf in eng.act_all("residual", deflated, n_res, reduction):
+    for _, qf in eng.act_all("residual", deflated, n_res):
         res_term += qf
     res_term /= n_res
 
-    trace_estimate = det_term + res_term
-    n_log_sigma = n * eng.log_sigma
-    degrees, matvecs, warnings, all_converged = eng.report_fields()
-    return LogDetReport(
-        method="leja-hutchpp",
-        estimate=n_log_sigma + trace_estimate,
-        trace_estimate=trace_estimate,
-        n_log_sigma=n_log_sigma,
-        sigma=eng.norm.sigma,
-        queries=m_vec,
-        degrees=_degree_stats(degrees),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-        matvecs_total=matvecs,
-        reduction=reduction,
-        warnings=warnings,
-        converged=all_converged,
-    )
+    return _report("leja-hutchpp", det_term + res_term, queries=m_vec, seed=seed,
+                   t0=t0, records=eng.records, sigma=eng.norm.sigma, n=n, dd=eng.dd)
 
 
 def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e-7,
                       seed: int = 0, bounds: SpectralInterval | None = None,
                       scaling="center", max_degree: int = DEFAULT_MAX_DEGREE,
-                      leja_count: int = DEFAULT_POOL_SIZE,
-                      reduction: str = "sequential") -> LogDetReport:
+                      leja_count: int = DEFAULT_POOL_SIZE) -> LogDetReport:
     """Plain Monte Carlo baseline: average of m_vec Rademacher quadratic forms."""
     if m_vec < 1:
         raise ValueError("need at least one query")
@@ -301,26 +305,10 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None =
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, n, m_vec)
     total = 0.0
-    for _, qf in eng.act_all("probe", lambda j: _column(probes, j), m_vec, reduction):
+    for _, qf in eng.act_all("probe", lambda j: _column(probes, j), m_vec):
         total += qf
-    trace_estimate = total / m_vec
-    n_log_sigma = n * eng.log_sigma
-    degrees, matvecs, warnings, all_converged = eng.report_fields()
-    return LogDetReport(
-        method="hutchinson",
-        estimate=n_log_sigma + trace_estimate,
-        trace_estimate=trace_estimate,
-        n_log_sigma=n_log_sigma,
-        sigma=eng.norm.sigma,
-        queries=m_vec,
-        degrees=_degree_stats(degrees),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-        matvecs_total=matvecs,
-        reduction=reduction,
-        warnings=warnings,
-        converged=all_converged,
-    )
+    return _report("hutchinson", total / m_vec, queries=m_vec, seed=seed, t0=t0,
+                   records=eng.records, sigma=eng.norm.sigma, n=n, dd=eng.dd)
 
 
 def _lanczos_quadrature(m_sp, v, m_l):
@@ -376,8 +364,7 @@ def _lanczos_quadrature(m_sp, v, m_l):
     return beta0_sq * float(tau_sq @ np.log(theta)), steps
 
 
-def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0,
-               reduction: str = "sequential") -> LogDetReport:
+def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
     """Stochastic Lanczos quadrature baseline.
 
     For each of ``n_v`` Rademacher probes, ``m_l`` Lanczos steps yield a
@@ -396,31 +383,53 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0,
         raise ValueError("estimators require a verified-symmetric matrix")
     t0 = time.perf_counter()
     m_sp = Q.to_scipy()
-    n = Q.n
     rng = np.random.default_rng(seed)
-    probes = _rademacher(rng, n, n_v)
-
-    def one_probe(j):
-        return _lanczos_quadrature(m_sp, _column(probes, j), m_l)
-
+    probes = _rademacher(rng, Q.n, n_v)
     total = 0.0
-    steps_used = []
-    for val, steps in _map_actions(one_probe, range(n_v), reduction):
+    records = []
+    for j in range(n_v):
+        val, steps = _lanczos_quadrature(m_sp, _column(probes, j), m_l)
         total += val
-        steps_used.append(steps)
-    estimate = total / n_v
-    return LogDetReport(
-        method="slq",
-        estimate=estimate,
-        trace_estimate=estimate,
-        n_log_sigma=0.0,
-        sigma=1.0,
-        queries=n_v,
-        degrees=_degree_stats(steps_used),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-        matvecs_total=sum(steps_used),
-        reduction=reduction,
-        warnings=[],
-        converged=True,
-    )
+        records.append(_ActionRecord(f"probe {j}", steps, steps, True, 0.0))
+    return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records)
+
+
+def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,
+             slq_degree: int = 40, tol: float = 1e-7, scaling="center",
+             bounds: str = "gershgorin", seed: int = 0,
+             max_degree: int = DEFAULT_MAX_DEGREE,
+             lattice: tuple[int, float] | None = None) -> LogDetReport:
+    """log det Q by one of ``METHODS``, with the command line's defaults.
+
+    ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions of
+    relative tolerance ``tol`` (at most ``max_degree`` each, divided
+    differences scaled by ``scaling``) on the interval that
+    ``estimate_interval(Q, bounds, seed=seed)`` encloses; their wall time
+    includes that enclosure, which is part of the method's cost.  ``slq``
+    runs ``probes`` probes of ``slq_degree`` Lanczos steps and needs no
+    enclosure.  ``exact-dense`` and ``exact-band`` are the Cholesky
+    oracles; ``exact-analytic`` is the lattice closed form and needs
+    ``lattice = (g, theta)`` of ``Q = gen_gmrf_grid(g, theta)``.
+    """
+    t0 = time.perf_counter()
+    if method in ("leja-hutchpp", "hutchinson"):
+        interval = estimate_interval(Q, method=bounds, seed=seed)
+        bounds_s = time.perf_counter() - t0
+        strategy = hutchpp_logdet if method == "leja-hutchpp" else hutchinson_logdet
+        report = strategy(Q, queries, action_tol=tol, seed=seed, bounds=interval,
+                          scaling=scaling, max_degree=max_degree)
+        report.wall_time += bounds_s
+        return report
+    if method == "slq":
+        return slq_logdet(Q, slq_degree, probes, seed=seed)
+    if method == "exact-dense":
+        value = dense_logdet_cholesky(Q.to_dense(max_n=DENSE_CAP))
+    elif method == "exact-band":
+        value = band_logdet_cholesky(Q, Q.bandwidth())
+    elif method == "exact-analytic":
+        if lattice is None:
+            raise ValueError("the analytic oracle applies only to --gen gmrf:G:THETA")
+        value = gmrf_grid_logdet_analytic(*lattice)
+    else:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return _report(method, value, queries=0, seed=seed, t0=t0)

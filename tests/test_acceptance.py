@@ -27,10 +27,9 @@ from lejadet import (SparseMatrixCSR, SpectralInterval, band_logdet_cholesky,
                      dense_logdet_cholesky, divided_differences_log,
                      estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
                      generate_fast_leja, gmrf_grid_logdet_analytic,
-                     hutchinson_logdet, hutchpp_logdet, log_matvec,
-                     map_params, naive_divided_differences,
+                     gmrf_likelihood_scan, hutchinson_logdet, hutchpp_logdet,
+                     log_matvec, map_params, naive_divided_differences,
                      reference_divided_differences, slq_logdet)
-from lejadet.cli import gmrf_likelihood_scan
 
 LOG120 = math.log(120.0)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import ddot
 
 from conftest import gmrf_spectrum, random_spd
 from lejadet import (MapParams, SparseMatrixCSR, SpectralInterval,
@@ -54,6 +55,18 @@ class TestContracts:
         assert res.matvecs == res.degree_used
         assert res.error_history.shape == (res.degree_used + 1,)
         assert res.converged and res.error_estimate <= 1e-8 * np.linalg.norm(v)
+
+    def test_given_norm_matches_computed_one(self):
+        # the estimators pass the ||v|| they have already taken; the result,
+        # its degree and its error history are bitwise those of the default
+        Q, w, _ = random_spd(3, n=80, kappa=100.0)
+        mp, dd = make_dd(SpectralInterval(w.min(), w.max()))
+        v = np.random.default_rng(1).standard_normal(80)
+        a = log_matvec(Q, v, mp, dd)
+        b = log_matvec(Q, v, mp, dd, v_norm=math.sqrt(ddot(v, v)))
+        np.testing.assert_array_equal(a.vector, b.vector)
+        np.testing.assert_array_equal(a.error_history, b.error_history)
+        assert a.degree_used == b.degree_used
 
     def test_non_convergence_reported(self):
         Q, w, _ = random_spd(4, n=60, kappa=500.0)

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from lejadet import LogDetReport, band_logdet_cholesky, gen_pentadiagonal
-from lejadet import gmrf_grid_logdet_analytic, load_matrix_market
-from lejadet.cli import main, gmrf_likelihood_scan
+from lejadet import (gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
+                     load_matrix_market)
+from lejadet.cli import main
+
+# the JSON keys of `estimate`; an estimator run and an exact run share them
+RESULT_KEYS = {"config", "matrix", "report", "exact"}
+CONFIG_KEYS = {"method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
+               "s_val", "bounds", "seed", "format", "max_degree", "with_exact"}
+REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
+               "queries", "degrees", "seed", "wall_time", "matvecs_total",
+               "warnings", "converged"}
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +44,21 @@ class TestEstimate:
         # band oracle is feasible for the generator; the error is recorded
         assert result["exact"]["oracle"] == "band-cholesky"
         assert result["exact"]["rel_err"] < 5e-2
+
+    def test_json_key_sets(self, capsys):
+        for method in ("leja-hutchpp", "exact-band"):
+            code, out, _ = run_cli(capsys, "estimate", "--gen", "pentadiagonal:200",
+                                   "--method", method, "--with-exact")
+            assert code == 0
+            result = json.loads(out)
+            assert set(result) == RESULT_KEYS
+            assert set(result["config"]) == CONFIG_KEYS
+            assert set(result["report"]) == REPORT_KEYS
+            assert set(result["report"]["degrees"]) == {"min", "median", "max"}
+            if method == "leja-hutchpp":
+                assert set(result["exact"]) == {"value", "rel_err", "oracle"}
+            else:
+                assert result["exact"] is None
 
     def test_estimate_matches_direct_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--gen", "pentadiagonal:500",
@@ -83,7 +107,7 @@ class TestEstimate:
 
     def test_deterministic_repeats(self, capsys):
         args = ("estimate", "--gen", "gmrf:14:-0.2", "--method", "leja-hutchpp",
-                "--queries", "9", "--seed", "5", "--deterministic")
+                "--queries", "9", "--seed", "5")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert json.loads(out1)["report"]["estimate"] == \
@@ -164,6 +188,25 @@ class TestGmrfLikelihood:
         assert {"theta", "loglik", "logdet_est", "quadform"} <= set(rows[0])
         float(rows[0]["loglik"])
 
+    def test_zero_theta_step_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
+                                 "--theta-true", "-0.22", "--theta-start", "-0.24",
+                                 "--theta-stop", "-0.20", "--theta-step", "0",
+                                 "--queries", "6")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--theta-step" in err
+
+    @pytest.mark.parametrize("start,stop,step", [("-0.24", "-0.20", "-0.02"),
+                                                 ("-0.20", "-0.24", "0.02")],
+                             ids=["negative-step", "stop-below-start"])
+    def test_empty_theta_grid_rejected(self, capsys, start, stop, step):
+        code, out, err = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
+                                 "--theta-true", "-0.22", "--theta-start", start,
+                                 "--theta-stop", stop, "--theta-step", step,
+                                 "--queries", "6")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "empty theta grid" in err
+
     def test_invalid_theta_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
                                "--theta-true", "-0.22", "--theta-start", "-0.26",
@@ -197,6 +240,25 @@ class TestBench:
         by_method = {r["method"]: r for r in rows}
         assert by_method["exact-analytic"]["error"] != ""
         assert by_method["exact-band"]["error"] == ""
+
+    def test_zero_exact_value_is_not_an_error(self, capsys):
+        # theta = 0 is the identity: the exact value and both estimates are 0
+        code, out, _ = run_cli(capsys, "bench", "--gen", "gmrf:8:0",
+                               "--methods", "hutchinson,exact-analytic")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        for r in rows:
+            assert r["error"] == ""
+            assert float(r["estimate"]) == 0.0 and float(r["rel_err"]) == 0.0
+
+    @pytest.mark.parametrize("methods,reps", [("hutchinson", "0"), (",", "1")],
+                             ids=["zero-reps", "no-methods"])
+    def test_empty_bench_rejected(self, capsys, methods, reps):
+        code, out, err = run_cli(capsys, "bench", "--gen", "gmrf:8:-0.2",
+                                 "--methods", methods, "--reps", reps)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
     def test_exact_column_feasibility_gate(self, capsys):
         # files above the dense cap would have no exact column; generators

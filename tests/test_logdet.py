@@ -7,8 +7,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from conftest import random_spd
 from lejadet import logdet
-from lejadet import (SparseMatrixCSR, SpectralInterval, gen_gmrf_grid,
-                     gen_pentadiagonal, gmrf_grid_logdet_analytic,
+from lejadet import (SparseMatrixCSR, SpectralInterval, band_logdet_cholesky,
+                     dense_logdet_cholesky, estimate, estimate_interval,
+                     gen_gmrf_grid, gen_pentadiagonal, gmrf_grid_logdet_analytic,
                      hutchinson_logdet, hutchpp_logdet, normalize, slq_logdet)
 
 LOG120 = math.log(120.0)
@@ -60,26 +61,19 @@ class TestReportContract:
         a = hutchpp_logdet(Q, 12, seed=7)
         b = hutchpp_logdet(Q, 12, seed=7)
         assert a.estimate == b.estimate
-        assert a.seed == 7 and a.reduction == "sequential"
+        assert a.seed == 7
 
-    def test_parallel_mode_recorded_and_sane(self):
-        Q = gen_gmrf_grid(12, -0.22)
-        seq = hutchpp_logdet(Q, 12, seed=3)
-        par = hutchpp_logdet(Q, 12, seed=3, reduction="parallel")
-        assert par.reduction == "parallel"
-        assert par.estimate == seq.estimate
-
-    def test_parallel_mode_matches_sequential_report(self):
+    def test_degree_cap_warnings_in_task_order(self):
         # degree cap hit on every action: the warnings list has one line per
-        # action, and must come out in the same (task) order in both modes
+        # action, in task order
         Q = gen_gmrf_grid(12, -0.22)
-        for est in (hutchpp_logdet, hutchinson_logdet):
-            seq = est(Q, 12, seed=3, action_tol=1e-12, max_degree=5)
-            par = est(Q, 12, seed=3, action_tol=1e-12, max_degree=5,
-                      reduction="parallel")
-            assert len(seq.warnings) == 12
-            assert (par.estimate, par.degrees, par.matvecs_total, par.warnings) == \
-                (seq.estimate, seq.degrees, seq.matvecs_total, seq.warnings)
+        hutchpp_tasks = [f"{phase} action {j}" for phase in
+                         ("sketch", "deterministic", "residual") for j in range(4)]
+        for est, tasks in ((hutchpp_logdet, hutchpp_tasks),
+                           (hutchinson_logdet, [f"probe action {j}" for j in range(12)])):
+            rep = est(Q, 12, seed=3, action_tol=1e-12, max_degree=5)
+            assert len(rep.warnings) == 12
+            assert [w.split(":")[0] for w in rep.warnings] == tasks
 
     def test_degree_statistics_present(self):
         Q = gen_gmrf_grid(12, -0.22)
@@ -99,6 +93,45 @@ class TestReportContract:
         rep = hutchpp_logdet(gen_gmrf_grid(8, -0.2), 6, seed=2)
         again = LogDetReport.from_dict(rep.to_dict())
         assert again == rep
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_direct_strategy_calls(self, seed):
+        Q = gen_gmrf_grid(20, -0.22)
+        bounds = estimate_interval(Q, "gershgorin", seed=seed)
+        pairs = [
+            (estimate(Q, "leja-hutchpp", seed=seed), hutchpp_logdet(Q, 12, seed=seed)),
+            # a degree cap of 5 leaves every action unconverged, so the
+            # warnings are compared too
+            (estimate(Q, "hutchinson", seed=seed, tol=1e-12, max_degree=5),
+             hutchinson_logdet(Q, 12, action_tol=1e-12, seed=seed, bounds=bounds,
+                               max_degree=5)),
+            (estimate(Q, "slq", seed=seed), slq_logdet(Q, 40, 30, seed=seed)),
+        ]
+        for via, direct in pairs:
+            assert (via.method, via.estimate, via.degrees, via.matvecs_total,
+                    via.warnings) == (direct.method, direct.estimate, direct.degrees,
+                                      direct.matvecs_total, direct.warnings)
+        assert len(pairs[1][0].warnings) == 12
+
+    def test_exact_methods_return_oracle_values(self):
+        Q = gen_gmrf_grid(12, -0.2)
+        oracles = {"exact-dense": dense_logdet_cholesky(Q.to_dense()),
+                   "exact-band": band_logdet_cholesky(Q, Q.bandwidth()),
+                   "exact-analytic": gmrf_grid_logdet_analytic(12, -0.2)}
+        for method, value in oracles.items():
+            rep = estimate(Q, method, seed=4, lattice=(12, -0.2))
+            assert (rep.method, rep.estimate, rep.trace_estimate, rep.seed) == \
+                (method, value, value, 4)
+            assert rep.matvecs_total == 0 and rep.converged and not rep.warnings
+
+    def test_rejects_unknown_method_and_analytic_without_lattice(self):
+        Q = gen_gmrf_grid(6, -0.2)
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate(Q, "cg")
+        with pytest.raises(ValueError, match="analytic"):
+            estimate(Q, "exact-analytic")
 
 
 class TestHutchPP:
@@ -204,13 +237,6 @@ class TestSLQ:
         with pytest.raises(ValueError):
             slq_logdet(identity_matrix(4), 3, 0)
 
-    def test_parallel_reduction(self):
-        Q = gen_gmrf_grid(12, -0.2)
-        seq = slq_logdet(Q, 10, 8, seed=5)
-        par = slq_logdet(Q, 10, 8, seed=5, reduction="parallel")
-        assert par.reduction == "parallel"
-        assert par.estimate == seq.estimate
-
     def test_column_major_basis_matches_row_major_reference(self, monkeypatch):
         Q = gen_gmrf_grid(40, -0.24)
         new = slq_logdet(Q, 30, 5, seed=2)
@@ -311,7 +337,7 @@ def test_hutchpp_engine_keeps_no_vectors(monkeypatch):
     rep = hutchpp_logdet(Q, 12, seed=0)
     (eng,) = engines
     assert len(eng.records) == 12
-    assert eng.report_fields()[1] == rep.matvecs_total
+    assert sum(r.matvecs for r in eng.records) == rep.matvecs_total
 
     def arrays(obj, seen):
         if id(obj) in seen or obj is Q:
