@@ -45,11 +45,15 @@ class RunConfig:
     with_exact: bool = False
 
     def validate(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        self._check_options()
         if (self.matrix is None) == (self.gen is None):
             raise ValueError("exactly one matrix source is required "
                              "(--matrix PATH or --gen SPEC)")
+
+    def _check_options(self):
+        """The checks of the method and the estimator options every command shares."""
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.bounds not in ("gershgorin", "lanczos"):
             raise ValueError("--bounds must be gershgorin or lanczos")
         if self.s_val not in ("center", "half-max"):
@@ -66,6 +70,16 @@ class RunConfig:
         return {"queries": self.queries, "probes": self.probes,
                 "slq_degree": self.slq_degree, "tol": self.tol, "scaling": scaling,
                 "bounds": self.bounds, "max_degree": self.max_degree}
+
+
+def _config(args, method: str, **fields) -> RunConfig:
+    """The RunConfig of a command's estimator flags, checked as ``estimate`` checks it."""
+    cfg = RunConfig(method=method, queries=args.queries, probes=args.probes,
+                    slq_degree=args.slq_degree, tol=args.tol, s_val=str(args.s_val),
+                    bounds=args.bounds, seed=args.seed, format=args.format,
+                    max_degree=args.max_degree, **fields)
+    cfg._check_options()
+    return cfg
 
 
 def parse_gen_spec(spec: str, seed: int):
@@ -161,12 +175,13 @@ def run_bench(gens, files, methods, reps, cfg: RunConfig) -> list[dict]:
                 rep_seed = cfg.seed + rep
                 row = {"matrix": label, "n": Q.n, "nnz": Q.nnz, "method": method,
                        "rep": rep, "seed": rep_seed, "estimate": None,
-                       "exact": exact, "rel_err": None, "wall_time": None,
-                       "warnings": 0, "error": None}
+                       "std_error": None, "exact": exact, "rel_err": None,
+                       "wall_time": None, "warnings": 0, "error": None}
                 try:
                     report = estimate(Q, method, seed=rep_seed, lattice=lattice,
                                       **cfg.options())
                     row["estimate"] = report.estimate
+                    row["std_error"] = report.std_error
                     row["wall_time"] = report.wall_time
                     row["warnings"] = len(report.warnings)
                     if exact is not None:
@@ -203,6 +218,8 @@ def _render_estimate(result: dict, fmt: str) -> str:
             f"estimate        {rep['estimate']:.6f}",
             f"  trace term    {rep['trace_estimate']:.6f}",
             f"  n log sigma   {rep['n_log_sigma']:.6f} (sigma={rep['sigma']:.6g})",
+            "std error       " + ("-" if rep["std_error"] is None
+                                  else f"{rep['std_error']:.3e}"),
             f"queries         {rep['queries']}",
             f"degrees         min {rep['degrees']['min']} / median {rep['degrees']['median']} / max {rep['degrees']['max']}",
             f"matvecs         {rep['matvecs_total']}",
@@ -299,17 +316,14 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         if args.command == "estimate":
-            cfg = RunConfig(
-                method=args.method, matrix=args.matrix, gen=args.gen,
-                queries=args.queries, probes=args.probes, slq_degree=args.slq_degree,
-                tol=args.tol, s_val=str(args.s_val), bounds=args.bounds,
-                seed=args.seed, format=args.format, max_degree=args.max_degree,
-                with_exact=args.with_exact)
+            cfg = _config(args, args.method, matrix=args.matrix, gen=args.gen,
+                          with_exact=args.with_exact)
             result = run_estimate(cfg)
             print(_render_estimate(result, args.format))
             return 2 if result["report"]["warnings"] else 0
 
         if args.command == "gmrf-likelihood":
+            _config(args, "leja-hutchpp")          # the scan's estimator
             thetas = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
             out = gmrf_likelihood_scan(
                 args.grid_side, args.theta_true, thetas, seed=args.seed,
@@ -327,25 +341,19 @@ def main(argv=None) -> int:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             if not methods:
                 raise ValueError("bench needs at least one method in --methods")
-            for m in methods:
-                if m not in METHODS:
-                    raise ValueError(f"unknown method {m!r}")
+            cfgs = [_config(args, m) for m in methods]
             if not args.gen and not args.matrix:
                 raise ValueError("bench needs at least one --gen or --matrix")
             if args.reps < 1:
                 raise ValueError("bench needs --reps >= 1")
-            cfg = RunConfig(
-                method=methods[0], queries=args.queries,
-                probes=args.probes, slq_degree=args.slq_degree, tol=args.tol,
-                s_val=str(args.s_val), bounds=args.bounds, seed=args.seed,
-                max_degree=args.max_degree)
-            rows = run_bench(args.gen, args.matrix, methods, args.reps, cfg)
+            rows = run_bench(args.gen, args.matrix, methods, args.reps, cfgs[0])
             if args.format == "json":
                 print(json.dumps(rows, indent=2))
             else:
                 print(_rows_to_csv(rows, ["matrix", "n", "nnz", "method", "rep",
-                                          "seed", "estimate", "exact", "rel_err",
-                                          "wall_time", "warnings", "error"]))
+                                          "seed", "estimate", "std_error", "exact",
+                                          "rel_err", "wall_time", "warnings",
+                                          "error"]))
             return 2 if any(r["error"] or r["warnings"] for r in rows) else 0
 
         if args.command == "gen":

@@ -52,7 +52,7 @@ METHODS = ("leja-hutchpp", "hutchinson", "slq") + EXACT_METHODS
 
 DEFAULT_MAX_DEGREE = 400
 # semi-orthogonality level sqrt(eps): SLQ reorthogonalizes a Lanczos vector
-# only when its measured loss of orthogonality exceeds this
+# only when its estimated loss of orthogonality exceeds this
 _SEMI_ORTHO = math.sqrt(np.finfo(np.float64).eps)
 # entries of a probe block drawn per chunk; the chunk's integers stay in cache
 _RADEMACHER_CHUNK = 1 << 16
@@ -89,6 +89,7 @@ class LogDetReport:
     matvecs_total: int
     warnings: list = field(default_factory=list)
     converged: bool = True
+    std_error: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -139,15 +140,17 @@ class _ActionRecord(NamedTuple):
     error_estimate: float
 
 
-def _report(method, trace_estimate, *, queries, seed, t0, records=(), sigma=1.0,
-            n=0, dd=None) -> LogDetReport:
+def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
+            sigma=1.0, n=0, dd=None) -> LogDetReport:
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
     the degree statistics, matvec total, warnings and convergence flag come
-    from them.  ``n`` and ``sigma`` give the n*log(sigma) term, ``dd`` adds
-    a warning when its Taylor series was truncated, and the wall time runs
-    from ``t0``.
+    from them.  ``terms`` are the m probe terms whose mean enters the
+    estimate; the standard error is their sample standard deviation over
+    sqrt(m), or None for m < 2.  ``n`` and ``sigma`` give the n*log(sigma)
+    term, ``dd`` adds a warning when its Taylor series was truncated, and
+    the wall time runs from ``t0``.
     """
     warnings = [
         f"{r.label}: not converged at degree {r.degree} "
@@ -172,6 +175,8 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), sigma=1.0,
         matvecs_total=sum(r.matvecs for r in records),
         warnings=warnings,
         converged=all(r.converged for r in records),
+        std_error=(float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
+                   if len(terms) >= 2 else None),
     )
 
 
@@ -284,12 +289,15 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
         return u
 
     res_term = 0.0
+    terms = []
     for _, qf in eng.act_all("residual", deflated, n_res):
         res_term += qf
+        terms.append(qf)
     res_term /= n_res
 
     return _report("leja-hutchpp", det_term + res_term, queries=m_vec, seed=seed,
-                   t0=t0, records=eng.records, sigma=eng.norm.sigma, n=n, dd=eng.dd)
+                   t0=t0, records=eng.records, terms=terms, sigma=eng.norm.sigma,
+                   n=n, dd=eng.dd)
 
 
 def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e-7,
@@ -305,37 +313,44 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None =
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, n, m_vec)
     total = 0.0
+    terms = []
     for _, qf in eng.act_all("probe", lambda j: _column(probes, j), m_vec):
         total += qf
+        terms.append(qf)
     return _report("hutchinson", total / m_vec, queries=m_vec, seed=seed, t0=t0,
-                   records=eng.records, sigma=eng.norm.sigma, n=n, dd=eng.dd)
+                   records=eng.records, terms=terms, sigma=eng.norm.sigma, n=n,
+                   dd=eng.dd)
 
 
-def _lanczos_quadrature(m_sp, v, m_l):
-    """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
+def _lanczos(m_sp, v, m_l):
+    """Lanczos on ``v`` with partial reorthogonalization: (basis, alphas, betas).
 
-    Every step measures the loss of orthogonality of the new vector w,
-    h = V' w against the basis V so far (one pass over V), and applies the
-    correction w -= V h only when max|h| > sqrt(eps) ||w||.  Keeping the
-    basis semi-orthogonal (|v_i' v_k| <= sqrt(eps)) keeps the tridiagonal
-    equal to the projected matrix to working precision (Simon, "The Lanczos
-    algorithm with partial reorthogonalization", Math. Comp. 1984), so the
-    Gauss rule matches full reorthogonalization with one pass over V per
-    step instead of two.
+    The loss of orthogonality of each new vector is estimated, not measured:
+    Simon's omega-recurrence (Simon, "The Lanczos algorithm with partial
+    reorthogonalization", Math. Comp. 1984) updates omega_{j+1,k} ~= q_{j+1}' q_k
+    for k <= j from the alphas, the betas and the two previous omega rows,
+    plus a roundoff term of psi = sqrt(n) eps / 2 times (beta_k + beta_{j+1}).
+    That is O(j) scalar work and no pass over the basis.  Only when
+    max|omega| exceeds sqrt(eps) is the new vector corrected, w -= V (V' w),
+    and so is the next one (the two-step rule), after which omega is reset
+    to psi.  Keeping the basis semi-orthogonal (|q_i' q_k| <= sqrt(eps))
+    keeps the tridiagonal equal to the projected matrix to working
+    precision, so the Gauss rule matches full reorthogonalization.
     The last step stops once its alpha is known.  On breakdown (invariant
-    Krylov subspace) the quadrature is truncated at the step reached, which
-    is then exact on that subspace.
+    Krylov subspace) the outputs are truncated at the step reached.
 
     The step loop calls scipy's BLAS only: mixing in numpy's (``@``,
     ``np.linalg.norm``) alternates two OpenBLAS thread pools, which stall
     each other when BLAS threads are not pinned.
     """
     n = v.shape[0]
-    beta0_sq = ddot(v, v)
     basis = np.empty((n, m_l), order="F")
-    np.divide(v, math.sqrt(beta0_sq), out=basis[:, 0])
+    np.divide(v, math.sqrt(ddot(v, v)), out=basis[:, 0])
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))
+    psi = 0.5 * math.sqrt(n) * np.finfo(np.float64).eps
+    omega_prev = omega = np.ones(1)                 # rows j - 1 and j
+    redo = False
     steps = m_l
     for j in range(m_l):
         q = basis[:, j]
@@ -346,22 +361,44 @@ def _lanczos_quadrature(m_sp, v, m_l):
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
             w = daxpy(basis[:, j - 1], w, a=-betas[j - 1])
-        active = basis[:, :j + 1]
-        h = dgemv(1.0, active, w, trans=1)
         b = math.sqrt(ddot(w, w))
-        if np.max(np.abs(h)) > _SEMI_ORTHO * b:
+        tiny = 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0)
+        row = np.full(j + 2, psi)                   # omega_{j+1,k}, k <= j + 1
+        row[j + 1] = 1.0
+        if b > tiny and j > 0:
+            est = betas[:j] * omega[1:j + 1] + (alphas[:j] - alphas[j]) * omega[:j]
+            est[1:] += betas[:j - 1] * omega[:j - 1]
+            est -= betas[j - 1] * omega_prev[:j]
+            est += np.copysign(psi * (betas[:j] + b), est)
+            row[:j] = est / b
+        if redo or np.max(np.abs(row[:j + 1])) > _SEMI_ORTHO:
+            active = basis[:, :j + 1]
+            h = dgemv(1.0, active, w, trans=1)
             w = dgemv(-1.0, active, h, beta=1.0, y=w, overwrite_y=True)
             b = math.sqrt(ddot(w, w))
-        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
+            row[:j + 1] = psi
+            redo = not redo
+        if b <= tiny:
             steps = j + 1
             break
         betas[j] = b
         np.divide(w, b, out=basis[:, j + 1])
-    theta, vecs = eigh_tridiagonal(alphas[:steps], betas[:steps - 1])
+        omega_prev, omega = omega, row
+    return basis[:, :steps], alphas[:steps], betas[:steps - 1]
+
+
+def _lanczos_quadrature(m_sp, v, m_l):
+    """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
+
+    The Gauss rule of the tridiagonal of ``_lanczos`` (loss of orthogonality
+    estimated by Simon's omega-recurrence); returns it and the steps taken.
+    """
+    _, alphas, betas = _lanczos(m_sp, v, m_l)
+    theta, vecs = eigh_tridiagonal(alphas, betas)
     if np.any(theta <= 0.0):
         raise ValueError("non-positive Ritz value; matrix does not appear SPD")
     tau_sq = vecs[0, :] ** 2
-    return beta0_sq * float(tau_sq @ np.log(theta)), steps
+    return ddot(v, v) * float(tau_sq @ np.log(theta)), alphas.size
 
 
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
@@ -371,9 +408,11 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     Gauss rule for v' log(Q) v; the estimate is the probe average.  No
     normalization is applied: negative log eigenvalues enter the quadrature
     directly.  The Lanczos basis is kept semi-orthogonal rather than fully
-    orthogonal: a step is reorthogonalized only when its measured loss
-    exceeds sqrt(eps) (Simon 1984; see ``_lanczos_quadrature``), which
-    agrees with full reorthogonalization to working precision.
+    orthogonal: Simon's omega-recurrence estimates each step's loss of
+    orthogonality from the Lanczos coefficients, and a step (with the one
+    after it) is reorthogonalized only when that estimate exceeds sqrt(eps)
+    (Simon 1984; see ``_lanczos``), which agrees with full
+    reorthogonalization to working precision.
     """
     if m_l < 1:
         raise ValueError("Lanczos degree must be at least 1")
@@ -386,12 +425,14 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, Q.n, n_v)
     total = 0.0
-    records = []
+    records, terms = [], []
     for j in range(n_v):
         val, steps = _lanczos_quadrature(m_sp, _column(probes, j), m_l)
         total += val
+        terms.append(val)
         records.append(_ActionRecord(f"probe {j}", steps, steps, True, 0.0))
-    return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records)
+    return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records,
+                   terms=terms)
 
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,

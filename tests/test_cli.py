@@ -16,7 +16,13 @@ CONFIG_KEYS = {"method", "matrix", "gen", "queries", "probes", "slq_degree", "to
                "s_val", "bounds", "seed", "format", "max_degree", "with_exact"}
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
-               "warnings", "converged"}
+               "warnings", "converged", "std_error"}
+
+# the estimator options every estimator command refuses, with RunConfig.validate's
+# message; each command line below is complete apart from them
+BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive"),
+               (("--s-val", "foo"), "--s-val must be 'center', 'half-max', or a number")]
+BAD_OPTION_IDS = ["tol-0", "s-val-foo"]
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +102,15 @@ class TestEstimate:
                                "--format", "table")
         assert code == 0
         assert "estimate" in out and "wall time" in out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("std error")]
+        assert float(line.split()[-1]) > 0
+
+    @pytest.mark.parametrize("bad,message", BAD_OPTIONS, ids=BAD_OPTION_IDS)
+    def test_bad_estimator_option_rejected(self, capsys, bad, message):
+        code, out, err = run_cli(capsys, "estimate", "--gen", "gmrf:10:-0.2",
+                                 "--method", "hutchinson", *bad)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_warning_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--gen", "gmrf:12:-0.22",
@@ -207,6 +222,15 @@ class TestGmrfLikelihood:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "empty theta grid" in err
 
+    @pytest.mark.parametrize("bad,message", BAD_OPTIONS, ids=BAD_OPTION_IDS)
+    def test_bad_estimator_option_rejected(self, capsys, bad, message):
+        code, out, err = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
+                                 "--theta-true", "-0.22", "--theta-start", "-0.24",
+                                 "--theta-stop", "-0.20", "--theta-step", "0.02",
+                                 "--queries", "6", *bad)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_invalid_theta_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
                                "--theta-true", "-0.22", "--theta-start", "-0.26",
@@ -229,6 +253,20 @@ class TestBench:
             assert r["error"] == ""
             assert float(r["rel_err"]) < 0.05
             assert float(r["wall_time"]) >= 0
+            assert float(r["std_error"]) > 0
+
+    @pytest.mark.parametrize("bad,message", BAD_OPTIONS, ids=BAD_OPTION_IDS)
+    def test_bad_estimator_option_rejected(self, capsys, bad, message):
+        code, out, err = run_cli(capsys, "bench", "--gen", "gmrf:10:-0.2",
+                                 "--methods", "hutchinson", *bad)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unknown_method_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--gen", "gmrf:10:-0.2",
+                                 "--methods", "hutchinson,cg")
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown method 'cg'; choose from")
 
     def test_failed_cell_becomes_error_row(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--gen", "pentadiagonal:60",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from conftest import random_spd
 from lejadet import logdet
@@ -13,6 +14,21 @@ from lejadet import (SparseMatrixCSR, SpectralInterval, band_logdet_cholesky,
                      hutchinson_logdet, hutchpp_logdet, normalize, slq_logdet)
 
 LOG120 = math.log(120.0)
+
+# (matrix, Lanczos degree) pairs on which the semi-orthogonal SLQ is checked:
+# the pentadiagonal and lattice matrices, where no correction is due, and
+# random_spd seeds 0-19 with kappa in {1e2, 1e3, 1e4} and m_l in {40, 80},
+# where the basis loses orthogonality
+SLQ_CASES = [(lambda: gen_pentadiagonal(10_000, seed=0), 40),
+             (lambda: gen_gmrf_grid(40, -0.24), 40)]
+SLQ_IDS = ["penta-1e4", "lattice-40"]
+for _kappa in (1e3, 1e2, 1e4):
+    for _m_l in (40, 80):
+        for _seed in range(20):
+            SLQ_CASES.append((lambda s=_seed, k=_kappa: random_spd(s, n=200, kappa=k)[0],
+                              _m_l))
+            SLQ_IDS.append(f"spd-{_seed}" if (_kappa, _m_l) == (1e3, 40)
+                           else f"spd-{_seed}-kappa{_kappa:.0e}-m{_m_l}")
 
 
 def identity_matrix(n):
@@ -93,6 +109,59 @@ class TestReportContract:
         rep = hutchpp_logdet(gen_gmrf_grid(8, -0.2), 6, seed=2)
         again = LogDetReport.from_dict(rep.to_dict())
         assert again == rep
+
+
+def _dense_log(Q, sigma):
+    """log(Q / sigma) of a small matrix, from its eigendecomposition."""
+    eig, vecs = np.linalg.eigh(Q.to_dense())
+    return (vecs * np.log(eig / sigma)) @ vecs.T
+
+
+def _probes(rng, n, cols):
+    return rng.integers(0, 2, size=(n, cols)) * 2.0 - 1.0
+
+
+def _std_error(terms):
+    return np.std(terms, ddof=1) / math.sqrt(len(terms))
+
+
+class TestStdError:
+    """std_error is the probe terms' sample deviation over sqrt(m)."""
+
+    def test_hutchinson_probes(self):
+        Q = gen_gmrf_grid(8, -0.22)
+        rep = hutchinson_logdet(Q, 10, seed=4)
+        G = _probes(np.random.default_rng(4), Q.n, 10)
+        terms = np.einsum("ij,ij->j", G, _dense_log(Q, rep.sigma) @ G)
+        assert rep.std_error == pytest.approx(_std_error(terms), rel=1e-5)
+
+    def test_hutchpp_residual_probes(self):
+        Q = gen_gmrf_grid(8, -0.22)
+        rep = hutchpp_logdet(Q, 15, seed=5)             # k = 5 sketch, 5 residual
+        L = _dense_log(Q, rep.sigma)
+        rng = np.random.default_rng(5)
+        basis, _ = np.linalg.qr(L @ _probes(rng, Q.n, 5))
+        G = _probes(rng, Q.n, 5)
+        U = G - basis @ (basis.T @ G)
+        terms = np.einsum("ij,ij->j", U, L @ U)
+        assert rep.std_error == pytest.approx(_std_error(terms), rel=1e-5)
+
+    def test_slq_probes(self):
+        Q = gen_gmrf_grid(10, -0.2)
+        rep = slq_logdet(Q, 20, 6, seed=6)
+        G = _probes(np.random.default_rng(6), Q.n, 6)
+        terms = [logdet._lanczos_quadrature(Q.to_scipy(), G[:, j], 20)[0]
+                 for j in range(6)]
+        assert rep.std_error == pytest.approx(_std_error(terms), rel=1e-12)
+
+    def test_none_without_a_spread(self):
+        Q = gen_gmrf_grid(8, -0.22)
+        reports = [hutchinson_logdet(Q, 1, seed=0), hutchpp_logdet(Q, 3, seed=0),
+                   slq_logdet(Q, 10, 1, seed=0)]
+        reports += [estimate(Q, m, lattice=(8, -0.22))
+                    for m in ("exact-dense", "exact-band", "exact-analytic")]
+        assert [r.std_error for r in reports] == [None] * 6
+        assert hutchpp_logdet(Q, 4, seed=0).std_error is not None   # 2 residual
 
 
 class TestEstimate:
@@ -245,20 +314,53 @@ class TestSLQ:
         assert new.degrees == ref.degrees
         assert abs(new.estimate - ref.estimate) <= 1e-12 * abs(ref.estimate)
 
-    @pytest.mark.parametrize("make", [
-        lambda: gen_pentadiagonal(10_000, seed=0),
-        lambda: gen_gmrf_grid(40, -0.24),
-        lambda: random_spd(0, n=200, kappa=1e3)[0],
-        lambda: random_spd(1, n=200, kappa=1e3)[0],
-        lambda: random_spd(2, n=200, kappa=1e3)[0],
-    ], ids=["penta-1e4", "lattice-40", "spd-0", "spd-1", "spd-2"])
-    def test_semi_orthogonal_matches_full_reorthogonalization(self, make, monkeypatch):
+    @pytest.mark.parametrize("make,m_l", SLQ_CASES, ids=SLQ_IDS)
+    def test_semi_orthogonal_matches_full_reorthogonalization(self, make, m_l,
+                                                               monkeypatch):
         Q = make()
-        semi = slq_logdet(Q, 40, 5, seed=3)
+        semi = slq_logdet(Q, m_l, 5, seed=3)
         monkeypatch.setattr(logdet, "_SEMI_ORTHO", 0.0)   # correct at every step
-        full = slq_logdet(Q, 40, 5, seed=3)
+        full = slq_logdet(Q, m_l, 5, seed=3)
         assert semi.degrees == full.degrees
         assert abs(semi.estimate - full.estimate) <= 1e-12 * abs(full.estimate)
+
+    @pytest.mark.parametrize("make,m_l", SLQ_CASES, ids=SLQ_IDS)
+    def test_basis_stays_semi_orthogonal(self, make, m_l):
+        Q = make()
+        probe = logdet._column(logdet._rademacher(np.random.default_rng(3), Q.n, 1), 0)
+        basis, _, _ = logdet._lanczos(Q.to_scipy(), probe, m_l)
+        gram = basis.T @ basis - np.eye(basis.shape[1])
+        assert np.max(np.abs(gram)) <= logdet._SEMI_ORTHO
+
+    @pytest.mark.parametrize("make", [lambda: gen_pentadiagonal(10_000, seed=0),
+                                      lambda: gen_gmrf_grid(40, -0.24)],
+                             ids=["penta-1e4", "lattice-40"])
+    def test_bitwise_equal_to_measured_loss_where_no_correction_is_due(
+            self, make, monkeypatch):
+        Q = make()
+        new = slq_logdet(Q, 40, 10, seed=0)
+        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_measured)
+        ref = slq_logdet(Q, 40, 10, seed=0)
+        assert (new.estimate, new.degrees) == (ref.estimate, ref.degrees)
+
+    @pytest.mark.parametrize("make,fired", [
+        (lambda: gen_pentadiagonal(10_000, seed=0), False),
+        (lambda: gen_gmrf_grid(40, -0.24), False),
+        (lambda: random_spd(2, n=200, kappa=1e3)[0], True),
+    ], ids=["penta-1e4", "lattice-40", "spd-2"])
+    def test_basis_passed_over_only_to_correct(self, make, fired, monkeypatch):
+        Q = make()
+        dgemv = logdet.dgemv
+        passes, corrections = [], []
+
+        def counting_dgemv(*args, **kwargs):
+            (corrections if "y" in kwargs else passes).append(kwargs.get("trans", 0))
+            return dgemv(*args, **kwargs)
+
+        monkeypatch.setattr(logdet, "dgemv", counting_dgemv)
+        slq_logdet(Q, 40, 10, seed=0)
+        assert passes == [1] * len(corrections)
+        assert bool(corrections) == fired
 
     @pytest.mark.parametrize("make,fired", [
         (lambda: gen_pentadiagonal(10_000, seed=0), False),
@@ -278,6 +380,45 @@ class TestSLQ:
         monkeypatch.setattr(logdet, "dgemv", counting_dgemv)
         slq_logdet(Q, 40, 10, seed=0)
         assert bool(corrections) == fired
+
+
+def _lanczos_quadrature_measured(m_sp, v, m_l):
+    """Reference SLQ probe that measures the loss of orthogonality at every step.
+
+    h = V' w is formed against the whole basis after each three-term step,
+    and w -= V h is applied when max|h| > sqrt(eps) ||w||.  The BLAS calls
+    are those of the estimator, so where no correction is due the two agree
+    bitwise.
+    """
+    n = v.shape[0]
+    beta0_sq = ddot(v, v)
+    basis = np.empty((n, m_l), order="F")
+    np.divide(v, math.sqrt(beta0_sq), out=basis[:, 0])
+    alphas = np.empty(m_l)
+    betas = np.empty(max(m_l - 1, 0))
+    steps = m_l
+    for j in range(m_l):
+        q = basis[:, j]
+        w = m_sp @ q
+        alphas[j] = ddot(q, w)
+        if j == m_l - 1:
+            break
+        w = daxpy(q, w, a=-alphas[j])
+        if j > 0:
+            w = daxpy(basis[:, j - 1], w, a=-betas[j - 1])
+        active = basis[:, :j + 1]
+        h = dgemv(1.0, active, w, trans=1)
+        b = math.sqrt(ddot(w, w))
+        if np.max(np.abs(h)) > logdet._SEMI_ORTHO * b:
+            w = dgemv(-1.0, active, h, beta=1.0, y=w, overwrite_y=True)
+            b = math.sqrt(ddot(w, w))
+        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
+            steps = j + 1
+            break
+        betas[j] = b
+        np.divide(w, b, out=basis[:, j + 1])
+    theta, vecs = eigh_tridiagonal(alphas[:steps], betas[:steps - 1])
+    return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
 
 
 def _lanczos_quadrature_c_order(m_sp, v, m_l):
