@@ -18,6 +18,7 @@ from .logdet import EXACT_METHODS, METHODS, estimate
 from .oracle import DENSE_CAP
 from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, write_matrix_market)
+from .spectral import ConvergenceError
 
 __all__ = ["main", "RunConfig"]
 
@@ -38,7 +39,6 @@ class RunConfig:
     slq_degree: int = 40
     tol: float = 1e-7
     s_val: str = "center"
-    bounds: str = "gershgorin"
     seed: int = 0
     format: str = "json"
     max_degree: int = 400
@@ -54,8 +54,6 @@ class RunConfig:
         """The checks of the method and the estimator options every command shares."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.bounds not in ("gershgorin", "lanczos"):
-            raise ValueError("--bounds must be gershgorin or lanczos")
         if self.s_val not in ("center", "half-max"):
             try:
                 float(self.s_val)
@@ -69,15 +67,15 @@ class RunConfig:
         scaling = self.s_val if self.s_val in ("center", "half-max") else float(self.s_val)
         return {"queries": self.queries, "probes": self.probes,
                 "slq_degree": self.slq_degree, "tol": self.tol, "scaling": scaling,
-                "bounds": self.bounds, "max_degree": self.max_degree}
+                "max_degree": self.max_degree}
 
 
 def _config(args, method: str, **fields) -> RunConfig:
     """The RunConfig of a command's estimator flags, checked as ``estimate`` checks it."""
     cfg = RunConfig(method=method, queries=args.queries, probes=args.probes,
                     slq_degree=args.slq_degree, tol=args.tol, s_val=str(args.s_val),
-                    bounds=args.bounds, seed=args.seed, format=args.format,
-                    max_degree=args.max_degree, **fields)
+                    seed=args.seed, format=args.format, max_degree=args.max_degree,
+                    **fields)
     cfg._check_options()
     return cfg
 
@@ -218,6 +216,7 @@ def _render_estimate(result: dict, fmt: str) -> str:
             f"estimate        {rep['estimate']:.6f}",
             f"  trace term    {rep['trace_estimate']:.6f}",
             f"  n log sigma   {rep['n_log_sigma']:.6f} (sigma={rep['sigma']:.6g})",
+            f"enclosure       {rep['enclosure'] or '-'}",
             "std error       " + ("-" if rep["std_error"] is None
                                   else f"{rep['std_error']:.3e}"),
             f"queries         {rep['queries']}",
@@ -258,7 +257,6 @@ def _add_common_estimator_args(p):
                    help="action tolerance, relative to each probe norm")
     p.add_argument("--s-val", default="center",
                    help="divided-difference scaling: center | half-max | NUMBER")
-    p.add_argument("--bounds", default="gershgorin", choices=["gershgorin", "lanczos"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=400)
 
@@ -328,8 +326,7 @@ def main(argv=None) -> int:
             out = gmrf_likelihood_scan(
                 args.grid_side, args.theta_true, thetas, seed=args.seed,
                 m_vec=args.queries, tol=args.tol, scaling=args.s_val,
-                max_degree=args.max_degree, sample=not args.no_sample,
-                bounds_method=args.bounds)
+                max_degree=args.max_degree, sample=not args.no_sample)
             if args.format == "json":
                 print(json.dumps(out, indent=2))
             else:
@@ -363,7 +360,7 @@ def main(argv=None) -> int:
             return 0
 
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,18 +95,16 @@ def _auto_taylor_depth(q: float, tol: float) -> int:
 
 
 def divided_differences_log(seq: LejaSequence, mp: MapParams, scaling="center",
-                            taylor_tol: float | None = None,
                             p_max: int | None = None,
                             keep_term_norms: bool = False) -> DividedDiffs:
     """Divided differences of log at the mapped nodes, scaled-Taylor scheme.
 
     Accumulates the first column of log(s) I + sum_k (-1)^{k+1} W^k / k by
     repeated bidiagonal products on e_1, stopping once the 2-norm of the
-    k-th term falls below ``taylor_tol`` (default 1e-16 relative to
-    |log s| + 1) or after ``p_max`` terms (default: chosen from the worst
-    node ratio so the geometric tail clears the tolerance).  If the depth
-    cap is hit first the result carries ``truncated=True`` and the norm of
-    the last term.
+    k-th term falls below 1e-16 (|log s| + 1) or after ``p_max`` terms
+    (default: chosen from the worst node ratio so the geometric tail clears
+    the tolerance).  If the depth cap is hit first the result carries
+    ``truncated=True`` and the norm of the last term.
     """
     if mp.degenerate:
         raise ValueError("degenerate map (gamma = 0); use the degenerate "
@@ -120,8 +118,7 @@ def divided_differences_log(seq: LejaSequence, mp: MapParams, scaling="center",
     diag = z / s - 1.0                 # diagonal of W
     sub = mp.gamma / s                 # constant subdiagonal of W
     logs = math.log(s)
-    if taylor_tol is None:
-        taylor_tol = 1e-16 * (abs(logs) + 1.0)
+    taylor_tol = 1e-16 * (abs(logs) + 1.0)
     q = float(np.max(np.abs(diag)))
     if p_max is None:
         p_max = _auto_taylor_depth(q, taylor_tol)

@@ -17,8 +17,7 @@ SAMPLING_GRID_CAP = 64
 
 def gmrf_likelihood_scan(g: int, theta_true: float, thetas, seed: int = 0,
                          m_vec: int = 12, tol: float = 1e-7, scaling="center",
-                         max_degree: int = 400, sample: bool = True,
-                         bounds_method: str = "gershgorin") -> dict:
+                         max_degree: int = 400, sample: bool = True) -> dict:
     """Log-likelihood curve of a lattice field sample over a theta grid.
 
     Draws one sample x with precision Q(theta_true) by a dense Cholesky
@@ -54,7 +53,7 @@ def gmrf_likelihood_scan(g: int, theta_true: float, thetas, seed: int = 0,
     for theta in thetas:
         Q = gen_gmrf_grid(g, theta)
         report = estimate(Q, "leja-hutchpp", queries=m_vec, tol=tol, scaling=scaling,
-                          bounds=bounds_method, seed=seed, max_degree=max_degree)
+                          seed=seed, max_degree=max_degree)
         warn_count += len(report.warnings)
         row = {"theta": theta, "logdet_est": report.estimate,
                "loglik": None, "quadform": None}

@@ -10,9 +10,10 @@ formed.  Every quadratic form uses the identity
 so actions run on Q itself and the report carries the n*log(sigma) term
 separately (the estimate is assembled as their sum).
 
-``estimate`` is the one entry point: it encloses the spectrum for the Leja
-methods and dispatches to the three trace estimators and the three exact
-oracles.  Every report comes from ``_report``.
+``estimate`` is the one entry point: it dispatches to the three trace
+estimators and the three exact oracles.  The Leja methods enclose the
+spectrum themselves, by the rule of ``estimate_interval``, unless the caller
+passes an interval.  Every report comes from ``_report``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .leja import DEFAULT_POOL_SIZE, generate_fast_leja
 from .oracle import (DENSE_CAP, band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import SparseMatrixCSR
-from .spectral import (SpectralInterval, estimate_interval, gershgorin_bounds,
-                       map_params)
+from .spectral import SpectralInterval, estimate_interval, map_params
 
 __all__ = [
     "METHODS",
@@ -90,6 +90,7 @@ class LogDetReport:
     warnings: list = field(default_factory=list)
     converged: bool = True
     std_error: float | None = None
+    enclosure: str | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -141,7 +142,7 @@ class _ActionRecord(NamedTuple):
 
 
 def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
-            sigma=1.0, n=0, dd=None) -> LogDetReport:
+            sigma=1.0, n=0, dd=None, enclosure=None) -> LogDetReport:
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
@@ -177,6 +178,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         converged=all(r.converged for r in records),
         std_error=(float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
                    if len(terms) >= 2 else None),
+        enclosure=enclosure,
     )
 
 
@@ -187,11 +189,11 @@ class _ActionEngine:
     result vector.
     """
 
-    def __init__(self, Q, bounds, scaling, action_tol, max_degree, leja_count):
+    def __init__(self, Q, bounds, scaling, action_tol, max_degree, seed):
         if not Q.symmetric_verified:
             raise ValueError("estimators require a verified-symmetric matrix")
         self.Q = Q
-        self.bounds = gershgorin_bounds(Q) if bounds is None else bounds
+        self.bounds = estimate_interval(Q, seed=seed) if bounds is None else bounds
         self.mp = map_params(self.bounds)
         self.norm = normalize(self.bounds)
         self.log_sigma = math.log(self.norm.sigma)
@@ -200,7 +202,7 @@ class _ActionEngine:
         if self.mp.degenerate:
             self.dd = None
         else:
-            count = max(leja_count, max_degree + 1)
+            count = max(DEFAULT_POOL_SIZE, max_degree + 1)
             self.dd = divided_differences_log(generate_fast_leja(count), self.mp,
                                               scaling=scaling)
         self.records = []
@@ -209,8 +211,7 @@ class _ActionEngine:
         """log(Q) v; returns (result, quadratic form v' log(Q~) v)."""
         vv = ddot(v, v)
         v_norm = math.sqrt(vv)
-        tol = None if self.action_tol is None else self.action_tol * v_norm
-        res = log_matvec(self.Q, v, self.mp, self.dd, tol=tol,
+        res = log_matvec(self.Q, v, self.mp, self.dd, tol=self.action_tol * v_norm,
                          max_degree=self.max_degree, v_norm=v_norm)
         qform = ddot(v, res.vector) - self.log_sigma * vv
         return res, qform
@@ -228,10 +229,10 @@ class _ActionEngine:
             yield res, qform
 
 
-def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e-7,
+def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
                    seed: int = 0, bounds: SpectralInterval | None = None,
-                   scaling="center", max_degree: int = DEFAULT_MAX_DEGREE,
-                   leja_count: int = DEFAULT_POOL_SIZE) -> LogDetReport:
+                   scaling="center",
+                   max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
     """Hutch++ estimate of log det Q with Leja-interpolated actions.
 
     With k = floor(m_vec / 3): a Rademacher sketch of k columns is pushed
@@ -241,12 +242,14 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
     estimated by Hutchinson probes deflated by A.  Total actions ~= m_vec.
 
     ``action_tol`` is relative to each probe norm.  Non-converged actions
-    are reported in ``warnings``, never silently accepted.
+    are reported in ``warnings``, never silently accepted.  Without
+    ``bounds`` the spectrum is enclosed by ``estimate_interval(Q, seed=seed)``
+    within the wall time; ``report.enclosure`` names the route.
     """
     if m_vec < 3:
         raise ValueError("Hutch++ needs at least 3 matvec queries")
     t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, scaling, action_tol, max_degree, leja_count)
+    eng = _ActionEngine(Q, bounds, scaling, action_tol, max_degree, seed)
     n = Q.n
     rng = np.random.default_rng(seed)
     k = m_vec // 3
@@ -297,18 +300,18 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e
 
     return _report("leja-hutchpp", det_term + res_term, queries=m_vec, seed=seed,
                    t0=t0, records=eng.records, terms=terms, sigma=eng.norm.sigma,
-                   n=n, dd=eng.dd)
+                   n=n, dd=eng.dd, enclosure=eng.bounds.method)
 
 
-def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None = 1e-7,
+def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
                       seed: int = 0, bounds: SpectralInterval | None = None,
-                      scaling="center", max_degree: int = DEFAULT_MAX_DEGREE,
-                      leja_count: int = DEFAULT_POOL_SIZE) -> LogDetReport:
+                      scaling="center",
+                      max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
     """Plain Monte Carlo baseline: average of m_vec Rademacher quadratic forms."""
     if m_vec < 1:
         raise ValueError("need at least one query")
     t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, scaling, action_tol, max_degree, leja_count)
+    eng = _ActionEngine(Q, bounds, scaling, action_tol, max_degree, seed)
     n = Q.n
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, n, m_vec)
@@ -319,7 +322,7 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float | None =
         terms.append(qf)
     return _report("hutchinson", total / m_vec, queries=m_vec, seed=seed, t0=t0,
                    records=eng.records, terms=terms, sigma=eng.norm.sigma, n=n,
-                   dd=eng.dd)
+                   dd=eng.dd, enclosure=eng.bounds.method)
 
 
 def _lanczos(m_sp, v, m_l):
@@ -436,8 +439,7 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
 
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,
-             slq_degree: int = 40, tol: float = 1e-7, scaling="center",
-             bounds: str = "gershgorin", seed: int = 0,
+             slq_degree: int = 40, tol: float = 1e-7, scaling="center", seed: int = 0,
              max_degree: int = DEFAULT_MAX_DEGREE,
              lattice: tuple[int, float] | None = None) -> LogDetReport:
     """log det Q by one of ``METHODS``, with the command line's defaults.
@@ -445,24 +447,21 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions of
     relative tolerance ``tol`` (at most ``max_degree`` each, divided
     differences scaled by ``scaling``) on the interval that
-    ``estimate_interval(Q, bounds, seed=seed)`` encloses; their wall time
-    includes that enclosure, which is part of the method's cost.  ``slq``
-    runs ``probes`` probes of ``slq_degree`` Lanczos steps and needs no
-    enclosure.  ``exact-dense`` and ``exact-band`` are the Cholesky
-    oracles; ``exact-analytic`` is the lattice closed form and needs
+    ``estimate_interval(Q, seed=seed)`` chooses (Gershgorin, or Lanczos
+    when Gershgorin's lower bound is floored; ``report.enclosure``).  The
+    wall time includes that enclosure.  ``slq`` runs ``probes`` probes of
+    ``slq_degree`` Lanczos steps and needs no enclosure.
+    ``exact-dense`` and ``exact-band`` are the Cholesky oracles;
+    ``exact-analytic`` is the lattice closed form and needs
     ``lattice = (g, theta)`` of ``Q = gen_gmrf_grid(g, theta)``.
     """
-    t0 = time.perf_counter()
     if method in ("leja-hutchpp", "hutchinson"):
-        interval = estimate_interval(Q, method=bounds, seed=seed)
-        bounds_s = time.perf_counter() - t0
         strategy = hutchpp_logdet if method == "leja-hutchpp" else hutchinson_logdet
-        report = strategy(Q, queries, action_tol=tol, seed=seed, bounds=interval,
-                          scaling=scaling, max_degree=max_degree)
-        report.wall_time += bounds_s
-        return report
+        return strategy(Q, queries, action_tol=tol, seed=seed, scaling=scaling,
+                        max_degree=max_degree)
     if method == "slq":
         return slq_logdet(Q, slq_degree, probes, seed=seed)
+    t0 = time.perf_counter()
     if method == "exact-dense":
         value = dense_logdet_cholesky(Q.to_dense(max_n=DENSE_CAP))
     elif method == "exact-band":

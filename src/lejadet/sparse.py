@@ -43,7 +43,7 @@ class SparseMatrixCSR:
 
     __slots__ = ("_mat", "symmetric_verified")
 
-    def __init__(self, row_ptr, col_idx, values, n=None, check_symmetry=True):
+    def __init__(self, row_ptr, col_idx, values, n=None):
         row_ptr = np.asarray(row_ptr)
         col_idx = np.asarray(col_idx)
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -72,27 +72,25 @@ class SparseMatrixCSR:
         for arr in (mat.indptr, mat.indices, mat.data):
             arr.flags.writeable = False
         object.__setattr__(self, "_mat", mat)
-        sym = _is_symmetric(mat) if check_symmetry else False
-        object.__setattr__(self, "symmetric_verified", sym)
+        object.__setattr__(self, "symmetric_verified", _is_symmetric(mat))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrixCSR is immutable")
 
     @classmethod
-    def from_scipy(cls, mat, check_symmetry=True):
+    def from_scipy(cls, mat):
         """Build from any scipy sparse matrix (duplicates summed, indices sorted)."""
         m = sp.csr_matrix(mat, dtype=np.float64)
         m.sum_duplicates()
         m.sort_indices()
-        return cls(m.indptr, m.indices, m.data, n=m.shape[0],
-                   check_symmetry=check_symmetry)
+        return cls(m.indptr, m.indices, m.data, n=m.shape[0])
 
     @classmethod
-    def from_dense(cls, arr, check_symmetry=True):
+    def from_dense(cls, arr):
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("dense input must be square")
-        return cls.from_scipy(sp.csr_matrix(arr), check_symmetry=check_symmetry)
+        return cls.from_scipy(sp.csr_matrix(arr))
 
     @property
     def n(self) -> int:

@@ -7,6 +7,7 @@ Two routes are provided for the enclosing interval [lambda_min, lambda_max]:
   positive floor.
 - Lanczos for lambda_max and shift-inverted Lanczos (shift 0, inner solves
   by conjugate gradients) for lambda_min; tighter but costs matvecs.
+  ``estimate_interval`` takes it only when Gershgorin's bound is floored.
 
 The map parameters (c, gamma) place the interval endpoints at the images
 of -2 and +2: z = c + gamma * xi with c the midpoint and gamma a quarter
@@ -38,6 +39,8 @@ __all__ = [
 
 # rows per block of the Gershgorin row sums; the block's |values| stay small
 _GERSHGORIN_ROWS = 4096
+# Gershgorin's lower bound is floored at this fraction of its upper bound
+_FLOOR = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -54,7 +57,7 @@ class SpectralInterval:
 
     lambda_min: float
     lambda_max: float
-    method: str = "gershgorin"
+    method: str | None = None     # the route that found it; None if given
 
     def __post_init__(self):
         if not (np.isfinite(self.lambda_min) and np.isfinite(self.lambda_max)):
@@ -136,7 +139,7 @@ def gershgorin_bounds(Q: SparseMatrixCSR, eps_floor: float | None = None) -> Spe
     if lambda_max <= 0:
         raise ValueError("Gershgorin upper bound is not positive; matrix is not SPD")
     if eps_floor is None:
-        eps_floor = 1e-8 * lambda_max
+        eps_floor = _FLOOR * lambda_max
     if eps_floor <= 0:
         raise ValueError("eps_floor must be positive")
     lambda_min = max(float(eps_floor),
@@ -211,7 +214,10 @@ def _cg_solve(m, b, rtol, max_iter):
         if np.sqrt(rs) <= rtol * bnorm:
             return x, it
         ap = m @ p
-        alpha = rs / float(p @ ap)
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            raise ValueError(f"matrix is not positive definite (CG found p'Ap = {pap:.3e})")
+        alpha = rs / pap
         x += alpha * p
         r -= alpha * ap
         rs_new = float(r @ r)
@@ -245,24 +251,27 @@ def shift_invert_lambda_min(Q: SparseMatrixCSR, tol: float = 1e-8,
     return EigenEstimate(1.0 / est.value, est.iterations, est.converged, est.breakdown)
 
 
-def estimate_interval(Q: SparseMatrixCSR, method: str = "gershgorin",
-                      eps_floor: float | None = None, tol: float = 1e-8,
-                      max_iter: int = 200, seed: int = 0) -> SpectralInterval:
-    """Spectral interval by the requested method ('gershgorin' or 'lanczos').
+def estimate_interval(Q: SparseMatrixCSR, method: str | None = None,
+                      seed: int = 0) -> SpectralInterval:
+    """Spectral interval of Q by the route the matrix calls for.
 
-    The Lanczos route inflates both ends by a small relative margin so the
-    returned interval encloses the spectrum despite Ritz values sitting
-    strictly inside it.
+    Gershgorin's interval when its lower bound is not floored.  A floored
+    bound would leave the Leja interpolant a condition number near 1e8 to
+    cover, so then Lanczos and shift-invert run with ``seed``, both ends
+    inflated by a relative margin so the interval encloses the spectrum
+    despite Ritz values sitting strictly inside it.  ``method``
+    ("gershgorin" or "lanczos") forces a route; ``interval.method`` names
+    the route taken.
     """
-    if method == "gershgorin":
-        return gershgorin_bounds(Q, eps_floor=eps_floor)
-    if method == "lanczos":
-        if not Q.symmetric_verified:
-            raise ValueError("interval estimation requires a verified-symmetric matrix")
-        hi = lanczos_lambda_max(Q, tol=tol, max_iter=max_iter, seed=seed)
-        lo = shift_invert_lambda_min(Q, tol=tol, max_iter=max_iter, seed=seed)
-        margin = max(tol, 1e-6)
-        return SpectralInterval(lo.value * (1.0 - 10.0 * margin),
-                                hi.value * (1.0 + 10.0 * margin),
-                                method="lanczos")
-    raise ValueError(f"unknown bounds method {method!r}")
+    if method not in (None, "gershgorin", "lanczos"):
+        raise ValueError(f"unknown bounds method {method!r}")
+    if method != "lanczos":
+        interval = gershgorin_bounds(Q)
+        if method == "gershgorin" or interval.lambda_min > _FLOOR * interval.lambda_max:
+            return interval
+    if not Q.symmetric_verified:
+        raise ValueError("interval estimation requires a verified-symmetric matrix")
+    hi = lanczos_lambda_max(Q, tol=1e-8, seed=seed)
+    lo = shift_invert_lambda_min(Q, tol=1e-8, seed=seed)
+    return SpectralInterval(lo.value * (1.0 - 1e-5), hi.value * (1.0 + 1e-5),
+                            method="lanczos")

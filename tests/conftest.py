@@ -31,6 +31,16 @@ def random_spd(seed, n=None, kappa=None, lo=2.0):
     return Q, w, v
 
 
+def indefinite_matrix(seed, n=200):
+    """Symmetric matrix with eigenvalues uniform in [-1, 10], extremes pinned."""
+    rng = np.random.default_rng(seed)
+    eig = rng.uniform(-1.0, 10.0, size=n)
+    eig[0], eig[-1] = -1.0, 10.0
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    dense = (basis * eig) @ basis.T
+    return SparseMatrixCSR.from_dense(0.5 * (dense + dense.T))
+
+
 def gmrf_spectrum(g, theta):
     """Analytic eigenvalues of the non-periodic lattice precision matrix."""
     cos = np.cos(np.arange(1, g + 1) * np.pi / (g + 1))

@@ -5,18 +5,19 @@ import json
 import numpy as np
 import pytest
 
+from conftest import indefinite_matrix, random_spd
 from lejadet import LogDetReport, band_logdet_cholesky, gen_pentadiagonal
 from lejadet import (gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
-                     load_matrix_market)
+                     load_matrix_market, write_matrix_market)
 from lejadet.cli import main
 
 # the JSON keys of `estimate`; an estimator run and an exact run share them
 RESULT_KEYS = {"config", "matrix", "report", "exact"}
 CONFIG_KEYS = {"method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
-               "s_val", "bounds", "seed", "format", "max_degree", "with_exact"}
+               "s_val", "seed", "format", "max_degree", "with_exact"}
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
-               "warnings", "converged", "std_error"}
+               "warnings", "converged", "std_error", "enclosure"}
 
 # the estimator options every estimator command refuses, with RunConfig.validate's
 # message; each command line below is complete apart from them
@@ -43,7 +44,7 @@ class TestEstimate:
         # config block embeds every resolved value, defaults included
         assert result["config"]["seed"] == 1
         assert result["config"]["tol"] == 1e-7
-        assert result["config"]["bounds"] == "gershgorin"
+        assert rep.enclosure == "gershgorin"
         assert result["matrix"]["n"] == 1000
         assert result["report"]["wall_time"] > 0
         assert result["report"]["degrees"]["max"] >= 1
@@ -102,6 +103,7 @@ class TestEstimate:
                                "--format", "table")
         assert code == 0
         assert "estimate" in out and "wall time" in out
+        assert "enclosure       gershgorin" in out.splitlines()
         (line,) = [ln for ln in out.splitlines() if ln.startswith("std error")]
         assert float(line.split()[-1]) > 0
 
@@ -142,13 +144,31 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", "--method", "slq")
         assert code == 1
 
-    def test_lanczos_bounds_route(self, capsys):
-        code, out, _ = run_cli(capsys, "estimate", "--gen", "gmrf:15:-0.2",
-                               "--method", "leja-hutchpp", "--queries", "6",
-                               "--bounds", "lanczos")
+    def test_floored_gershgorin_takes_lanczos_route(self, capsys, tmp_path):
+        # Gershgorin's circles cross zero on this matrix (kappa = 100)
+        path = tmp_path / "spd.mtx"
+        write_matrix_market(random_spd(0, n=200, kappa=100.0)[0], path)
+        code, out, _ = run_cli(capsys, "estimate", "--matrix", str(path),
+                               "--method", "leja-hutchpp")
         assert code == 0
-        result = json.loads(out)
-        assert result["config"]["bounds"] == "lanczos"
+        assert json.loads(out)["report"]["enclosure"] == "lanczos"
+
+    def test_indefinite_matrix_refused(self, capsys, tmp_path):
+        path = tmp_path / "indefinite.mtx"
+        write_matrix_market(indefinite_matrix(0), path)
+        code, out, err = run_cli(capsys, "estimate", "--matrix", str(path),
+                                 "--method", "leja-hutchpp")
+        assert code == 1 and out == ""
+        assert err.startswith("error: matrix is not positive definite")
+
+    def test_cg_failure_is_an_error(self, capsys, tmp_path):
+        # kappa = 1e12: the shift-invert CG stops short of its tolerance
+        path = tmp_path / "spd.mtx"
+        write_matrix_market(random_spd(0, n=300, kappa=1e12)[0], path)
+        code, out, err = run_cli(capsys, "estimate", "--matrix", str(path),
+                                 "--method", "leja-hutchpp")
+        assert code == 1 and out == ""
+        assert err.startswith("error: CG did not converge")
 
     def test_s_val_choices(self, capsys):
         # half-max sits on the edge of the Taylor convergence condition, so

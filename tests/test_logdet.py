@@ -6,12 +6,13 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
-from conftest import random_spd
+from conftest import indefinite_matrix, random_spd
 from lejadet import logdet
-from lejadet import (SparseMatrixCSR, SpectralInterval, band_logdet_cholesky,
-                     dense_logdet_cholesky, estimate, estimate_interval,
-                     gen_gmrf_grid, gen_pentadiagonal, gmrf_grid_logdet_analytic,
-                     hutchinson_logdet, hutchpp_logdet, normalize, slq_logdet)
+from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
+                     band_logdet_cholesky, dense_logdet_cholesky, estimate,
+                     estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
+                     gmrf_grid_logdet_analytic, hutchinson_logdet, hutchpp_logdet,
+                     normalize, slq_logdet)
 
 LOG120 = math.log(120.0)
 
@@ -33,6 +34,20 @@ for _kappa in (1e3, 1e2, 1e4):
 
 def identity_matrix(n):
     return SparseMatrixCSR.from_scipy(sp.identity(n, format="csr"))
+
+
+# (matrix, the enclosure the default rule takes, seed, warnings of 12 actions
+# of tolerance 1e-12 capped at degree 5): Gershgorin on the generators and
+# the identity, Lanczos on a random_spd whose Gershgorin lower bound is
+# floored; the pentadiagonal (kappa near 1) and the identity (a degenerate
+# map) converge under the cap
+ROUTE_CASES = [(lambda: gen_gmrf_grid(20, -0.22), "gershgorin", s, 12) for s in range(3)]
+ROUTE_CASES += [(lambda: gen_pentadiagonal(10_000, seed=0), "gershgorin", 0, 0),
+                (lambda: gen_gmrf_grid(40, -0.24), "gershgorin", 0, 12),
+                (lambda: identity_matrix(50), "gershgorin", 0, 0),
+                (lambda: random_spd(0, n=200, kappa=100.0)[0], "lanczos", 0, 12)]
+ROUTE_IDS = ["lattice-20-seed0", "lattice-20-seed1", "lattice-20-seed2", "penta-1e4",
+             "lattice-40", "identity", "spd-floored"]
 
 
 class TestNormalization:
@@ -165,24 +180,50 @@ class TestStdError:
 
 
 class TestEstimate:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_direct_strategy_calls(self, seed):
-        Q = gen_gmrf_grid(20, -0.22)
-        bounds = estimate_interval(Q, "gershgorin", seed=seed)
-        pairs = [
-            (estimate(Q, "leja-hutchpp", seed=seed), hutchpp_logdet(Q, 12, seed=seed)),
-            # a degree cap of 5 leaves every action unconverged, so the
-            # warnings are compared too
+    @pytest.mark.parametrize("make,route,seed,capped", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_matches_direct_strategy_calls(self, make, route, seed, capped):
+        Q = make()
+        bounds = estimate_interval(Q, route, seed=seed)
+        assert estimate_interval(Q, seed=seed) == bounds      # the default rule's pick
+        assert bounds.method == route
+        # estimate(), the estimator enclosing on its own, and the estimator
+        # given the route's interval agree bit for bit, warnings included
+        triples = [
+            (estimate(Q, "leja-hutchpp", seed=seed), hutchpp_logdet(Q, 12, seed=seed),
+             hutchpp_logdet(Q, 12, seed=seed, bounds=bounds)),
             (estimate(Q, "hutchinson", seed=seed, tol=1e-12, max_degree=5),
+             hutchinson_logdet(Q, 12, action_tol=1e-12, seed=seed, max_degree=5),
              hutchinson_logdet(Q, 12, action_tol=1e-12, seed=seed, bounds=bounds,
                                max_degree=5)),
-            (estimate(Q, "slq", seed=seed), slq_logdet(Q, 40, 30, seed=seed)),
         ]
-        for via, direct in pairs:
-            assert (via.method, via.estimate, via.degrees, via.matvecs_total,
-                    via.warnings) == (direct.method, direct.estimate, direct.degrees,
-                                      direct.matvecs_total, direct.warnings)
-        assert len(pairs[1][0].warnings) == 12
+        for reports in triples:
+            assert len({(r.method, r.estimate, str(r.degrees), r.matvecs_total,
+                         str(r.warnings), r.sigma, r.enclosure) for r in reports}) == 1
+            assert reports[0].enclosure == route
+        assert len(triples[1][0].warnings) == capped
+        via, direct = estimate(Q, "slq", seed=seed), slq_logdet(Q, 40, 30, seed=seed)
+        assert (via.estimate, via.degrees, via.enclosure) == \
+            (direct.estimate, direct.degrees, None)
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
+    def test_default_enclosure_converges_or_refuses(self, kappa):
+        # never an answer behind a degree-cap warning; at kappa = 100 the
+        # Lanczos enclosure converges well below the cap of 400
+        for seed in range(5):
+            Q = random_spd(seed, n=200, kappa=kappa)[0]
+            try:
+                rep = estimate(Q, "leja-hutchpp", seed=seed)
+            except (ValueError, ConvergenceError):
+                assert kappa > 1e2
+                continue
+            assert rep.converged and not rep.warnings
+            if kappa == 1e2:
+                assert rep.enclosure == "lanczos" and rep.degrees["max"] <= 100
+
+    @pytest.mark.parametrize("method", ["leja-hutchpp", "hutchinson"])
+    def test_refuses_indefinite_matrix(self, method):
+        with pytest.raises(ValueError, match="not positive definite"):
+            estimate(indefinite_matrix(0), method)
 
     def test_exact_methods_return_oracle_values(self):
         Q = gen_gmrf_grid(12, -0.2)
@@ -194,6 +235,7 @@ class TestEstimate:
             assert (rep.method, rep.estimate, rep.trace_estimate, rep.seed) == \
                 (method, value, value, 4)
             assert rep.matvecs_total == 0 and rep.converged and not rep.warnings
+            assert rep.enclosure is None
 
     def test_rejects_unknown_method_and_analytic_without_lattice(self):
         Q = gen_gmrf_grid(6, -0.2)
