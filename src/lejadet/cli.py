@@ -208,31 +208,29 @@ def _theta_grid(start: float, stop: float, step: float) -> list[float]:
 def _render_estimate(result: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(result, indent=2)
-    if fmt == "table":
-        rep = result["report"]
-        lines = [
-            f"method          {rep['method']}",
-            f"n / nnz         {result['matrix']['n']} / {result['matrix']['nnz']}",
-            f"estimate        {rep['estimate']:.6f}",
-            f"  trace term    {rep['trace_estimate']:.6f}",
-            f"  n log sigma   {rep['n_log_sigma']:.6f} (sigma={rep['sigma']:.6g})",
-            f"enclosure       {rep['enclosure'] or '-'}",
-            "std error       " + ("-" if rep["std_error"] is None
-                                  else f"{rep['std_error']:.3e}"),
-            f"queries         {rep['queries']}",
-            f"degrees         min {rep['degrees']['min']} / median {rep['degrees']['median']} / max {rep['degrees']['max']}",
-            f"matvecs         {rep['matvecs_total']}",
-            f"wall time       {rep['wall_time']:.3f} s",
-            f"seed            {rep['seed']}",
-        ]
-        if result["exact"] is not None:
-            ex = result["exact"]
-            lines.append(f"exact           {ex['value']:.6f} ({ex['oracle']})")
-            lines.append(f"rel error       {ex['rel_err']:.3e}")
-        for w in rep["warnings"]:
-            lines.append(f"warning         {w}")
-        return "\n".join(lines)
-    raise ValueError(f"unsupported format {fmt!r} for estimate")
+    rep = result["report"]
+    lines = [
+        f"method          {rep['method']}",
+        f"n / nnz         {result['matrix']['n']} / {result['matrix']['nnz']}",
+        f"estimate        {rep['estimate']:.6f}",
+        f"  trace term    {rep['trace_estimate']:.6f}",
+        f"  n log sigma   {rep['n_log_sigma']:.6f} (sigma={rep['sigma']:.6g})",
+        f"enclosure       {rep['enclosure'] or '-'}",
+        "std error       " + ("-" if rep["std_error"] is None
+                              else f"{rep['std_error']:.3e}"),
+        f"queries         {rep['queries']}",
+        f"degrees         min {rep['degrees']['min']} / median {rep['degrees']['median']} / max {rep['degrees']['max']}",
+        f"matvecs         {rep['matvecs_total']}",
+        f"wall time       {rep['wall_time']:.3f} s",
+        f"seed            {rep['seed']}",
+    ]
+    if result["exact"] is not None:
+        ex = result["exact"]
+        lines.append(f"exact           {ex['value']:.6f} ({ex['oracle']})")
+        lines.append(f"rel error       {ex['rel_err']:.3e}")
+    for w in rep["warnings"]:
+        lines.append(f"warning         {w}")
+    return "\n".join(lines)
 
 
 def _rows_to_csv(rows, fieldnames) -> str:
@@ -353,13 +351,11 @@ def main(argv=None) -> int:
                                           "error"]))
             return 2 if any(r["error"] or r["warnings"] for r in rows) else 0
 
-        if args.command == "gen":
-            Q, meta = parse_gen_spec(args.gen, args.seed)
-            write_matrix_market(Q, args.out)
-            print(f"wrote {meta} to {args.out} (n={Q.n}, nnz={Q.nnz})")
-            return 0
-
-        raise ValueError(f"unknown command {args.command!r}")
+        # gen, the last of the parser's commands
+        Q, meta = parse_gen_spec(args.gen, args.seed)
+        write_matrix_market(Q, args.out)
+        print(f"wrote {meta} to {args.out} (n={Q.n}, nnz={Q.nnz})")
+        return 0
     except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

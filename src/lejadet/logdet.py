@@ -142,16 +142,16 @@ class _ActionRecord(NamedTuple):
 
 
 def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
-            sigma=1.0, n=0, dd=None, enclosure=None) -> LogDetReport:
+            sigma=1.0, n=0, dd=None, enclosure=None, matvecs=0) -> LogDetReport:
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
-    the degree statistics, matvec total, warnings and convergence flag come
-    from them.  ``terms`` are the m probe terms whose mean enters the
-    estimate; the standard error is their sample standard deviation over
-    sqrt(m), or None for m < 2.  ``n`` and ``sigma`` give the n*log(sigma)
-    term, ``dd`` adds a warning when its Taylor series was truncated, and
-    the wall time runs from ``t0``.
+    the degree statistics, matvec total (plus ``matvecs`` spent elsewhere),
+    warnings and convergence flag come from them.  ``terms`` are the m
+    probe terms whose mean enters the estimate; the standard error is their
+    sample standard deviation over sqrt(m), or None for m < 2.  ``n`` and
+    ``sigma`` give the n*log(sigma) term, ``dd`` adds a warning when its
+    Taylor series was truncated, and the wall time runs from ``t0``.
     """
     warnings = [
         f"{r.label}: not converged at degree {r.degree} "
@@ -173,7 +173,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         degrees=_degree_stats([r.degree for r in records]),
         seed=seed,
         wall_time=time.perf_counter() - t0,
-        matvecs_total=sum(r.matvecs for r in records),
+        matvecs_total=matvecs + sum(r.matvecs for r in records),
         warnings=warnings,
         converged=all(r.converged for r in records),
         std_error=(float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
@@ -194,6 +194,7 @@ class _ActionEngine:
             raise ValueError("estimators require a verified-symmetric matrix")
         self.Q = Q
         self.bounds = estimate_interval(Q, seed=seed) if bounds is None else bounds
+        self.enclosure_matvecs = self.bounds.matvecs if bounds is None else 0
         self.mp = map_params(self.bounds)
         self.norm = normalize(self.bounds)
         self.log_sigma = math.log(self.norm.sigma)
@@ -243,8 +244,9 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
 
     ``action_tol`` is relative to each probe norm.  Non-converged actions
     are reported in ``warnings``, never silently accepted.  Without
-    ``bounds`` the spectrum is enclosed by ``estimate_interval(Q, seed=seed)``
-    within the wall time; ``report.enclosure`` names the route.
+    ``bounds`` the spectrum is enclosed by ``estimate_interval(Q, seed=seed)``;
+    its time and products with Q count in the wall time and
+    ``matvecs_total``, and ``report.enclosure`` names the route.
     """
     if m_vec < 3:
         raise ValueError("Hutch++ needs at least 3 matvec queries")
@@ -269,11 +271,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     basis, r = scipy.linalg.qr(y, mode="economic", overwrite_a=True,
                                check_finite=False)
     rdiag = np.abs(np.diag(r))
-    scale = float(rdiag.max()) if rdiag.size else 0.0
-    if scale > 0.0:
-        keep = rdiag >= 1e-12 * scale
-    else:
-        keep = np.zeros(rdiag.shape, dtype=bool)   # zero sketch, empty basis
+    keep = (rdiag > 0.0) & (rdiag >= 1e-12 * rdiag.max())   # zero sketch: empty basis
     if not keep.all():
         basis = np.asfortranarray(basis[:, keep])
 
@@ -300,7 +298,8 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
 
     return _report("leja-hutchpp", det_term + res_term, queries=m_vec, seed=seed,
                    t0=t0, records=eng.records, terms=terms, sigma=eng.norm.sigma,
-                   n=n, dd=eng.dd, enclosure=eng.bounds.method)
+                   n=n, dd=eng.dd, enclosure=eng.bounds.method,
+                   matvecs=eng.enclosure_matvecs)
 
 
 def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
@@ -322,7 +321,8 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
         terms.append(qf)
     return _report("hutchinson", total / m_vec, queries=m_vec, seed=seed, t0=t0,
                    records=eng.records, terms=terms, sigma=eng.norm.sigma, n=n,
-                   dd=eng.dd, enclosure=eng.bounds.method)
+                   dd=eng.dd, enclosure=eng.bounds.method,
+                   matvecs=eng.enclosure_matvecs)
 
 
 def _lanczos(m_sp, v, m_l):
@@ -439,7 +439,8 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
 
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,
-             slq_degree: int = 40, tol: float = 1e-7, scaling="center", seed: int = 0,
+             slq_degree: int = 40, tol: float = 1e-7, scaling="center",
+             seed: int = 0,
              max_degree: int = DEFAULT_MAX_DEGREE,
              lattice: tuple[int, float] | None = None) -> LogDetReport:
     """log det Q by one of ``METHODS``, with the command line's defaults.
@@ -448,9 +449,9 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     relative tolerance ``tol`` (at most ``max_degree`` each, divided
     differences scaled by ``scaling``) on the interval that
     ``estimate_interval(Q, seed=seed)`` chooses (Gershgorin, or Lanczos
-    when Gershgorin's lower bound is floored; ``report.enclosure``).  The
-    wall time includes that enclosure.  ``slq`` runs ``probes`` probes of
-    ``slq_degree`` Lanczos steps and needs no enclosure.
+    when Gershgorin's condition number exceeds 1e4; ``report.enclosure``).
+    The wall time and matvec total include that enclosure.  ``slq`` runs
+    ``probes`` probes of ``slq_degree`` Lanczos steps and needs no enclosure.
     ``exact-dense`` and ``exact-band`` are the Cholesky oracles;
     ``exact-analytic`` is the lattice closed form and needs
     ``lattice = (g, theta)`` of ``Q = gen_gmrf_grid(g, theta)``.

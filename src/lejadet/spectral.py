@@ -7,7 +7,9 @@ Two routes are provided for the enclosing interval [lambda_min, lambda_max]:
   positive floor.
 - Lanczos for lambda_max and shift-inverted Lanczos (shift 0, inner solves
   by conjugate gradients) for lambda_min; tighter but costs matvecs.
-  ``estimate_interval`` takes it only when Gershgorin's bound is floored.
+  ``estimate_interval`` takes it when Gershgorin's condition number exceeds
+  1e4: at the default action tolerance, Leja actions on an interval of
+  condition 1e4 need degree 345-371 and reach the cap of 400 by 1.5e4.
 
 The map parameters (c, gamma) place the interval endpoints at the images
 of -2 and +2: z = c + gamma * xi with c the midpoint and gamma a quarter
@@ -41,6 +43,10 @@ __all__ = [
 _GERSHGORIN_ROWS = 4096
 # Gershgorin's lower bound is floored at this fraction of its upper bound
 _FLOOR = 1e-8
+# estimate_interval keeps Gershgorin's interval up to this condition number
+_GERSHGORIN_KAPPA = 1e4
+# relative widening of the Lanczos route's ends; its CG solves run to a tenth
+_MARGIN = 1e-5
 
 
 class ConvergenceError(RuntimeError):
@@ -58,14 +64,13 @@ class SpectralInterval:
     lambda_min: float
     lambda_max: float
     method: str | None = None     # the route that found it; None if given
+    matvecs: int = 0              # products with Q the route spent
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda_min) and np.isfinite(self.lambda_max)):
-            raise ValueError("interval endpoints must be finite")
-        if not 0 < self.lambda_min <= self.lambda_max:
-            raise ValueError(
-                f"need 0 < lambda_min <= lambda_max, got "
-                f"[{self.lambda_min}, {self.lambda_max}]")
+        # NaN fails the comparisons, and an infinite lambda_min needs an infinite max
+        if not (np.isfinite(self.lambda_max) and 0 < self.lambda_min <= self.lambda_max):
+            raise ValueError(f"need finite 0 < lambda_min <= lambda_max, got "
+                             f"[{self.lambda_min}, {self.lambda_max}]")
 
     @property
     def condition(self) -> float:
@@ -140,8 +145,6 @@ def gershgorin_bounds(Q: SparseMatrixCSR, eps_floor: float | None = None) -> Spe
         raise ValueError("Gershgorin upper bound is not positive; matrix is not SPD")
     if eps_floor is None:
         eps_floor = _FLOOR * lambda_max
-    if eps_floor <= 0:
-        raise ValueError("eps_floor must be positive")
     lambda_min = max(float(eps_floor),
                      float(np.min(np.subtract(diag, radius, out=scratch))))
     return SpectralInterval(lambda_min, lambda_max, method="gershgorin")
@@ -154,6 +157,7 @@ class EigenEstimate(NamedTuple):
     iterations: int
     converged: bool
     breakdown: bool = False
+    matvecs: int = 0          # products with Q; CG iterations for shift-invert
 
 
 def _lanczos_extreme(apply_op, n, rng, tol, max_iter):
@@ -178,15 +182,15 @@ def _lanczos_extreme(apply_op, n, rng, tol, max_iter):
             np.asarray(alphas), np.asarray(betas),
             select="i", select_range=(it - 1, it - 1))[0])
         if ritz_prev is not None and abs(ritz - ritz_prev) <= tol * max(abs(ritz), 1e-300):
-            return EigenEstimate(ritz, it, converged=True)
+            return EigenEstimate(ritz, it, converged=True, matvecs=it)
         ritz_prev = ritz
         beta = float(np.linalg.norm(w))
         if beta <= 1e-12 * max(map(abs, alphas)):
-            return EigenEstimate(ritz, it, converged=True, breakdown=True)
+            return EigenEstimate(ritz, it, converged=True, breakdown=True, matvecs=it)
         betas.append(beta)
         v_prev = v
         v = w / beta
-    return EigenEstimate(ritz, max_iter, converged=False)
+    return EigenEstimate(ritz, max_iter, converged=False, matvecs=max_iter)
 
 
 def lanczos_lambda_max(Q: SparseMatrixCSR, tol: float = 1e-10,
@@ -238,40 +242,41 @@ def shift_invert_lambda_min(Q: SparseMatrixCSR, tol: float = 1e-8,
     to relative residual tol/10.  Returns 1/mu for the largest Ritz value
     mu of B.
     """
+    return _shift_invert(Q, tol, tol / 10.0, max_iter, seed, cg_max_iter)
+
+
+def _shift_invert(Q, tol, cg_rtol, max_iter=200, seed=0, cg_max_iter=None):
+    """``shift_invert_lambda_min`` with CG solves to relative residual cg_rtol."""
     m = Q.to_scipy()
     if cg_max_iter is None:
         cg_max_iter = max(500, min(Q.n, 20_000))
     rng = np.random.default_rng(seed)
+    cg_iters = []
 
     def apply_inv(x):
-        sol, _ = _cg_solve(m, x, rtol=tol / 10.0, max_iter=cg_max_iter)
+        sol, it = _cg_solve(m, x, rtol=cg_rtol, max_iter=cg_max_iter)
+        cg_iters.append(it)
         return sol
 
     est = _lanczos_extreme(apply_inv, Q.n, rng, tol, max_iter)
-    return EigenEstimate(1.0 / est.value, est.iterations, est.converged, est.breakdown)
+    return est._replace(value=1.0 / est.value, matvecs=sum(cg_iters))
 
 
 def estimate_interval(Q: SparseMatrixCSR, method: str | None = None,
                       seed: int = 0) -> SpectralInterval:
-    """Spectral interval of Q by the route the matrix calls for.
+    """Spectral interval of Q by the rule in the module docstring.
 
-    Gershgorin's interval when its lower bound is not floored.  A floored
-    bound would leave the Leja interpolant a condition number near 1e8 to
-    cover, so then Lanczos and shift-invert run with ``seed``, both ends
-    inflated by a relative margin so the interval encloses the spectrum
-    despite Ritz values sitting strictly inside it.  ``method``
-    ("gershgorin" or "lanczos") forces a route; ``interval.method`` names
-    the route taken.
+    ``method`` ("gershgorin" or "lanczos") forces a route; ``seed`` seeds
+    Lanczos.  The interval records its route and matvecs.
     """
     if method not in (None, "gershgorin", "lanczos"):
         raise ValueError(f"unknown bounds method {method!r}")
-    if method != "lanczos":
-        interval = gershgorin_bounds(Q)
-        if method == "gershgorin" or interval.lambda_min > _FLOOR * interval.lambda_max:
-            return interval
-    if not Q.symmetric_verified:
-        raise ValueError("interval estimation requires a verified-symmetric matrix")
+    interval = gershgorin_bounds(Q)
+    if method == "gershgorin" or (method is None
+                                  and interval.condition <= _GERSHGORIN_KAPPA):
+        return interval
+    # Ritz values lie inside the spectrum, so both ends are widened
     hi = lanczos_lambda_max(Q, tol=1e-8, seed=seed)
-    lo = shift_invert_lambda_min(Q, tol=1e-8, seed=seed)
-    return SpectralInterval(lo.value * (1.0 - 1e-5), hi.value * (1.0 + 1e-5),
-                            method="lanczos")
+    lo = _shift_invert(Q, 1e-8, _MARGIN / 10.0, seed=seed)
+    return SpectralInterval(lo.value * (1.0 - _MARGIN), hi.value * (1.0 + _MARGIN),
+                            method="lanczos", matvecs=hi.matvecs + lo.matvecs)

@@ -36,18 +36,29 @@ def identity_matrix(n):
     return SparseMatrixCSR.from_scipy(sp.identity(n, format="csr"))
 
 
+def barely_positive_spd():
+    """random_spd(0, n=200, kappa=100) shifted until its Gershgorin lower
+    bound is 1e-6 of the upper one: above the floor, at condition 1e6."""
+    dense = random_spd(0, n=200, kappa=100.0)[0].to_dense()
+    radius = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
+    lo, hi = np.min(np.diag(dense) - radius), np.max(np.diag(dense) + radius)
+    shift = (1e-6 * hi - lo) / (1.0 - 1e-6)
+    return SparseMatrixCSR.from_dense(dense + shift * np.eye(200))
+
+
 # (matrix, the enclosure the default rule takes, seed, warnings of 12 actions
 # of tolerance 1e-12 capped at degree 5): Gershgorin on the generators and
-# the identity, Lanczos on a random_spd whose Gershgorin lower bound is
-# floored; the pentadiagonal (kappa near 1) and the identity (a degenerate
-# map) converge under the cap
+# the identity, Lanczos on random_spd matrices whose Gershgorin condition
+# number is 1e8 (floored) or 1e6; the pentadiagonal (kappa near 1) and the
+# identity (a degenerate map) converge under the cap
 ROUTE_CASES = [(lambda: gen_gmrf_grid(20, -0.22), "gershgorin", s, 12) for s in range(3)]
 ROUTE_CASES += [(lambda: gen_pentadiagonal(10_000, seed=0), "gershgorin", 0, 0),
                 (lambda: gen_gmrf_grid(40, -0.24), "gershgorin", 0, 12),
                 (lambda: identity_matrix(50), "gershgorin", 0, 0),
-                (lambda: random_spd(0, n=200, kappa=100.0)[0], "lanczos", 0, 12)]
+                (lambda: random_spd(0, n=200, kappa=100.0)[0], "lanczos", 0, 12),
+                (barely_positive_spd, "lanczos", 0, 12)]
 ROUTE_IDS = ["lattice-20-seed0", "lattice-20-seed1", "lattice-20-seed2", "penta-1e4",
-             "lattice-40", "identity", "spd-floored"]
+             "lattice-40", "identity", "spd-floored", "spd-barely-positive"]
 
 
 class TestNormalization:
@@ -183,11 +194,17 @@ class TestEstimate:
     @pytest.mark.parametrize("make,route,seed,capped", ROUTE_CASES, ids=ROUTE_IDS)
     def test_matches_direct_strategy_calls(self, make, route, seed, capped):
         Q = make()
-        bounds = estimate_interval(Q, route, seed=seed)
-        assert estimate_interval(Q, seed=seed) == bounds      # the default rule's pick
-        assert bounds.method == route
+        bounds = estimate_interval(Q, seed=seed)               # the default rule's pick
+        assert bounds.method == route and estimate_interval(Q, route, seed=seed) == bounds
+        assert (bounds.matvecs > 0) == (route == "lanczos")
+
+        def key(r, given_matvecs=0):
+            return (r.method, r.estimate, str(r.degrees), r.matvecs_total + given_matvecs,
+                    str(r.warnings), r.sigma, r.enclosure)
+
         # estimate(), the estimator enclosing on its own, and the estimator
-        # given the route's interval agree bit for bit, warnings included
+        # given the rule's interval agree bit for bit, warnings included; a
+        # given interval's products with Q are not counted again
         triples = [
             (estimate(Q, "leja-hutchpp", seed=seed), hutchpp_logdet(Q, 12, seed=seed),
              hutchpp_logdet(Q, 12, seed=seed, bounds=bounds)),
@@ -196,29 +213,28 @@ class TestEstimate:
              hutchinson_logdet(Q, 12, action_tol=1e-12, seed=seed, bounds=bounds,
                                max_degree=5)),
         ]
-        for reports in triples:
-            assert len({(r.method, r.estimate, str(r.degrees), r.matvecs_total,
-                         str(r.warnings), r.sigma, r.enclosure) for r in reports}) == 1
-            assert reports[0].enclosure == route
+        for via, alone, given in triples:
+            assert key(via) == key(alone) == key(given, bounds.matvecs)
+            assert via.enclosure == route
         assert len(triples[1][0].warnings) == capped
         via, direct = estimate(Q, "slq", seed=seed), slq_logdet(Q, 40, 30, seed=seed)
-        assert (via.estimate, via.degrees, via.enclosure) == \
-            (direct.estimate, direct.degrees, None)
+        assert key(via) == key(direct) and via.enclosure is None
 
-    @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4, 1e5])
     def test_default_enclosure_converges_or_refuses(self, kappa):
-        # never an answer behind a degree-cap warning; at kappa = 100 the
-        # Lanczos enclosure converges well below the cap of 400
+        # never an answer behind a degree-cap warning: up to kappa = 1e4 every
+        # matrix converges on the Lanczos enclosure (at kappa = 100 well below
+        # the cap of 400); beyond it an estimate may be refused instead
         for seed in range(5):
             Q = random_spd(seed, n=200, kappa=kappa)[0]
             try:
                 rep = estimate(Q, "leja-hutchpp", seed=seed)
             except (ValueError, ConvergenceError):
-                assert kappa > 1e2
+                assert kappa > 1e4
                 continue
-            assert rep.converged and not rep.warnings
+            assert rep.converged and not rep.warnings and rep.enclosure == "lanczos"
             if kappa == 1e2:
-                assert rep.enclosure == "lanczos" and rep.degrees["max"] <= 100
+                assert rep.degrees["max"] <= 100
 
     @pytest.mark.parametrize("method", ["leja-hutchpp", "hutchinson"])
     def test_refuses_indefinite_matrix(self, method):

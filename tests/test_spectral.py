@@ -92,6 +92,7 @@ class TestLanczosExtremes:
         Q = SparseMatrixCSR.from_dense(np.eye(5))
         est = shift_invert_lambda_min(Q, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-10)
+        assert est.matvecs == est.iterations      # one CG iteration per solve
 
     def test_shift_invert_tridiag(self):
         Q = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -120,6 +121,26 @@ class TestLanczosExtremes:
         iv = estimate_interval(Q, method="lanczos", seed=3)
         assert iv.method == "lanczos"
         assert iv.lambda_min <= w.min() and iv.lambda_max >= w.max()
+        hi = lanczos_lambda_max(Q, tol=1e-8, seed=3)
+        assert iv.matvecs > hi.matvecs == hi.iterations
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4])
+    def test_default_rule_encloses_floored_matrices(self, kappa):
+        # CG solves to a tenth of the 1e-5 margin still leave lambda_min
+        # inside it; at kappa = 1e4 tighter solves stall at 500 iterations
+        for seed in range(3):
+            Q, w, _ = random_spd(seed, n=200, kappa=kappa)
+            iv = estimate_interval(Q, seed=seed)
+            assert iv.method == "lanczos" and iv.matvecs > 0
+            assert iv.lambda_min <= w.min() and iv.lambda_max >= w.max()
+            assert iv.lambda_min == pytest.approx(w.min(), rel=2e-5)
+
+    def test_default_rule_keeps_gershgorin_up_to_condition_1e4(self):
+        for top, route in [(1e4, "gershgorin"), (1.5e4, "lanczos")]:
+            Q = SparseMatrixCSR.from_dense(np.diag(np.geomspace(1.0, top, 50)))
+            iv = estimate_interval(Q)
+            assert iv.method == route and iv.lambda_max == pytest.approx(top, rel=2e-5)
+            assert (iv.matvecs == 0) == (route == "gershgorin")
 
 
 class TestMapParams:
