@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .leja import LejaSequence
 from .spectral import MapParams
@@ -128,23 +129,26 @@ def divided_differences_log(seq: LejaSequence, mp: MapParams, scaling="center",
     u[0] = 1.0
     d = np.zeros(m1)
     d[0] = logs
-    shifted = np.empty(m1)
+    shifted = np.zeros(m1)             # shifted[0] stays zero
     work = np.empty(m1)
     norms = [] if keep_term_norms else None
     term_norm = np.inf
     terms = 0
     truncated = True
+    sign = -1.0
+    # a term is six calls on m1-entry vectors, so per-call overhead sets the
+    # cost: the views are taken once, out is positional, and d += work goes
+    # through BLAS with a unit multiplier, which rounds as numpy's add does
+    head, tail = u[:-1], shifted[1:]
     for k in range(1, p_max + 1):
-        # u <- W u for lower-bidiagonal W, no allocation in the loop
-        shifted[0] = 0.0
-        shifted[1:] = u[:-1]
-        np.multiply(diag, u, out=work)
-        np.multiply(sub, shifted, out=shifted)
-        np.add(work, shifted, out=u)
-        sign = 1.0 if k % 2 == 1 else -1.0
-        np.multiply(u, sign / k, out=work)
-        d += work
-        term_norm = float(np.linalg.norm(work))
+        # u <- W u for lower-bidiagonal W, in place: sub * u_{i-1} first
+        np.multiply(head, sub, tail)
+        np.multiply(u, diag, u)
+        np.add(u, shifted, u)
+        sign = -sign
+        np.multiply(u, sign / k, work)
+        daxpy(work, d)
+        term_norm = math.sqrt(ddot(work, work))
         terms = k
         if norms is not None:
             norms.append(term_norm)

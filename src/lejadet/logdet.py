@@ -30,7 +30,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from .action import log_matvec
 from .divdiff import divided_differences_log
-from .leja import DEFAULT_POOL_SIZE, generate_fast_leja
+from .leja import generate_fast_leja
 from .oracle import (DENSE_CAP, band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import SparseMatrixCSR
@@ -189,7 +189,7 @@ class _ActionEngine:
     result vector.
     """
 
-    def __init__(self, Q, bounds, scaling, action_tol, max_degree, seed):
+    def __init__(self, Q, bounds, scaling, max_degree, seed):
         if not Q.symmetric_verified:
             raise ValueError("estimators require a verified-symmetric matrix")
         self.Q = Q
@@ -198,32 +198,31 @@ class _ActionEngine:
         self.mp = map_params(self.bounds)
         self.norm = normalize(self.bounds)
         self.log_sigma = math.log(self.norm.sigma)
-        self.action_tol = action_tol
         self.max_degree = max_degree
         if self.mp.degenerate:
             self.dd = None
-        else:
-            count = max(DEFAULT_POOL_SIZE, max_degree + 1)
-            self.dd = divided_differences_log(generate_fast_leja(count), self.mp,
-                                              scaling=scaling)
+        else:       # an action of degree m reads coefficients 0..m
+            self.dd = divided_differences_log(generate_fast_leja(max_degree + 1),
+                                              self.mp, scaling=scaling)
         self.records = []
 
-    def act(self, v):
-        """log(Q) v; returns (result, quadratic form v' log(Q~) v)."""
+    def act(self, v, tol):
+        """log(Q) v to relative tolerance ``tol``; returns (result, v' log(Q~) v)."""
         vv = ddot(v, v)
         v_norm = math.sqrt(vv)
-        res = log_matvec(self.Q, v, self.mp, self.dd, tol=self.action_tol * v_norm,
+        res = log_matvec(self.Q, v, self.mp, self.dd, tol=tol * v_norm,
                          max_degree=self.max_degree, v_norm=v_norm)
         qform = ddot(v, res.vector) - self.log_sigma * vv
         return res, qform
 
-    def act_all(self, phase, vector, count):
-        """Act on ``vector(j)`` for j < count; yields (result, qform) in order.
+    def act_all(self, phase, vector, count, tol):
+        """Act on ``vector(j)`` for j < count to relative tolerance ``tol``;
+        yields (result, qform) in order.
 
         Each action is recorded as "<phase> action j".
         """
         for j in range(count):
-            res, qform = self.act(vector(j))
+            res, qform = self.act(vector(j), tol)
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
                                               res.matvecs, res.converged,
                                               res.error_estimate))
@@ -242,16 +241,23 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     trace over that basis is summed exactly, and the leftover trace is
     estimated by Hutchinson probes deflated by A.  Total actions ~= m_vec.
 
-    ``action_tol`` is relative to each probe norm.  Non-converged actions
-    are reported in ``warnings``, never silently accepted.  Without
-    ``bounds`` the spectrum is enclosed by ``estimate_interval(Q, seed=seed)``;
-    its time and products with Q count in the wall time and
-    ``matvecs_total``, and ``report.enclosure`` names the route.
+    ``action_tol`` is relative to each probe norm and governs the
+    deterministic and residual actions, whose quadratic forms enter the
+    estimate directly.  The sketch actions run to ``max(action_tol,
+    sqrt(action_tol))``: the estimator is unbiased for any basis that does
+    not depend on the residual probes, and a basis off by delta changes the
+    residual operator (I - AA')log(Q~)(I - AA') only at order delta^2, so
+    the sketch needs about the square root of the tolerance the estimate
+    needs.  Non-converged actions (sketch ones included) are reported in
+    ``warnings``, never silently accepted.  Without ``bounds`` the spectrum
+    is enclosed by ``estimate_interval(Q, seed=seed)``; its time and
+    products with Q count in the wall time and ``matvecs_total``, and
+    ``report.enclosure`` names the route.
     """
     if m_vec < 3:
         raise ValueError("Hutch++ needs at least 3 matvec queries")
     t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, scaling, action_tol, max_degree, seed)
+    eng = _ActionEngine(Q, bounds, scaling, max_degree, seed)
     n = Q.n
     rng = np.random.default_rng(seed)
     k = m_vec // 3
@@ -259,11 +265,13 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
 
     sketch = _rademacher(rng, n, k)
     y = np.empty((n, k), order="F")
-    for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: _column(sketch, j),
-                                             k)):
+    sketch_tol = max(action_tol, math.sqrt(action_tol))
+    for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: _column(sketch, j), k,
+                                             sketch_tol)):
         # image under log(Q~) = log(Q) - log(sigma) I
         y[:, j] = res.vector
-        y[:, j] += sketch[:, j] * -eng.log_sigma
+        if eng.norm.scaled:
+            y[:, j] += sketch[:, j] * -eng.log_sigma
     del sketch
 
     # the basis is formed in y's storage; the actions have already checked
@@ -277,7 +285,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
 
     det_term = 0.0
     for _, qf in eng.act_all("deterministic", lambda j: basis[:, j],
-                             basis.shape[1]):
+                             basis.shape[1], action_tol):
         det_term += qf
 
     probes = _rademacher(rng, n, n_res)
@@ -291,7 +299,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
 
     res_term = 0.0
     terms = []
-    for _, qf in eng.act_all("residual", deflated, n_res):
+    for _, qf in eng.act_all("residual", deflated, n_res, action_tol):
         res_term += qf
         terms.append(qf)
     res_term /= n_res
@@ -310,13 +318,14 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     if m_vec < 1:
         raise ValueError("need at least one query")
     t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, scaling, action_tol, max_degree, seed)
+    eng = _ActionEngine(Q, bounds, scaling, max_degree, seed)
     n = Q.n
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, n, m_vec)
     total = 0.0
     terms = []
-    for _, qf in eng.act_all("probe", lambda j: _column(probes, j), m_vec):
+    for _, qf in eng.act_all("probe", lambda j: _column(probes, j), m_vec,
+                             action_tol):
         total += qf
         terms.append(qf)
     return _report("hutchinson", total / m_vec, queries=m_vec, seed=seed, t0=t0,
@@ -447,7 +456,8 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
 
     ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions of
     relative tolerance ``tol`` (at most ``max_degree`` each, divided
-    differences scaled by ``scaling``) on the interval that
+    differences scaled by ``scaling``; Hutch++ runs its sketch actions to
+    ``max(tol, sqrt(tol))``, see ``hutchpp_logdet``) on the interval that
     ``estimate_interval(Q, seed=seed)`` chooses (Gershgorin, or Lanczos
     when Gershgorin's condition number exceeds 1e4; ``report.enclosure``).
     The wall time and matvec total include that enclosure.  ``slq`` runs

@@ -8,6 +8,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from conftest import indefinite_matrix, random_spd
 from lejadet import logdet
+from lejadet.action import log_matvec
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      band_logdet_cholesky, dense_logdet_cholesky, estimate,
                      estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
@@ -147,6 +148,14 @@ def _probes(rng, n, cols):
     return rng.integers(0, 2, size=(n, cols)) * 2.0 - 1.0
 
 
+def _sketch_image(eng, S, tol):
+    """log(Q~) S column by column: Leja actions of relative tolerance ``tol``
+    on Q, minus log(sigma) S."""
+    images = [log_matvec(eng.Q, s, eng.mp, eng.dd, tol=tol * np.linalg.norm(s)).vector
+              - eng.log_sigma * s for s in S.T]
+    return np.column_stack(images)
+
+
 def _std_error(terms):
     return np.std(terms, ddof=1) / math.sqrt(len(terms))
 
@@ -166,7 +175,9 @@ class TestStdError:
         rep = hutchpp_logdet(Q, 15, seed=5)             # k = 5 sketch, 5 residual
         L = _dense_log(Q, rep.sigma)
         rng = np.random.default_rng(5)
-        basis, _ = np.linalg.qr(L @ _probes(rng, Q.n, 5))
+        # the basis of the sketch as the estimator forms it, at sqrt(tol)
+        eng = logdet._ActionEngine(Q, None, "center", 400, 5)
+        basis, _ = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, 5), math.sqrt(1e-7)))
         G = _probes(rng, Q.n, 5)
         U = G - basis @ (basis.T @ G)
         terms = np.einsum("ij,ij->j", U, L @ U)
@@ -320,6 +331,81 @@ class TestHutchPP:
         hut = [hutchinson_logdet(Q, 12, seed=s, bounds=bounds).estimate
                for s in range(20)]
         assert np.var(hpp, ddof=1) <= np.var(hut, ddof=1)
+
+
+def _recorded_engines(monkeypatch):
+    """Every ``_ActionEngine`` the estimators build from now on, in order."""
+    engines = []
+
+    class Recording(logdet._ActionEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(logdet, "_ActionEngine", Recording)
+    return engines
+
+
+def _hutchpp_full_tol_sketch(Q, m_vec, seed, tol=1e-7):
+    """Hutch++ with the sketch actions run to ``tol`` like every other action,
+    on the estimator's probe draws."""
+    eng = logdet._ActionEngine(Q, None, "center", 400, seed)
+    rng = np.random.default_rng(seed)
+    k = m_vec // 3
+    basis, r = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, k), tol))
+    assert np.abs(np.diag(r)).min() >= 1e-12 * np.abs(np.diag(r)).max()  # full rank
+    det_term = sum(eng.act(basis[:, j].copy(), tol)[1] for j in range(k))
+    G = _probes(rng, Q.n, m_vec - 2 * k)
+    U = G - basis @ (basis.T @ G)
+    res_term = np.mean([eng.act(U[:, j].copy(), tol)[1] for j in range(U.shape[1])])
+    return Q.n * eng.log_sigma + det_term + res_term
+
+
+class TestHutchPPSketchTolerance:
+    """The sketch actions run to max(tol, sqrt(tol)), every other one to tol."""
+
+    def test_sketch_reaches_a_lower_degree(self, monkeypatch):
+        engines = _recorded_engines(monkeypatch)
+        rep = hutchpp_logdet(gen_gmrf_grid(40, -0.22), 12, seed=0)
+        (eng,) = engines
+        degrees = {}
+        for r in eng.records:
+            degrees.setdefault(r.label.split()[0], []).append(r.degree)
+        assert set(degrees) == {"sketch", "deterministic", "residual"}
+        assert max(degrees["sketch"]) < min(degrees["deterministic"])
+        assert rep.degrees["min"] == min(degrees["sketch"])
+        assert rep.converged and not rep.warnings
+        assert rep.matvecs_total == sum(r.degree for r in eng.records)
+
+    @pytest.mark.parametrize("make", [lambda: gen_gmrf_grid(40, -0.22),
+                                      lambda: gen_pentadiagonal(10_000, seed=0)],
+                             ids=["lattice-40", "penta-1e4"])
+    def test_matches_a_full_tolerance_sketch(self, make):
+        # the basis error enters at second order: over 20 seeds each estimate
+        # moves by far less than the seed-to-seed spread, and so does the spread
+        Q = make()
+        ref = np.array([_hutchpp_full_tol_sketch(Q, 12, s) for s in range(20)])
+        got = np.array([hutchpp_logdet(Q, 12, seed=s).estimate for s in range(20)])
+        spread = np.std(ref, ddof=1)
+        assert np.max(np.abs(got - ref)) <= 1e-3 * spread
+        assert np.std(got, ddof=1) / spread == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-2, 1.0, 4.0])
+    def test_sketch_never_tighter_than_the_other_actions(self, tol, monkeypatch):
+        rel_tols = []
+
+        def recording(Q, v, mp, dd, tol, max_degree, v_norm):
+            rel_tols.append(tol / v_norm)
+            return log_matvec(Q, v, mp, dd, tol=tol, max_degree=max_degree,
+                              v_norm=v_norm)
+
+        monkeypatch.setattr(logdet, "log_matvec", recording)
+        hutchpp_logdet(gen_gmrf_grid(12, -0.22), 12, action_tol=tol, seed=0)
+        sketch, others = rel_tols[:4], rel_tols[4:]
+        assert len(others) == 8
+        assert sketch == pytest.approx([max(tol, math.sqrt(tol))] * 4, rel=1e-12)
+        assert others == pytest.approx([tol] * 8, rel=1e-12)
+        assert min(sketch) >= max(others) * (1 - 1e-12)
 
 
 class TestHutchinson:
@@ -524,14 +610,7 @@ class TestRademacher:
 
 def test_hutchpp_engine_keeps_no_vectors(monkeypatch):
     """After an estimate the engine holds diagnostics, not action results."""
-    engines = []
-
-    class Recording(logdet._ActionEngine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            engines.append(self)
-
-    monkeypatch.setattr(logdet, "_ActionEngine", Recording)
+    engines = _recorded_engines(monkeypatch)
     Q = gen_gmrf_grid(50, -0.2)
     rep = hutchpp_logdet(Q, 12, seed=0)
     (eng,) = engines
