@@ -10,8 +10,7 @@ quadrature and exact Cholesky oracles are included for verification.
 
 from .action import ActionResult, log_matvec
 from .divdiff import (DividedDiffs, divided_differences_log,
-                      naive_divided_differences, reference_divided_differences,
-                      resolve_scaling)
+                      naive_divided_differences, reference_divided_differences)
 from .leja import LejaSequence, dump_points, generate_fast_leja, map_nodes
 from .likelihood import gmrf_likelihood_scan
 from .logdet import (METHODS, LogDetReport, Normalization, estimate,
@@ -61,7 +60,6 @@ __all__ = [
     "naive_divided_differences",
     "normalize",
     "reference_divided_differences",
-    "resolve_scaling",
     "shift_invert_lambda_min",
     "slq_logdet",
     "write_matrix_market",

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -38,7 +39,6 @@ class RunConfig:
     probes: int = 30
     slq_degree: int = 40
     tol: float = 1e-7
-    s_val: str = "center"
     seed: int = 0
     format: str = "json"
     max_degree: int = 400
@@ -54,28 +54,21 @@ class RunConfig:
         """The checks of the method and the estimator options every command shares."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.s_val not in ("center", "half-max"):
-            try:
-                float(self.s_val)
-            except ValueError:
-                raise ValueError("--s-val must be 'center', 'half-max', or a number")
         if self.tol <= 0:
             raise ValueError("--tol must be positive")
 
     def options(self) -> dict:
         """The keyword arguments of ``estimate`` that this run sets, seed aside."""
-        scaling = self.s_val if self.s_val in ("center", "half-max") else float(self.s_val)
         return {"queries": self.queries, "probes": self.probes,
-                "slq_degree": self.slq_degree, "tol": self.tol, "scaling": scaling,
+                "slq_degree": self.slq_degree, "tol": self.tol,
                 "max_degree": self.max_degree}
 
 
 def _config(args, method: str, **fields) -> RunConfig:
     """The RunConfig of a command's estimator flags, checked as ``estimate`` checks it."""
     cfg = RunConfig(method=method, queries=args.queries, probes=args.probes,
-                    slq_degree=args.slq_degree, tol=args.tol, s_val=str(args.s_val),
-                    seed=args.seed, format=args.format, max_degree=args.max_degree,
-                    **fields)
+                    slq_degree=args.slq_degree, tol=args.tol, seed=args.seed,
+                    format=args.format, max_degree=args.max_degree, **fields)
     cfg._check_options()
     return cfg
 
@@ -194,7 +187,9 @@ def _theta_grid(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to stop; a grid without points is an error."""
     if step == 0:
         raise ValueError("--theta-step must be non-zero")
-    steps = round((stop - start) / step)
+    # floor, so the grid never passes stop; the slack absorbs the rounding
+    # of e.g. (-0.20 - -0.24) / 0.02 = 1.999999999999999
+    steps = math.floor((stop - start) / step + 1e-9)
     if steps < 0:
         raise ValueError(f"empty theta grid: --theta-step {step} does not lead "
                          f"from --theta-start {start} to --theta-stop {stop}")
@@ -253,8 +248,6 @@ def _add_common_estimator_args(p):
     p.add_argument("--slq-degree", type=int, default=40, help="SLQ Lanczos degree")
     p.add_argument("--tol", type=float, default=1e-7,
                    help="action tolerance, relative to each probe norm")
-    p.add_argument("--s-val", default="center",
-                   help="divided-difference scaling: center | half-max | NUMBER")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=400)
 
@@ -323,8 +316,8 @@ def main(argv=None) -> int:
             thetas = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
             out = gmrf_likelihood_scan(
                 args.grid_side, args.theta_true, thetas, seed=args.seed,
-                m_vec=args.queries, tol=args.tol, scaling=args.s_val,
-                max_degree=args.max_degree, sample=not args.no_sample)
+                m_vec=args.queries, tol=args.tol, max_degree=args.max_degree,
+                sample=not args.no_sample)
             if args.format == "json":
                 print(json.dumps(out, indent=2))
             else:

@@ -5,10 +5,12 @@ accuracy once many nodes are involved, so the production path instead reads
 them off a matrix function: the divided differences of g(xi) = log(c + gamma*xi)
 at nodes xi_0..xi_m are the first column of log(Q_m), where Q_m is the lower
 bidiagonal matrix with the mapped nodes on its diagonal and gamma on the
-subdiagonal.  Writing log(z) = log(s) + log(1 + (z/s - 1)) for a scaling
-s >= lambda_max/2 turns log(Q_m) into a Taylor series in W = (Q_m - s I)/s
-whose spectral radius is below one; only products W^k e_1 are needed, each
-an O(m) bidiagonal sweep.
+subdiagonal.  Writing log(z) = log(s) + log(1 + (z/s - 1)) turns log(Q_m)
+into a Taylor series in W = (Q_m - s I)/s; only products W^k e_1 are needed,
+each an O(m) bidiagonal sweep.  The series is expanded about the interval
+centre, s = c: the terms shrink geometrically with ratio
+D(s) = max |z/s - 1| over the nodes, and s = c minimises it, at
+D(c) = (kappa - 1)/(kappa + 1) < 1 on [lambda_min, lambda_max].
 
 A classical recursion evaluated in extended precision (mpmath) serves as the
 test oracle, and a plain float64 recursion is kept for comparison.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
@@ -28,14 +29,12 @@ from .spectral import MapParams
 
 __all__ = [
     "DividedDiffs",
-    "resolve_scaling",
     "divided_differences_log",
     "reference_divided_differences",
     "naive_divided_differences",
 ]
 
 # hard ceiling on Taylor terms; the adaptive rule below stays well under it
-# except for scalings at the edge of the convergence condition
 P_MAX_CEILING = 500_000
 _P_MAX_CONDITIONAL = 100_000
 
@@ -52,7 +51,6 @@ class DividedDiffs:
     coeffs: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     map_params: MapParams
-    s_val: float
     taylor_terms: int
     truncated: bool
     last_term_norm: float
@@ -62,47 +60,26 @@ class DividedDiffs:
         return self.coeffs.shape[0]
 
 
-def resolve_scaling(scaling, mp: MapParams) -> float:
-    """Turn a scaling choice into a numeric s value.
-
-    Accepts "center" (s = c, the minimax-optimal choice), "half-max"
-    (s = lambda_max / 2, the smallest admissible value), or an explicit
-    positive number, which must satisfy s >= lambda_max/2 so that the
-    Taylor expansion of log(z/s) converges on the whole interval.
-    """
-    lam_max = mp.lambda_max
-    if scaling == "center":
-        return mp.c
-    if scaling == "half-max":
-        return lam_max / 2.0
-    s = float(scaling)
-    if not s >= lam_max / 2.0 * (1.0 - 1e-12):
-        raise ValueError(
-            f"scaling {s} violates the convergence condition s >= lambda_max/2 "
-            f"= {lam_max / 2.0}")
-    return s
-
-
 def _auto_taylor_depth(q: float, tol: float) -> int:
     """Number of terms after which q^k falls below tol, with headroom."""
-    if q <= 0.0:
-        return 400
     if q >= 1.0 - 1e-12:
-        # conditional (alternating, ratio ~1) regime: depth caps the cost,
-        # the truncation flag reports the accuracy actually reached
+        # (kappa - 1)/(kappa + 1) comes this close to one from kappa ~ 2e12,
+        # which a Lanczos enclosure or a caller's interval can reach: the
+        # series then converges only conditionally, so the depth caps the
+        # cost and the truncation flag reports the accuracy actually reached
         return _P_MAX_CONDITIONAL
     depth = int(math.ceil(math.log(tol) / math.log(q))) + 64
     return min(max(depth, 400), P_MAX_CEILING)
 
 
-def divided_differences_log(seq: LejaSequence, mp: MapParams, scaling="center",
+def divided_differences_log(seq: LejaSequence, mp: MapParams,
                             p_max: int | None = None,
                             keep_term_norms: bool = False) -> DividedDiffs:
     """Divided differences of log at the mapped nodes, scaled-Taylor scheme.
 
-    Accumulates the first column of log(s) I + sum_k (-1)^{k+1} W^k / k by
-    repeated bidiagonal products on e_1, stopping once the 2-norm of the
-    k-th term falls below 1e-16 (|log s| + 1) or after ``p_max`` terms
+    Accumulates the first column of log(s) I + sum_k (-1)^{k+1} W^k / k,
+    s = c, by repeated bidiagonal products on e_1, stopping once the 2-norm
+    of the k-th term falls below 1e-16 (|log s| + 1) or after ``p_max`` terms
     (default: chosen from the worst node ratio so the geometric tail clears
     the tolerance).  If the depth cap is hit first the result carries
     ``truncated=True`` and the norm of the last term.
@@ -114,7 +91,7 @@ def divided_differences_log(seq: LejaSequence, mp: MapParams, scaling="center",
     z = mp.c + mp.gamma * xi
     if np.min(z) <= 0.0:
         raise ValueError("all mapped nodes must be positive")
-    s = resolve_scaling(scaling, mp)
+    s = mp.c
 
     diag = z / s - 1.0                 # diagonal of W
     sub = mp.gamma / s                 # constant subdiagonal of W
@@ -158,7 +135,7 @@ def divided_differences_log(seq: LejaSequence, mp: MapParams, scaling="center",
     if not np.all(np.isfinite(d)):
         raise FloatingPointError("divided-difference accumulation overflowed")
     return DividedDiffs(
-        coeffs=d, nodes=xi, map_params=mp, s_val=s, taylor_terms=terms,
+        coeffs=d, nodes=xi, map_params=mp, taylor_terms=terms,
         truncated=truncated, last_term_norm=term_norm,
         term_norms=None if norms is None else np.asarray(norms))
 
@@ -170,6 +147,8 @@ def reference_divided_differences(nodes_z, prec_bits: int = 200) -> np.ndarray:
     rounded to float64.  Note the scaling relation to the production path:
     its k-th coefficient equals gamma^k times the value returned here.
     """
+    import mpmath      # a test dependency only, so not imported with the package
+
     z = [float(t) for t in np.asarray(nodes_z, dtype=np.float64)]
     if min(z) <= 0.0:
         raise ValueError("nodes must be positive")

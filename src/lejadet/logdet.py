@@ -189,7 +189,7 @@ class _ActionEngine:
     result vector.
     """
 
-    def __init__(self, Q, bounds, scaling, max_degree, seed):
+    def __init__(self, Q, bounds, max_degree, seed):
         if not Q.symmetric_verified:
             raise ValueError("estimators require a verified-symmetric matrix")
         self.Q = Q
@@ -203,7 +203,7 @@ class _ActionEngine:
             self.dd = None
         else:       # an action of degree m reads coefficients 0..m
             self.dd = divided_differences_log(generate_fast_leja(max_degree + 1),
-                                              self.mp, scaling=scaling)
+                                              self.mp)
         self.records = []
 
     def act(self, v, tol):
@@ -231,7 +231,6 @@ class _ActionEngine:
 
 def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
                    seed: int = 0, bounds: SpectralInterval | None = None,
-                   scaling="center",
                    max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
     """Hutch++ estimate of log det Q with Leja-interpolated actions.
 
@@ -240,6 +239,8 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     dominant range (columns with negligible QR diagonal are dropped), the
     trace over that basis is summed exactly, and the leftover trace is
     estimated by Hutchinson probes deflated by A.  Total actions ~= m_vec.
+    Every action interpolates log at the fast Leja points of the enclosing
+    interval, with divided differences expanded about its centre.
 
     ``action_tol`` is relative to each probe norm and governs the
     deterministic and residual actions, whose quadratic forms enter the
@@ -257,7 +258,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     if m_vec < 3:
         raise ValueError("Hutch++ needs at least 3 matvec queries")
     t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, scaling, max_degree, seed)
+    eng = _ActionEngine(Q, bounds, max_degree, seed)
     n = Q.n
     rng = np.random.default_rng(seed)
     k = m_vec // 3
@@ -312,13 +313,12 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
 
 def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
                       seed: int = 0, bounds: SpectralInterval | None = None,
-                      scaling="center",
                       max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
     """Plain Monte Carlo baseline: average of m_vec Rademacher quadratic forms."""
     if m_vec < 1:
         raise ValueError("need at least one query")
     t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, scaling, max_degree, seed)
+    eng = _ActionEngine(Q, bounds, max_degree, seed)
     n = Q.n
     rng = np.random.default_rng(seed)
     probes = _rademacher(rng, n, m_vec)
@@ -448,18 +448,18 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
 
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,
-             slq_degree: int = 40, tol: float = 1e-7, scaling="center",
-             seed: int = 0,
+             slq_degree: int = 40, tol: float = 1e-7, seed: int = 0,
              max_degree: int = DEFAULT_MAX_DEGREE,
              lattice: tuple[int, float] | None = None) -> LogDetReport:
     """log det Q by one of ``METHODS``, with the command line's defaults.
 
     ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions of
-    relative tolerance ``tol`` (at most ``max_degree`` each, divided
-    differences scaled by ``scaling``; Hutch++ runs its sketch actions to
-    ``max(tol, sqrt(tol))``, see ``hutchpp_logdet``) on the interval that
-    ``estimate_interval(Q, seed=seed)`` chooses (Gershgorin, or Lanczos
-    when Gershgorin's condition number exceeds 1e4; ``report.enclosure``).
+    relative tolerance ``tol`` (at most ``max_degree`` each; Hutch++ runs
+    its sketch actions to ``max(tol, sqrt(tol))``, see ``hutchpp_logdet``)
+    on the interval that ``estimate_interval(Q, seed=seed)`` chooses
+    (Gershgorin, or Lanczos when Gershgorin's condition number exceeds 1e4;
+    ``report.enclosure``), with divided differences expanded about its
+    centre (``divided_differences_log``).
     The wall time and matvec total include that enclosure.  ``slq`` runs
     ``probes`` probes of ``slq_degree`` Lanczos steps and needs no enclosure.
     ``exact-dense`` and ``exact-band`` are the Cholesky oracles;
@@ -468,7 +468,7 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     """
     if method in ("leja-hutchpp", "hutchinson"):
         strategy = hutchpp_logdet if method == "leja-hutchpp" else hutchinson_logdet
-        return strategy(Q, queries, action_tol=tol, seed=seed, scaling=scaling,
+        return strategy(Q, queries, action_tol=tol, seed=seed,
                         max_degree=max_degree)
     if method == "slq":
         return slq_logdet(Q, slq_degree, probes, seed=seed)

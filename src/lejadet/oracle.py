@@ -9,6 +9,7 @@ from .sparse import SparseMatrixCSR
 
 __all__ = [
     "dense_logdet_cholesky",
+    "band_cholesky",
     "band_logdet_cholesky",
     "gmrf_grid_logdet_analytic",
 ]
@@ -33,9 +34,10 @@ def dense_logdet_cholesky(M: np.ndarray, max_n: int = DENSE_CAP) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def band_logdet_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> float:
-    """Banded Cholesky log-determinant, O(n * bandwidth^2).
+def band_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> np.ndarray:
+    """Cholesky factor L of Q = LL' in LAPACK lower band storage, O(n * bandwidth^2).
 
+    Row k of the result holds the k-th subdiagonal of L, row 0 its diagonal.
     All stored entries must lie within the given bandwidth.
     """
     n = Q.n
@@ -43,7 +45,8 @@ def band_logdet_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> float:
         raise ValueError("bandwidth must be non-negative")
     if (bandwidth + 1) * n > 200_000_000:
         raise ValueError(f"banded storage would need {(bandwidth + 1) * n} "
-                         f"entries; matrix is too wide-banded for this oracle")
+                         f"entries; matrix is too wide-banded for a banded "
+                         f"Cholesky factor")
     actual = Q.bandwidth()
     if actual > bandwidth:
         raise ValueError(f"matrix has entries at offset {actual}, "
@@ -54,10 +57,14 @@ def band_logdet_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> float:
     for off in range(bandwidth + 1):
         ab[off, : n - off] = m.diagonal(-off)
     try:
-        cb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+        return cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(cb[0])))
+
+
+def band_logdet_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> float:
+    """Banded Cholesky log-determinant, 2 * sum(log L_ii) of ``band_cholesky``."""
+    return 2.0 * float(np.sum(np.log(band_cholesky(Q, bandwidth)[0])))
 
 
 def gmrf_grid_logdet_analytic(g: int, theta: float) -> float:

@@ -108,13 +108,13 @@ def map_params(interval: SpectralInterval) -> MapParams:
     return MapParams(c=c, gamma=gamma)
 
 
-def gershgorin_bounds(Q: SparseMatrixCSR, eps_floor: float | None = None) -> SpectralInterval:
+def gershgorin_bounds(Q: SparseMatrixCSR) -> SpectralInterval:
     """Gershgorin circle enclosure from diagonal entries and row radii.
 
     lambda_max = max_i (a_ii + r_i) and lambda_min = min_i (a_ii - r_i) with
     r_i the sum of off-diagonal magnitudes in row i.  The lower bound is
-    floored at ``eps_floor`` (default 1e-8 * lambda_max) since the circles
-    may dip below zero even for SPD input.
+    floored at 1e-8 * lambda_max since the circles may dip below zero even
+    for SPD input.
     """
     if not Q.symmetric_verified:
         raise ValueError("Gershgorin bounds require a verified-symmetric matrix")
@@ -143,9 +143,7 @@ def gershgorin_bounds(Q: SparseMatrixCSR, eps_floor: float | None = None) -> Spe
     lambda_max = float(np.max(np.add(diag, radius, out=scratch)))
     if lambda_max <= 0:
         raise ValueError("Gershgorin upper bound is not positive; matrix is not SPD")
-    if eps_floor is None:
-        eps_floor = _FLOOR * lambda_max
-    lambda_min = max(float(eps_floor),
+    lambda_min = max(_FLOOR * lambda_max,
                      float(np.min(np.subtract(diag, radius, out=scratch))))
     return SpectralInterval(lambda_min, lambda_max, method="gershgorin")
 

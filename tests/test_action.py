@@ -10,9 +10,9 @@ from lejadet import (MapParams, SparseMatrixCSR, SpectralInterval,
                      gershgorin_bounds, log_matvec, map_params)
 
 
-def make_dd(interval, count=512, scaling="center"):
+def make_dd(interval, count=512):
     mp = map_params(interval)
-    return mp, divided_differences_log(generate_fast_leja(count), mp, scaling=scaling)
+    return mp, divided_differences_log(generate_fast_leja(count), mp)
 
 
 class TestSmallCases:

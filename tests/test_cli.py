@@ -4,26 +4,27 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import indefinite_matrix, random_spd
 from lejadet import LogDetReport, band_logdet_cholesky, gen_pentadiagonal
-from lejadet import (gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
+from lejadet import (gen_gmrf_grid, gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
                      load_matrix_market, write_matrix_market)
-from lejadet.cli import main
+from lejadet.cli import _theta_grid, main
+from lejadet.likelihood import _sample_field
 
 # the JSON keys of `estimate`; an estimator run and an exact run share them
 RESULT_KEYS = {"config", "matrix", "report", "exact"}
 CONFIG_KEYS = {"method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
-               "s_val", "seed", "format", "max_degree", "with_exact"}
+               "seed", "format", "max_degree", "with_exact"}
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
                "warnings", "converged", "std_error", "enclosure"}
 
 # the estimator options every estimator command refuses, with RunConfig.validate's
 # message; each command line below is complete apart from them
-BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive"),
-               (("--s-val", "foo"), "--s-val must be 'center', 'half-max', or a number")]
-BAD_OPTION_IDS = ["tol-0", "s-val-foo"]
+BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive")]
+BAD_OPTION_IDS = ["tol-0"]
 
 
 def run_cli(capsys, *argv):
@@ -170,15 +171,6 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert err.startswith("error: CG did not converge")
 
-    def test_s_val_choices(self, capsys):
-        # half-max sits on the edge of the Taylor convergence condition, so
-        # its run legitimately carries a truncation warning (exit code 2)
-        for sval, codes in (("center", {0}), ("half-max", {0, 2}), ("30.5", {0})):
-            code, out, _ = run_cli(capsys, "estimate", "--gen", "pentadiagonal:40",
-                                   "--method", "leja-hutchpp", "--queries", "6",
-                                   "--s-val", sval)
-            assert code in codes, sval
-
 
 class TestGmrfLikelihood:
     def test_scan_rows_and_argmax_shape(self):
@@ -203,8 +195,20 @@ class TestGmrfLikelihood:
         assert out["rows"][0]["logdet_est"] == 0.0
 
     def test_sampling_cap(self):
-        with pytest.raises(ValueError, match="grid side"):
-            gmrf_likelihood_scan(65, -0.22, [-0.22], sample=True)
+        out = gmrf_likelihood_scan(65, -0.22, [-0.22], m_vec=6, sample=True)
+        assert out["rows"][0]["loglik"] is not None
+        # (585 + 1) * 585^2 entries of band storage exceed the 2e8 guard
+        with pytest.raises(ValueError, match="too wide-banded"):
+            gmrf_likelihood_scan(585, -0.22, [-0.22], sample=True)
+
+    def test_banded_sample_matches_dense_draw(self):
+        g, theta, seed = 10, -0.22, 3
+        chol = np.linalg.cholesky(gen_gmrf_grid(g, theta).to_dense())
+        z = np.random.default_rng(seed).standard_normal(g * g)
+        dense = scipy.linalg.solve_triangular(chol.T, z, lower=False)
+        banded = _sample_field(g, theta, seed)
+        np.testing.assert_allclose(banded, dense, rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
 
     def test_no_sample_mode(self):
         out = gmrf_likelihood_scan(70, -0.22, [-0.22], sample=False, m_vec=6)
@@ -241,6 +245,14 @@ class TestGmrfLikelihood:
                                  "--queries", "6")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "empty theta grid" in err
+
+    @pytest.mark.parametrize("start,stop,step,grid", [
+        (-0.24, -0.20, 0.02, [-0.24, -0.22, -0.20]),
+        (-0.24, -0.14, 0.06, [-0.24, -0.18]),
+        (0.1, 0.2, 0.15, [0.1]),
+    ], ids=["inclusive-stop", "stop-between-points", "step-past-stop"])
+    def test_theta_grid_stops_at_stop(self, start, stop, step, grid):
+        assert _theta_grid(start, stop, step) == pytest.approx(grid, abs=1e-12)
 
     @pytest.mark.parametrize("bad,message", BAD_OPTIONS, ids=BAD_OPTION_IDS)
     def test_bad_estimator_option_rejected(self, capsys, bad, message):

@@ -5,15 +5,15 @@ import pytest
 
 from lejadet import (MapParams, SpectralInterval, divided_differences_log,
                      generate_fast_leja, map_params, naive_divided_differences,
-                     reference_divided_differences, resolve_scaling)
+                     reference_divided_differences)
+from lejadet.divdiff import _P_MAX_CONDITIONAL, _auto_taylor_depth
 
 LOG3 = 1.0986122886681098
 
 
-def dd_for(count, lo, hi, scaling="center", **kw):
+def dd_for(count, lo, hi, **kw):
     mp = map_params(SpectralInterval(lo, hi))
-    return divided_differences_log(generate_fast_leja(count), mp,
-                                   scaling=scaling, **kw), mp
+    return divided_differences_log(generate_fast_leja(count), mp, **kw), mp
 
 
 class TestBasics:
@@ -41,23 +41,6 @@ class TestBasics:
 
 
 class TestScalingChoice:
-    def test_center(self):
-        mp = map_params(SpectralInterval(1.0, 3.0))
-        assert resolve_scaling("center", mp) == 2.0
-
-    def test_half_max(self):
-        mp = map_params(SpectralInterval(1.0, 3.0))
-        assert resolve_scaling("half-max", mp) == 1.5
-
-    def test_explicit_valid(self):
-        mp = map_params(SpectralInterval(1.0, 3.0))
-        assert resolve_scaling(2.5, mp) == 2.5
-
-    def test_explicit_below_convergence_condition(self):
-        mp = map_params(SpectralInterval(1.0, 3.0))
-        with pytest.raises(ValueError, match="convergence"):
-            resolve_scaling(1.0, mp)
-
     def test_worst_ratio_at_center(self):
         """At s = c the endpoint ratio equals
         (lambda_max - lambda_min) / (lambda_max + lambda_min)."""
@@ -65,7 +48,7 @@ class TestScalingChoice:
             mp = map_params(SpectralInterval(lo, hi))
             dd, _ = dd_for(8, lo, hi)
             z = mp.c + mp.gamma * dd.nodes
-            ratio = np.max(np.abs(z / dd.s_val - 1.0))
+            ratio = np.max(np.abs(z / mp.c - 1.0))
             expected = (hi - lo) / (hi + lo)
             if exact:
                 assert ratio == expected
@@ -142,14 +125,12 @@ class TestTaylorBehavior:
         assert dd.taylor_terms == 5
         assert dd.last_term_norm > 0
 
-    def test_half_max_scaling_converges_conditionally(self):
-        # ratio exactly 1 at the top node: terms shrink only like 1/k, the
-        # depth cap binds and the flag reports it
-        dd, _ = dd_for(6, 1.0, 40.0, scaling="half-max", p_max=2000)
-        assert dd.truncated
-        d_ref, _ = dd_for(6, 1.0, 40.0)
-        # the leading coefficients still agree to the conditional-series error
-        np.testing.assert_allclose(dd.coeffs, d_ref.coeffs, atol=5e-4)
+    def test_depth_caps_the_conditional_regime(self):
+        # from kappa ~ 2e12 the centre ratio (kappa - 1)/(kappa + 1) lies
+        # within 1e-12 of one and the series converges only conditionally
+        kappa = 4e12
+        assert (_auto_taylor_depth((kappa - 1) / (kappa + 1), 1e-16)
+                == _P_MAX_CONDITIONAL)
 
     def test_default_depth_converges_for_moderate_kappa(self):
         dd, _ = dd_for(64, 0.12, 1.88)

@@ -176,7 +176,7 @@ class TestStdError:
         L = _dense_log(Q, rep.sigma)
         rng = np.random.default_rng(5)
         # the basis of the sketch as the estimator forms it, at sqrt(tol)
-        eng = logdet._ActionEngine(Q, None, "center", 400, 5)
+        eng = logdet._ActionEngine(Q, None, 400, 5)
         basis, _ = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, 5), math.sqrt(1e-7)))
         G = _probes(rng, Q.n, 5)
         U = G - basis @ (basis.T @ G)
@@ -295,19 +295,6 @@ class TestHutchPP:
         with pytest.raises(ValueError, match="3"):
             hutchpp_logdet(identity_matrix(4), 2)
 
-    def test_scaling_routes_agree(self):
-        # same probe draws, different divided-difference scaling; half-max
-        # converges only conditionally so it reports a truncation warning,
-        # but the estimates must coincide up to that truncation error
-        Q = gen_gmrf_grid(20, -0.22)
-        center = hutchpp_logdet(Q, 9, seed=4, scaling="center")
-        half = hutchpp_logdet(Q, 9, seed=4, scaling="half-max")
-        exact = gmrf_grid_logdet_analytic(20, -0.22)
-        assert half.estimate == pytest.approx(center.estimate,
-                                              abs=1e-3 * abs(exact))
-        assert not center.warnings
-        assert any("truncated" in w for w in half.warnings)
-
     def test_gmrf_unbiased_over_seeds(self):
         Q = gen_gmrf_grid(20, -0.22)
         exact = gmrf_grid_logdet_analytic(20, -0.22)
@@ -349,7 +336,7 @@ def _recorded_engines(monkeypatch):
 def _hutchpp_full_tol_sketch(Q, m_vec, seed, tol=1e-7):
     """Hutch++ with the sketch actions run to ``tol`` like every other action,
     on the estimator's probe draws."""
-    eng = logdet._ActionEngine(Q, None, "center", 400, seed)
+    eng = logdet._ActionEngine(Q, None, 400, seed)
     rng = np.random.default_rng(seed)
     k = m_vec // 3
     basis, r = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, k), tol))
