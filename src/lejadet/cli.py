@@ -56,6 +56,10 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.tol <= 0:
             raise ValueError("--tol must be positive")
+        if self.seed < 0:
+            raise ValueError("--seed must be non-negative")
+        if self.max_degree < 0:
+            raise ValueError("--max-degree must be non-negative")
 
     def options(self) -> dict:
         """The keyword arguments of ``estimate`` that this run sets, seed aside."""

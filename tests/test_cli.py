@@ -23,8 +23,10 @@ REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
 
 # the estimator options every estimator command refuses, with RunConfig.validate's
 # message; each command line below is complete apart from them
-BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive")]
-BAD_OPTION_IDS = ["tol-0"]
+BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive"),
+               (("--seed", "-1"), "--seed must be non-negative"),
+               (("--max-degree", "-1"), "--max-degree must be non-negative")]
+BAD_OPTION_IDS = ["tol-0", "seed-negative", "max-degree-negative"]
 
 
 def run_cli(capsys, *argv):

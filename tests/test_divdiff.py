@@ -41,6 +41,16 @@ class TestBasics:
 
 
 class TestScalingChoice:
+    def test_center(self):
+        # the series runs at s = c: its first term is W e_1 with
+        # W = (Q_m - c I)/c, whose two entries are z_0/c - 1 and gamma/c
+        mp = map_params(SpectralInterval(1.0, 3.0))
+        dd, _ = dd_for(8, 1.0, 3.0, keep_term_norms=True)
+        z0 = mp.c + mp.gamma * dd.nodes[0]
+        assert mp.c == 2.0
+        assert dd.term_norms[0] == pytest.approx(
+            np.hypot(z0 / mp.c - 1.0, mp.gamma / mp.c), rel=1e-15)
+
     def test_worst_ratio_at_center(self):
         """At s = c the endpoint ratio equals
         (lambda_max - lambda_min) / (lambda_max + lambda_min)."""
