@@ -13,8 +13,8 @@ from .divdiff import (DividedDiffs, divided_differences_log,
                       naive_divided_differences, reference_divided_differences)
 from .leja import LejaSequence, dump_points, generate_fast_leja, map_nodes
 from .likelihood import gmrf_likelihood_scan
-from .logdet import (METHODS, LogDetReport, Normalization, estimate,
-                     hutchinson_logdet, hutchpp_logdet, normalize, slq_logdet)
+from .logdet import (METHODS, LogDetReport, estimate, hutchinson_logdet,
+                     hutchpp_logdet, slq_logdet)
 from .oracle import (band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
@@ -34,7 +34,6 @@ __all__ = [
     "LogDetReport",
     "METHODS",
     "MapParams",
-    "Normalization",
     "SparseMatrixCSR",
     "SpectralInterval",
     "band_logdet_cholesky",
@@ -58,7 +57,6 @@ __all__ = [
     "map_params",
     "matvec",
     "naive_divided_differences",
-    "normalize",
     "reference_divided_differences",
     "shift_invert_lambda_min",
     "slq_logdet",

@@ -12,7 +12,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 from .likelihood import gmrf_likelihood_scan
 from .logdet import EXACT_METHODS, METHODS, estimate
@@ -21,60 +20,28 @@ from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, write_matrix_market)
 from .spectral import ConvergenceError
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 # the oracle behind each exact method, as named in --with-exact results
 ORACLES = {"exact-dense": "dense-cholesky", "exact-band": "band-cholesky",
            "exact-analytic": "lattice-analytic"}
+# the parsed flags of `estimate` echoed as the JSON result's "config", for replay
+CONFIG_FIELDS = ("method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
+                 "seed", "format", "max_degree", "with_exact")
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters; embedded in every report for replay."""
-
-    method: str
-    matrix: str | None = None
-    gen: str | None = None
-    queries: int = 12
-    probes: int = 30
-    slq_degree: int = 40
-    tol: float = 1e-7
-    seed: int = 0
-    format: str = "json"
-    max_degree: int = 400
-    with_exact: bool = False
-
-    def validate(self):
-        self._check_options()
-        if (self.matrix is None) == (self.gen is None):
-            raise ValueError("exactly one matrix source is required "
-                             "(--matrix PATH or --gen SPEC)")
-
-    def _check_options(self):
-        """The checks of the method and the estimator options every command shares."""
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
-        if self.seed < 0:
-            raise ValueError("--seed must be non-negative")
-        if self.max_degree < 0:
-            raise ValueError("--max-degree must be non-negative")
-
-    def options(self) -> dict:
-        """The keyword arguments of ``estimate`` that this run sets, seed aside."""
-        return {"queries": self.queries, "probes": self.probes,
-                "slq_degree": self.slq_degree, "tol": self.tol,
-                "max_degree": self.max_degree}
-
-
-def _config(args, method: str, **fields) -> RunConfig:
-    """The RunConfig of a command's estimator flags, checked as ``estimate`` checks it."""
-    cfg = RunConfig(method=method, queries=args.queries, probes=args.probes,
-                    slq_degree=args.slq_degree, tol=args.tol, seed=args.seed,
-                    format=args.format, max_degree=args.max_degree, **fields)
-    cfg._check_options()
-    return cfg
+def _estimator_options(args) -> dict:
+    """Check the estimator flags every command shares; the keyword arguments of
+    ``estimate`` they set, seed aside."""
+    if not args.tol > 0:        # NaN included
+        raise ValueError("--tol must be positive")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be non-negative")
+    return {"queries": args.queries, "probes": args.probes,
+            "slq_degree": args.slq_degree, "tol": args.tol,
+            "max_degree": args.max_degree}
 
 
 def parse_gen_spec(spec: str, seed: int):
@@ -95,10 +62,9 @@ def parse_gen_spec(spec: str, seed: int):
     raise ValueError(f"unknown generator {kind!r}; use pentadiagonal:N or gmrf:G:THETA")
 
 
-def _get_matrix(cfg: RunConfig):
-    if cfg.matrix is not None:
-        return load_matrix_market(cfg.matrix), {"kind": "file", "path": cfg.matrix}
-    return parse_gen_spec(cfg.gen, cfg.seed)
+def _load(path: str):
+    """A Matrix Market file and the metadata naming it."""
+    return load_matrix_market(path), {"kind": "file", "path": path}
 
 
 def _lattice(meta: dict):
@@ -123,19 +89,20 @@ def _best_oracle(Q: SparseMatrixCSR, meta: dict):
     return None
 
 
-def run_estimate(cfg: RunConfig) -> dict:
-    """Load or generate the matrix, run the configured method, build the result."""
-    cfg.validate()
-    Q, meta = _get_matrix(cfg)
+def run_estimate(args) -> dict:
+    """Load or generate the matrix, run the requested method, build the result."""
+    options = _estimator_options(args)
+    Q, meta = (_load(args.matrix) if args.matrix is not None
+               else parse_gen_spec(args.gen, args.seed))
     lattice = _lattice(meta)
-    report = estimate(Q, cfg.method, seed=cfg.seed, lattice=lattice, **cfg.options())
+    report = estimate(Q, args.method, seed=args.seed, lattice=lattice, **options)
     result = {
-        "config": asdict(cfg),
+        "config": {name: getattr(args, name) for name in CONFIG_FIELDS},
         "matrix": {"n": Q.n, "nnz": Q.nnz},
         "report": report.to_dict(),
         "exact": None,
     }
-    if cfg.with_exact and cfg.method not in EXACT_METHODS:
+    if args.with_exact and args.method not in EXACT_METHODS:
         how = _best_oracle(Q, meta)
         if how is not None:
             value = estimate(Q, how, lattice=lattice).estimate
@@ -144,17 +111,24 @@ def run_estimate(cfg: RunConfig) -> dict:
     return result
 
 
-def run_bench(gens, files, methods, reps, cfg: RunConfig) -> list[dict]:
+def run_bench(args) -> list[dict]:
     """Per (matrix, method, repetition) rows; failures become error rows.
 
-    Repetition r runs with seed ``cfg.seed + r``; generators use ``cfg.seed``.
+    Repetition r runs with seed ``--seed + r``; generators use ``--seed``.
     """
-    corpus = []
-    for spec in gens:
-        Q, meta = parse_gen_spec(spec, cfg.seed)
-        corpus.append((spec, Q, meta))
-    for path in files:
-        corpus.append((path, load_matrix_market(path), {"kind": "file", "path": path}))
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("bench needs at least one method in --methods")
+    for method in methods:      # each method before the options, as `estimate` checks
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        options = _estimator_options(args)
+    if not args.gen and not args.matrix:
+        raise ValueError("bench needs at least one --gen or --matrix")
+    if args.reps < 1:
+        raise ValueError("bench needs --reps >= 1")
+    corpus = [(spec, *parse_gen_spec(spec, args.seed)) for spec in args.gen]
+    corpus += [(path, *_load(path)) for path in args.matrix]
     rows = []
     for label, Q, meta in corpus:
         lattice = _lattice(meta)
@@ -166,15 +140,15 @@ def run_bench(gens, files, methods, reps, cfg: RunConfig) -> list[dict]:
             except ValueError:
                 exact = None
         for method in methods:
-            for rep in range(reps):
-                rep_seed = cfg.seed + rep
+            for rep in range(args.reps):
+                rep_seed = args.seed + rep
                 row = {"matrix": label, "n": Q.n, "nnz": Q.nnz, "method": method,
                        "rep": rep, "seed": rep_seed, "estimate": None,
                        "std_error": None, "exact": exact, "rel_err": None,
                        "wall_time": None, "warnings": 0, "error": None}
                 try:
                     report = estimate(Q, method, seed=rep_seed, lattice=lattice,
-                                      **cfg.options())
+                                      **options)
                     row["estimate"] = report.estimate
                     row["std_error"] = report.std_error
                     row["wall_time"] = report.wall_time
@@ -309,14 +283,12 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         if args.command == "estimate":
-            cfg = _config(args, args.method, matrix=args.matrix, gen=args.gen,
-                          with_exact=args.with_exact)
-            result = run_estimate(cfg)
+            result = run_estimate(args)
             print(_render_estimate(result, args.format))
             return 2 if result["report"]["warnings"] else 0
 
         if args.command == "gmrf-likelihood":
-            _config(args, "leja-hutchpp")          # the scan's estimator
+            _estimator_options(args)            # the scan's estimator options
             thetas = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
             out = gmrf_likelihood_scan(
                 args.grid_side, args.theta_true, thetas, seed=args.seed,
@@ -330,15 +302,7 @@ def main(argv=None) -> int:
             return 2 if out["warnings"] else 0
 
         if args.command == "bench":
-            methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            if not methods:
-                raise ValueError("bench needs at least one method in --methods")
-            cfgs = [_config(args, m) for m in methods]
-            if not args.gen and not args.matrix:
-                raise ValueError("bench needs at least one --gen or --matrix")
-            if args.reps < 1:
-                raise ValueError("bench needs --reps >= 1")
-            rows = run_bench(args.gen, args.matrix, methods, args.reps, cfgs[0])
+            rows = run_bench(args)
             if args.format == "json":
                 print(json.dumps(rows, indent=2))
             else:

@@ -1,14 +1,15 @@
 """Log-determinant estimators over a virtually normalized matrix.
 
 All three estimators target log det Q = tr(log Q).  To keep the Hutch++
-machinery on a positive semidefinite operand the matrix is normalized by
-sigma = lambda_min whenever lambda_min < 1; the scaled matrix is never
-formed.  Every quadratic form uses the identity
+machinery on a positive semidefinite operand the Leja methods normalize the
+matrix by sigma = min(lambda_min, 1), a number on the action engine; the
+scaled matrix is never formed.  Every quadratic form uses the identity
 
     v' log(Q/sigma) v = v' log(Q) v - log(sigma) ||v||^2,
 
 so actions run on Q itself and the report carries the n*log(sigma) term
-separately (the estimate is assembled as their sum).
+separately (the estimate is assembled as their sum).  Hutchinson is Hutch++
+with an empty sketch: both run one Leja trace body.
 
 ``estimate`` is the one entry point: it dispatches to the three trace
 estimators and the three exact oracles.  The Leja methods enclose the
@@ -38,9 +39,7 @@ from .spectral import SpectralInterval, estimate_interval, map_params
 
 __all__ = [
     "METHODS",
-    "Normalization",
     "LogDetReport",
-    "normalize",
     "estimate",
     "hutchpp_logdet",
     "hutchinson_logdet",
@@ -56,21 +55,6 @@ DEFAULT_MAX_DEGREE = 400
 _SEMI_ORTHO = math.sqrt(np.finfo(np.float64).eps)
 # entries of a probe block drawn per chunk; the chunk's integers stay in cache
 _RADEMACHER_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class Normalization:
-    """Scaling sigma applied (virtually) so log(Q/sigma) is PSD."""
-
-    sigma: float
-    scaled: bool
-
-
-def normalize(interval: SpectralInterval) -> Normalization:
-    """sigma = lambda_min when it is below one, otherwise no scaling."""
-    if interval.lambda_min < 1.0:
-        return Normalization(sigma=float(interval.lambda_min), scaled=True)
-    return Normalization(sigma=1.0, scaled=False)
 
 
 @dataclass
@@ -135,8 +119,7 @@ class _ActionRecord(NamedTuple):
     """Diagnostics of one action, as the report needs them."""
 
     label: str
-    degree: int
-    matvecs: int
+    degree: int             # one product with Q per degree (per Lanczos step)
     converged: bool
     error_estimate: float
 
@@ -146,12 +129,13 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
-    the degree statistics, matvec total (plus ``matvecs`` spent elsewhere),
-    warnings and convergence flag come from them.  ``terms`` are the m
-    probe terms whose mean enters the estimate; the standard error is their
-    sample standard deviation over sqrt(m), or None for m < 2.  ``n`` and
-    ``sigma`` give the n*log(sigma) term, ``dd`` adds a warning when its
-    Taylor series was truncated, and the wall time runs from ``t0``.
+    the degree statistics, matvec total (their degrees, plus ``matvecs``
+    spent elsewhere), warnings and convergence flag come from them.
+    ``terms`` are the m probe terms whose mean enters the estimate; the
+    standard error is their sample standard deviation over sqrt(m), or None
+    for m < 2.  ``n`` and ``sigma`` give the n*log(sigma) term, ``dd`` adds a
+    warning when its Taylor series was truncated, and the wall time runs
+    from ``t0``.
     """
     warnings = [
         f"{r.label}: not converged at degree {r.degree} "
@@ -173,7 +157,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         degrees=_degree_stats([r.degree for r in records]),
         seed=seed,
         wall_time=time.perf_counter() - t0,
-        matvecs_total=matvecs + sum(r.matvecs for r in records),
+        matvecs_total=matvecs + sum(r.degree for r in records),
         warnings=warnings,
         converged=all(r.converged for r in records),
         std_error=(float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
@@ -183,7 +167,8 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
 
 
 class _ActionEngine:
-    """Shared setup for Leja actions on one matrix: bounds, map, coefficients.
+    """Shared setup for Leja actions on one matrix: bounds, map, coefficients,
+    and the normalization sigma = min(lambda_min, 1) with its logarithm.
 
     ``records`` keeps each action's diagnostics for the report, never its
     result vector.
@@ -196,8 +181,8 @@ class _ActionEngine:
         self.bounds = estimate_interval(Q, seed=seed) if bounds is None else bounds
         self.enclosure_matvecs = self.bounds.matvecs if bounds is None else 0
         self.mp = map_params(self.bounds)
-        self.norm = normalize(self.bounds)
-        self.log_sigma = math.log(self.norm.sigma)
+        self.sigma = float(min(self.bounds.lambda_min, 1.0))
+        self.log_sigma = math.log(self.sigma)
         self.max_degree = max_degree
         if self.mp.degenerate:
             self.dd = None
@@ -224,9 +209,73 @@ class _ActionEngine:
         for j in range(count):
             res, qform = self.act(vector(j), tol)
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
-                                              res.matvecs, res.converged,
-                                              res.error_estimate))
+                                              res.converged, res.error_estimate))
             yield res, qform
+
+
+def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
+    """Hutch++ over Leja actions with a sketch of k columns; k = 0 is Hutchinson.
+
+    With k = 0 there is no sketch, QR or deterministic phase: the basis is
+    empty and the m_vec probes, named "probe" rather than "residual", are
+    the first draw of ``default_rng(seed)``.
+    """
+    if not action_tol > 0:      # NaN too: every action would stop at degree 0
+        raise ValueError("action_tol must be positive")
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    t0 = time.perf_counter()
+    eng = _ActionEngine(Q, bounds, max_degree, seed)
+    n = Q.n
+    rng = np.random.default_rng(seed)
+    n_res = m_vec - 2 * k
+    basis = np.empty((n, 0), order="F")
+    det_term = 0.0
+    if k:
+        sketch = _rademacher(rng, n, k)
+        y = np.empty((n, k), order="F")
+        sketch_tol = max(action_tol, math.sqrt(action_tol))
+        for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: _column(sketch, j),
+                                                 k, sketch_tol)):
+            # image under log(Q~) = log(Q) - log(sigma) I
+            y[:, j] = res.vector
+            if eng.log_sigma:
+                y[:, j] += sketch[:, j] * -eng.log_sigma
+        del sketch
+
+        # the basis is formed in y's storage; the actions have already checked
+        # that every iterate is finite
+        basis, r = scipy.linalg.qr(y, mode="economic", overwrite_a=True,
+                                   check_finite=False)
+        rdiag = np.abs(np.diag(r))
+        keep = (rdiag > 0.0) & (rdiag >= 1e-12 * rdiag.max())  # zero sketch: no basis
+        if not keep.all():
+            basis = np.asfortranarray(basis[:, keep])
+
+        for _, qf in eng.act_all("deterministic", lambda j: basis[:, j],
+                                 basis.shape[1], action_tol):
+            det_term += qf
+
+    probes = _rademacher(rng, n, n_res)
+
+    def deflated(j):
+        u = _column(probes, j)
+        if basis.shape[1]:      # u -= A (A' u), in place
+            u = dgemv(-1.0, basis, dgemv(1.0, basis, u, trans=1), beta=1.0, y=u,
+                      overwrite_y=True)
+        return u
+
+    res_term = 0.0
+    terms = []
+    for _, qf in eng.act_all("residual" if k else "probe", deflated, n_res, action_tol):
+        res_term += qf
+        terms.append(qf)
+    res_term /= n_res
+
+    return _report(method, det_term + res_term, queries=m_vec, seed=seed, t0=t0,
+                   records=eng.records, terms=terms, sigma=eng.sigma, n=n,
+                   dd=eng.dd, enclosure=eng.bounds.method,
+                   matvecs=eng.enclosure_matvecs)
 
 
 def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
@@ -257,81 +306,18 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     """
     if m_vec < 3:
         raise ValueError("Hutch++ needs at least 3 matvec queries")
-    t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, max_degree, seed)
-    n = Q.n
-    rng = np.random.default_rng(seed)
-    k = m_vec // 3
-    n_res = m_vec - 2 * k
-
-    sketch = _rademacher(rng, n, k)
-    y = np.empty((n, k), order="F")
-    sketch_tol = max(action_tol, math.sqrt(action_tol))
-    for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: _column(sketch, j), k,
-                                             sketch_tol)):
-        # image under log(Q~) = log(Q) - log(sigma) I
-        y[:, j] = res.vector
-        if eng.norm.scaled:
-            y[:, j] += sketch[:, j] * -eng.log_sigma
-    del sketch
-
-    # the basis is formed in y's storage; the actions have already checked
-    # that every iterate is finite
-    basis, r = scipy.linalg.qr(y, mode="economic", overwrite_a=True,
-                               check_finite=False)
-    rdiag = np.abs(np.diag(r))
-    keep = (rdiag > 0.0) & (rdiag >= 1e-12 * rdiag.max())   # zero sketch: empty basis
-    if not keep.all():
-        basis = np.asfortranarray(basis[:, keep])
-
-    det_term = 0.0
-    for _, qf in eng.act_all("deterministic", lambda j: basis[:, j],
-                             basis.shape[1], action_tol):
-        det_term += qf
-
-    probes = _rademacher(rng, n, n_res)
-
-    def deflated(j):
-        u = _column(probes, j)
-        if basis.shape[1]:      # u -= A (A' u), in place
-            u = dgemv(-1.0, basis, dgemv(1.0, basis, u, trans=1), beta=1.0, y=u,
-                      overwrite_y=True)
-        return u
-
-    res_term = 0.0
-    terms = []
-    for _, qf in eng.act_all("residual", deflated, n_res, action_tol):
-        res_term += qf
-        terms.append(qf)
-    res_term /= n_res
-
-    return _report("leja-hutchpp", det_term + res_term, queries=m_vec, seed=seed,
-                   t0=t0, records=eng.records, terms=terms, sigma=eng.norm.sigma,
-                   n=n, dd=eng.dd, enclosure=eng.bounds.method,
-                   matvecs=eng.enclosure_matvecs)
+    return _leja_trace("leja-hutchpp", Q, m_vec, m_vec // 3, action_tol, seed, bounds,
+                       max_degree)
 
 
 def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
                       seed: int = 0, bounds: SpectralInterval | None = None,
                       max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
-    """Plain Monte Carlo baseline: average of m_vec Rademacher quadratic forms."""
+    """Plain Monte Carlo baseline: Hutch++ with an empty sketch, the average of
+    m_vec Rademacher quadratic forms; options as in ``hutchpp_logdet``."""
     if m_vec < 1:
         raise ValueError("need at least one query")
-    t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, max_degree, seed)
-    n = Q.n
-    rng = np.random.default_rng(seed)
-    probes = _rademacher(rng, n, m_vec)
-    total = 0.0
-    terms = []
-    for _, qf in eng.act_all("probe", lambda j: _column(probes, j), m_vec,
-                             action_tol):
-        total += qf
-        terms.append(qf)
-    return _report("hutchinson", total / m_vec, queries=m_vec, seed=seed, t0=t0,
-                   records=eng.records, terms=terms, sigma=eng.norm.sigma, n=n,
-                   dd=eng.dd, enclosure=eng.bounds.method,
-                   matvecs=eng.enclosure_matvecs)
+    return _leja_trace("hutchinson", Q, m_vec, 0, action_tol, seed, bounds, max_degree)
 
 
 def _lanczos(m_sp, v, m_l):
@@ -442,7 +428,7 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
         val, steps = _lanczos_quadrature(m_sp, _column(probes, j), m_l)
         total += val
         terms.append(val)
-        records.append(_ActionRecord(f"probe {j}", steps, steps, True, 0.0))
+        records.append(_ActionRecord(f"probe {j}", steps, True, 0.0))
     return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records,
                    terms=terms)
 

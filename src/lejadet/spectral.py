@@ -92,14 +92,6 @@ class MapParams:
     def degenerate(self) -> bool:
         return self.gamma == 0.0
 
-    @property
-    def lambda_min(self) -> float:
-        return self.c - 2.0 * self.gamma
-
-    @property
-    def lambda_max(self) -> float:
-        return self.c + 2.0 * self.gamma
-
 
 def map_params(interval: SpectralInterval) -> MapParams:
     """c = (lambda_min + lambda_max) / 2, gamma = (lambda_max - lambda_min) / 4."""

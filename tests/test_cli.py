@@ -15,18 +15,19 @@ from lejadet.likelihood import _sample_field
 
 # the JSON keys of `estimate`; an estimator run and an exact run share them
 RESULT_KEYS = {"config", "matrix", "report", "exact"}
-CONFIG_KEYS = {"method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
-               "seed", "format", "max_degree", "with_exact"}
+CONFIG_KEYS = ["method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
+               "seed", "format", "max_degree", "with_exact"]
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
                "warnings", "converged", "std_error", "enclosure"}
 
-# the estimator options every estimator command refuses, with RunConfig.validate's
-# message; each command line below is complete apart from them
+# the estimator options every estimator command refuses before it runs, with
+# their messages; each command line below is complete apart from them
 BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive"),
+               (("--tol", "nan"), "--tol must be positive"),
                (("--seed", "-1"), "--seed must be non-negative"),
                (("--max-degree", "-1"), "--max-degree must be non-negative")]
-BAD_OPTION_IDS = ["tol-0", "seed-negative", "max-degree-negative"]
+BAD_OPTION_IDS = ["tol-0", "tol-nan", "seed-negative", "max-degree-negative"]
 
 
 def run_cli(capsys, *argv):
@@ -62,7 +63,7 @@ class TestEstimate:
             assert code == 0
             result = json.loads(out)
             assert set(result) == RESULT_KEYS
-            assert set(result["config"]) == CONFIG_KEYS
+            assert list(result["config"]) == CONFIG_KEYS       # in this order
             assert set(result["report"]) == REPORT_KEYS
             assert set(result["report"]["degrees"]) == {"min", "median", "max"}
             if method == "leja-hutchpp":
@@ -331,6 +332,14 @@ class TestBench:
                                  "--methods", methods, "--reps", reps)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("source", [("--gen", "gmrf:8:-0.2"), ()],
+                             ids=["with-corpus", "no-corpus"])
+    def test_options_checked_before_corpus_and_reps(self, capsys, source):
+        code, out, err = run_cli(capsys, "bench", *source, "--methods", "hutchinson",
+                                 "--tol", "0", "--reps", "0")
+        assert code == 1 and out == ""
+        assert err == "error: --tol must be positive\n"
 
     def test_exact_column_feasibility_gate(self, capsys):
         # files above the dense cap would have no exact column; generators

@@ -13,7 +13,7 @@ from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      band_logdet_cholesky, dense_logdet_cholesky, estimate,
                      estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
                      gmrf_grid_logdet_analytic, hutchinson_logdet, hutchpp_logdet,
-                     normalize, slq_logdet)
+                     slq_logdet)
 
 LOG120 = math.log(120.0)
 
@@ -63,19 +63,16 @@ ROUTE_IDS = ["lattice-20-seed0", "lattice-20-seed1", "lattice-20-seed2", "penta-
 
 
 class TestNormalization:
-    def test_scaled_branch(self):
-        norm = normalize(SpectralInterval(0.12, 1.88))
-        assert norm.scaled and norm.sigma == 0.12
-        assert 1.88 / norm.sigma == pytest.approx(15.666666666666666)
-
-    def test_unscaled_branch(self):
-        norm = normalize(SpectralInterval(2.0, 5.0))
-        assert not norm.scaled and norm.sigma == 1.0
-
-    def test_direct_division(self):
-        norm = normalize(SpectralInterval(0.5, 0.8))
-        assert norm.sigma == 0.5
-        assert 0.8 / norm.sigma == pytest.approx(1.6)
+    @pytest.mark.parametrize("lo,hi", [(0.12, 1.88), (2.0, 5.0), (0.5, 0.8), (1.0, 4.0)],
+                             ids=["scaled", "unscaled", "below-one", "lambda-min-one"])
+    @pytest.mark.parametrize("est", [hutchpp_logdet, hutchinson_logdet])
+    def test_sigma_is_lambda_min_capped_at_one(self, est, lo, hi):
+        # a diagonal with its spectrum spread over the given interval
+        Q = SparseMatrixCSR.from_dense(np.diag(np.linspace(lo, hi, 6)))
+        rep = est(Q, 12, seed=0, bounds=SpectralInterval(lo, hi))
+        assert rep.converged
+        assert rep.sigma == min(lo, 1.0)
+        assert rep.n_log_sigma == Q.n * math.log(rep.sigma)
 
     def test_normalization_algebra(self):
         """n log(sigma) + tr log(Q/sigma) equals tr log Q, checked by dense
@@ -408,6 +405,56 @@ class TestHutchinson:
                 for s in range(10)]
         assert abs(np.mean(ests) - LOG120) <= 0.01 * LOG120
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plain_mean_of_the_first_probe_draw(self, seed):
+        # Hutch++ with an empty sketch: no deflation, no deterministic term,
+        # and the probes are the first draw of the seed's stream
+        Q = gen_gmrf_grid(12, -0.22)
+        eng = logdet._ActionEngine(Q, None, 400, seed)
+        probes = logdet._rademacher(np.random.default_rng(seed), Q.n, 12)
+        qforms = [eng.act(logdet._column(probes, j), 1e-7)[1] for j in range(12)]
+        rep = hutchinson_logdet(Q, 12, seed=seed)
+        assert rep.trace_estimate == sum(qforms) / 12
+        assert rep.estimate == Q.n * eng.log_sigma + sum(qforms) / 12
+
+
+LEJA_CALLS = [lambda Q, **kw: hutchpp_logdet(Q, 6, **kw),
+              lambda Q, **kw: hutchinson_logdet(Q, 6, **kw),
+              lambda Q, action_tol=1e-7, **kw: estimate(Q, "leja-hutchpp", queries=6,
+                                                        tol=action_tol, **kw),
+              lambda Q, action_tol=1e-7, **kw: estimate(Q, "hutchinson", queries=6,
+                                                        tol=action_tol, **kw)]
+LEJA_CALL_IDS = ["hutchpp", "hutchinson", "estimate-hutchpp", "estimate-hutchinson"]
+
+
+@pytest.mark.parametrize("call", LEJA_CALLS, ids=LEJA_CALL_IDS)
+@pytest.mark.parametrize("bad,message", [
+    ({"action_tol": -1e-7}, "action_tol must be positive"),
+    ({"action_tol": 0.0}, "action_tol must be positive"),
+    ({"action_tol": math.nan}, "action_tol must be positive"),
+    ({"max_degree": -1}, "max_degree must be non-negative"),
+], ids=["tol-negative", "tol-zero", "tol-nan", "max-degree-negative"])
+def test_leja_estimators_refuse_bad_options(call, bad, message, monkeypatch):
+    def no_enclosure(*args, **kwargs):
+        raise AssertionError("the spectrum was enclosed before the options were checked")
+
+    monkeypatch.setattr(logdet, "estimate_interval", no_enclosure)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(gen_gmrf_grid(12, -0.22), **bad)
+
+
+@pytest.mark.parametrize("call", LEJA_CALLS, ids=LEJA_CALL_IDS)
+def test_leja_estimators_accept_degree_zero(call):
+    rep = call(gen_gmrf_grid(12, -0.22), max_degree=0)
+    assert rep.degrees["max"] == 0 and len(rep.warnings) == 6
+
+
+def test_public_names_resolve():
+    import lejadet
+    import lejadet.cli
+    for module in (lejadet, lejadet.cli):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
 
 class TestSLQ:
     def test_identity_exact(self):
@@ -602,7 +649,7 @@ def test_hutchpp_engine_keeps_no_vectors(monkeypatch):
     rep = hutchpp_logdet(Q, 12, seed=0)
     (eng,) = engines
     assert len(eng.records) == 12
-    assert sum(r.matvecs for r in eng.records) == rep.matvecs_total
+    assert sum(r.degree for r in eng.records) == rep.matvecs_total
 
     def arrays(obj, seen):
         if id(obj) in seen or obj is Q:

@@ -162,8 +162,8 @@ class TestMapParams:
         # small endpoint of a wide interval cancels down to that resolution
         for lo, hi in [(1.0, 3.0), (0.12, 1.88), (2.0, 2.0), (1e-4, 7e3)]:
             mp = map_params(SpectralInterval(lo, hi))
-            assert mp.lambda_min == pytest.approx(lo, abs=4e-16 * hi)
-            assert mp.lambda_max == pytest.approx(hi, rel=1e-15)
+            assert mp.c - 2.0 * mp.gamma == pytest.approx(lo, abs=4e-16 * hi)
+            assert mp.c + 2.0 * mp.gamma == pytest.approx(hi, rel=1e-15)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
