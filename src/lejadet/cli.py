@@ -313,6 +313,8 @@ def main(argv=None) -> int:
             return 2 if any(r["error"] or r["warnings"] for r in rows) else 0
 
         # gen, the last of the parser's commands
+        if args.seed < 0:
+            raise ValueError("--seed must be non-negative")
         Q, meta = parse_gen_spec(args.gen, args.seed)
         write_matrix_market(Q, args.out)
         print(f"wrote {meta} to {args.out} (n={Q.n}, nnz={Q.nnz})")

@@ -48,16 +48,23 @@ class LejaSequence:
 class _Pool:
     """Process-wide growing sequence with its candidate bookkeeping.
 
-    ``extend_to`` holds a lock, so concurrent callers each get a prefix of
-    the one sequence.
+    The accepted points, the candidates and their distance products are the
+    rows of one array that doubles when full.  Each step takes the largest
+    product (the smallest candidate on a tie), moves the last candidate into
+    its slot, scales the other products by their distance to the new point
+    and appends its midpoints.  ``extend_to`` holds a lock, so concurrent
+    callers each get a prefix of the one sequence.
     """
+
+    CAPACITY = 64                       # initial array length
 
     def __init__(self):
         self._lock = threading.Lock()
         self.accepted = [2.0]          # acceptance order; xi_0 is the right endpoint
         self.sorted = [2.0]
-        self.cand = [-2.0]             # left endpoint is the only initial candidate
-        self.prod = [4.0]              # |-2 - 2|
+        self._rows = np.empty((3, self.CAPACITY))      # points, candidates, products
+        self._rows[:, 0] = 2.0, -2.0, 4.0      # xi_0; the left endpoint at |-2 - 2|
+        self._n_cand = 1
 
     def extend_to(self, count):
         """The first ``count`` accepted points, generating any still missing."""
@@ -67,24 +74,25 @@ class _Pool:
             return self.accepted[:count]
 
     def _accept_next(self):
-        best = max(range(len(self.prod)), key=lambda i: (self.prod[i], -self.cand[i]))
-        new = self.cand.pop(best)
-        self.prod.pop(best)
-        for i, c in enumerate(self.cand):
-            self.prod[i] *= abs(c - new)
+        m, nc = len(self.accepted), self._n_cand - 1
+        if m == self._rows.shape[1]:   # this step leaves m + 1 points, <= m + 1 gaps
+            self._rows = np.concatenate((self._rows, np.empty_like(self._rows)), axis=1)
+        pts, cand, prod = self._rows
+        top = np.flatnonzero(prod[:nc + 1] == prod[:nc + 1].max())
+        best = top[np.argmin(cand[top])]
+        new = float(cand[best])
+        cand[best], prod[best] = cand[nc], prod[nc]
+        prod[:nc] *= np.abs(cand[:nc] - new)
         pos = bisect.bisect_left(self.sorted, new)
-        neighbors = []
-        if pos > 0:
-            neighbors.append(self.sorted[pos - 1])
-        if pos < len(self.sorted):
-            neighbors.append(self.sorted[pos])
+        neighbors = self.sorted[max(pos - 1, 0):pos + 1]    # nearest on either side
         self.sorted.insert(pos, new)
         self.accepted.append(new)
-        pts = np.asarray(self.accepted)
+        pts[m] = new
         for nb in neighbors:
-            mid = 0.5 * (new + nb)
-            self.cand.append(mid)
-            self.prod.append(float(np.prod(np.abs(mid - pts))))
+            cand[nc] = mid = 0.5 * (new + nb)
+            prod[nc] = np.prod(np.abs(mid - pts[:m + 1]))
+            nc += 1
+        self._n_cand = nc
 
 
 _POOL = _Pool()

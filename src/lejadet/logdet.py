@@ -200,17 +200,29 @@ class _ActionEngine:
         qform = ddot(v, res.vector) - self.log_sigma * vv
         return res, qform
 
-    def act_all(self, phase, vector, count, tol):
+    def act_all(self, phase, vector, count, tol, images=None):
         """Act on ``vector(j)`` for j < count to relative tolerance ``tol``;
-        yields (result, qform) in order.
+        returns their forms v' log(Q~) v in order.
 
-        Each action is recorded as "<phase> action j".
+        With ``images``, column j receives log(Q~) vector(j).  Each action is
+        recorded as "<phase> action j".
         """
+        qforms = []
         for j in range(count):
-            res, qform = self.act(vector(j), tol)
+            v = vector(j)
+            res, qform = self.act(v, tol)
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
                                               res.converged, res.error_estimate))
-            yield res, qform
+            if images is not None:      # log(Q~) = log(Q) - log(sigma) I
+                col = images[:, j]
+                if self.log_sigma:      # formed in the column: no n-vector temporary
+                    np.multiply(v, -self.log_sigma, out=col)
+                    col += res.vector
+                else:
+                    col[:] = res.vector
+            del v, res      # the next action must not run with these alive
+            qforms.append(qform)
+        return qforms
 
 
 def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
@@ -234,13 +246,8 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
     if k:
         sketch = _rademacher(rng, n, k)
         y = np.empty((n, k), order="F")
-        sketch_tol = max(action_tol, math.sqrt(action_tol))
-        for j, (res, _) in enumerate(eng.act_all("sketch", lambda j: _column(sketch, j),
-                                                 k, sketch_tol)):
-            # image under log(Q~) = log(Q) - log(sigma) I
-            y[:, j] = res.vector
-            if eng.log_sigma:
-                y[:, j] += sketch[:, j] * -eng.log_sigma
+        eng.act_all("sketch", lambda j: _column(sketch, j), k,
+                    max(action_tol, math.sqrt(action_tol)), images=y)
         del sketch
 
         # the basis is formed in y's storage; the actions have already checked
@@ -252,8 +259,8 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
         if not keep.all():
             basis = np.asfortranarray(basis[:, keep])
 
-        for _, qf in eng.act_all("deterministic", lambda j: basis[:, j],
-                                 basis.shape[1], action_tol):
+        for qf in eng.act_all("deterministic", lambda j: basis[:, j],
+                              basis.shape[1], action_tol):
             det_term += qf
 
     probes = _rademacher(rng, n, n_res)
@@ -265,11 +272,10 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
                       overwrite_y=True)
         return u
 
+    terms = eng.act_all("residual" if k else "probe", deflated, n_res, action_tol)
     res_term = 0.0
-    terms = []
-    for _, qf in eng.act_all("residual" if k else "probe", deflated, n_res, action_tol):
+    for qf in terms:
         res_term += qf
-        terms.append(qf)
     res_term /= n_res
 
     return _report(method, det_term + res_term, queries=m_vec, seed=seed, t0=t0,

@@ -196,13 +196,15 @@ def load_matrix_market(path) -> SparseMatrixCSR:
 
 
 def write_matrix_market(Q: SparseMatrixCSR, path) -> None:
-    """Write all stored entries in coordinate format (general symmetry).
+    """Write Q in coordinate format: a verified-symmetric Q in symmetric
+    storage (its lower triangle), any other Q with all stored entries.
 
     Values use shortest round-trip decimal form, so load(write(Q)) restores
     CSR content bitwise.
     """
+    symmetry = "symmetric" if Q.symmetric_verified else "general"
     with open(path, "wb") as fh:       # a file object: mmwrite keeps the name as given
-        scipy.io.mmwrite(fh, Q.to_scipy(), symmetry="general")
+        scipy.io.mmwrite(fh, Q.to_scipy(), symmetry=symmetry)
 
 
 # ---------------------------------------------------------------------------

@@ -363,3 +363,13 @@ class TestGen:
         R = gen_pentadiagonal(50, seed=9)
         assert np.array_equal(Q.values, R.values)
         assert np.array_equal(Q.col_idx, R.col_idx)
+
+    @pytest.mark.parametrize("spec,seed", [("pentadiagonal:10", "-1"),
+                                           ("gmrf:4:-0.2", "-3")])
+    def test_negative_seed_refused(self, capsys, tmp_path, spec, seed):
+        out_path = tmp_path / "m.mtx"
+        code, out, err = run_cli(capsys, "gen", "--gen", spec, "--seed", seed,
+                                 "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be non-negative\n"
+        assert not out_path.exists()

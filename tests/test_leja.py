@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from lejadet import leja
+from lejadet.leja import DEFAULT_POOL_SIZE
 from lejadet import (MapParams, SpectralInterval, dump_points,
                      generate_fast_leja, map_nodes, map_params)
 
@@ -70,6 +72,17 @@ class TestGeneration:
             mine = np.prod(np.abs(pts[j] - pts[:j]))
             best = np.max(np.prod(np.abs(grid[:, None] - pts[None, :j]), axis=1))
             assert mine >= 0.8 * best
+
+    def test_pinned_sequence(self):
+        """The pool's points, hashed when the pool was a list-based loop; they
+        are dyadic rationals, so the bytes do not depend on the platform.  A
+        fresh pool that outgrows its initial arrays gives the same prefixes."""
+        pts = generate_fast_leja(DEFAULT_POOL_SIZE).points
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+            "4eac77217a71e79f9ee221a4eb7772a71ac7ba534783bda74cc3a63cd3e4626d")
+        pool = leja._Pool()
+        for count in (leja._Pool.CAPACITY + 1, DEFAULT_POOL_SIZE):
+            assert pool.extend_to(count) == pts[:count].tolist()
 
     def test_concurrent_requests_get_prefixes(self):
         """Threads growing one fresh pool to different lengths at once each

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -665,3 +666,24 @@ def test_hutchpp_engine_keeps_no_vectors(monkeypatch):
                 yield from arrays(x, seen)
 
     assert all(a.size < Q.n for a in arrays(eng, set()))
+
+
+@pytest.mark.parametrize("estimator", [hutchpp_logdet, hutchinson_logdet],
+                         ids=["hutchpp", "hutchinson"])
+@pytest.mark.parametrize("make_q", [lambda: gen_gmrf_grid(20, -0.2),
+                                    lambda: gen_pentadiagonal(300, seed=0)],
+                         ids=["lattice-sigma-0.2", "penta-sigma-1"])
+def test_no_action_result_outlives_its_action(monkeypatch, estimator, make_q):
+    """Every action starts with the result vectors of the earlier ones freed:
+    a live one would add an n-vector to the peak (test_memory.py)."""
+    refs, alive = [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        res = log_matvec(*args, **kwargs)
+        refs.append(weakref.ref(res.vector))
+        return res
+
+    monkeypatch.setattr(logdet, "log_matvec", tracked)
+    estimator(make_q(), 12, seed=0)
+    assert alive == [0] * 12

@@ -1,4 +1,5 @@
-"""Memory budgets of matrix build, bounds, Hutch++ and the band oracle (tracemalloc).
+"""Memory budgets of matrix build and write, bounds, Hutch++ and the band oracle
+(tracemalloc).
 
 numpy reports its array buffers to tracemalloc, so the traced peak above
 the starting level is the largest set of arrays a call holds at once.  The
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 from lejadet import (band_logdet_cholesky, estimate_interval, gen_pentadiagonal,
-                     generate_fast_leja, hutchpp_logdet)
+                     generate_fast_leja, hutchpp_logdet, write_matrix_market)
 from lejadet.leja import DEFAULT_POOL_SIZE
 
 N = 200_000
@@ -41,6 +42,15 @@ def test_gen_pentadiagonal_peak():
     m = Q.to_scipy()
     csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
     assert peak <= 2.5 * csr
+
+
+def test_write_matrix_market_peak(penta, tmp_path):
+    # scipy's COO view of the CSR (its expanded row indices), the lower-triangle
+    # mask, and the lower triangle's values, rows and columns
+    Q, _ = penta
+    _, peak = traced_peak(lambda: write_matrix_market(Q, tmp_path / "penta.mtx"))
+    m = Q.to_scipy()
+    assert peak <= 1.25 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 def test_gershgorin_interval_peak(penta):

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 from lejadet import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, matvec, write_matrix_market)
+
+
+def unsymmetric():
+    """A 6 x 6 matrix with about half its entries stored, none mirrored bitwise."""
+    rng = np.random.default_rng(7)
+    return SparseMatrixCSR.from_dense(rng.standard_normal((6, 6))
+                                      * (rng.random((6, 6)) < 0.5) + 6.0 * np.eye(6))
 
 
 class TestMatvec:
@@ -117,13 +125,33 @@ class TestMatrixMarket:
         assert Q.values[0] == 2.0
 
     def test_round_trip_bitwise(self, tmp_path):
-        Q = gen_pentadiagonal(40, seed=5)
-        p = tmp_path / "penta.mtx"
+        p = tmp_path / "m.mtx"
+        for Q in (gen_pentadiagonal(40, seed=5), gen_gmrf_grid(20, -0.2), unsymmetric()):
+            write_matrix_market(Q, p)
+            R = load_matrix_market(p)
+            assert np.array_equal(Q.row_ptr, R.row_ptr)
+            assert np.array_equal(Q.col_idx, R.col_idx)
+            assert np.array_equal(Q.values, R.values)
+
+    @pytest.mark.parametrize("make_q", [lambda: gen_pentadiagonal(40, seed=5),
+                                        lambda: gen_gmrf_grid(20, -0.2)],
+                             ids=["penta", "lattice"])
+    def test_symmetric_storage(self, tmp_path, make_q):
+        """A verified-symmetric matrix is written as its lower triangle."""
+        Q = make_q()
+        p = tmp_path / "m.mtx"
         write_matrix_market(Q, p)
-        R = load_matrix_market(p)
-        assert np.array_equal(Q.row_ptr, R.row_ptr)
-        assert np.array_equal(Q.col_idx, R.col_idx)
-        assert np.array_equal(Q.values, R.values)
+        coo = Q.to_scipy().tocoo()
+        stored_diagonal = int(np.count_nonzero(coo.row == coo.col))
+        assert scipy.io.mminfo(p)[2:] == ((Q.nnz + stored_diagonal) // 2, "coordinate",
+                                          "real", "symmetric")
+
+    def test_general_storage_unless_verified_symmetric(self, tmp_path):
+        Q = unsymmetric()
+        assert not Q.symmetric_verified
+        p = tmp_path / "m.mtx"
+        write_matrix_market(Q, p)
+        assert scipy.io.mminfo(p)[2:] == (Q.nnz, "coordinate", "real", "general")
 
     def test_comments_and_integer_field(self, tmp_path):
         p = tmp_path / "m.mtx"
