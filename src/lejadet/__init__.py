@@ -2,7 +2,7 @@
 
 The action of the matrix logarithm on probe vectors is approximated by
 Newton interpolation at fast Leja points (with divided differences computed
-through a scaled Taylor expansion of a bidiagonal matrix logarithm), and the
+by a trapezoid sum over the Stieltjes integral of the logarithm), and the
 trace of the logarithm is estimated with Hutch++.  Stochastic Lanczos
 quadrature and exact Cholesky oracles are included for verification.
 ``estimate(Q, method)`` is the one entry point to all of them.

@@ -125,7 +125,7 @@ class _ActionRecord(NamedTuple):
 
 
 def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
-            sigma=1.0, n=0, dd=None, enclosure=None, matvecs=0) -> LogDetReport:
+            sigma=1.0, n=0, enclosure=None, matvecs=0) -> LogDetReport:
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
@@ -133,19 +133,14 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
     spent elsewhere), warnings and convergence flag come from them.
     ``terms`` are the m probe terms whose mean enters the estimate; the
     standard error is their sample standard deviation over sqrt(m), or None
-    for m < 2.  ``n`` and ``sigma`` give the n*log(sigma) term, ``dd`` adds a
-    warning when its Taylor series was truncated, and the wall time runs
-    from ``t0``.
+    for m < 2.  ``n`` and ``sigma`` give the n*log(sigma) term, and the wall
+    time runs from ``t0``.
     """
     warnings = [
         f"{r.label}: not converged at degree {r.degree} "
         f"(error estimate {r.error_estimate:.3e})"
         for r in records if not r.converged
     ]
-    if dd is not None and dd.truncated:
-        warnings.append(
-            f"divided differences truncated after {dd.taylor_terms} Taylor "
-            f"terms (last term norm {dd.last_term_norm:.3e})")
     n_log_sigma = n * math.log(sigma)
     return LogDetReport(
         method=method,
@@ -280,7 +275,7 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
 
     return _report(method, det_term + res_term, queries=m_vec, seed=seed, t0=t0,
                    records=eng.records, terms=terms, sigma=eng.sigma, n=n,
-                   dd=eng.dd, enclosure=eng.bounds.method,
+                   enclosure=eng.bounds.method,
                    matvecs=eng.enclosure_matvecs)
 
 
@@ -295,7 +290,7 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     trace over that basis is summed exactly, and the leftover trace is
     estimated by Hutchinson probes deflated by A.  Total actions ~= m_vec.
     Every action interpolates log at the fast Leja points of the enclosing
-    interval, with divided differences expanded about its centre.
+    interval, with divided differences from one trapezoid sum.
 
     ``action_tol`` is relative to each probe norm and governs the
     deterministic and residual actions, whose quadratic forms enter the
@@ -450,8 +445,8 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     its sketch actions to ``max(tol, sqrt(tol))``, see ``hutchpp_logdet``)
     on the interval that ``estimate_interval(Q, seed=seed)`` chooses
     (Gershgorin, or Lanczos when Gershgorin's condition number exceeds 1e4;
-    ``report.enclosure``), with divided differences expanded about its
-    centre (``divided_differences_log``).
+    ``report.enclosure``), with divided differences from one trapezoid sum
+    (``divided_differences_log``).
     The wall time and matvec total include that enclosure.  ``slq`` runs
     ``probes`` probes of ``slq_degree`` Lanczos steps and needs no enclosure.
     ``exact-dense`` and ``exact-band`` are the Cholesky oracles;

@@ -10,6 +10,8 @@ Two routes are provided for the enclosing interval [lambda_min, lambda_max]:
   ``estimate_interval`` takes it when Gershgorin's condition number exceeds
   1e4: at the default action tolerance, Leja actions on an interval of
   condition 1e4 need degree 345-371 and reach the cap of 400 by 1.5e4.
+  When the lambda_max run stops unconverged, Gershgorin's upper bound
+  replaces its Ritz value.
 
 The map parameters (c, gamma) place the interval endpoints at the images
 of -2 and +2: z = c + gamma * xi with c the midpoint and gamma a quarter
@@ -265,8 +267,10 @@ def estimate_interval(Q: SparseMatrixCSR, method: str | None = None,
     if method == "gershgorin" or (method is None
                                   and interval.condition <= _GERSHGORIN_KAPPA):
         return interval
-    # Ritz values lie inside the spectrum, so both ends are widened
+    # Ritz values lie inside the spectrum, so both ends are widened; an
+    # unconverged Ritz value can sit further in, so Gershgorin's bound stands
     hi = lanczos_lambda_max(Q, tol=1e-8, seed=seed)
     lo = _shift_invert(Q, 1e-8, _MARGIN / 10.0, seed=seed)
-    return SpectralInterval(lo.value * (1.0 - _MARGIN), hi.value * (1.0 + _MARGIN),
+    lambda_max = hi.value * (1.0 + _MARGIN) if hi.converged else interval.lambda_max
+    return SpectralInterval(lo.value * (1.0 - _MARGIN), lambda_max,
                             method="lanczos", matvecs=hi.matvecs + lo.matvecs)

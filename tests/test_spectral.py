@@ -133,6 +133,17 @@ class TestLanczosExtremes:
             assert iv.lambda_min <= w.min() and iv.lambda_max >= w.max()
             assert iv.lambda_min == pytest.approx(w.min(), rel=2e-5)
 
+    def test_default_rule_encloses_lattice_when_lanczos_stops_unconverged(self):
+        # Gershgorin's condition number 5e4 sends g = 200 to Lanczos, whose
+        # lambda_max run stops at its 200-iteration cap below lambda_max
+        g, theta = 200, -0.24999
+        Q = gen_gmrf_grid(g, theta)
+        assert not lanczos_lambda_max(Q, tol=1e-8).converged
+        lam = gmrf_spectrum(g, theta)
+        iv = estimate_interval(Q)
+        assert iv.method == "lanczos"
+        assert iv.lambda_min <= lam.min() and iv.lambda_max >= lam.max()
+
     def test_default_rule_keeps_gershgorin_up_to_condition_1e4(self):
         for top, route in [(1e4, "gershgorin"), (1.5e4, "lanczos")]:
             Q = SparseMatrixCSR.from_dense(np.diag(np.geomspace(1.0, top, 50)))
