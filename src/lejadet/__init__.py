@@ -1,8 +1,10 @@
 """Log-determinant estimation for large sparse SPD matrices.
 
 The action of the matrix logarithm on probe vectors is approximated by
-Newton interpolation at fast Leja points (with divided differences computed
-by a trapezoid sum over the Stieltjes integral of the logarithm), and the
+Newton interpolation at fast Leja points, mapped onto an enclosure of the
+spectrum (a ``SpectralInterval``, whose ``c`` and ``gamma`` are the map),
+with divided differences computed by a trapezoid sum over the Stieltjes
+integral of the logarithm; the
 trace of the logarithm is estimated with Hutch++.  Stochastic Lanczos
 quadrature and exact Cholesky oracles are included for verification.
 ``estimate(Q, method)`` is the one entry point to all of them.
@@ -11,7 +13,7 @@ quadrature and exact Cholesky oracles are included for verification.
 from .action import ActionResult, log_matvec
 from .divdiff import (DividedDiffs, divided_differences_log,
                       naive_divided_differences, reference_divided_differences)
-from .leja import LejaSequence, dump_points, generate_fast_leja, map_nodes
+from .leja import generate_fast_leja
 from .likelihood import gmrf_likelihood_scan
 from .logdet import (METHODS, LogDetReport, estimate, hutchinson_logdet,
                      hutchpp_logdet, slq_logdet)
@@ -19,9 +21,9 @@ from .oracle import (band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, matvec, write_matrix_market)
-from .spectral import (ConvergenceError, EigenEstimate, MapParams,
-                       SpectralInterval, estimate_interval, gershgorin_bounds,
-                       lanczos_lambda_max, map_params, shift_invert_lambda_min)
+from .spectral import (ConvergenceError, EigenEstimate, SpectralInterval,
+                       estimate_interval, gershgorin_bounds, lanczos_lambda_max,
+                       shift_invert_lambda_min)
 
 __version__ = "0.1.0"
 
@@ -30,16 +32,13 @@ __all__ = [
     "ConvergenceError",
     "DividedDiffs",
     "EigenEstimate",
-    "LejaSequence",
     "LogDetReport",
     "METHODS",
-    "MapParams",
     "SparseMatrixCSR",
     "SpectralInterval",
     "band_logdet_cholesky",
     "dense_logdet_cholesky",
     "divided_differences_log",
-    "dump_points",
     "estimate",
     "estimate_interval",
     "gen_gmrf_grid",
@@ -53,8 +52,6 @@ __all__ = [
     "lanczos_lambda_max",
     "load_matrix_market",
     "log_matvec",
-    "map_nodes",
-    "map_params",
     "matvec",
     "naive_divided_differences",
     "reference_divided_differences",

@@ -1,7 +1,8 @@
 """Action of the matrix logarithm on a vector by Newton-Leja interpolation.
 
 The degree-m interpolant is accumulated incrementally in the
-xi-coordinates of the map z = c + gamma * xi:
+xi-coordinates of the map z = c + gamma * xi, whose c and gamma are those
+of the interval the divided differences were computed on:
 
     w_0 = v,  P_0 = d_0 w_0,
     w_{m+1} = Q w_m / gamma - (c / gamma + xi_m) w_m,
@@ -28,7 +29,6 @@ from scipy.linalg.blas import daxpy, ddot
 
 from .divdiff import DividedDiffs
 from .sparse import SparseMatrixCSR
-from .spectral import MapParams
 
 __all__ = ["ActionResult", "log_matvec"]
 
@@ -45,23 +45,26 @@ class ActionResult:
     error_history: np.ndarray = field(repr=False, default=None)
 
 
-def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
-               dd: DividedDiffs | None, tol: float | None = None,
-               max_degree: int = 400, v_norm: float | None = None) -> ActionResult:
+def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
+               tol: float | None = None, max_degree: int = 400,
+               v_norm: float | None = None) -> ActionResult:
     """Approximate log(Q) v to the requested tolerance.
 
-    ``dd`` must hold divided differences computed for the same map
-    parameters.  ``tol`` is the absolute stopping threshold for
-    e_m = |d_m| * ||w_m||; the default is 1e-7 * ||v||_2.  A caller that
-    has already computed ||v||_2 passes it as ``v_norm``, which saves one
-    pass over v (it must be ``sqrt(ddot(v, v))``).  If the map is
-    degenerate (gamma = 0, the enclosure is a single point c) the result is
-    log(c) * v at degree zero and ``dd`` is not consulted.
+    The map z = c + gamma * xi is that of ``dd.interval``.  ``tol`` is the
+    absolute stopping threshold for e_m = |d_m| * ||w_m||; the default is
+    1e-7 * ||v||_2.  A caller that has already computed ||v||_2 passes it
+    as ``v_norm``, which saves one pass over v (it must be
+    ``sqrt(ddot(v, v))``).  If the interval is a single point c (gamma = 0)
+    the result is log(c) * v at degree zero.
 
     A result with ``converged=False`` means ``max_degree`` (or the end of
     the coefficient sequence) was hit first; the caller decides whether the
     reached ``error_estimate`` is acceptable.
     """
+    if tol is not None and not tol >= 0:        # NaN too: it would stop at once
+        raise ValueError("tol must be non-negative")
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (Q.n,):
         raise ValueError(f"vector has shape {v.shape}, expected ({Q.n},)")
@@ -69,22 +72,18 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, mp: MapParams,
         v_norm = math.sqrt(ddot(v, v))
     if tol is None:
         tol = 1e-7 * v_norm
-    if mp.degenerate:
-        out = math.log(mp.c) * v
-        return ActionResult(vector=out, degree_used=0, error_estimate=0.0,
+    coeffs = dd.coeffs
+    c, gamma = dd.interval.c, dd.interval.gamma
+    if gamma == 0.0:
+        return ActionResult(vector=coeffs[0] * v, degree_used=0, error_estimate=0.0,
                             matvecs=0, converged=True,
                             error_history=np.zeros(1))
-    if dd is None:
-        raise ValueError("divided differences are required for a non-degenerate map")
-    if dd.map_params != mp:
-        raise ValueError("divided differences were computed for different map parameters")
 
     m_sp = Q.to_scipy()
-    coeffs = dd.coeffs
     xi = dd.nodes
     cap = min(max_degree, coeffs.shape[0] - 1)
-    inv_gamma = 1.0 / mp.gamma
-    shift = mp.c * inv_gamma
+    inv_gamma = 1.0 / gamma
+    shift = c * inv_gamma
 
     w = v
     p = coeffs[0] * w

@@ -12,10 +12,11 @@ at nodes xi_0..xi_k is
 
     d_k = (-1)^{k+1} int_0^inf prod_{i<=k} gamma / (z_i + t) dt / gamma,
 
-with z = c + gamma*xi.  The integrand is positive, so nothing cancels, and
-in u = log t it is analytic in a strip about the real axis, so the trapezoid
-rule converges geometrically (Trefethen and Weideman, SIAM Review 2014): one
-fixed step serves every condition number and every degree.
+with z = c + gamma*xi, where c and gamma are the centre and quarter-width of
+the enclosing ``SpectralInterval``.  The integrand is positive, so nothing
+cancels, and in u = log t it is analytic in a strip about the real axis, so
+the trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
+Review 2014): one fixed step serves every condition number and every degree.
 
 A classical recursion evaluated in extended precision (mpmath) serves as the
 test oracle, and a plain float64 recursion is kept for comparison.
@@ -28,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .leja import LejaSequence
-from .spectral import MapParams
+from .spectral import SpectralInterval
 
 __all__ = [
     "DividedDiffs",
@@ -53,12 +53,13 @@ class DividedDiffs:
 
     ``coeffs[k]`` is the k-th divided difference of g(xi) = log(c + gamma*xi)
     taken at ``nodes[0..k]``; it equals gamma^k times the divided difference
-    of log at the mapped nodes z = c + gamma*xi.
+    of log at the mapped nodes z = c + gamma*xi.  c and gamma are those of
+    ``interval``.
     """
 
     coeffs: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
-    map_params: MapParams
+    interval: SpectralInterval
     # kept because perfbench's traced run reads them: node count, always False
     taylor_terms: int
     truncated: bool = False
@@ -67,31 +68,35 @@ class DividedDiffs:
         return self.coeffs.shape[0]
 
 
-def divided_differences_log(seq: LejaSequence, mp: MapParams) -> DividedDiffs:
-    """Divided differences of log at the mapped nodes, by one trapezoid sum.
+def divided_differences_log(points: np.ndarray,
+                            interval: SpectralInterval) -> DividedDiffs:
+    """Divided differences of log at the Leja ``points`` mapped onto ``interval``,
+    by one trapezoid sum.
 
     Row k of the (m+1) x N work array holds prod_{i<=k} gamma / (z_i + t_j)
     on the grid t_j = e^{u_j}; its product with the weights step * t_j / gamma
-    gives every |d_k| at once, and d_0 is log z_0.
+    gives every |d_k| at once, and d_0 is log z_0.  A one-point interval
+    (gamma = 0) has the one coefficient log c.
     """
-    if mp.degenerate:
-        raise ValueError("degenerate map (gamma = 0); use the degenerate "
-                         "action path instead of interpolation")
-    xi = seq.points
-    z = mp.c + mp.gamma * xi
+    c, gamma = interval.c, interval.gamma
+    if gamma == 0.0:
+        return DividedDiffs(coeffs=np.array([math.log(c)]), nodes=points[:1],
+                            interval=interval, taylor_terms=0)
+    z = c + gamma * points
     if np.min(z) <= 0.0:
         raise ValueError("all mapped nodes must be positive")
     t = np.exp(np.arange(math.log(np.min(z)) - _PAD - math.log(z.shape[0]),
                          math.log(np.max(z)) + _PAD, _STEP))
     work = np.add.outer(z, t)
-    np.divide(mp.gamma, work, out=work)
+    np.divide(gamma, work, out=work)
     np.cumprod(work, axis=0, out=work)
-    d = work @ (t * (_STEP / mp.gamma))
+    d = work @ (t * (_STEP / gamma))
     d[2::2] *= -1.0
     d[0] = math.log(z[0])
     if not np.all(np.isfinite(d)):
         raise FloatingPointError("divided-difference quadrature overflowed")
-    return DividedDiffs(coeffs=d, nodes=xi, map_params=mp, taylor_terms=t.shape[0])
+    return DividedDiffs(coeffs=d, nodes=points, interval=interval,
+                        taylor_terms=t.shape[0])
 
 
 def reference_divided_differences(nodes_z, prec_bits: int = 200) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Fast Leja points on [-2, 2] and their mapping to interpolation nodes.
+"""Fast Leja points on [-2, 2] (Baglama, Calvetti and Reichel, ETNA 1998).
 
 The sequence starts at the right endpoint and greedily maximizes the
 product of distances to the points already accepted, over a candidate set
@@ -8,41 +8,20 @@ creates, so the candidate set tracks the refinement of the interval.
 
 Points are generated once per process and shared: requesting m points
 always returns the first m entries of the same sequence, which makes the
-sequences nested by construction.
+sequences nested by construction.  An interval's ``c + gamma * xi`` maps
+them onto it.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import MapParams
-
-__all__ = ["LejaSequence", "generate_fast_leja", "map_nodes", "dump_points"]
+__all__ = ["generate_fast_leja"]
 
 DEFAULT_POOL_SIZE = 512
-
-
-@dataclass(frozen=True)
-class LejaSequence:
-    """Ordered fast Leja points on [-2, 2]."""
-
-    points: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    def __len__(self):
-        return self.count
 
 
 class _Pool:
@@ -60,21 +39,24 @@ class _Pool:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.accepted = [2.0]          # acceptance order; xi_0 is the right endpoint
+        self.count = 1                 # accepted points; xi_0 is the right endpoint
         self.sorted = [2.0]
         self._rows = np.empty((3, self.CAPACITY))      # points, candidates, products
         self._rows[:, 0] = 2.0, -2.0, 4.0      # xi_0; the left endpoint at |-2 - 2|
         self._n_cand = 1
 
     def extend_to(self, count):
-        """The first ``count`` accepted points, generating any still missing."""
+        """Read-only copy of the first ``count`` accepted points, generating
+        any still missing."""
         with self._lock:
-            while len(self.accepted) < count:
+            while self.count < count:
                 self._accept_next()
-            return self.accepted[:count]
+            points = self._rows[0, :count].copy()
+        points.flags.writeable = False
+        return points
 
     def _accept_next(self):
-        m, nc = len(self.accepted), self._n_cand - 1
+        m, nc = self.count, self._n_cand - 1
         if m == self._rows.shape[1]:   # this step leaves m + 1 points, <= m + 1 gaps
             self._rows = np.concatenate((self._rows, np.empty_like(self._rows)), axis=1)
         pts, cand, prod = self._rows
@@ -86,7 +68,7 @@ class _Pool:
         pos = bisect.bisect_left(self.sorted, new)
         neighbors = self.sorted[max(pos - 1, 0):pos + 1]    # nearest on either side
         self.sorted.insert(pos, new)
-        self.accepted.append(new)
+        self.count += 1
         pts[m] = new
         for nb in neighbors:
             cand[nc] = mid = 0.5 * (new + nb)
@@ -98,22 +80,12 @@ class _Pool:
 _POOL = _Pool()
 
 
-def generate_fast_leja(count: int) -> LejaSequence:
-    """First ``count`` fast Leja points on [-2, 2].
+def generate_fast_leja(count: int) -> np.ndarray:
+    """First ``count`` fast Leja points on [-2, 2], as a read-only float64 array.
 
     On exact product ties the smallest candidate wins, which keeps the
     sequence deterministic.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    return LejaSequence(np.asarray(_POOL.extend_to(count)))
-
-
-def map_nodes(seq: LejaSequence, mp: MapParams) -> np.ndarray:
-    """Interpolation nodes z_i = c + gamma * xi_i on the spectral interval."""
-    return mp.c + mp.gamma * seq.points
-
-
-def dump_points(seq: LejaSequence, path) -> None:
-    """One point per line, round-trip decimal precision (fixture exchange)."""
-    np.savetxt(path, seq.points, fmt="%.17g")
+    return _POOL.extend_to(count)

@@ -35,7 +35,7 @@ from .leja import generate_fast_leja
 from .oracle import (DENSE_CAP, band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import SparseMatrixCSR
-from .spectral import SpectralInterval, estimate_interval, map_params
+from .spectral import SpectralInterval, estimate_interval
 
 __all__ = [
     "METHODS",
@@ -162,8 +162,9 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
 
 
 class _ActionEngine:
-    """Shared setup for Leja actions on one matrix: bounds, map, coefficients,
-    and the normalization sigma = min(lambda_min, 1) with its logarithm.
+    """Shared setup for Leja actions on one matrix: the bounds (which carry the
+    map), the coefficients, and the normalization sigma = min(lambda_min, 1)
+    with its logarithm.
 
     ``records`` keeps each action's diagnostics for the report, never its
     result vector.
@@ -175,22 +176,18 @@ class _ActionEngine:
         self.Q = Q
         self.bounds = estimate_interval(Q, seed=seed) if bounds is None else bounds
         self.enclosure_matvecs = self.bounds.matvecs if bounds is None else 0
-        self.mp = map_params(self.bounds)
         self.sigma = float(min(self.bounds.lambda_min, 1.0))
         self.log_sigma = math.log(self.sigma)
         self.max_degree = max_degree
-        if self.mp.degenerate:
-            self.dd = None
-        else:       # an action of degree m reads coefficients 0..m
-            self.dd = divided_differences_log(generate_fast_leja(max_degree + 1),
-                                              self.mp)
+        # an action of degree m reads coefficients 0..m
+        self.dd = divided_differences_log(generate_fast_leja(max_degree + 1), self.bounds)
         self.records = []
 
     def act(self, v, tol):
         """log(Q) v to relative tolerance ``tol``; returns (result, v' log(Q~) v)."""
         vv = ddot(v, v)
         v_norm = math.sqrt(vv)
-        res = log_matvec(self.Q, v, self.mp, self.dd, tol=tol * v_norm,
+        res = log_matvec(self.Q, v, self.dd, tol=tol * v_norm,
                          max_degree=self.max_degree, v_norm=v_norm)
         qform = ddot(v, res.vector) - self.log_sigma * vv
         return res, qform

@@ -1,4 +1,4 @@
-"""Spectral interval estimation and the affine map onto [-2, 2].
+"""Spectral interval estimation; the interval also carries the map onto [-2, 2].
 
 Two routes are provided for the enclosing interval [lambda_min, lambda_max]:
 
@@ -10,12 +10,12 @@ Two routes are provided for the enclosing interval [lambda_min, lambda_max]:
   ``estimate_interval`` takes it when Gershgorin's condition number exceeds
   1e4: at the default action tolerance, Leja actions on an interval of
   condition 1e4 need degree 345-371 and reach the cap of 400 by 1.5e4.
-  When the lambda_max run stops unconverged, Gershgorin's upper bound
-  replaces its Ritz value.
+  When the lambda_max run stops unconverged, or its Ritz value comes
+  within 1e-3 of Gershgorin's upper bound, that bound replaces it.
 
-The map parameters (c, gamma) place the interval endpoints at the images
-of -2 and +2: z = c + gamma * xi with c the midpoint and gamma a quarter
-of the interval width.
+The interval's ``c`` and ``gamma`` place its endpoints at the images of -2
+and +2: z = c + gamma * xi with c the midpoint and gamma a quarter of the
+width.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ from .sparse import SparseMatrixCSR
 
 __all__ = [
     "SpectralInterval",
-    "MapParams",
     "EigenEstimate",
     "ConvergenceError",
     "gershgorin_bounds",
     "lanczos_lambda_max",
     "shift_invert_lambda_min",
     "estimate_interval",
-    "map_params",
 ]
 
 # rows per block of the Gershgorin row sums; the block's |values| stay small
@@ -49,6 +47,8 @@ _FLOOR = 1e-8
 _GERSHGORIN_KAPPA = 1e4
 # relative widening of the Lanczos route's ends; its CG solves run to a tenth
 _MARGIN = 1e-5
+# the lambda_max run stops at this relative distance below Gershgorin's bound
+_NEAR_GERSHGORIN = 1e-3
 
 
 class ConvergenceError(RuntimeError):
@@ -69,8 +69,9 @@ class SpectralInterval:
     matvecs: int = 0              # products with Q the route spent
 
     def __post_init__(self):
-        # NaN fails the comparisons, and an infinite lambda_min needs an infinite max
-        if not (np.isfinite(self.lambda_max) and 0 < self.lambda_min <= self.lambda_max):
+        # NaN fails the comparisons; a finite sum of the ends is a finite centre c
+        if not (np.isfinite(self.lambda_min + self.lambda_max)
+                and 0 < self.lambda_min <= self.lambda_max):
             raise ValueError(f"need finite 0 < lambda_min <= lambda_max, got "
                              f"[{self.lambda_min}, {self.lambda_max}]")
 
@@ -78,28 +79,15 @@ class SpectralInterval:
     def condition(self) -> float:
         return self.lambda_max / self.lambda_min
 
-
-@dataclass(frozen=True)
-class MapParams:
-    """Center c and quarter-width gamma of the affine map from [-2, 2]."""
-
-    c: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.c) and np.isfinite(self.gamma)) or self.gamma < 0:
-            raise ValueError(f"invalid map parameters c={self.c}, gamma={self.gamma}")
+    @property
+    def c(self) -> float:
+        """Centre of the map z = c + gamma * xi from [-2, 2]: the midpoint."""
+        return (self.lambda_min + self.lambda_max) / 2.0
 
     @property
-    def degenerate(self) -> bool:
-        return self.gamma == 0.0
-
-
-def map_params(interval: SpectralInterval) -> MapParams:
-    """c = (lambda_min + lambda_max) / 2, gamma = (lambda_max - lambda_min) / 4."""
-    c = (interval.lambda_min + interval.lambda_max) / 2.0
-    gamma = (interval.lambda_max - interval.lambda_min) / 4.0
-    return MapParams(c=c, gamma=gamma)
+    def gamma(self) -> float:
+        """Scale of the map: a quarter of the width, 0 for a single point."""
+        return (self.lambda_max - self.lambda_min) / 4.0
 
 
 def gershgorin_bounds(Q: SparseMatrixCSR) -> SpectralInterval:
@@ -152,12 +140,13 @@ class EigenEstimate(NamedTuple):
     matvecs: int = 0          # products with Q; CG iterations for shift-invert
 
 
-def _lanczos_extreme(apply_op, n, rng, tol, max_iter):
+def _lanczos_extreme(apply_op, n, rng, tol, max_iter, ceiling=np.inf):
     """Largest Ritz value of a symmetric operator, plain Lanczos.
 
     No reorthogonalization: extreme Ritz values are robust over the short,
     restart-free runs used here.  Returns an EigenEstimate; a breakdown
-    (vanishing Krylov vector) reports the Ritz value reached so far.
+    (vanishing Krylov vector) reports the Ritz value reached so far.  A
+    Ritz value at or above ``ceiling`` stops the run unconverged.
     """
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -175,6 +164,8 @@ def _lanczos_extreme(apply_op, n, rng, tol, max_iter):
             select="i", select_range=(it - 1, it - 1))[0])
         if ritz_prev is not None and abs(ritz - ritz_prev) <= tol * max(abs(ritz), 1e-300):
             return EigenEstimate(ritz, it, converged=True, matvecs=it)
+        if ritz >= ceiling:
+            return EigenEstimate(ritz, it, converged=False, matvecs=it)
         ritz_prev = ritz
         beta = float(np.linalg.norm(w))
         if beta <= 1e-12 * max(map(abs, alphas)):
@@ -268,8 +259,11 @@ def estimate_interval(Q: SparseMatrixCSR, method: str | None = None,
                                   and interval.condition <= _GERSHGORIN_KAPPA):
         return interval
     # Ritz values lie inside the spectrum, so both ends are widened; an
-    # unconverged Ritz value can sit further in, so Gershgorin's bound stands
-    hi = lanczos_lambda_max(Q, tol=1e-8, seed=seed)
+    # unconverged Ritz value can sit further in, so Gershgorin's bound stands,
+    # and a Ritz value this close to that bound cannot improve on it much
+    m = Q.to_scipy()
+    hi = _lanczos_extreme(lambda x: m @ x, Q.n, np.random.default_rng(seed), 1e-8, 200,
+                          ceiling=(1.0 - _NEAR_GERSHGORIN) * interval.lambda_max)
     lo = _shift_invert(Q, 1e-8, _MARGIN / 10.0, seed=seed)
     lambda_max = hi.value * (1.0 + _MARGIN) if hi.converged else interval.lambda_max
     return SpectralInterval(lo.value * (1.0 - _MARGIN), lambda_max,

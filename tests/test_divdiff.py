@@ -2,16 +2,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from lejadet import (MapParams, SpectralInterval, divided_differences_log,
-                     generate_fast_leja, map_params, naive_divided_differences,
-                     reference_divided_differences)
+from lejadet import (SpectralInterval, divided_differences_log, generate_fast_leja,
+                     naive_divided_differences, reference_divided_differences)
 
 LOG3 = 1.0986122886681098
 
 
 def dd_for(count, lo, hi):
-    mp = map_params(SpectralInterval(lo, hi))
-    return divided_differences_log(generate_fast_leja(count), mp), mp
+    iv = SpectralInterval(lo, hi)
+    return divided_differences_log(generate_fast_leja(count), iv), iv
 
 
 class TestBasics:
@@ -29,13 +28,17 @@ class TestBasics:
         dd, _ = dd_for(33, 0.5, 9.0)
         assert len(dd) == 33 and dd.nodes.shape == (33,)
 
-    def test_degenerate_map_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            dd_for(4, 2.0, 2.0)
+    def test_one_point_interval_is_log_c(self):
+        dd, _ = dd_for(4, 3.0, 3.0)
+        np.testing.assert_array_equal(dd.coeffs, [np.log(3.0)])
+        assert len(dd) == 1 and dd.nodes.shape == (1,)
 
     def test_nonpositive_nodes_rejected(self):
+        # c - 2 gamma = 0.5 - 0.5 rounds to 0: the node at xi = -2 maps to 0
+        iv = SpectralInterval(5e-324, 1.0)
+        assert iv.c - 2.0 * iv.gamma == 0.0
         with pytest.raises(ValueError, match="positive"):
-            divided_differences_log(generate_fast_leja(4), MapParams(c=1.0, gamma=1.0))
+            divided_differences_log(generate_fast_leja(4), iv)
 
 
 class TestScalingChoice:
@@ -43,10 +46,9 @@ class TestScalingChoice:
         """At s = c the endpoint ratio equals
         (lambda_max - lambda_min) / (lambda_max + lambda_min)."""
         for lo, hi, exact in [(1.0, 3.0, True), (1.0, 10.0, False)]:
-            mp = map_params(SpectralInterval(lo, hi))
-            dd, _ = dd_for(8, lo, hi)
-            z = mp.c + mp.gamma * dd.nodes
-            ratio = np.max(np.abs(z / mp.c - 1.0))
+            dd, iv = dd_for(8, lo, hi)
+            z = iv.c + iv.gamma * dd.nodes
+            ratio = np.max(np.abs(z / iv.c - 1.0))
             expected = (hi - lo) / (hi + lo)
             if exact:
                 assert ratio == expected
@@ -79,19 +81,19 @@ class TestScalingIdentity:
         """coeffs[k] equals gamma^k times the divided difference of log at
         the mapped nodes, computed by the extended-precision recursion."""
         m = 30
-        dd, mp = dd_for(m + 1, 1.0, kappa)
-        z = mp.c + mp.gamma * dd.nodes
+        dd, iv = dd_for(m + 1, 1.0, kappa)
+        z = iv.c + iv.gamma * dd.nodes
         ref = reference_divided_differences(z, prec_bits=300)
-        scaled = np.array([mp.gamma ** k * ref[k] for k in range(m + 1)])
+        scaled = np.array([iv.gamma ** k * ref[k] for k in range(m + 1)])
         err = np.abs(dd.coeffs - scaled) / np.maximum(1.0, np.abs(scaled))
         assert err.max() <= 1e-10
 
     def test_tight_agreement_on_narrow_interval(self):
         m = 30
-        dd, mp = dd_for(m + 1, 1.0, 3.0)
-        z = mp.c + mp.gamma * dd.nodes
+        dd, iv = dd_for(m + 1, 1.0, 3.0)
+        z = iv.c + iv.gamma * dd.nodes
         ref = reference_divided_differences(z, prec_bits=300)
-        scaled = np.array([mp.gamma ** k * ref[k] for k in range(m + 1)])
+        scaled = np.array([iv.gamma ** k * ref[k] for k in range(m + 1)])
         err = np.abs(dd.coeffs - scaled) / np.maximum(1.0, np.abs(scaled))
         assert err.max() <= 1e-12
 
@@ -103,11 +105,11 @@ class TestAccuracyAcrossKappa:
         [1/kappa, 1], matches gamma^k times the extended-precision recursion
         to 1e-13 relative.  2500 bits: at kappa <= 4 the recursion itself
         loses the small coefficients at 500."""
-        dd, mp = dd_for(201, 1.0 / kappa, 1.0)
-        z = mp.c + mp.gamma * dd.nodes
+        dd, iv = dd_for(201, 1.0 / kappa, 1.0)
+        z = iv.c + iv.gamma * dd.nodes
         ref = reference_divided_differences(z, prec_bits=2500)
         # gamma^k over- or underflows float64 before the product does
-        scaled = np.array([float(mpmath.mpf(r) * mpmath.mpf(mp.gamma) ** k)
+        scaled = np.array([float(mpmath.mpf(r) * mpmath.mpf(iv.gamma) ** k)
                            for k, r in enumerate(ref)])
         big = np.abs(scaled) > 1e-250
         err = np.abs(dd.coeffs[big] - scaled[big]) / np.abs(scaled[big])

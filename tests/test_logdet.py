@@ -149,7 +149,7 @@ def _probes(rng, n, cols):
 def _sketch_image(eng, S, tol):
     """log(Q~) S column by column: Leja actions of relative tolerance ``tol``
     on Q, minus log(sigma) S."""
-    images = [log_matvec(eng.Q, s, eng.mp, eng.dd, tol=tol * np.linalg.norm(s)).vector
+    images = [log_matvec(eng.Q, s, eng.dd, tol=tol * np.linalg.norm(s)).vector
               - eng.log_sigma * s for s in S.T]
     return np.column_stack(images)
 
@@ -379,9 +379,9 @@ class TestHutchPPSketchTolerance:
     def test_sketch_never_tighter_than_the_other_actions(self, tol, monkeypatch):
         rel_tols = []
 
-        def recording(Q, v, mp, dd, tol, max_degree, v_norm):
+        def recording(Q, v, dd, tol, max_degree, v_norm):
             rel_tols.append(tol / v_norm)
-            return log_matvec(Q, v, mp, dd, tol=tol, max_degree=max_degree,
+            return log_matvec(Q, v, dd, tol=tol, max_degree=max_degree,
                               v_norm=v_norm)
 
         monkeypatch.setattr(logdet, "log_matvec", recording)
@@ -397,6 +397,14 @@ class TestHutchinson:
     def test_identity_exact_zero(self):
         rep = hutchinson_logdet(identity_matrix(25), 4, seed=0)
         assert rep.estimate == 0.0
+
+    def test_one_point_interval_is_log_c(self):
+        # Gershgorin encloses 3 I in [3, 3]: gamma = 0, one coefficient log 3,
+        # every action at degree 0; 3, not 1, so that the coefficient is not 0
+        Q = SparseMatrixCSR.from_dense(3.0 * np.eye(30))
+        rep = hutchinson_logdet(Q, 6, seed=0)
+        assert rep.estimate == pytest.approx(30 * math.log(3.0), rel=1e-14)
+        assert rep.degrees["max"] == 0 and rep.matvecs_total == 0 and rep.converged
 
     def test_diagonal_probe_average(self):
         # Rademacher quadratic forms are exact on diagonal matrices, so the

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import gmrf_spectrum, random_spd
-from lejadet import (ConvergenceError, MapParams, SparseMatrixCSR,
-                     SpectralInterval, estimate_interval, gen_gmrf_grid,
-                     gershgorin_bounds, lanczos_lambda_max, map_params,
-                     shift_invert_lambda_min)
+from lejadet import spectral
+from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
+                     estimate_interval, gen_gmrf_grid, generate_fast_leja,
+                     gershgorin_bounds, lanczos_lambda_max, shift_invert_lambda_min)
 
 
 class TestGershgorin:
@@ -133,16 +133,42 @@ class TestLanczosExtremes:
             assert iv.lambda_min <= w.min() and iv.lambda_max >= w.max()
             assert iv.lambda_min == pytest.approx(w.min(), rel=2e-5)
 
-    def test_default_rule_encloses_lattice_when_lanczos_stops_unconverged(self):
-        # Gershgorin's condition number 5e4 sends g = 200 to Lanczos, whose
-        # lambda_max run stops at its 200-iteration cap below lambda_max
-        g, theta = 200, -0.24999
+    def test_ceiling_stops_the_run_unconverged(self):
+        Q = SparseMatrixCSR.from_dense(np.diag(np.arange(1.0, 11.0)))
+        m = Q.to_scipy()
+
+        def run(**kwargs):
+            return spectral._lanczos_extreme(lambda x: m @ x, Q.n,
+                                             np.random.default_rng(0), 1e-12, 50, **kwargs)
+
+        full, capped = run(), run(ceiling=9.0)
+        assert full.converged and not capped.converged
+        assert 9.0 <= capped.value <= 10.0 and capped.matvecs < full.matvecs
+
+    @pytest.mark.parametrize("g,theta,route",
+                             [(200, -0.24999, None), (128, -0.14, "lanczos")])
+    def test_default_rule_encloses_lattice_when_lanczos_stops_unconverged(
+            self, g, theta, route, monkeypatch):
+        # Gershgorin's condition number 5e4 sends g = 200 to Lanczos; on both
+        # lattices the lambda_max run would stop at its 200-iteration cap below
+        # lambda_max, and estimate_interval stops it once it comes within 1e-3
+        # of Gershgorin's bound, which it keeps
         Q = gen_gmrf_grid(g, theta)
         assert not lanczos_lambda_max(Q, tol=1e-8).converged
         lam = gmrf_spectrum(g, theta)
-        iv = estimate_interval(Q)
+        lows = []
+        shift_invert = spectral._shift_invert
+
+        def spy(*args, **kwargs):
+            lows.append(shift_invert(*args, **kwargs))
+            return lows[-1]
+
+        monkeypatch.setattr(spectral, "_shift_invert", spy)
+        iv = estimate_interval(Q, route)
         assert iv.method == "lanczos"
         assert iv.lambda_min <= lam.min() and iv.lambda_max >= lam.max()
+        assert iv.lambda_max == gershgorin_bounds(Q).lambda_max
+        assert iv.matvecs - lows[0].matvecs <= 50        # the lambda_max run's share
 
     def test_default_rule_keeps_gershgorin_up_to_condition_1e4(self):
         for top, route in [(1e4, "gershgorin"), (1.5e4, "lanczos")]:
@@ -153,33 +179,52 @@ class TestLanczosExtremes:
 
 
 class TestMapParams:
+    """The interval's c and gamma: the map z = c + gamma * xi from [-2, 2]."""
+
     def test_simple_interval(self):
-        mp = map_params(SpectralInterval(1.0, 3.0))
-        assert mp.c == 2.0 and mp.gamma == 0.5
-        assert not mp.degenerate
+        iv = SpectralInterval(1.0, 3.0)
+        assert iv.c == 2.0 and iv.gamma == 0.5
 
     def test_collapsed_interval(self):
-        mp = map_params(SpectralInterval(1.0, 1.0))
-        assert mp.c == 1.0 and mp.gamma == 0.0
-        assert mp.degenerate
+        iv = SpectralInterval(1.0, 1.0)
+        assert iv.c == 1.0 and iv.gamma == 0.0
 
     def test_gmrf_interval(self):
-        mp = map_params(SpectralInterval(0.12, 1.88))
-        assert mp.c == pytest.approx(1.0)
-        assert mp.gamma == pytest.approx(0.44)
+        iv = SpectralInterval(0.12, 1.88)
+        assert iv.c == pytest.approx(1.0)
+        assert iv.gamma == pytest.approx(0.44)
+
+    ROUND_TRIP = [(1.0, 3.0), (0.12, 1.88), (2.0, 2.0), (1e-4, 7e3)]
 
     def test_round_trip(self):
         # reconstruction is exact at the scale of the interval width; the
         # small endpoint of a wide interval cancels down to that resolution
-        for lo, hi in [(1.0, 3.0), (0.12, 1.88), (2.0, 2.0), (1e-4, 7e3)]:
-            mp = map_params(SpectralInterval(lo, hi))
-            assert mp.c - 2.0 * mp.gamma == pytest.approx(lo, abs=4e-16 * hi)
-            assert mp.c + 2.0 * mp.gamma == pytest.approx(hi, rel=1e-15)
+        for lo, hi in self.ROUND_TRIP:
+            iv = SpectralInterval(lo, hi)
+            assert iv.c - 2.0 * iv.gamma == pytest.approx(lo, abs=4e-16 * hi)
+            assert iv.c + 2.0 * iv.gamma == pytest.approx(hi, rel=1e-15)
+
+    def test_pinned_values(self):
+        # (lo + hi) / 2 and (hi - lo) / 4, bitwise as the map had them when it
+        # was a separate object
+        expected = [(2.0, 0.5), (1.0, 0.43999999999999995), (2.0, 0.0),
+                    (3500.00005, 1749.999975)]
+        for (lo, hi), (c, gamma) in zip(self.ROUND_TRIP, expected):
+            iv = SpectralInterval(lo, hi)
+            assert (iv.c, iv.gamma) == (c, gamma)
+
+    def test_nodes_stay_inside_interval(self):
+        xi = generate_fast_leja(200)
+        for lo, hi in [(1.0, 3.0), (0.12, 1.88), (44.4, 58.0), (1e-3, 1e4)]:
+            interval = SpectralInterval(lo, hi)
+            nodes = interval.c + interval.gamma * xi
+            pad = 1e-12 * hi
+            assert nodes.min() >= lo - pad and nodes.max() <= hi + pad
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             SpectralInterval(0.0, 1.0)
         with pytest.raises(ValueError):
             SpectralInterval(2.0, 1.0)
-        with pytest.raises(ValueError):
-            MapParams(1.0, -0.5)
+        with pytest.raises(ValueError):     # c = (lo + hi) / 2 would overflow
+            SpectralInterval(1e308, 1.7e308)
