@@ -144,13 +144,15 @@ def run_bench(args) -> list[dict]:
                 rep_seed = args.seed + rep
                 row = {"matrix": label, "n": Q.n, "nnz": Q.nnz, "method": method,
                        "rep": rep, "seed": rep_seed, "estimate": None,
-                       "std_error": None, "exact": exact, "rel_err": None,
+                       "std_error": None, "error_bound": None, "exact": exact,
+                       "rel_err": None,
                        "wall_time": None, "warnings": 0, "error": None}
                 try:
                     report = estimate(Q, method, seed=rep_seed, lattice=lattice,
                                       **options)
                     row["estimate"] = report.estimate
                     row["std_error"] = report.std_error
+                    row["error_bound"] = report.error_bound
                     row["wall_time"] = report.wall_time
                     row["warnings"] = len(report.warnings)
                     if exact is not None:
@@ -191,6 +193,8 @@ def _render_estimate(result: dict, fmt: str) -> str:
         f"enclosure       {rep['enclosure'] or '-'}",
         "std error       " + ("-" if rep["std_error"] is None
                               else f"{rep['std_error']:.3e}"),
+        "error bound     " + ("-" if rep["error_bound"] is None
+                              else f"{rep['error_bound']:.3e}"),
         f"queries         {rep['queries']}",
         f"degrees         min {rep['degrees']['min']} / median {rep['degrees']['median']} / max {rep['degrees']['max']}",
         f"matvecs         {rep['matvecs_total']}",
@@ -307,9 +311,9 @@ def main(argv=None) -> int:
                 print(json.dumps(rows, indent=2))
             else:
                 print(_rows_to_csv(rows, ["matrix", "n", "nnz", "method", "rep",
-                                          "seed", "estimate", "std_error", "exact",
-                                          "rel_err", "wall_time", "warnings",
-                                          "error"]))
+                                          "seed", "estimate", "std_error",
+                                          "error_bound", "exact", "rel_err",
+                                          "wall_time", "warnings", "error"]))
             return 2 if any(r["error"] or r["warnings"] for r in rows) else 0
 
         # gen, the last of the parser's commands

@@ -11,6 +11,20 @@ so actions run on Q itself and the report carries the n*log(sigma) term
 separately (the estimate is assembled as their sum).  Hutchinson is Hutch++
 with an empty sketch: both run one Leja trace body.
 
+That body first asks whether the enclosure alone settles the trace.  For
+the Newton interpolant P_K of log at K + 1 nodes inside [lambda_min,
+lambda_max], the Lagrange remainder gives, with r = (lambda_max -
+lambda_min) / lambda_min,
+
+    max |log(lambda) - P_K(lambda)| <= r^(K+1) / (K+1)   on the interval,
+
+so |log det Q - tr P_K(Q)| <= n r^(K+1) / (K+1) whenever the interval
+encloses the spectrum.  When that is at most n * action_tol for some
+K <= 2, the smallest such K is taken and tr P_K(Q) is computed exactly
+from the diagonal and the stored values, with no probe, sketch or product
+with Q; the report carries the bound as ``error_bound``.  Otherwise the
+probes run as described above.
+
 ``estimate`` is the one entry point: it dispatches to the three trace
 estimators and the three exact oracles.  The Leja methods enclose the
 spectrum themselves, by the rule of ``estimate_interval``, unless the caller
@@ -55,6 +69,9 @@ DEFAULT_MAX_DEGREE = 400
 _SEMI_ORTHO = math.sqrt(np.finfo(np.float64).eps)
 # entries of a probe block drawn per chunk; the chunk's integers stay in cache
 _RADEMACHER_CHUNK = 1 << 16
+# highest interpolant degree whose trace is summed exactly, with no product
+# with Q: tr omega_1 and tr omega_2 need one pass over the diagonal and values
+_EXACT_DEGREE = 2
 
 
 @dataclass
@@ -75,6 +92,8 @@ class LogDetReport:
     converged: bool = True
     std_error: float | None = None
     enclosure: str | None = None
+    # |estimate - log det Q| is at most this when the trace was summed exactly
+    error_bound: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,7 +144,8 @@ class _ActionRecord(NamedTuple):
 
 
 def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
-            sigma=1.0, n=0, enclosure=None, matvecs=0) -> LogDetReport:
+            sigma=1.0, n=0, enclosure=None, matvecs=0,
+            error_bound=None) -> LogDetReport:
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
@@ -134,7 +154,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
     ``terms`` are the m probe terms whose mean enters the estimate; the
     standard error is their sample standard deviation over sqrt(m), or None
     for m < 2.  ``n`` and ``sigma`` give the n*log(sigma) term, and the wall
-    time runs from ``t0``.
+    time runs from ``t0``.  ``error_bound`` bounds an exactly summed trace.
     """
     warnings = [
         f"{r.label}: not converged at degree {r.degree} "
@@ -158,6 +178,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         std_error=(float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
                    if len(terms) >= 2 else None),
         enclosure=enclosure,
+        error_bound=error_bound,
     )
 
 
@@ -217,12 +238,54 @@ class _ActionEngine:
         return qforms
 
 
+def _exact_trace(eng, action_tol):
+    """(tr P_K(Q), n r^(K+1) / (K+1)) for the smallest K <= min(2, max_degree)
+    with r^(K+1) / (K+1) <= ``action_tol``, or None if there is none.
+
+    r = 4 gamma / lambda_min is the relative width of the engine's interval,
+    and r^(K+1) / (K+1) bounds |log - P_K| on it (module docstring), so the
+    second value bounds |log det Q - tr P_K(Q)| provided the interval
+    encloses the spectrum, which the actions assume as well.  With
+    z_k = c + gamma xi_k the k-th mapped Leja node and a = diag(Q),
+
+        tr omega_1 = sum(a - z_0) / gamma,
+        tr omega_2 = [sum((a - z_0)(a - z_1)) + sum_{i != j} q_ij^2] / gamma^2,
+
+    from one copy of the diagonal, shifted in place; no product with Q.
+    """
+    iv = eng.bounds
+    r = 4.0 * iv.gamma / iv.lambda_min
+    degree = next((K for K in range(min(_EXACT_DEGREE, eng.max_degree) + 1)
+                   if r ** (K + 1) / (K + 1) <= action_tol), None)
+    if degree is None:
+        return None
+    Q = eng.Q
+    d = eng.dd.coeffs
+    bound = Q.n * r ** (degree + 1) / (degree + 1)
+    trace = Q.n * d[0]
+    if degree == 0:
+        return trace, bound
+    z0, z1 = (iv.c + iv.gamma * eng.dd.nodes[:2]).tolist()
+    diag = Q.to_scipy().diagonal()
+    # sum_{i != j} q_ij^2; rounding leaves about eps * sum(a^2) in it, which
+    # d_2 / gamma^2 ~ 1 / (2 lambda^2) scales to about eps * n
+    off = ddot(Q.values, Q.values) - ddot(diag, diag) if degree == 2 else 0.0
+    diag -= z0
+    shifted = float(diag.sum())
+    trace += d[1] * shifted / iv.gamma
+    if degree == 2:     # (a - z_0)(a - z_1) = (a - z_0)^2 - (z_1 - z_0)(a - z_0)
+        trace += d[2] * (ddot(diag, diag) - (z1 - z0) * shifted + off) / iv.gamma ** 2
+    return trace, bound
+
+
 def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
     """Hutch++ over Leja actions with a sketch of k columns; k = 0 is Hutchinson.
 
-    With k = 0 there is no sketch, QR or deterministic phase: the basis is
-    empty and the m_vec probes, named "probe" rather than "residual", are
-    the first draw of ``default_rng(seed)``.
+    The exact trace of ``_exact_trace`` is returned instead, with
+    ``queries`` 0, whenever the enclosure certifies one.  With k = 0 there
+    is no sketch, QR or deterministic phase: the basis is empty and the
+    m_vec probes, named "probe" rather than "residual", are the first draw
+    of ``default_rng(seed)``.
     """
     if not action_tol > 0:      # NaN too: every action would stop at degree 0
         raise ValueError("action_tol must be positive")
@@ -231,6 +294,12 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
     t0 = time.perf_counter()
     eng = _ActionEngine(Q, bounds, max_degree, seed)
     n = Q.n
+    exact = _exact_trace(eng, action_tol)
+    if exact is not None:
+        trace, bound = exact
+        return _report(method, trace - n * eng.log_sigma, queries=0, seed=seed, t0=t0,
+                       sigma=eng.sigma, n=n, enclosure=eng.bounds.method,
+                       matvecs=eng.enclosure_matvecs, error_bound=bound)
     rng = np.random.default_rng(seed)
     n_res = m_vec - 2 * k
     basis = np.empty((n, 0), order="F")
@@ -301,6 +370,18 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     is enclosed by ``estimate_interval(Q, seed=seed)``; its time and
     products with Q count in the wall time and ``matvecs_total``, and
     ``report.enclosure`` names the route.
+
+    When the enclosure is narrow enough that, with r = (lambda_max -
+    lambda_min) / lambda_min, r^(K+1) / (K+1) <= ``action_tol`` for some
+    K <= min(2, max_degree), no probe is drawn: the estimate is the exact
+    trace of the degree-K interpolant for the smallest such K, summed from
+    the diagonal and the stored values of Q.  Its error is at most
+    ``report.error_bound`` = n r^(K+1) / (K+1), the same n * action_tol
+    budget the probes' actions accept, provided ``bounds`` (given or
+    found) encloses the spectrum, as the actions assume too.  Such a report
+    has ``queries`` 0, ``std_error`` None, all-zero ``degrees`` and, in
+    ``matvecs_total``, only the enclosure's products; ``error_bound`` is
+    None on every other report.
     """
     if m_vec < 3:
         raise ValueError("Hutch++ needs at least 3 matvec queries")
@@ -443,7 +524,10 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     on the interval that ``estimate_interval(Q, seed=seed)`` chooses
     (Gershgorin, or Lanczos when Gershgorin's condition number exceeds 1e4;
     ``report.enclosure``), with divided differences from one trapezoid sum
-    (``divided_differences_log``).
+    (``divided_differences_log``).  When that interval certifies an
+    interpolant of degree at most 2 to ``tol``, the estimate is its exact
+    trace, with no probe and with ``report.error_bound`` set (see
+    ``hutchpp_logdet``).
     The wall time and matvec total include that enclosure.  ``slq`` runs
     ``probes`` probes of ``slq_degree`` Lanczos steps and needs no enclosure.
     ``exact-dense`` and ``exact-band`` are the Cholesky oracles;

@@ -19,7 +19,7 @@ CONFIG_KEYS = ["method", "matrix", "gen", "queries", "probes", "slq_degree", "to
                "seed", "format", "max_degree", "with_exact"]
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
-               "warnings", "converged", "std_error", "enclosure"}
+               "warnings", "converged", "std_error", "enclosure", "error_bound"}
 
 # the estimator options every estimator command refuses before it runs, with
 # their messages; each command line below is complete apart from them
@@ -110,6 +110,23 @@ class TestEstimate:
         assert "enclosure       gershgorin" in out.splitlines()
         (line,) = [ln for ln in out.splitlines() if ln.startswith("std error")]
         assert float(line.split()[-1]) > 0
+        assert "error bound     -" in out.splitlines()
+
+    def test_exact_trace_shows_its_bound(self, capsys):
+        # pentadiagonal 10^4: the enclosure certifies a degree-2 interpolant
+        code, out, _ = run_cli(capsys, "estimate", "--gen", "pentadiagonal:10000",
+                               "--method", "leja-hutchpp", "--format", "table")
+        assert code == 0
+        lines = out.splitlines()
+        (line,) = [ln for ln in lines if ln.startswith("error bound")]
+        assert 0 < float(line.split()[-1]) < 1e-3
+        assert "std error       -" in lines and "queries         0" in lines
+        code, out, _ = run_cli(capsys, "bench", "--gen", "pentadiagonal:10000",
+                               "--methods", "hutchinson,exact-band")
+        assert code == 0
+        rows = {r["method"]: r for r in csv.DictReader(io.StringIO(out))}
+        assert f'{float(rows["hutchinson"]["error_bound"]):.3e}' == line.split()[-1]
+        assert rows["hutchinson"]["std_error"] == rows["exact-band"]["error_bound"] == ""
 
     @pytest.mark.parametrize("bad,message", BAD_OPTIONS, ids=BAD_OPTION_IDS)
     def test_bad_estimator_option_rejected(self, capsys, bad, message):

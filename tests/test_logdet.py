@@ -134,6 +134,10 @@ class TestReportContract:
         rep = hutchpp_logdet(gen_gmrf_grid(8, -0.2), 6, seed=2)
         again = LogDetReport.from_dict(rep.to_dict())
         assert again == rep
+        # a report written before the error bound existed still loads
+        old = rep.to_dict()
+        del old["error_bound"]
+        assert rep.error_bound is None and LogDetReport.from_dict(old) == rep
 
 
 def _dense_log(Q, sigma):
@@ -276,11 +280,14 @@ class TestHutchPP:
             rep = hutchpp_logdet(identity_matrix(n), 6, seed=0)
             assert rep.estimate == 0.0
 
-    def test_constant_diagonal_full_rank_capture(self):
-        # spectrum is a single point; with k = n the sketch basis spans
-        # everything, the residual vanishes, and the estimate is exact
-        Q = SparseMatrixCSR.from_dense(np.diag(np.full(100, 2.0)))
+    def test_full_rank_sketch_captures_the_trace(self):
+        # eigenvalues 2 e^u for u and -u in pairs, so log det = 100 log 2, on an
+        # interval too wide for an exact low-degree trace; with k = n the
+        # sketch basis spans everything, the residual vanishes, and the
+        # estimate is exact
+        Q = SparseMatrixCSR.from_dense(np.diag(2.0 * np.exp(np.linspace(-0.5, 0.5, 100))))
         rep = hutchpp_logdet(Q, 300, seed=0, action_tol=1e-10)
+        assert rep.queries == 300 and rep.error_bound is None
         assert rep.estimate == pytest.approx(100 * math.log(2.0), abs=1e-6)
 
     def test_rank_deficient_log_captured_deterministically(self):
@@ -362,15 +369,19 @@ class TestHutchPPSketchTolerance:
         assert rep.converged and not rep.warnings
         assert rep.matvecs_total == sum(r.degree for r in eng.records)
 
-    @pytest.mark.parametrize("make", [lambda: gen_gmrf_grid(40, -0.22),
-                                      lambda: gen_pentadiagonal(10_000, seed=0)],
+    # at the default 1e-7 the enclosure of penta-1e4 certifies a degree-2
+    # trace and no sketch runs; at 1e-10 it certifies none
+    @pytest.mark.parametrize("make,tol", [(lambda: gen_gmrf_grid(40, -0.22), 1e-7),
+                                          (lambda: gen_pentadiagonal(10_000, seed=0),
+                                           1e-10)],
                              ids=["lattice-40", "penta-1e4"])
-    def test_matches_a_full_tolerance_sketch(self, make):
+    def test_matches_a_full_tolerance_sketch(self, make, tol):
         # the basis error enters at second order: over 20 seeds each estimate
         # moves by far less than the seed-to-seed spread, and so does the spread
         Q = make()
-        ref = np.array([_hutchpp_full_tol_sketch(Q, 12, s) for s in range(20)])
-        got = np.array([hutchpp_logdet(Q, 12, seed=s).estimate for s in range(20)])
+        ref = np.array([_hutchpp_full_tol_sketch(Q, 12, s, tol) for s in range(20)])
+        got = np.array([hutchpp_logdet(Q, 12, action_tol=tol, seed=s).estimate
+                        for s in range(20)])
         spread = np.std(ref, ddof=1)
         assert np.max(np.abs(got - ref)) <= 1e-3 * spread
         assert np.std(got, ddof=1) / spread == pytest.approx(1.0, abs=1e-3)
@@ -400,11 +411,12 @@ class TestHutchinson:
 
     def test_one_point_interval_is_log_c(self):
         # Gershgorin encloses 3 I in [3, 3]: gamma = 0, one coefficient log 3,
-        # every action at degree 0; 3, not 1, so that the coefficient is not 0
+        # summed exactly at degree 0; 3, not 1, so that the coefficient is not 0
         Q = SparseMatrixCSR.from_dense(3.0 * np.eye(30))
         rep = hutchinson_logdet(Q, 6, seed=0)
         assert rep.estimate == pytest.approx(30 * math.log(3.0), rel=1e-14)
         assert rep.degrees["max"] == 0 and rep.matvecs_total == 0 and rep.converged
+        assert rep.queries == 0 and rep.error_bound == 0.0
 
     def test_diagonal_probe_average(self):
         # Rademacher quadratic forms are exact on diagonal matrices, so the
@@ -425,6 +437,95 @@ class TestHutchinson:
         rep = hutchinson_logdet(Q, 12, seed=seed)
         assert rep.trace_estimate == sum(qforms) / 12
         assert rep.estimate == Q.n * eng.log_sigma + sum(qforms) / 12
+
+
+def _diagonal_with_width(lo, r, n=50):
+    """Diagonal matrix with eigenvalues spread over [lo, lo (1 + r)], ends
+    included; Gershgorin encloses it exactly."""
+    return SparseMatrixCSR.from_dense(np.diag(lo * (1.0 + r * np.linspace(0.0, 1.0, n))))
+
+
+# the largest relative width r at which degree K is certified at tolerance
+# 1e-7: r^(K+1) / (K+1) = 1e-7
+EXACT_TOL = 1e-7
+THRESHOLDS = [(3 * EXACT_TOL) ** (1 / 3), math.sqrt(2 * EXACT_TOL), EXACT_TOL]
+
+
+class TestExactTrace:
+    """An enclosure narrow enough for a degree <= 2 interpolant: no probes."""
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    @pytest.mark.parametrize("estimator", [hutchpp_logdet, hutchinson_logdet],
+                             ids=["hutchpp", "hutchinson"])
+    def test_pentadiagonal_within_its_bound(self, estimator, n, recwarn):
+        Q = gen_pentadiagonal(n, seed=0)
+        exact = band_logdet_cholesky(Q, 2)
+        bounds = estimate_interval(Q, "gershgorin")
+        # Gershgorin's interval is the default route's and costs no product
+        for rep in (estimator(Q, 12, seed=1, bounds=bounds), estimator(Q, 12, seed=1)):
+            assert abs(rep.estimate - exact) <= rep.error_bound
+            assert rep.queries == 0 and rep.std_error is None
+            assert not rep.warnings and rep.converged
+            assert rep.degrees == {"min": 0, "median": 0.0, "max": 0}
+            assert rep.matvecs_total == 0
+            assert rep.estimate == rep.n_log_sigma + rep.trace_estimate
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("lo", [0.5, 3.0], ids=["sigma-0.5", "sigma-1"])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("estimator", [hutchpp_logdet, hutchinson_logdet],
+                             ids=["hutchpp", "hutchinson"])
+    def test_smallest_certified_degree(self, estimator, degree, lo):
+        Q = _diagonal_with_width(lo, 0.99 * THRESHOLDS[2 - degree])
+        eig = Q.to_scipy().diagonal()
+        rep = estimator(Q, 12, action_tol=EXACT_TOL, seed=0)
+        assert rep.sigma == min(lo, 1.0) and rep.queries == 0
+        r = (eig[-1] - eig[0]) / eig[0]
+        # the bound of `degree`, not of a higher one; a lower one is not certified
+        assert rep.error_bound == pytest.approx(Q.n * r ** (degree + 1) / (degree + 1),
+                                                rel=1e-6)
+        assert degree == 0 or r ** degree / degree > EXACT_TOL
+        assert abs(rep.estimate - np.sum(np.log(eig))) <= rep.error_bound
+        if degree:      # a degree cap below the certified degree leaves the probes
+            capped = estimator(Q, 12, action_tol=EXACT_TOL, seed=0, max_degree=degree - 1)
+            assert capped.queries == 12 and capped.error_bound is None
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_equals_the_interpolant_trace(self, degree):
+        # a rotated matrix (off-diagonal entries) with its exact extremes as
+        # the enclosure: the estimate is sum P_K(lambda_i) to rounding
+        rng = np.random.default_rng(0)
+        eig = 3.0 * (1.0 + 0.99 * THRESHOLDS[2 - degree] * rng.uniform(size=40))
+        eig[:2] = 3.0, 3.0 * (1.0 + 0.99 * THRESHOLDS[2 - degree])
+        basis, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        dense = (basis * eig) @ basis.T
+        Q = SparseMatrixCSR.from_dense(0.5 * (dense + dense.T))
+        eig = np.linalg.eigvalsh(Q.to_dense())
+        bounds = SpectralInterval(eig[0], eig[-1])
+        rep = hutchinson_logdet(Q, 12, action_tol=EXACT_TOL, bounds=bounds)
+        eng = logdet._ActionEngine(Q, bounds, 400, 0)
+        xi, d = eng.dd.nodes, eng.dd.coeffs
+        x = (eig - bounds.c) / bounds.gamma
+        newton = d[0] + d[1] * (x - xi[0]) + (d[2] * (x - xi[0]) * (x - xi[1])
+                                              if degree == 2 else 0.0)
+        assert rep.queries == 0
+        assert rep.estimate == pytest.approx(np.sum(newton), rel=1e-13)
+        assert abs(rep.estimate - np.sum(np.log(eig))) <= rep.error_bound
+
+    @pytest.mark.parametrize("estimator,labels", [
+        (hutchpp_logdet, [f"{p} action {j}" for p in ("sketch", "deterministic",
+                                                        "residual") for j in range(4)]),
+        (hutchinson_logdet, [f"probe action {j}" for j in range(12)])],
+        ids=["hutchpp", "hutchinson"])
+    def test_all_actions_run_above_the_degree_2_threshold(self, estimator, labels,
+                                                          monkeypatch):
+        engines = _recorded_engines(monkeypatch)
+        Q = _diagonal_with_width(3.0, 1.01 * THRESHOLDS[0])
+        rep = estimator(Q, 12, action_tol=EXACT_TOL, seed=0)
+        (eng,) = engines
+        assert [r.label for r in eng.records] == labels
+        assert rep.queries == 12 and rep.error_bound is None
+        assert rep.matvecs_total == sum(r.degree for r in eng.records) > 0
 
 
 LEJA_CALLS = [lambda Q, **kw: hutchpp_logdet(Q, 6, **kw),

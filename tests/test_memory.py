@@ -1,9 +1,9 @@
-"""Memory budgets of matrix build and write, bounds, Hutch++ and the band oracle
-(tracemalloc).
+"""Memory budgets of matrix build and write, bounds, Hutch++, the exact
+low-degree trace and the band oracle (tracemalloc).
 
 numpy reports its array buffers to tracemalloc, so the traced peak above
 the starting level is the largest set of arrays a call holds at once.  The
-budgets are in CSR bytes or in dense n-vectors (8n bytes) at n = 2*10^5;
+budgets are in CSR bytes or in dense n-vectors (8n bytes) at n ~= 2*10^5;
 the working sets they bound are listed in each test.
 """
 
@@ -11,8 +11,9 @@ import tracemalloc
 
 import pytest
 
-from lejadet import (band_logdet_cholesky, estimate_interval, gen_pentadiagonal,
-                     generate_fast_leja, hutchpp_logdet, write_matrix_market)
+from lejadet import (band_logdet_cholesky, estimate_interval, gen_gmrf_grid,
+                     gen_pentadiagonal, generate_fast_leja, hutchpp_logdet,
+                     write_matrix_market)
 from lejadet.leja import DEFAULT_POOL_SIZE
 
 N = 200_000
@@ -61,13 +62,26 @@ def test_gershgorin_interval_peak(penta):
     assert peak <= 4.5 * 8 * N
 
 
-def test_hutchpp_peak_above_matrix(penta):
+def test_hutchpp_peak_above_matrix():
     # image/basis (4 columns), int8 sketch and probes, one float probe and
-    # the action's iterate, sum and product
-    Q, bounds = penta
+    # the action's iterate, sum and product; on a lattice of n = 447^2 ~= N,
+    # whose enclosure is too wide for an exact low-degree trace
+    Q = gen_gmrf_grid(447, -0.22)
+    bounds = estimate_interval(Q, "gershgorin")
     generate_fast_leja(DEFAULT_POOL_SIZE)      # the process-wide pool, built once
-    _, peak = traced_peak(lambda: hutchpp_logdet(Q, m_vec=12, seed=1, bounds=bounds))
-    assert peak <= 12 * 8 * N
+    rep, peak = traced_peak(lambda: hutchpp_logdet(Q, m_vec=12, seed=1, bounds=bounds))
+    assert rep.queries == 12
+    assert peak <= 12 * 8 * Q.n
+
+
+def test_exact_trace_peak(penta):
+    # the diagonal, shifted in place; the divided differences' smaller work
+    # array is freed before it is taken
+    Q, bounds = penta
+    generate_fast_leja(DEFAULT_POOL_SIZE)
+    rep, peak = traced_peak(lambda: hutchpp_logdet(Q, m_vec=12, seed=1, bounds=bounds))
+    assert rep.queries == 0
+    assert peak <= 2 * 8 * N
 
 
 def test_band_logdet_cholesky_peak(penta):
