@@ -145,8 +145,8 @@ def run_bench(args) -> list[dict]:
                 row = {"matrix": label, "n": Q.n, "nnz": Q.nnz, "method": method,
                        "rep": rep, "seed": rep_seed, "estimate": None,
                        "std_error": None, "error_bound": None, "exact": exact,
-                       "rel_err": None,
-                       "wall_time": None, "warnings": 0, "error": None}
+                       "rel_err": None, "wall_time": None, "warnings": 0,
+                       "error": None}
                 try:
                     report = estimate(Q, method, seed=rep_seed, lattice=lattice,
                                       **options)
