@@ -22,7 +22,8 @@ so |log det Q - tr P_K(Q)| <= n r^(K+1) / (K+1) whenever the interval
 encloses the spectrum.  When that is at most n * action_tol for some
 K <= 2, the smallest such K is taken and tr P_K(Q) is computed exactly
 from the diagonal and the stored values, with no probe, sketch or product
-with Q; the report carries the bound as ``error_bound``.  Otherwise the
+with Q, and only the K + 1 coefficients it reads are computed; the report
+carries the bound as ``error_bound``.  Otherwise the
 probes run as described above.
 
 ``estimate`` is the one entry point: it dispatches to the three trace
@@ -187,11 +188,16 @@ class _ActionEngine:
     map), the coefficients, and the normalization sigma = min(lambda_min, 1)
     with its logarithm.
 
+    The enclosure is asked first whether it certifies an exact trace at
+    ``tol`` (``exact_degree``, see ``_exact_trace``); if so, the coefficient
+    table stops at that degree, since the exact trace reads nothing else,
+    and otherwise it holds the max_degree + 1 coefficients of the actions.
+
     ``records`` keeps each action's diagnostics for the report, never its
     result vector.
     """
 
-    def __init__(self, Q, bounds, max_degree, seed):
+    def __init__(self, Q, bounds, max_degree, seed, tol):
         if not Q.symmetric_verified:
             raise ValueError("estimators require a verified-symmetric matrix")
         self.Q = Q
@@ -200,8 +206,13 @@ class _ActionEngine:
         self.sigma = float(min(self.bounds.lambda_min, 1.0))
         self.log_sigma = math.log(self.sigma)
         self.max_degree = max_degree
+        # r^(K+1) / (K+1) bounds |log - P_K| on the interval (module docstring)
+        r = 4.0 * self.bounds.gamma / self.bounds.lambda_min
+        self.exact_degree = next((K for K in range(min(_EXACT_DEGREE, max_degree) + 1)
+                                  if r ** (K + 1) / (K + 1) <= tol), None)
         # an action of degree m reads coefficients 0..m
-        self.dd = divided_differences_log(generate_fast_leja(max_degree + 1), self.bounds)
+        top = max_degree if self.exact_degree is None else self.exact_degree
+        self.dd = divided_differences_log(generate_fast_leja(top + 1), self.bounds)
         self.records = []
 
     def act(self, v, tol):
@@ -238,9 +249,10 @@ class _ActionEngine:
         return qforms
 
 
-def _exact_trace(eng, action_tol):
-    """(tr P_K(Q), n r^(K+1) / (K+1)) for the smallest K <= min(2, max_degree)
-    with r^(K+1) / (K+1) <= ``action_tol``, or None if there is none.
+def _exact_trace(eng):
+    """(tr P_K(Q), n r^(K+1) / (K+1)) for K = ``eng.exact_degree``, the
+    smallest K <= min(2, max_degree) with r^(K+1) / (K+1) <= the tolerance
+    the engine was built with.
 
     r = 4 gamma / lambda_min is the relative width of the engine's interval,
     and r^(K+1) / (K+1) bounds |log - P_K| on it (module docstring), so the
@@ -251,14 +263,12 @@ def _exact_trace(eng, action_tol):
         tr omega_1 = sum(a - z_0) / gamma,
         tr omega_2 = [sum((a - z_0)(a - z_1)) + sum_{i != j} q_ij^2] / gamma^2,
 
-    from one copy of the diagonal, shifted in place; no product with Q.
+    from one copy of the matrix's held diagonal, shifted in place; no
+    product with Q.
     """
     iv = eng.bounds
+    degree = eng.exact_degree
     r = 4.0 * iv.gamma / iv.lambda_min
-    degree = next((K for K in range(min(_EXACT_DEGREE, eng.max_degree) + 1)
-                   if r ** (K + 1) / (K + 1) <= action_tol), None)
-    if degree is None:
-        return None
     Q = eng.Q
     d = eng.dd.coeffs
     bound = Q.n * r ** (degree + 1) / (degree + 1)
@@ -266,7 +276,7 @@ def _exact_trace(eng, action_tol):
     if degree == 0:
         return trace, bound
     z0, z1 = (iv.c + iv.gamma * eng.dd.nodes[:2]).tolist()
-    diag = Q.to_scipy().diagonal()
+    diag = Q.diagonal.copy()
     # sum_{i != j} q_ij^2; rounding leaves about eps * sum(a^2) in it, which
     # d_2 / gamma^2 ~ 1 / (2 lambda^2) scales to about eps * n
     off = ddot(Q.values, Q.values) - ddot(diag, diag) if degree == 2 else 0.0
@@ -292,11 +302,10 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     t0 = time.perf_counter()
-    eng = _ActionEngine(Q, bounds, max_degree, seed)
+    eng = _ActionEngine(Q, bounds, max_degree, seed, action_tol)
     n = Q.n
-    exact = _exact_trace(eng, action_tol)
-    if exact is not None:
-        trace, bound = exact
+    if eng.exact_degree is not None:
+        trace, bound = _exact_trace(eng)
         return _report(method, trace - n * eng.log_sigma, queries=0, seed=seed, t0=t0,
                        sigma=eng.sigma, n=n, enclosure=eng.bounds.method,
                        matvecs=eng.enclosure_matvecs, error_bound=bound)

@@ -39,8 +39,8 @@ __all__ = [
     "estimate_interval",
 ]
 
-# rows per block of the Gershgorin row sums; the block's |values| stay small
-_GERSHGORIN_ROWS = 4096
+# rows per block of the Gershgorin pass; the block's |values| stay small
+_GERSHGORIN_ROWS = 16_384
 # Gershgorin's lower bound is floored at this fraction of its upper bound
 _FLOOR = 1e-8
 # estimate_interval keeps Gershgorin's interval up to this condition number
@@ -97,19 +97,22 @@ def gershgorin_bounds(Q: SparseMatrixCSR) -> SpectralInterval:
     r_i the sum of off-diagonal magnitudes in row i.  The lower bound is
     floored at 1e-8 * lambda_max since the circles may dip below zero even
     for SPD input.
+
+    One pass over blocks of rows: the block's |values| go into one reused
+    buffer, a product of the block (sharing Q's column indices) with a
+    ones vector sums each row in storage order, |a_ii| of the matrix's
+    held diagonal comes off, and running extremes of a_ii +- r_i are kept.
+    The ones vector is the only n-length array the pass allocates.
     """
     if not Q.symmetric_verified:
         raise ValueError("Gershgorin bounds require a verified-symmetric matrix")
     m = Q.to_scipy()
     n = Q.n
-    diag = m.diagonal()
-    # row sums of |Q|, one block of rows at a time: |values| of the block go
-    # into one reusable buffer, and a product of the block (sharing Q's
-    # column indices) with ones sums each row in storage order
-    radius = np.empty(n)
+    diag = Q.diagonal
     ones = np.ones(n)
     indptr = m.indptr
     buf = np.empty(0)
+    lambda_max, lambda_min = -np.inf, np.inf
     for r0 in range(0, n, _GERSHGORIN_ROWS):
         r1 = min(r0 + _GERSHGORIN_ROWS, n)
         lo, hi = int(indptr[r0]), int(indptr[r1])
@@ -118,16 +121,15 @@ def gershgorin_bounds(Q: SparseMatrixCSR) -> SpectralInterval:
         vals = np.abs(m.data[lo:hi], out=buf[:hi - lo])
         block = sp.csr_matrix((vals, m.indices[lo:hi], indptr[r0:r1 + 1] - lo),
                               shape=(r1 - r0, n), copy=False)
-        radius[r0:r1] = block @ ones
-    del ones
-    scratch = np.abs(diag)
-    radius -= scratch
-    lambda_max = float(np.max(np.add(diag, radius, out=scratch)))
+        radius = block @ ones
+        d = diag[r0:r1]
+        radius -= np.abs(d)
+        lambda_max = max(lambda_max, float(np.max(d + radius)))
+        lambda_min = min(lambda_min, float(np.min(np.subtract(d, radius, out=radius))))
     if lambda_max <= 0:
         raise ValueError("Gershgorin upper bound is not positive; matrix is not SPD")
-    lambda_min = max(_FLOOR * lambda_max,
-                     float(np.min(np.subtract(diag, radius, out=scratch))))
-    return SpectralInterval(lambda_min, lambda_max, method="gershgorin")
+    return SpectralInterval(max(_FLOOR * lambda_max, lambda_min), lambda_max,
+                            method="gershgorin")
 
 
 class EigenEstimate(NamedTuple):

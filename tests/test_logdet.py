@@ -178,7 +178,7 @@ class TestStdError:
         L = _dense_log(Q, rep.sigma)
         rng = np.random.default_rng(5)
         # the basis of the sketch as the estimator forms it, at sqrt(tol)
-        eng = logdet._ActionEngine(Q, None, 400, 5)
+        eng = logdet._ActionEngine(Q, None, 400, 5, 1e-7)
         basis, _ = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, 5), math.sqrt(1e-7)))
         G = _probes(rng, Q.n, 5)
         U = G - basis @ (basis.T @ G)
@@ -341,7 +341,7 @@ def _recorded_engines(monkeypatch):
 def _hutchpp_full_tol_sketch(Q, m_vec, seed, tol=1e-7):
     """Hutch++ with the sketch actions run to ``tol`` like every other action,
     on the estimator's probe draws."""
-    eng = logdet._ActionEngine(Q, None, 400, seed)
+    eng = logdet._ActionEngine(Q, None, 400, seed, tol)
     rng = np.random.default_rng(seed)
     k = m_vec // 3
     basis, r = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, k), tol))
@@ -431,7 +431,7 @@ class TestHutchinson:
         # Hutch++ with an empty sketch: no deflation, no deterministic term,
         # and the probes are the first draw of the seed's stream
         Q = gen_gmrf_grid(12, -0.22)
-        eng = logdet._ActionEngine(Q, None, 400, seed)
+        eng = logdet._ActionEngine(Q, None, 400, seed, 1e-7)
         probes = logdet._rademacher(np.random.default_rng(seed), Q.n, 12)
         qforms = [eng.act(logdet._column(probes, j), 1e-7)[1] for j in range(12)]
         rep = hutchinson_logdet(Q, 12, seed=seed)
@@ -503,7 +503,9 @@ class TestExactTrace:
         eig = np.linalg.eigvalsh(Q.to_dense())
         bounds = SpectralInterval(eig[0], eig[-1])
         rep = hutchinson_logdet(Q, 12, action_tol=EXACT_TOL, bounds=bounds)
-        eng = logdet._ActionEngine(Q, bounds, 400, 0)
+        eng = logdet._ActionEngine(Q, bounds, 400, 0, EXACT_TOL)
+        # the exact path builds only the coefficients it reads
+        assert eng.exact_degree == degree and len(eng.dd) == degree + 1
         xi, d = eng.dd.nodes, eng.dd.coeffs
         x = (eig - bounds.c) / bounds.gamma
         newton = d[0] + d[1] * (x - xi[0]) + (d[2] * (x - xi[0]) * (x - xi[1])

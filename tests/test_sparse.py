@@ -107,6 +107,44 @@ class TestCSRInvariants:
         assert not Q.symmetric_verified
 
 
+class TestHeldDiagonal:
+    """``Q.diagonal``: taken once at construction, frozen, bitwise scipy's."""
+
+    @pytest.mark.parametrize("make_q", [
+        # (1, 1) is not stored
+        lambda: SparseMatrixCSR(np.array([0, 2, 3, 5]), np.array([0, 2, 2, 0, 2]),
+                                np.array([2.0, -1.0, 0.5, -1.0, 3.0])),
+        # row 1 (and column 1) is empty
+        lambda: SparseMatrixCSR.from_dense(np.array([[2.0, 0.0, -1.0],
+                                                     [0.0, 0.0, 0.0],
+                                                     [-1.0, 0.0, 4.0]])),
+        lambda: SparseMatrixCSR.from_dense(np.array([[-0.25]])),
+        unsymmetric,
+        lambda: gen_pentadiagonal(1000, seed=2),
+    ], ids=["missing-entry", "empty-row", "n-1", "unsymmetric", "penta"])
+    def test_bitwise_equal_to_scipy(self, make_q):
+        Q = make_q()
+        ref = Q.to_scipy().diagonal()
+        assert Q.diagonal.shape == (Q.n,) and Q.diagonal.dtype == np.float64
+        assert Q.diagonal.tobytes() == ref.tobytes()
+
+    def test_present_after_every_constructor(self, tmp_path):
+        dense = np.array([[3.0, -1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, 2.0, 5.0]])
+        p = tmp_path / "m.mtx"
+        write_matrix_market(SparseMatrixCSR.from_dense(dense), p)
+        for Q in (SparseMatrixCSR.from_scipy(sp.coo_matrix(dense)),
+                  SparseMatrixCSR.from_dense(dense), load_matrix_market(p)):
+            assert np.array_equal(Q.diagonal, [3.0, 0.0, 5.0])
+
+    def test_frozen(self):
+        Q = gen_pentadiagonal(10, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            Q.diagonal[0] = 1.0
+        with pytest.raises(AttributeError):
+            Q.diagonal = np.zeros(10)
+        assert Q.diagonal is Q.diagonal      # held, not recomputed per access
+
+
 class TestMatrixMarket:
     def test_symmetric_expansion(self, tmp_path):
         p = tmp_path / "m.mtx"

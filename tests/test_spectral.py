@@ -1,11 +1,37 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import gmrf_spectrum, random_spd
 from lejadet import spectral
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      estimate_interval, gen_gmrf_grid, generate_fast_leja,
                      gershgorin_bounds, lanczos_lambda_max, shift_invert_lambda_min)
+
+
+def _chain(n, empty=False, missing_diagonal=False):
+    """Symmetric chain matrix of order n with random couplings, whose largest
+    diagonal entry is on its last row; ``empty`` clears every 1000th row and
+    column, ``missing_diagonal`` drops every 700th diagonal entry (their rows
+    keep their couplings)."""
+    rng = np.random.default_rng(n)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    diag = 4.0 + rng.random(n)
+    diag[-1] = 6.0
+    a = sp.diags([off, diag, off], [-1, 0, 1], format="lil")
+    if empty:
+        for i in range(0, n, 1000):
+            a[i, :] = 0.0
+            a[:, i] = 0.0
+    if missing_diagonal:
+        for i in range(3, n, 700):
+            a[i, i] = 0.0
+    a = a.tocsr()
+    a.eliminate_zeros()
+    Q = SparseMatrixCSR.from_scipy(a)
+    assert Q.symmetric_verified
+    assert (np.diff(Q.row_ptr) == 0).any() == empty
+    return Q
 
 
 class TestGershgorin:
@@ -52,10 +78,15 @@ class TestGershgorin:
 
     def test_bitwise_equal_to_entrywise_row_sums(self):
         from lejadet import gen_pentadiagonal
-        for Q in (gen_pentadiagonal(10_000, seed=1), random_spd(3, n=120)[0]):
-            rows = np.repeat(np.arange(Q.n), np.diff(Q.row_ptr))
+        rows = spectral._GERSHGORIN_ROWS
+        for Q in (gen_pentadiagonal(10_000, seed=1), random_spd(3, n=120)[0],
+                  # several blocks, the last one partial and holding the top
+                  gen_pentadiagonal(3 * rows + 1234, seed=2), _chain(3 * rows + 1234),
+                  _chain(2 * rows + 77, empty=True),
+                  _chain(rows + 5, missing_diagonal=True)):
+            row = np.repeat(np.arange(Q.n), np.diff(Q.row_ptr))
             diag = Q.to_scipy().diagonal()
-            radius = (np.bincount(rows, weights=np.abs(Q.values), minlength=Q.n)
+            radius = (np.bincount(row, weights=np.abs(Q.values), minlength=Q.n)
                       - np.abs(diag))
             iv = gershgorin_bounds(Q)
             assert iv.lambda_max == np.max(diag + radius)
