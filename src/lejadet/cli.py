@@ -44,6 +44,13 @@ def _estimator_options(args) -> dict:
             "max_degree": args.max_degree}
 
 
+def _finite(value: float, field: str) -> float:
+    """value, refused with the field's name when it is infinite or NaN."""
+    if not math.isfinite(value):
+        raise ValueError(f"{field} must be finite, got {value}")
+    return value
+
+
 def parse_gen_spec(spec: str, seed: int):
     """Generator grammar: 'pentadiagonal:N' or 'gmrf:G:THETA'."""
     parts = spec.split(":")
@@ -51,13 +58,13 @@ def parse_gen_spec(spec: str, seed: int):
     if kind == "pentadiagonal":
         if len(parts) != 2:
             raise ValueError("expected pentadiagonal:N")
-        n = int(float(parts[1]))
+        n = int(_finite(float(parts[1]), "pentadiagonal:N"))
         return gen_pentadiagonal(n, seed=seed), {"kind": kind, "n": n}
     if kind == "gmrf":
         if len(parts) != 3:
             raise ValueError("expected gmrf:G:THETA")
-        g = int(float(parts[1]))
-        theta = float(parts[2])
+        g = int(_finite(float(parts[1]), "gmrf:G"))
+        theta = _finite(float(parts[2]), "gmrf:THETA")
         return gen_gmrf_grid(g, theta), {"kind": kind, "g": g, "theta": theta}
     raise ValueError(f"unknown generator {kind!r}; use pentadiagonal:N or gmrf:G:THETA")
 
@@ -293,6 +300,8 @@ def main(argv=None) -> int:
 
         if args.command == "gmrf-likelihood":
             _estimator_options(args)            # the scan's estimator options
+            for name in ("theta_true", "theta_start", "theta_stop", "theta_step"):
+                _finite(getattr(args, name), "--" + name.replace("_", "-"))
             thetas = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
             out = gmrf_likelihood_scan(
                 args.grid_side, args.theta_true, thetas, seed=args.seed,

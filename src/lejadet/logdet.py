@@ -198,8 +198,6 @@ class _ActionEngine:
     """
 
     def __init__(self, Q, bounds, max_degree, seed, tol):
-        if not Q.symmetric_verified:
-            raise ValueError("estimators require a verified-symmetric matrix")
         self.Q = Q
         self.bounds = estimate_interval(Q, seed=seed) if bounds is None else bounds
         self.enclosure_matvecs = self.bounds.matvecs if bounds is None else 0
@@ -504,8 +502,6 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
         raise ValueError("Lanczos degree must be at least 1")
     if n_v < 1:
         raise ValueError("need at least one probe")
-    if not Q.symmetric_verified:
-        raise ValueError("estimators require a verified-symmetric matrix")
     t0 = time.perf_counter()
     m_sp = Q.to_scipy()
     rng = np.random.default_rng(seed)

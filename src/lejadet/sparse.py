@@ -23,7 +23,7 @@ __all__ = [
 
 
 class SparseMatrixCSR:
-    """Immutable compressed-sparse-row storage for a square real matrix.
+    """Immutable compressed-sparse-row storage for a square real symmetric matrix.
 
     Invariants checked at construction:
 
@@ -31,7 +31,10 @@ class SparseMatrixCSR:
       ``row_ptr[n] == nnz``;
     - column indices lie in ``[0, n)`` and are strictly increasing within
       each row (so there are no duplicate entries);
-    - all values are finite.
+    - all values are finite;
+    - symmetry, bitwise: each stored ``(i, j)`` has a stored ``(j, i)`` of
+      equal value (an unpartnered explicit zero is refused), so no consumer
+      checks it again.
 
     ``row_ptr`` and ``col_idx`` are stored as int32 when both n and nnz fit
     in int32, and as int64 otherwise; the range checks run on the input
@@ -40,12 +43,9 @@ class SparseMatrixCSR:
     ``diagonal`` is the main diagonal (0 where no entry is stored), taken
     once at construction and frozen like the CSR arrays; it costs one dense
     n-vector, about 12.5% of a pentadiagonal CSR.
-
-    ``symmetric_verified`` is True only if an explicit check found a stored
-    ``(j, i)`` partner with a bitwise-equal value for every stored ``(i, j)``.
     """
 
-    __slots__ = ("_mat", "_diagonal", "symmetric_verified")
+    __slots__ = ("_mat", "_diagonal")
 
     def __init__(self, row_ptr, col_idx, values, n=None):
         row_ptr = np.asarray(row_ptr)
@@ -73,12 +73,18 @@ class SparseMatrixCSR:
         # strictly increasing columns within each row, checked in C
         if not mat.has_canonical_format:
             raise ValueError("column indices must be strictly increasing within rows")
+        t = mat.T.tocsr()       # canonical, so symmetric means equal arrays
+        if not (np.array_equal(mat.indptr, t.indptr)
+                and np.array_equal(mat.indices, t.indices)
+                and np.array_equal(mat.data, t.data)):
+            raise ValueError("matrix is not symmetric: a stored (i, j) has no "
+                             "stored (j, i) of equal value")
+        # the transpose goes before the diagonal is taken, so the
+        # construction peak does not rise
+        del t
         for arr in (mat.indptr, mat.indices, mat.data):
             arr.flags.writeable = False
         object.__setattr__(self, "_mat", mat)
-        object.__setattr__(self, "symmetric_verified", _is_symmetric(mat))
-        # taken after the symmetry check has dropped its transpose, so the
-        # construction peak does not rise
         diagonal = mat.diagonal()
         diagonal.flags.writeable = False
         object.__setattr__(self, "_diagonal", diagonal)
@@ -141,27 +147,17 @@ class SparseMatrixCSR:
         rows = np.flatnonzero(ptr[1:] > ptr[:-1])
         if rows.size == 0:
             return 0
-        # columns are sorted, so each row's extremes are its first and last entry
-        below = rows - cols[ptr[rows]]
-        above = cols[ptr[rows + 1] - 1] - rows
-        return int(max(below.max(), above.max()))
+        # columns are sorted, so each row's first entry is its furthest left;
+        # by symmetry the entries right of the diagonal mirror those left of it
+        return int((rows - cols[ptr[rows]]).max())
 
     def __repr__(self):
-        return (f"SparseMatrixCSR(n={self.n}, nnz={self.nnz}, "
-                f"symmetric_verified={self.symmetric_verified})")
+        return f"SparseMatrixCSR(n={self.n}, nnz={self.nnz})"
 
 
 def _index_dtype(n: int, nnz: int):
     """int32 when n and nnz both fit, int64 otherwise."""
     return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-
-
-def _is_symmetric(mat: sp.csr_matrix) -> bool:
-    """Same pattern and values as the transpose (both canonical CSR)."""
-    t = mat.T.tocsr()
-    return (np.array_equal(mat.indptr, t.indptr)
-            and np.array_equal(mat.indices, t.indices)
-            and np.array_equal(mat.data, t.data))
 
 
 def matvec(Q: SparseMatrixCSR, v: np.ndarray) -> np.ndarray:
@@ -185,7 +181,8 @@ def load_matrix_market(path) -> SparseMatrixCSR:
     """Read a Matrix Market coordinate file into CSR storage.
 
     Symmetric-storage files are expanded to full storage, duplicate entries
-    are summed, and the result is sorted per the CSR invariants.
+    are summed, and the result is sorted and checked per the CSR invariants:
+    a general-storage file whose content is not symmetric is refused here.
     """
     try:
         rows, cols, _, fmt, field, symmetry = scipy.io.mminfo(path)
@@ -209,15 +206,13 @@ def load_matrix_market(path) -> SparseMatrixCSR:
 
 
 def write_matrix_market(Q: SparseMatrixCSR, path) -> None:
-    """Write Q in coordinate format: a verified-symmetric Q in symmetric
-    storage (its lower triangle), any other Q with all stored entries.
+    """Write Q in coordinate format, symmetric storage: its lower triangle.
 
     Values use shortest round-trip decimal form, so load(write(Q)) restores
     CSR content bitwise.
     """
-    symmetry = "symmetric" if Q.symmetric_verified else "general"
     with open(path, "wb") as fh:       # a file object: mmwrite keeps the name as given
-        scipy.io.mmwrite(fh, Q.to_scipy(), symmetry=symmetry)
+        scipy.io.mmwrite(fh, Q.to_scipy(), symmetry="symmetric")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive"),
 BAD_OPTION_IDS = ["tol-0", "tol-nan", "seed-negative", "max-degree-negative"]
 
 
+# [[4, 1], [2, 4]] in general storage; its lower triangle mirrored has log det
+# log 12, the matrix itself log 14
+ASYMMETRIC_MTX = ("%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 4\n1 1 4.0\n1 2 1.0\n2 1 2.0\n2 2 4.0\n")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -160,6 +166,15 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--matrix", "/no/such.mtx",
                                "--method", "slq")
         assert code == 1
+
+    def test_asymmetric_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "asym.mtx"
+        path.write_text(ASYMMETRIC_MTX)
+        code, out, err = run_cli(capsys, "estimate", "--matrix", str(path),
+                                 "--method", "exact-band")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: matrix is not symmetric")
 
     def test_usage_error_is_code_one(self, capsys):
         code, _, _ = run_cli(capsys, "estimate", "--method", "slq")
@@ -358,6 +373,16 @@ class TestBench:
         assert code == 1 and out == ""
         assert err == "error: --tol must be positive\n"
 
+    @pytest.mark.parametrize("bad_file", ["/no/such.mtx", "asym.mtx"],
+                             ids=["missing", "asymmetric"])
+    def test_bad_file_stops_before_any_row(self, capsys, tmp_path, bad_file):
+        (tmp_path / "asym.mtx").write_text(ASYMMETRIC_MTX)
+        code, out, err = run_cli(capsys, "bench", "--gen", "gmrf:8:-0.2",
+                                 "--matrix", str(tmp_path / bad_file),
+                                 "--methods", "exact-band,exact-dense")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_exact_column_feasibility_gate(self, capsys):
         # files above the dense cap would have no exact column; generators
         # always do (band/analytic oracles)
@@ -390,3 +415,31 @@ class TestGen:
         assert code == 1 and out == ""
         assert err == "error: --seed must be non-negative\n"
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["estimate", "--gen", "pentadiagonal:inf", "--method", "slq"], "pentadiagonal:N"),
+    (["estimate", "--gen", "gmrf:nan:-0.2", "--method", "slq"], "gmrf:G"),
+    (["gen", "--gen", "gmrf:1e400:0.1", "--out", "m.mtx"], "gmrf:G"),
+    (["gen", "--gen", "gmrf:8:nan", "--out", "m.mtx"], "gmrf:THETA"),
+    (["gmrf-likelihood", "--theta-start", "inf", "--theta-stop", "-0.20"],
+     "--theta-start"),
+    (["gmrf-likelihood", "--theta-start", "-0.24", "--theta-stop", "inf"],
+     "--theta-stop"),
+    (["gmrf-likelihood", "--theta-start", "-0.24", "--theta-stop", "-0.20",
+      "--theta-step", "nan"], "--theta-step"),
+    (["gmrf-likelihood", "--theta-start", "-0.24", "--theta-stop", "-0.20",
+      "--theta-true", "nan"], "--theta-true"),
+], ids=["penta-n-inf", "gmrf-g-nan", "gen-g-overflow", "gen-theta-nan",
+        "theta-start-inf", "theta-stop-inf", "theta-step-nan", "theta-true-nan"])
+def test_non_finite_number_refused(capsys, tmp_path, monkeypatch, argv, field):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "gmrf-likelihood":
+        argv = argv + ["--grid-side", "8", "--queries", "6"]
+        if "--theta-true" not in argv:
+            argv += ["--theta-true", "-0.22"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field} must be finite")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.mtx").exists()

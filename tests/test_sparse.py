@@ -7,11 +7,17 @@ from lejadet import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, matvec, write_matrix_market)
 
 
-def unsymmetric():
-    """A 6 x 6 matrix with about half its entries stored, none mirrored bitwise."""
+def random_sparse_symmetric():
+    """A 6 x 6 symmetric matrix with about half its off-diagonal entries stored."""
     rng = np.random.default_rng(7)
-    return SparseMatrixCSR.from_dense(rng.standard_normal((6, 6))
-                                      * (rng.random((6, 6)) < 0.5) + 6.0 * np.eye(6))
+    a = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.25)
+    return SparseMatrixCSR.from_dense(a + a.T + 6.0 * np.eye(6))
+
+
+def is_symmetric_bitwise(Q):
+    t = Q.to_scipy().T.tocsr()
+    return (np.array_equal(Q.row_ptr, t.indptr) and np.array_equal(Q.col_idx, t.indices)
+            and Q.values.tobytes() == t.data.tobytes())
 
 
 class TestMatvec:
@@ -77,7 +83,7 @@ class TestCSRInvariants:
     def test_immutable(self):
         Q = SparseMatrixCSR.from_dense(np.eye(2))
         with pytest.raises(AttributeError):
-            Q.symmetric_verified = False
+            Q._mat = None
         for arr in (Q.row_ptr, Q.col_idx, Q.values):
             assert not arr.flags.writeable
         m = Q.to_scipy()
@@ -94,17 +100,20 @@ class TestCSRInvariants:
             SparseMatrixCSR(np.array([0, 1, 2]), np.array([0, 2**33], dtype=np.int64),
                             np.array([1.0, 1.0]), n=2)
 
-    def test_symmetry_flag(self):
+    def test_asymmetric_refused(self):
         sym = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        assert sym.symmetric_verified
-        asym = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [0.0, 2.0]]))
-        assert not asym.symmetric_verified
+        assert is_symmetric_bitwise(sym)
+        for dense in ([[2.0, -1.0], [0.0, 2.0]],          # (1, 0) not stored
+                      [[4.0, 1.0], [2.0, 4.0]],           # both stored, unequal
+                      [[4.0, 1.0], [np.nextafter(1.0, 2.0), 4.0]]):   # by one ulp
+            with pytest.raises(ValueError, match="matrix is not symmetric"):
+                SparseMatrixCSR.from_dense(np.array(dense))
 
-    def test_unpartnered_explicit_zero_is_not_symmetric(self):
+    def test_unpartnered_explicit_zero_refused(self):
         # stored (0, 1) = 0.0 has no stored (1, 0) partner
-        Q = SparseMatrixCSR(np.array([0, 2, 3]), np.array([0, 1, 1]),
-                            np.array([2.0, 0.0, 2.0]))
-        assert not Q.symmetric_verified
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            SparseMatrixCSR(np.array([0, 2, 3]), np.array([0, 1, 1]),
+                                np.array([2.0, 0.0, 2.0]))
 
 
 class TestHeldDiagonal:
@@ -112,16 +121,16 @@ class TestHeldDiagonal:
 
     @pytest.mark.parametrize("make_q", [
         # (1, 1) is not stored
-        lambda: SparseMatrixCSR(np.array([0, 2, 3, 5]), np.array([0, 2, 2, 0, 2]),
-                                np.array([2.0, -1.0, 0.5, -1.0, 3.0])),
+        lambda: SparseMatrixCSR(np.array([0, 3, 4, 6]), np.array([0, 1, 2, 0, 0, 2]),
+                                np.array([2.0, 0.5, -1.0, 0.5, -1.0, 3.0])),
         # row 1 (and column 1) is empty
         lambda: SparseMatrixCSR.from_dense(np.array([[2.0, 0.0, -1.0],
                                                      [0.0, 0.0, 0.0],
                                                      [-1.0, 0.0, 4.0]])),
         lambda: SparseMatrixCSR.from_dense(np.array([[-0.25]])),
-        unsymmetric,
+        random_sparse_symmetric,
         lambda: gen_pentadiagonal(1000, seed=2),
-    ], ids=["missing-entry", "empty-row", "n-1", "unsymmetric", "penta"])
+    ], ids=["missing-entry", "empty-row", "n-1", "random-sparse", "penta"])
     def test_bitwise_equal_to_scipy(self, make_q):
         Q = make_q()
         ref = Q.to_scipy().diagonal()
@@ -152,7 +161,6 @@ class TestMatrixMarket:
                      "2 2 3\n1 1 2.0\n2 1 -1.0\n2 2 2.0\n")
         Q = load_matrix_market(p)
         np.testing.assert_array_equal(Q.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
-        assert Q.symmetric_verified
 
     def test_duplicates_summed(self, tmp_path):
         p = tmp_path / "m.mtx"
@@ -164,7 +172,8 @@ class TestMatrixMarket:
 
     def test_round_trip_bitwise(self, tmp_path):
         p = tmp_path / "m.mtx"
-        for Q in (gen_pentadiagonal(40, seed=5), gen_gmrf_grid(20, -0.2), unsymmetric()):
+        for Q in (gen_pentadiagonal(40, seed=5), gen_gmrf_grid(20, -0.2),
+                  random_sparse_symmetric()):
             write_matrix_market(Q, p)
             R = load_matrix_market(p)
             assert np.array_equal(Q.row_ptr, R.row_ptr)
@@ -175,7 +184,7 @@ class TestMatrixMarket:
                                         lambda: gen_gmrf_grid(20, -0.2)],
                              ids=["penta", "lattice"])
     def test_symmetric_storage(self, tmp_path, make_q):
-        """A verified-symmetric matrix is written as its lower triangle."""
+        """Every matrix is written as its lower triangle."""
         Q = make_q()
         p = tmp_path / "m.mtx"
         write_matrix_market(Q, p)
@@ -184,12 +193,16 @@ class TestMatrixMarket:
         assert scipy.io.mminfo(p)[2:] == ((Q.nnz + stored_diagonal) // 2, "coordinate",
                                           "real", "symmetric")
 
-    def test_general_storage_unless_verified_symmetric(self, tmp_path):
-        Q = unsymmetric()
-        assert not Q.symmetric_verified
+    def test_general_storage_loads_only_symmetric_content(self, tmp_path):
         p = tmp_path / "m.mtx"
-        write_matrix_market(Q, p)
-        assert scipy.io.mminfo(p)[2:] == (Q.nnz, "coordinate", "real", "general")
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 4\n1 1 4.0\n1 2 1.0\n2 1 1.0\n2 2 4.0\n")
+        Q = load_matrix_market(p)
+        np.testing.assert_array_equal(Q.to_dense(), [[4.0, 1.0], [1.0, 4.0]])
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 4\n1 1 4.0\n1 2 1.0\n2 1 2.0\n2 2 4.0\n")
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            load_matrix_market(p)
 
     def test_comments_and_integer_field(self, tmp_path):
         p = tmp_path / "m.mtx"
@@ -257,10 +270,7 @@ class TestPentadiagonalGenerator:
         assert not np.array_equal(a.values, c.values)
 
     def test_exactly_symmetric(self):
-        Q = gen_pentadiagonal(300, seed=3)
-        assert Q.symmetric_verified
-        d = (Q.to_scipy() - Q.to_scipy().T)
-        assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
+        assert is_symmetric_bitwise(gen_pentadiagonal(300, seed=3))
 
 
 class TestGmrfGenerator:
@@ -284,5 +294,4 @@ class TestGmrfGenerator:
             gen_gmrf_grid(4, 0.25)
 
     def test_exactly_symmetric(self):
-        Q = gen_gmrf_grid(13, -0.22)
-        assert Q.symmetric_verified
+        assert is_symmetric_bitwise(gen_gmrf_grid(13, -0.22))

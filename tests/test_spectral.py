@@ -29,7 +29,6 @@ def _chain(n, empty=False, missing_diagonal=False):
     a = a.tocsr()
     a.eliminate_zeros()
     Q = SparseMatrixCSR.from_scipy(a)
-    assert Q.symmetric_verified
     assert (np.diff(Q.row_ptr) == 0).any() == empty
     return Q
 
@@ -58,9 +57,9 @@ class TestGershgorin:
         assert iv.lambda_min == pytest.approx(1e-8 * 3.0)
 
     def test_requires_symmetry(self):
-        Q = SparseMatrixCSR.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            gershgorin_bounds(Q)
+        # every stage assumes symmetry, so such a matrix never reaches Gershgorin
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            SparseMatrixCSR.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_large_pentadiagonal_stays_positive(self):
         # diagonal dominance: diagonal >= n against row radii below 8
@@ -129,9 +128,10 @@ class TestLanczosExtremes:
         assert est.value == pytest.approx(1.0, abs=1e-8)
 
     def test_cg_failure_carries_residual(self):
-        Q, _, _ = random_spd(0, n=80, kappa=1e3)
+        # at kappa 1e12 CG stops at its cap of 500 iterations
+        Q, _, _ = random_spd(0, n=300, kappa=1e12)
         with pytest.raises(ConvergenceError) as exc:
-            shift_invert_lambda_min(Q, tol=1e-10, seed=0, cg_max_iter=2)
+            shift_invert_lambda_min(Q, tol=1e-10, seed=0)
         assert exc.value.residual > 0
 
     def test_estimates_inside_gershgorin(self):
