@@ -55,7 +55,7 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
     1e-7 * ||v||_2.  A caller that has already computed ||v||_2 passes it
     as ``v_norm``, which saves one pass over v (it must be
     ``sqrt(ddot(v, v))``).  If the interval is a single point c (gamma = 0)
-    the result is log(c) * v at degree zero.
+    the result is d_0 v at degree zero.
 
     A result with ``converged=False`` means ``max_degree`` (or the end of
     the coefficient sequence) was hit first; the caller decides whether the

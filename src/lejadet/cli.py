@@ -28,6 +28,7 @@ ORACLES = {"exact-dense": "dense-cholesky", "exact-band": "band-cholesky",
 # the parsed flags of `estimate` echoed as the JSON result's "config", for replay
 CONFIG_FIELDS = ("method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
                  "seed", "format", "max_degree", "with_exact")
+MAX_THETAS = 10_000     # the most points of a gmrf-likelihood theta grid
 
 
 def _estimator_options(args) -> dict:
@@ -171,16 +172,21 @@ def run_bench(args) -> list[dict]:
 
 
 def _theta_grid(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop; a grid without points is an error."""
+    """start, start + step, ... up to stop; refused if empty or over MAX_THETAS."""
     if step == 0:
         raise ValueError("--theta-step must be non-zero")
     # floor, so the grid never passes stop; the slack absorbs the rounding
-    # of e.g. (-0.20 - -0.24) / 0.02 = 1.999999999999999
-    steps = math.floor((stop - start) / step + 1e-9)
+    # of e.g. (-0.20 - -0.24) / 0.02 = 1.999999999999999.  The quotient can
+    # overflow to inf, so it is checked before it is floored
+    steps = (stop - start) / step + 1e-9
     if steps < 0:
         raise ValueError(f"empty theta grid: --theta-step {step} does not lead "
                          f"from --theta-start {start} to --theta-stop {stop}")
-    return [start + i * step for i in range(steps + 1)]
+    if steps >= MAX_THETAS:     # floor(steps) + 1 points
+        points = math.floor(steps) + 1 if math.isfinite(steps) else steps
+        raise ValueError(f"--theta-step {step} gives a grid of {points:.6g} points; "
+                         f"at most {MAX_THETAS} are allowed")
+    return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
 # ---------------------------------------------------------------------------

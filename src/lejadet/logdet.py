@@ -3,28 +3,27 @@
 All three estimators target log det Q = tr(log Q).  To keep the Hutch++
 machinery on a positive semidefinite operand the Leja methods normalize the
 matrix by sigma = min(lambda_min, 1), a number on the action engine; the
-scaled matrix is never formed.  Every quadratic form uses the identity
-
-    v' log(Q/sigma) v = v' log(Q) v - log(sigma) ||v||^2,
-
-so actions run on Q itself and the report carries the n*log(sigma) term
+scaled matrix is never formed.  The actions interpolate log(z / sigma)
+itself: a constant has no divided differences of order >= 1, so its Newton
+coefficients are those of log z with log(sigma) taken off d_0.  Every action
+on Q therefore returns log(Q/sigma) v, every quadratic form and exact trace
+is one of log(Q/sigma), and the report carries the n*log(sigma) term
 separately (the estimate is assembled as their sum).  Hutchinson is Hutch++
 with an empty sketch: both run one Leja trace body.
 
 That body first asks whether the enclosure alone settles the trace.  For
-the Newton interpolant P_K of log at K + 1 nodes inside [lambda_min,
-lambda_max], the Lagrange remainder gives, with r = (lambda_max -
-lambda_min) / lambda_min,
+the Newton interpolant P_K of log(z / sigma) at K + 1 nodes inside
+[lambda_min, lambda_max], the Lagrange remainder gives, with r =
+(lambda_max - lambda_min) / lambda_min,
 
-    max |log(lambda) - P_K(lambda)| <= r^(K+1) / (K+1)   on the interval,
+    max |log(lambda / sigma) - P_K(lambda)| <= r^(K+1) / (K+1)   on the interval,
 
-so |log det Q - tr P_K(Q)| <= n r^(K+1) / (K+1) whenever the interval
-encloses the spectrum.  When that is at most n * action_tol for some
-K <= 2, the smallest such K is taken and tr P_K(Q) is computed exactly
-from the diagonal and the stored values, with no probe, sketch or product
-with Q, and only the K + 1 coefficients it reads are computed; the report
-carries the bound as ``error_bound``.  Otherwise the
-probes run as described above.
+so |log det(Q/sigma) - tr P_K(Q)| <= n r^(K+1) / (K+1) whenever the
+interval encloses the spectrum.  When that is at most n * action_tol for
+some K <= 2, the smallest such K is taken and tr P_K(Q) is computed
+exactly from the diagonal and the stored values, with no probe, sketch or
+product with Q, and only the K + 1 coefficients it reads are computed; the
+report carries the bound as ``error_bound``.  Otherwise the probes run.
 
 ``estimate`` is the one entry point: it dispatches to the three trace
 estimators and the three exact oracles.  The Leja methods enclose the
@@ -185,13 +184,14 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
 
 class _ActionEngine:
     """Shared setup for Leja actions on one matrix: the bounds (which carry the
-    map), the coefficients, and the normalization sigma = min(lambda_min, 1)
-    with its logarithm.
+    map), the normalization sigma = min(lambda_min, 1) with its logarithm,
+    and the coefficients of log(z / sigma).
 
     The enclosure is asked first whether it certifies an exact trace at
-    ``tol`` (``exact_degree``, see ``_exact_trace``); if so, the coefficient
-    table stops at that degree, since the exact trace reads nothing else,
-    and otherwise it holds the max_degree + 1 coefficients of the actions.
+    ``tol`` (``exact_degree``, with its certificate ``error_bound``, see
+    ``_exact_trace``); if so, the coefficient table stops at that degree,
+    since the exact trace reads nothing else, and otherwise it holds the
+    max_degree + 1 coefficients of the actions.
 
     ``records`` keeps each action's diagnostics for the report, never its
     result vector.
@@ -204,58 +204,55 @@ class _ActionEngine:
         self.sigma = float(min(self.bounds.lambda_min, 1.0))
         self.log_sigma = math.log(self.sigma)
         self.max_degree = max_degree
-        # r^(K+1) / (K+1) bounds |log - P_K| on the interval (module docstring)
+        # r^(K+1) / (K+1) bounds the interpolation error on the interval
+        # (module docstring); n times it bounds the exact trace's error
         r = 4.0 * self.bounds.gamma / self.bounds.lambda_min
         self.exact_degree = next((K for K in range(min(_EXACT_DEGREE, max_degree) + 1)
                                   if r ** (K + 1) / (K + 1) <= tol), None)
+        K = self.exact_degree
+        self.error_bound = None if K is None else Q.n * r ** (K + 1) / (K + 1)
         # an action of degree m reads coefficients 0..m
-        top = max_degree if self.exact_degree is None else self.exact_degree
+        top = max_degree if K is None else K
         self.dd = divided_differences_log(generate_fast_leja(top + 1), self.bounds)
+        # the table is new on every call: d_0 becomes log(z_0 / sigma)
+        self.dd.coeffs[0] -= self.log_sigma
         self.records = []
 
     def act(self, v, tol):
-        """log(Q) v to relative tolerance ``tol``; returns (result, v' log(Q~) v)."""
-        vv = ddot(v, v)
-        v_norm = math.sqrt(vv)
+        """log(Q/sigma) v to relative tolerance ``tol``; returns (result,
+        v' log(Q/sigma) v)."""
+        v_norm = math.sqrt(ddot(v, v))
         res = log_matvec(self.Q, v, self.dd, tol=tol * v_norm,
                          max_degree=self.max_degree, v_norm=v_norm)
-        qform = ddot(v, res.vector) - self.log_sigma * vv
-        return res, qform
+        return res, ddot(v, res.vector)
 
     def act_all(self, phase, vector, count, tol, images=None):
         """Act on ``vector(j)`` for j < count to relative tolerance ``tol``;
-        returns their forms v' log(Q~) v in order.
+        returns their forms v' log(Q/sigma) v in order.
 
-        With ``images``, column j receives log(Q~) vector(j).  Each action is
-        recorded as "<phase> action j".
+        With ``images``, column j receives log(Q/sigma) vector(j).  Each
+        action is recorded as "<phase> action j".
         """
         qforms = []
         for j in range(count):
-            v = vector(j)
-            res, qform = self.act(v, tol)
+            res, qform = self.act(vector(j), tol)
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
                                               res.converged, res.error_estimate))
-            if images is not None:      # log(Q~) = log(Q) - log(sigma) I
-                col = images[:, j]
-                if self.log_sigma:      # formed in the column: no n-vector temporary
-                    np.multiply(v, -self.log_sigma, out=col)
-                    col += res.vector
-                else:
-                    col[:] = res.vector
-            del v, res      # the next action must not run with these alive
+            if images is not None:
+                images[:, j] = res.vector
+            del res     # the next action must not run with this alive
             qforms.append(qform)
         return qforms
 
 
 def _exact_trace(eng):
-    """(tr P_K(Q), n r^(K+1) / (K+1)) for K = ``eng.exact_degree``, the
-    smallest K <= min(2, max_degree) with r^(K+1) / (K+1) <= the tolerance
-    the engine was built with.
+    """tr P_K(Q) for K = ``eng.exact_degree``, the smallest K <= min(2,
+    max_degree) whose certificate ``eng.error_bound`` = n r^(K+1) / (K+1)
+    is at most n times the tolerance the engine was built with.
 
-    r = 4 gamma / lambda_min is the relative width of the engine's interval,
-    and r^(K+1) / (K+1) bounds |log - P_K| on it (module docstring), so the
-    second value bounds |log det Q - tr P_K(Q)| provided the interval
-    encloses the spectrum, which the actions assume as well.  With
+    P_K interpolates log(z / sigma), so the trace approximates
+    log det(Q/sigma) within ``eng.error_bound`` provided the engine's
+    interval encloses the spectrum, which the actions assume as well.  With
     z_k = c + gamma xi_k the k-th mapped Leja node and a = diag(Q),
 
         tr omega_1 = sum(a - z_0) / gamma,
@@ -266,13 +263,11 @@ def _exact_trace(eng):
     """
     iv = eng.bounds
     degree = eng.exact_degree
-    r = 4.0 * iv.gamma / iv.lambda_min
     Q = eng.Q
     d = eng.dd.coeffs
-    bound = Q.n * r ** (degree + 1) / (degree + 1)
     trace = Q.n * d[0]
     if degree == 0:
-        return trace, bound
+        return trace
     z0, z1 = (iv.c + iv.gamma * eng.dd.nodes[:2]).tolist()
     diag = Q.diagonal.copy()
     # sum_{i != j} q_ij^2; rounding leaves about eps * sum(a^2) in it, which
@@ -283,7 +278,7 @@ def _exact_trace(eng):
     trace += d[1] * shifted / iv.gamma
     if degree == 2:     # (a - z_0)(a - z_1) = (a - z_0)^2 - (z_1 - z_0)(a - z_0)
         trace += d[2] * (ddot(diag, diag) - (z1 - z0) * shifted + off) / iv.gamma ** 2
-    return trace, bound
+    return trace
 
 
 def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
@@ -303,10 +298,9 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
     eng = _ActionEngine(Q, bounds, max_degree, seed, action_tol)
     n = Q.n
     if eng.exact_degree is not None:
-        trace, bound = _exact_trace(eng)
-        return _report(method, trace - n * eng.log_sigma, queries=0, seed=seed, t0=t0,
+        return _report(method, _exact_trace(eng), queries=0, seed=seed, t0=t0,
                        sigma=eng.sigma, n=n, enclosure=eng.bounds.method,
-                       matvecs=eng.enclosure_matvecs, error_bound=bound)
+                       matvecs=eng.enclosure_matvecs, error_bound=eng.error_bound)
     rng = np.random.default_rng(seed)
     n_res = m_vec - 2 * k
     basis = np.empty((n, 0), order="F")
@@ -358,25 +352,25 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = 1e-7,
     """Hutch++ estimate of log det Q with Leja-interpolated actions.
 
     With k = floor(m_vec / 3): a Rademacher sketch of k columns is pushed
-    through log(Q~), an orthonormal basis A of the result captures the
+    through log(Q/sigma), an orthonormal basis A of the result captures the
     dominant range (columns with negligible QR diagonal are dropped), the
     trace over that basis is summed exactly, and the leftover trace is
     estimated by Hutchinson probes deflated by A.  Total actions ~= m_vec.
-    Every action interpolates log at the fast Leja points of the enclosing
-    interval, with divided differences from one trapezoid sum.
+    Every action interpolates log(z / sigma) at the fast Leja points of the
+    enclosing interval, with divided differences from one trapezoid sum.
 
     ``action_tol`` is relative to each probe norm and governs the
     deterministic and residual actions, whose quadratic forms enter the
     estimate directly.  The sketch actions run to ``max(action_tol,
     sqrt(action_tol))``: the estimator is unbiased for any basis that does
     not depend on the residual probes, and a basis off by delta changes the
-    residual operator (I - AA')log(Q~)(I - AA') only at order delta^2, so
-    the sketch needs about the square root of the tolerance the estimate
-    needs.  Non-converged actions (sketch ones included) are reported in
-    ``warnings``, never silently accepted.  Without ``bounds`` the spectrum
-    is enclosed by ``estimate_interval(Q, seed=seed)``; its time and
-    products with Q count in the wall time and ``matvecs_total``, and
-    ``report.enclosure`` names the route.
+    residual operator (I - AA') log(Q/sigma) (I - AA') only at order
+    delta^2, so the sketch needs about the square root of the tolerance the
+    estimate needs.  Non-converged actions (sketch ones included) are
+    reported in ``warnings``, never silently accepted.  Without ``bounds``
+    the spectrum is enclosed by ``estimate_interval(Q, seed=seed)``; its
+    time and products with Q count in the wall time and ``matvecs_total``,
+    and ``report.enclosure`` names the route.
 
     When the enclosure is narrow enough that, with r = (lambda_max -
     lambda_min) / lambda_min, r^(K+1) / (K+1) <= ``action_tol`` for some

@@ -220,23 +220,21 @@ def _cg_solve(m, b, rtol, max_iter):
 
 def shift_invert_lambda_min(Q: SparseMatrixCSR, tol: float = 1e-8,
                             max_iter: int = 200, seed: int = 0) -> EigenEstimate:
-    """Smallest eigenvalue of Q via shift-inverted Lanczos (shift 0).
+    """Smallest eigenvalue of Q via shift-inverted Lanczos (shift 0): the
+    lambda_min solve of ``estimate_interval``.
 
-    Runs Lanczos on B = Q^{-1}; each product B v is a CG solve of Q x = v
-    to relative residual tol/10 in max(500, min(n, 20000)) iterations at
-    most.  Returns 1/mu for the largest Ritz value mu of B.
+    Runs Lanczos on B = Q^{-1} until its leading Ritz value changes by at
+    most ``tol`` relatively; each product B v is a CG solve of Q x = v to
+    relative residual 1e-6, a tenth of the margin the enclosure widens by,
+    in max(500, min(n, 20000)) iterations at most.  Returns 1/mu for the
+    largest Ritz value mu of B, with the CG iterations as ``matvecs``.
     """
-    return _shift_invert(Q, tol, tol / 10.0, max_iter, seed)
-
-
-def _shift_invert(Q, tol, cg_rtol, max_iter=200, seed=0):
-    """``shift_invert_lambda_min`` with CG solves to relative residual cg_rtol."""
     m = Q.to_scipy()
     rng = np.random.default_rng(seed)
     cg_iters = []
 
     def apply_inv(x):
-        sol, it = _cg_solve(m, x, rtol=cg_rtol, max_iter=max(500, min(Q.n, 20_000)))
+        sol, it = _cg_solve(m, x, _MARGIN / 10.0, max(500, min(Q.n, 20_000)))
         cg_iters.append(it)
         return sol
 
@@ -263,7 +261,7 @@ def estimate_interval(Q: SparseMatrixCSR, method: str | None = None,
     m = Q.to_scipy()
     hi = _lanczos_extreme(lambda x: m @ x, Q.n, np.random.default_rng(seed), 1e-8, 200,
                           ceiling=(1.0 - _NEAR_GERSHGORIN) * interval.lambda_max)
-    lo = _shift_invert(Q, 1e-8, _MARGIN / 10.0, seed=seed)
+    lo = shift_invert_lambda_min(Q, 1e-8, seed=seed)
     lambda_max = hi.value * (1.0 + _MARGIN) if hi.converged else interval.lambda_max
     return SpectralInterval(lo.value * (1.0 - _MARGIN), lambda_max,
                             method="lanczos", matvecs=hi.matvecs + lo.matvecs)

@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 
 from conftest import indefinite_matrix, random_spd
-from lejadet import LogDetReport, band_logdet_cholesky, gen_pentadiagonal
+from lejadet import (LogDetReport, band_logdet_cholesky, dense_logdet_cholesky,
+                     gen_pentadiagonal)
 from lejadet import (gen_gmrf_grid, gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
                      load_matrix_market, write_matrix_market)
 from lejadet.cli import _theta_grid, main
@@ -157,6 +158,51 @@ class TestEstimate:
         assert json.loads(out1)["report"]["estimate"] == \
             json.loads(out2)["report"]["estimate"]
 
+    @pytest.mark.parametrize("n,dense", [(200, True), (4001, False)],
+                             ids=["within-dense-cap", "above-dense-cap"])
+    def test_with_exact_on_a_file(self, capsys, tmp_path, n, dense):
+        # a file names no generator, so the dense oracle is the only candidate
+        path = tmp_path / "penta.mtx"
+        Q = gen_pentadiagonal(n, seed=0)
+        write_matrix_market(Q, path)
+        code, out, _ = run_cli(capsys, "estimate", "--matrix", str(path),
+                               "--method", "leja-hutchpp", "--with-exact")
+        assert code == 0
+        result = json.loads(out)
+        if dense:
+            assert result["exact"]["oracle"] == "dense-cholesky"
+            assert result["exact"]["value"] == dense_logdet_cholesky(Q.to_dense())
+            assert result["exact"]["rel_err"] < 5e-2
+        else:
+            assert result["exact"] is None
+
+    def test_table_shows_exact_and_warnings(self, capsys):
+        code, out, _ = run_cli(capsys, "estimate", "--gen", "gmrf:12:-0.22",
+                               "--method", "hutchinson", "--queries", "3",
+                               "--max-degree", "2", "--tol", "1e-12",
+                               "--format", "table", "--with-exact")
+        assert code == 2
+        lines = out.splitlines()
+        exact = gmrf_grid_logdet_analytic(12, -0.22)
+        assert f"exact           {exact:.6f} (lattice-analytic)" in lines
+        (line,) = [ln for ln in lines if ln.startswith("rel error")]
+        assert float(line.split()[-1]) > 0
+        warnings = [ln for ln in lines if ln.startswith("warning")]
+        assert [w.split()[1:4] for w in warnings] == [
+            ["probe", "action", f"{j}:"] for j in range(3)]
+        assert all("not converged at degree 2" in w for w in warnings)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("pentadiagonal:10:3", "expected pentadiagonal:N"),
+        ("pentadiagonal", "expected pentadiagonal:N"),
+        ("gmrf:8", "expected gmrf:G:THETA"),
+        ("gmrf:8:-0.2:1", "expected gmrf:G:THETA"),
+    ], ids=["penta-extra", "penta-missing", "gmrf-missing", "gmrf-extra"])
+    def test_gen_spec_arity(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "estimate", "--gen", spec, "--method", "slq")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_bad_gen_spec(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--gen", "hexadiagonal:50",
                                "--method", "slq")
@@ -262,6 +308,17 @@ class TestGmrfLikelihood:
         assert {"theta", "loglik", "logdet_est", "quadform"} <= set(rows[0])
         float(rows[0]["loglik"])
 
+    def test_cli_json_output(self, capsys):
+        code, out, _ = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
+                               "--theta-true", "-0.22", "--theta-start", "-0.24",
+                               "--theta-stop", "-0.20", "--theta-step", "0.02",
+                               "--queries", "6", "--seed", "0", "--format", "json")
+        assert code == 0
+        result = json.loads(out)
+        expected = gmrf_likelihood_scan(8, -0.22, _theta_grid(-0.24, -0.20, 0.02),
+                                        seed=0, m_vec=6)
+        assert result == json.loads(json.dumps(expected))
+
     def test_zero_theta_step_rejected(self, capsys):
         code, out, err = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
                                  "--theta-true", "-0.22", "--theta-start", "-0.24",
@@ -280,6 +337,22 @@ class TestGmrfLikelihood:
                                  "--queries", "6")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "empty theta grid" in err
+
+    @pytest.mark.parametrize("start,stop,step,points", [
+        ("-0.24", "-0.20", "1e-300", "4e+298"),
+        ("0.0", "0.1", "1e-5", "10001"),
+    ], ids=["tiny-step", "10001-points"])
+    def test_oversized_theta_grid_rejected(self, capsys, start, stop, step, points):
+        code, out, err = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
+                                 "--theta-true", "-0.22", "--theta-start", start,
+                                 "--theta-stop", stop, "--theta-step", step,
+                                 "--queries", "6")
+        assert code == 1 and out == ""
+        assert err == (f"error: --theta-step {float(step)} gives a grid of {points} "
+                       f"points; at most 10000 are allowed\n")
+
+    def test_largest_theta_grid(self):
+        assert len(_theta_grid(0.0, 0.09999, 1e-5)) == 10_000
 
     @pytest.mark.parametrize("start,stop,step,grid", [
         (-0.24, -0.20, 0.02, [-0.24, -0.22, -0.20]),
@@ -328,6 +401,25 @@ class TestBench:
                                  "--methods", "hutchinson", *bad)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_json_rows(self, capsys):
+        args = ("bench", "--gen", "gmrf:10:-0.2", "--methods", "hutchinson,exact-band",
+                "--queries", "6", "--seed", "2")
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        _, csv_out, _ = run_cli(capsys, *args)
+        table = list(csv.DictReader(io.StringIO(csv_out)))
+        assert [list(r) for r in rows] == [list(r) for r in table]
+        for row, line in zip(rows, table):
+            for key in ("matrix", "method", "estimate", "exact", "error_bound", "error"):
+                assert line[key] == ("" if row[key] is None else str(row[key]))
+        assert rows[1]["estimate"] == pytest.approx(rows[0]["exact"], rel=1e-12)
+
+    def test_no_corpus_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--methods", "hutchinson")
+        assert code == 1 and out == ""
+        assert err == "error: bench needs at least one --gen or --matrix\n"
 
     def test_unknown_method_rejected(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--gen", "gmrf:10:-0.2",

@@ -151,10 +151,10 @@ def _probes(rng, n, cols):
 
 
 def _sketch_image(eng, S, tol):
-    """log(Q~) S column by column: Leja actions of relative tolerance ``tol``
-    on Q, minus log(sigma) S."""
+    """log(Q/sigma) S column by column: the engine's Leja actions of relative
+    tolerance ``tol``."""
     images = [log_matvec(eng.Q, s, eng.dd, tol=tol * np.linalg.norm(s)).vector
-              - eng.log_sigma * s for s in S.T]
+              for s in S.T]
     return np.column_stack(images)
 
 
@@ -409,6 +409,20 @@ class TestHutchinson:
         rep = hutchinson_logdet(identity_matrix(25), 4, seed=0)
         assert rep.estimate == 0.0
 
+    def test_upper_bound_one_runs_the_actions(self):
+        # lambda_max = 1 and sigma = 1/2: log z has d_0 = log 1 = 0, which
+        # stopped every action at degree 0 with a zero result; log(z / sigma)
+        # has d_0 = log 2.  With +-1 probes on a diagonal matrix every
+        # quadratic form is the trace, so only the actions' tolerance remains
+        w = np.linspace(0.5, 1.0, 50)
+        rep = hutchinson_logdet(SparseMatrixCSR.from_dense(np.diag(w)), 6, seed=0)
+        assert rep.converged and rep.degrees["min"] > 0
+        assert rep.estimate == pytest.approx(np.sum(np.log(w)), rel=1e-7)
+
+    def test_needs_one_query(self):
+        with pytest.raises(ValueError, match="need at least one query"):
+            hutchinson_logdet(identity_matrix(4), 0)
+
     def test_one_point_interval_is_log_c(self):
         # Gershgorin encloses 3 I in [3, 3]: gamma = 0, one coefficient log 3,
         # summed exactly at degree 0; 3, not 1, so that the coefficient is not 0
@@ -561,6 +575,18 @@ def test_leja_estimators_accept_degree_zero(call):
     assert rep.degrees["max"] == 0 and len(rep.warnings) == 6
 
 
+def test_degree_zero_error_estimate_is_the_normalized_constant():
+    # at degree 0 an action is d_0 v with d_0 = log(z_0 / sigma), z_0 =
+    # lambda_max: on Gershgorin's [0.12, 1.88] the indicator is
+    # log(1.88 / 0.12) ||v||, and every probe of the 144-point lattice has
+    # norm 12
+    rep = hutchinson_logdet(gen_gmrf_grid(12, -0.22), 6, max_degree=0)
+    error = math.log(1.88 / 0.12) * 12.0
+    assert rep.sigma == pytest.approx(0.12, rel=1e-14)
+    assert rep.warnings == [f"probe action {j}: not converged at degree 0 "
+                            f"(error estimate {error:.3e})" for j in range(6)]
+
+
 def test_public_names_resolve():
     import lejadet
     import lejadet.cli
@@ -595,6 +621,10 @@ class TestSLQ:
             slq_logdet(identity_matrix(4), 0, 3)
         with pytest.raises(ValueError):
             slq_logdet(identity_matrix(4), 3, 0)
+
+    def test_refuses_indefinite_matrix(self):
+        with pytest.raises(ValueError, match="non-positive Ritz value"):
+            slq_logdet(indefinite_matrix(0), 40, 3)
 
     def test_column_major_basis_matches_row_major_reference(self, monkeypatch):
         Q = gen_gmrf_grid(40, -0.24)

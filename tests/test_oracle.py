@@ -6,6 +6,7 @@ import pytest
 from lejadet import (SparseMatrixCSR, band_logdet_cholesky,
                      dense_logdet_cholesky, gen_gmrf_grid, gen_pentadiagonal,
                      gmrf_grid_logdet_analytic)
+from lejadet.oracle import band_cholesky
 
 
 class TestDenseCholesky:
@@ -27,6 +28,15 @@ class TestDenseCholesky:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             dense_logdet_cholesky(np.eye(10), max_n=5)
+
+    def test_not_square(self):
+        for arr in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                dense_logdet_cholesky(arr)
+
+    def test_not_symmetric(self):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            dense_logdet_cholesky(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 class TestBandCholesky:
@@ -50,6 +60,14 @@ class TestBandCholesky:
         Q = SparseMatrixCSR.from_dense(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError, match="positive definite"):
             band_logdet_cholesky(Q, 0)
+
+    def test_bandwidth_refusals(self):
+        Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0]))
+        with pytest.raises(ValueError, match="bandwidth must be non-negative"):
+            band_cholesky(Q, -1)
+        # (10^8 + 1) * 2 entries of band storage: refused before any allocation
+        with pytest.raises(ValueError, match="too wide-banded"):
+            band_cholesky(Q, 100_000_000)
 
     def test_band_vs_dense_battery(self):
         for n, seed in [(200, 1), (800, 2), (2000, 3)]:

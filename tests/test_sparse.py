@@ -69,6 +69,28 @@ class TestCSRInvariants:
             SparseMatrixCSR(np.array([0, 2, 1]), np.array([0, 1]),
                             np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("row_ptr,cols,values,n,message", [
+        ([0, 1], [0], [1.0], 2, "row_ptr must have length n"),
+        ([0, 1, 2], [0, 1, 1], [1.0, 1.0], None, "equal length"),
+        ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], None, "non-decreasing"),
+        ([0, 1, 2], [0, 1], [1.0, np.inf], None, "must be finite"),
+        ([0, 1, 2], [0, 1], [np.nan, 1.0], None, "must be finite"),
+    ], ids=["row-ptr-length", "unequal-lengths", "decreasing-row-ptr", "inf", "nan"])
+    def test_malformed_arrays_refused(self, row_ptr, cols, values, n, message):
+        with pytest.raises(ValueError, match=message):
+            SparseMatrixCSR(np.array(row_ptr), np.array(cols), np.array(values), n=n)
+
+    def test_non_square_dense_refused(self):
+        for arr in (np.ones((2, 3)), np.ones(4)):
+            with pytest.raises(ValueError, match="dense input must be square"):
+                SparseMatrixCSR.from_dense(arr)
+
+    def test_to_dense_cap(self):
+        Q = SparseMatrixCSR.from_dense(np.eye(5))
+        assert Q.to_dense(max_n=5).shape == (5, 5)
+        with pytest.raises(ValueError, match="refusing to densify a 5x5 matrix"):
+            Q.to_dense(max_n=4)
+
     def test_column_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             SparseMatrixCSR(np.array([0, 1, 2]), np.array([0, 5]),
@@ -221,6 +243,10 @@ class TestMatrixMarket:
          "entries"),
         ("%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n0.0\n1.0\n",
          "unsupported"),
+        ("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n",
+         "unsupported field 'pattern'"),
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+         "unsupported symmetry 'skew-symmetric'"),
     ])
     def test_malformed_inputs(self, tmp_path, content, msg):
         p = tmp_path / "bad.mtx"
@@ -292,6 +318,10 @@ class TestGmrfGenerator:
     def test_spd_condition_enforced(self):
         with pytest.raises(ValueError, match="1/4"):
             gen_gmrf_grid(4, 0.25)
+
+    def test_grid_side_below_two_refused(self):
+        with pytest.raises(ValueError, match="grid side must be at least 2"):
+            gen_gmrf_grid(1, -0.22)
 
     def test_exactly_symmetric(self):
         assert is_symmetric_bitwise(gen_gmrf_grid(13, -0.22))

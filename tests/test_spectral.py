@@ -56,6 +56,10 @@ class TestGershgorin:
         iv = gershgorin_bounds(Q)
         assert iv.lambda_min == pytest.approx(1e-8 * 3.0)
 
+    def test_refuses_a_non_positive_upper_bound(self):
+        with pytest.raises(ValueError, match="Gershgorin upper bound is not positive"):
+            gershgorin_bounds(SparseMatrixCSR.from_dense(-np.eye(3)))
+
     def test_requires_symmetry(self):
         # every stage assumes symmetry, so such a matrix never reaches Gershgorin
         with pytest.raises(ValueError, match="matrix is not symmetric"):
@@ -111,18 +115,18 @@ class TestLanczosExtremes:
         est = lanczos_lambda_max(Q, tol=1e-12, max_iter=400, seed=1)
         assert est.value == pytest.approx(lam.max(), abs=1e-6)
 
-    def test_shift_invert_known_diagonal(self):
+    def test_lambda_min_known_diagonal(self):
         Q = SparseMatrixCSR.from_dense(np.diag(np.arange(1.0, 11.0)))
         est = shift_invert_lambda_min(Q, tol=1e-9, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_shift_invert_identity(self):
+    def test_lambda_min_identity(self):
         Q = SparseMatrixCSR.from_dense(np.eye(5))
         est = shift_invert_lambda_min(Q, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-10)
         assert est.matvecs == est.iterations      # one CG iteration per solve
 
-    def test_shift_invert_tridiag(self):
+    def test_lambda_min_tridiag(self):
         Q = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         est = shift_invert_lambda_min(Q, tol=1e-10, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-8)
@@ -188,18 +192,22 @@ class TestLanczosExtremes:
         assert not lanczos_lambda_max(Q, tol=1e-8).converged
         lam = gmrf_spectrum(g, theta)
         lows = []
-        shift_invert = spectral._shift_invert
+        shift_invert = spectral.shift_invert_lambda_min
 
         def spy(*args, **kwargs):
             lows.append(shift_invert(*args, **kwargs))
             return lows[-1]
 
-        monkeypatch.setattr(spectral, "_shift_invert", spy)
+        monkeypatch.setattr(spectral, "shift_invert_lambda_min", spy)
         iv = estimate_interval(Q, route)
         assert iv.method == "lanczos"
         assert iv.lambda_min <= lam.min() and iv.lambda_max >= lam.max()
         assert iv.lambda_max == gershgorin_bounds(Q).lambda_max
         assert iv.matvecs - lows[0].matvecs <= 50        # the lambda_max run's share
+
+    def test_unknown_route_refused(self):
+        with pytest.raises(ValueError, match="unknown bounds method 'cg'"):
+            estimate_interval(SparseMatrixCSR.from_dense(np.eye(3)), "cg")
 
     def test_default_rule_keeps_gershgorin_up_to_condition_1e4(self):
         for top, route in [(1e4, "gershgorin"), (1.5e4, "lanczos")]:
