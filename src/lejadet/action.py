@@ -16,7 +16,7 @@ other vector is allocated per degree, and the input is never written.
 Dividing out gamma each step pairs with the coefficients produced by the
 divided-difference module and keeps the iterate norms from over- or
 underflowing.  The a-posteriori indicator e_m = |d_m| * ||w_m||_2
-estimates the next correction and drives the stop.
+estimates the next correction and, relative to ||v||_2, drives the stop.
 """
 
 from __future__ import annotations
@@ -46,52 +46,41 @@ class ActionResult:
 
 
 def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
-               tol: float | None = None, max_degree: int = 400,
-               v_norm: float | None = None) -> ActionResult:
-    """Approximate log(Q) v to the requested tolerance.
+               rtol: float) -> ActionResult:
+    """Approximate log(Q) v to relative tolerance ``rtol``.
 
-    The map z = c + gamma * xi is that of ``dd.interval``.  ``tol`` is the
-    absolute stopping threshold for e_m = |d_m| * ||w_m||; the default is
-    1e-7 * ||v||_2.  A caller that has already computed ||v||_2 passes it
-    as ``v_norm``, which saves one pass over v (it must be
-    ``sqrt(ddot(v, v))``).  If the interval is a single point c (gamma = 0)
-    the result is d_0 v at degree zero.
-
-    A result with ``converged=False`` means ``max_degree`` (or the end of
-    the coefficient sequence) was hit first; the caller decides whether the
-    reached ``error_estimate`` is acceptable.
+    The map z = c + gamma * xi is that of ``dd.interval``.  The action stops
+    at the first degree m with e_m = |d_m| * ||w_m|| <= rtol * ||v||_2 or,
+    with ``converged=False``, at the last coefficient of ``dd``: the table
+    is the degree cap, and the caller decides whether the reached
+    ``error_estimate`` is acceptable.  If the interval is a single point c
+    (gamma = 0) the result is d_0 v at degree zero.
     """
-    if tol is not None and not tol >= 0:        # NaN too: it would stop at once
-        raise ValueError("tol must be non-negative")
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    if not rtol >= 0:       # NaN too: it would stop at once
+        raise ValueError("rtol must be non-negative")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (Q.n,):
         raise ValueError(f"vector has shape {v.shape}, expected ({Q.n},)")
-    if v_norm is None:
-        v_norm = math.sqrt(ddot(v, v))
-    if tol is None:
-        tol = 1e-7 * v_norm
     coeffs = dd.coeffs
     c, gamma = dd.interval.c, dd.interval.gamma
     if gamma == 0.0:
         return ActionResult(vector=coeffs[0] * v, degree_used=0, error_estimate=0.0,
-                            matvecs=0, converged=True,
-                            error_history=np.zeros(1))
+                            matvecs=0, converged=True, error_history=np.zeros(1))
 
+    norm = math.sqrt(ddot(v, v))
     m_sp = Q.to_scipy()
     xi = dd.nodes
-    cap = min(max_degree, coeffs.shape[0] - 1)
+    cap = coeffs.shape[0] - 1
     inv_gamma = 1.0 / gamma
     shift = c * inv_gamma
 
     w = v
     p = coeffs[0] * w
     m = 0
-    err = abs(coeffs[0]) * v_norm
+    err = abs(coeffs[0]) * norm
     history = [err]
     converged = True
-    while err > tol:
+    while err > rtol * norm:
         if m >= cap:
             converged = False
             break

@@ -36,6 +36,8 @@ def _estimator_options(args) -> dict:
     ``estimate`` they set, seed aside."""
     if not args.tol > 0:        # NaN included
         raise ValueError("--tol must be positive")
+    if not args.tol < 1:
+        raise ValueError("--tol must be below 1")
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
     if args.max_degree < 0:
@@ -237,14 +239,16 @@ def _rows_to_csv(rows, fieldnames) -> str:
 # ---------------------------------------------------------------------------
 
 def _add_common_estimator_args(p):
-    p.add_argument("--queries", type=int, default=12,
+    p.add_argument("--queries", type=int,
                    help="matvec queries for leja-hutchpp / hutchinson")
-    p.add_argument("--probes", type=int, default=30, help="SLQ probe vectors")
-    p.add_argument("--slq-degree", type=int, default=40, help="SLQ Lanczos degree")
-    p.add_argument("--tol", type=float, default=1e-7,
-                   help="action tolerance, relative to each probe norm")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=400)
+    p.add_argument("--probes", type=int, help="SLQ probe vectors")
+    p.add_argument("--slq-degree", type=int, help="SLQ Lanczos degree")
+    p.add_argument("--tol", type=float,
+                   help="action tolerance in (0, 1), relative to each probe norm")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-degree", type=int)
+    # the defaults are estimate's own (lattice is no flag)
+    p.set_defaults(**{k: v for k, v in estimate.__kwdefaults__.items() if k != "lattice"})
 
 
 def build_parser() -> argparse.ArgumentParser:

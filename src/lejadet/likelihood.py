@@ -12,6 +12,7 @@ from .oracle import band_cholesky
 from .sparse import gen_gmrf_grid
 
 __all__ = ["gmrf_likelihood_scan"]
+_DEFAULT = estimate.__kwdefaults__      # the estimator defaults have one home
 
 
 def _sample_field(g: int, theta: float, seed: int) -> np.ndarray:
@@ -21,9 +22,10 @@ def _sample_field(g: int, theta: float, seed: int) -> np.ndarray:
     return dtbtrs(chol, z, uplo="L", trans="T", overwrite_b=True)[0]
 
 
-def gmrf_likelihood_scan(g: int, theta_true: float, thetas, seed: int = 0,
-                         m_vec: int = 12, tol: float = 1e-7,
-                         max_degree: int = 400, sample: bool = True) -> dict:
+def gmrf_likelihood_scan(g: int, theta_true: float, thetas, seed: int = _DEFAULT["seed"],
+                         m_vec: int = _DEFAULT["queries"], tol: float = _DEFAULT["tol"],
+                         max_degree: int = _DEFAULT["max_degree"],
+                         sample: bool = True) -> dict:
     """Log-likelihood curve of a lattice field sample over a theta grid.
 
     Draws one sample x with precision Q(theta_true) through its banded

@@ -27,7 +27,7 @@ class SparseMatrixCSR:
 
     Invariants checked at construction:
 
-    - ``row_ptr`` is non-decreasing with ``row_ptr[0] == 0`` and
+    - n >= 1; ``row_ptr`` is non-decreasing with ``row_ptr[0] == 0`` and
       ``row_ptr[n] == nnz``;
     - column indices lie in ``[0, n)`` and are strictly increasing within
       each row (so there are no duplicate entries);
@@ -53,6 +53,8 @@ class SparseMatrixCSR:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if n is None:
             n = row_ptr.shape[0] - 1
+        if n < 1:
+            raise ValueError(f"matrix is empty: n = {n}, expected at least 1")
         if row_ptr.ndim != 1 or row_ptr.shape[0] != n + 1:
             raise ValueError("row_ptr must have length n+1")
         nnz = values.shape[0]

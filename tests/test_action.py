@@ -1,8 +1,8 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import ddot
 
 from conftest import gmrf_spectrum, random_spd
 from lejadet import (SparseMatrixCSR, SpectralInterval, divided_differences_log,
@@ -13,6 +13,12 @@ def make_dd(interval, count=512):
     return divided_differences_log(generate_fast_leja(count), interval)
 
 
+def capped(dd, degree):
+    """``dd`` cut to its first degree + 1 entries: the table is the degree cap."""
+    return dataclasses.replace(dd, coeffs=dd.coeffs[:degree + 1],
+                               nodes=dd.nodes[:degree + 1])
+
+
 class TestSmallCases:
     def test_scalar_multiple_of_identity(self):
         e = math.e
@@ -20,7 +26,7 @@ class TestSmallCases:
         dd = make_dd(SpectralInterval(0.9 * e, 1.1 * e))
         v = np.ones(3)
         tol = 1e-9
-        res = log_matvec(Q, v, dd, tol=tol * np.linalg.norm(v))
+        res = log_matvec(Q, v, dd, rtol=tol)
         assert np.max(np.abs(res.vector - 1.0)) <= 10 * tol
         assert res.converged
 
@@ -31,7 +37,7 @@ class TestSmallCases:
         interval = gershgorin_bounds(Q)
         assert interval.gamma == 0.0
         v = np.array([1.0, -2.0, 3.0, 0.5])
-        res = log_matvec(Q, v, make_dd(interval), tol=0.0)
+        res = log_matvec(Q, v, make_dd(interval), rtol=0.0)
         np.testing.assert_array_equal(res.vector, math.log(c) * v)
         np.testing.assert_array_equal(res.error_history, [0.0])
         assert res.degree_used == 0 and res.matvecs == 0 and res.converged
@@ -42,7 +48,7 @@ class TestSmallCases:
         e1 = np.zeros(50)
         e1[0] = 1.0
         tol = 1e-9
-        res = log_matvec(Q, e1, dd, tol=tol)
+        res = log_matvec(Q, e1, dd, rtol=tol)
         exact = V @ (np.log(w) * (V.T @ e1))
         assert np.linalg.norm(res.vector - exact) <= 50 * tol
 
@@ -52,28 +58,16 @@ class TestContracts:
         Q, w, _ = random_spd(3, n=80, kappa=100.0)
         dd = make_dd(SpectralInterval(w.min(), w.max()))
         v = np.random.default_rng(0).standard_normal(80)
-        res = log_matvec(Q, v, dd, tol=1e-8 * np.linalg.norm(v))
+        res = log_matvec(Q, v, dd, rtol=1e-8)
         assert res.matvecs == res.degree_used
         assert res.error_history.shape == (res.degree_used + 1,)
         assert res.converged and res.error_estimate <= 1e-8 * np.linalg.norm(v)
-
-    def test_given_norm_matches_computed_one(self):
-        # the estimators pass the ||v|| they have already taken; the result,
-        # its degree and its error history are bitwise those of the default
-        Q, w, _ = random_spd(3, n=80, kappa=100.0)
-        dd = make_dd(SpectralInterval(w.min(), w.max()))
-        v = np.random.default_rng(1).standard_normal(80)
-        a = log_matvec(Q, v, dd)
-        b = log_matvec(Q, v, dd, v_norm=math.sqrt(ddot(v, v)))
-        np.testing.assert_array_equal(a.vector, b.vector)
-        np.testing.assert_array_equal(a.error_history, b.error_history)
-        assert a.degree_used == b.degree_used
 
     def test_non_convergence_reported(self):
         Q, w, _ = random_spd(4, n=60, kappa=500.0)
         dd = make_dd(SpectralInterval(w.min(), w.max()))
         v = np.ones(60)
-        res = log_matvec(Q, v, dd, tol=1e-12, max_degree=3)
+        res = log_matvec(Q, v, capped(dd, 3), rtol=1e-12)
         assert not res.converged
         assert res.degree_used == 3
 
@@ -81,7 +75,7 @@ class TestContracts:
         Q, w, _ = random_spd(7, n=40)
         dd = make_dd(SpectralInterval(w.min(), w.max()))
         with pytest.raises(ValueError, match="shape"):
-            log_matvec(Q, np.ones(41), dd)
+            log_matvec(Q, np.ones(41), dd, rtol=1e-7)
 
     def test_overflow_names_the_step(self):
         # an interval wildly below the spectrum makes the scaled recurrence
@@ -89,7 +83,7 @@ class TestContracts:
         Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0]))
         dd = make_dd(SpectralInterval(1e-8, 3e-8), count=512)
         with pytest.raises(FloatingPointError, match="degree"):
-            log_matvec(Q, np.ones(2), dd, tol=0.0, max_degree=400)
+            log_matvec(Q, np.ones(2), capped(dd, 400), rtol=0.0)
 
 
     def test_nan_or_negative_tolerance_refused(self):
@@ -97,13 +91,8 @@ class TestContracts:
         Q = gen_gmrf_grid(10, -0.2)
         dd = make_dd(gershgorin_bounds(Q))
         for tol in (float("nan"), -1e-8):
-            with pytest.raises(ValueError, match="tol must be non-negative"):
-                log_matvec(Q, np.ones(Q.n), dd, tol=tol)
-
-    def test_negative_max_degree_refused(self):
-        Q = gen_gmrf_grid(10, -0.2)
-        with pytest.raises(ValueError, match="max_degree must be non-negative"):
-            log_matvec(Q, np.ones(Q.n), make_dd(gershgorin_bounds(Q)), max_degree=-1)
+            with pytest.raises(ValueError, match="rtol must be non-negative"):
+                log_matvec(Q, np.ones(Q.n), dd, rtol=tol)
 
 
 class TestProperties:
@@ -116,7 +105,7 @@ class TestProperties:
             dd = make_dd(SpectralInterval(w.min(), w.max()))
             rng = np.random.default_rng(seed)
             v = rng.standard_normal(Q.n)
-            res = log_matvec(Q, v, dd, tol=tol * np.linalg.norm(v))
+            res = log_matvec(Q, v, dd, rtol=tol)
             exact = V @ (np.log(w) * (V.T @ v))
             rel = np.linalg.norm(res.vector - exact) / np.linalg.norm(exact)
             assert res.converged
@@ -129,8 +118,8 @@ class TestProperties:
         v = rng.standard_normal(70)
         alpha = 3.7
         # force the same degree on both runs
-        a = log_matvec(Q, v, dd, tol=0.0, max_degree=30)
-        b = log_matvec(Q, alpha * v, dd, tol=0.0, max_degree=30)
+        a = log_matvec(Q, v, capped(dd, 30), rtol=0.0)
+        b = log_matvec(Q, alpha * v, capped(dd, 30), rtol=0.0)
         assert a.degree_used == b.degree_used == 30
         np.testing.assert_allclose(alpha * a.vector, b.vector, rtol=1e-12)
 
@@ -140,7 +129,7 @@ class TestProperties:
         v = np.random.default_rng(5).standard_normal(90)
         exact = V @ (np.log(w) * (V.T @ v))
         for tol in (1e-4, 1e-7, 1e-10):
-            res = log_matvec(Q, v, dd, tol=tol * np.linalg.norm(v))
+            res = log_matvec(Q, v, dd, rtol=tol)
             err = np.linalg.norm(res.vector - exact)
             assert err <= 100 * tol * np.linalg.norm(v)
 
@@ -170,7 +159,7 @@ class TestFusedStep:
         for Q, interval in self.cases():
             dd = make_dd(interval)
             v = np.random.default_rng(0).standard_normal(Q.n)
-            res = log_matvec(Q, v, dd, tol=1e-10 * np.linalg.norm(v))
+            res = log_matvec(Q, v, dd, rtol=1e-10)
             assert res.converged and res.degree_used > 10
             ref = textbook_log_matvec(Q, v, dd, res.degree_used)
             assert np.linalg.norm(res.vector - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -182,8 +171,8 @@ class TestFusedStep:
             view = block[:, 1]
             assert not view.flags.c_contiguous
             before = block.copy()
-            a = log_matvec(Q, view, dd, tol=1e-9 * np.linalg.norm(view))
-            b = log_matvec(Q, view.copy(), dd, tol=1e-9 * np.linalg.norm(view))
+            a = log_matvec(Q, view, dd, rtol=1e-9)
+            b = log_matvec(Q, view.copy(), dd, rtol=1e-9)
             np.testing.assert_array_equal(block, before)
             np.testing.assert_array_equal(a.vector, b.vector)
             np.testing.assert_array_equal(a.error_history, b.error_history)

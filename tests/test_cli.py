@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 
@@ -7,11 +8,11 @@ import pytest
 import scipy.linalg
 
 from conftest import indefinite_matrix, random_spd
-from lejadet import (LogDetReport, band_logdet_cholesky, dense_logdet_cholesky,
-                     gen_pentadiagonal)
+from lejadet import (METHODS, LogDetReport, band_logdet_cholesky, dense_logdet_cholesky,
+                     estimate, gen_pentadiagonal)
 from lejadet import (gen_gmrf_grid, gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
                      load_matrix_market, write_matrix_market)
-from lejadet.cli import _theta_grid, main
+from lejadet.cli import _theta_grid, build_parser, main
 from lejadet.likelihood import _sample_field
 
 # the JSON keys of `estimate`; an estimator run and an exact run share them
@@ -26,9 +27,12 @@ REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
 # their messages; each command line below is complete apart from them
 BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive"),
                (("--tol", "nan"), "--tol must be positive"),
+               (("--tol", "1"), "--tol must be below 1"),
+               (("--tol", "inf"), "--tol must be below 1"),
                (("--seed", "-1"), "--seed must be non-negative"),
                (("--max-degree", "-1"), "--max-degree must be non-negative")]
-BAD_OPTION_IDS = ["tol-0", "tol-nan", "seed-negative", "max-degree-negative"]
+BAD_OPTION_IDS = ["tol-0", "tol-nan", "tol-1", "tol-inf", "seed-negative",
+                  "max-degree-negative"]
 
 
 # [[4, 1], [2, 4]] in general storage; its lower triangle mirrored has log det
@@ -221,6 +225,16 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: matrix is not symmetric")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_file_refused(self, capsys, tmp_path, method):
+        # a 0 x 0 matrix is refused on load, before any method runs
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n")
+        code, out, err = run_cli(capsys, "estimate", "--matrix", str(path),
+                                 "--method", method)
+        assert code == 1 and out == ""
+        assert err == "error: matrix is empty: n = 0, expected at least 1\n"
 
     def test_usage_error_is_code_one(self, capsys):
         code, _, _ = run_cli(capsys, "estimate", "--method", "slq")
@@ -535,3 +549,24 @@ def test_non_finite_number_refused(capsys, tmp_path, monkeypatch, argv, field):
     assert err.startswith(f"error: {field} must be finite")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "m.mtx").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--gen", "gmrf:8:-0.2", "--method", "slq"),
+    ("gmrf-likelihood", "--grid-side", "8", "--theta-true", "-0.2",
+     "--theta-start", "-0.2", "--theta-stop", "-0.2"),
+    ("bench", "--methods", "slq"),
+], ids=["estimate", "gmrf-likelihood", "bench"])
+def test_estimator_defaults_are_estimates_own(argv):
+    defaults = dict(estimate.__kwdefaults__)
+    del defaults["lattice"]
+    args = build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in defaults} == defaults
+
+
+def test_scan_defaults_are_estimates_own():
+    defaults = estimate.__kwdefaults__
+    params = inspect.signature(gmrf_likelihood_scan).parameters
+    scan = {name: params[name].default for name in ("seed", "m_vec", "tol", "max_degree")}
+    assert scan == {"seed": defaults["seed"], "m_vec": defaults["queries"],
+                    "tol": defaults["tol"], "max_degree": defaults["max_degree"]}

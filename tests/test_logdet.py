@@ -153,8 +153,7 @@ def _probes(rng, n, cols):
 def _sketch_image(eng, S, tol):
     """log(Q/sigma) S column by column: the engine's Leja actions of relative
     tolerance ``tol``."""
-    images = [log_matvec(eng.Q, s, eng.dd, tol=tol * np.linalg.norm(s)).vector
-              for s in S.T]
+    images = [log_matvec(eng.Q, s, eng.dd, rtol=tol).vector for s in S.T]
     return np.column_stack(images)
 
 
@@ -354,7 +353,7 @@ def _hutchpp_full_tol_sketch(Q, m_vec, seed, tol=1e-7):
 
 
 class TestHutchPPSketchTolerance:
-    """The sketch actions run to max(tol, sqrt(tol)), every other one to tol."""
+    """The sketch actions run to sqrt(tol), every other one to tol."""
 
     def test_sketch_reaches_a_lower_degree(self, monkeypatch):
         engines = _recorded_engines(monkeypatch)
@@ -386,20 +385,19 @@ class TestHutchPPSketchTolerance:
         assert np.max(np.abs(got - ref)) <= 1e-3 * spread
         assert np.std(got, ddof=1) / spread == pytest.approx(1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-2, 1.0, 4.0])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-2, 0.5])
     def test_sketch_never_tighter_than_the_other_actions(self, tol, monkeypatch):
         rel_tols = []
 
-        def recording(Q, v, dd, tol, max_degree, v_norm):
-            rel_tols.append(tol / v_norm)
-            return log_matvec(Q, v, dd, tol=tol, max_degree=max_degree,
-                              v_norm=v_norm)
+        def recording(Q, v, dd, rtol):
+            rel_tols.append(rtol)
+            return log_matvec(Q, v, dd, rtol)
 
         monkeypatch.setattr(logdet, "log_matvec", recording)
         hutchpp_logdet(gen_gmrf_grid(12, -0.22), 12, action_tol=tol, seed=0)
         sketch, others = rel_tols[:4], rel_tols[4:]
         assert len(others) == 8
-        assert sketch == pytest.approx([max(tol, math.sqrt(tol))] * 4, rel=1e-12)
+        assert sketch == pytest.approx([math.sqrt(tol)] * 4, rel=1e-12)
         assert others == pytest.approx([tol] * 8, rel=1e-12)
         assert min(sketch) >= max(others) * (1 - 1e-12)
 
@@ -558,8 +556,12 @@ LEJA_CALL_IDS = ["hutchpp", "hutchinson", "estimate-hutchpp", "estimate-hutchins
     ({"action_tol": -1e-7}, "action_tol must be positive"),
     ({"action_tol": 0.0}, "action_tol must be positive"),
     ({"action_tol": math.nan}, "action_tol must be positive"),
+    ({"action_tol": 1.0}, "action_tol must be below 1"),
+    ({"action_tol": 4.0}, "action_tol must be below 1"),
+    ({"action_tol": math.inf}, "action_tol must be below 1"),
     ({"max_degree": -1}, "max_degree must be non-negative"),
-], ids=["tol-negative", "tol-zero", "tol-nan", "max-degree-negative"])
+], ids=["tol-negative", "tol-zero", "tol-nan", "tol-one", "tol-four", "tol-inf",
+        "max-degree-negative"])
 def test_leja_estimators_refuse_bad_options(call, bad, message, monkeypatch):
     def no_enclosure(*args, **kwargs):
         raise AssertionError("the spectrum was enclosed before the options were checked")

@@ -80,6 +80,13 @@ class TestCSRInvariants:
         with pytest.raises(ValueError, match=message):
             SparseMatrixCSR(np.array(row_ptr), np.array(cols), np.array(values), n=n)
 
+    def test_empty_matrix_refused(self):
+        for make in (lambda: SparseMatrixCSR.from_dense(np.zeros((0, 0))),
+                     lambda: SparseMatrixCSR(np.array([0]), np.array([], dtype=int),
+                                             np.array([]))):
+            with pytest.raises(ValueError, match="matrix is empty: n = 0"):
+                make()
+
     def test_non_square_dense_refused(self):
         for arr in (np.ones((2, 3)), np.ones(4)):
             with pytest.raises(ValueError, match="dense input must be square"):
