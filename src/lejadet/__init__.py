@@ -11,8 +11,7 @@ quadrature and exact Cholesky oracles are included for verification.
 """
 
 from .action import ActionResult, log_matvec
-from .divdiff import (DividedDiffs, divided_differences_log,
-                      naive_divided_differences, reference_divided_differences)
+from .divdiff import DividedDiffs, divided_differences_log
 from .leja import generate_fast_leja
 from .likelihood import gmrf_likelihood_scan
 from .logdet import (METHODS, LogDetReport, estimate, hutchinson_logdet,
@@ -53,8 +52,6 @@ __all__ = [
     "load_matrix_market",
     "log_matvec",
     "matvec",
-    "naive_divided_differences",
-    "reference_divided_differences",
     "shift_invert_lambda_min",
     "slq_logdet",
     "write_matrix_market",

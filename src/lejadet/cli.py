@@ -29,6 +29,9 @@ ORACLES = {"exact-dense": "dense-cholesky", "exact-band": "band-cholesky",
 CONFIG_FIELDS = ("method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
                  "seed", "format", "max_degree", "with_exact")
 MAX_THETAS = 10_000     # the most points of a gmrf-likelihood theta grid
+# a `bench` row's keys in order: its JSON keys and its CSV header
+BENCH_COLUMNS = ("matrix", "n", "nnz", "method", "rep", "seed", "estimate", "std_error",
+                 "error_bound", "exact", "rel_err", "wall_time", "warnings", "error")
 
 
 def _estimator_options(args) -> dict:
@@ -47,10 +50,13 @@ def _estimator_options(args) -> dict:
             "max_degree": args.max_degree}
 
 
-def _finite(value: float, field: str) -> float:
-    """value, refused with the field's name when it is infinite or NaN."""
+def _finite(value: float, field: str, integral: bool = False) -> float:
+    """value, refused with the field's name when it is infinite or NaN, or
+    when ``integral`` and not a whole number."""
     if not math.isfinite(value):
         raise ValueError(f"{field} must be finite, got {value}")
+    if integral and not value.is_integer():
+        raise ValueError(f"{field} must be an integer, got {value}")
     return value
 
 
@@ -61,12 +67,12 @@ def parse_gen_spec(spec: str, seed: int):
     if kind == "pentadiagonal":
         if len(parts) != 2:
             raise ValueError("expected pentadiagonal:N")
-        n = int(_finite(float(parts[1]), "pentadiagonal:N"))
+        n = int(_finite(float(parts[1]), "pentadiagonal:N", integral=True))
         return gen_pentadiagonal(n, seed=seed), {"kind": kind, "n": n}
     if kind == "gmrf":
         if len(parts) != 3:
             raise ValueError("expected gmrf:G:THETA")
-        g = int(_finite(float(parts[1]), "gmrf:G"))
+        g = int(_finite(float(parts[1]), "gmrf:G", integral=True))
         theta = _finite(float(parts[2]), "gmrf:THETA")
         return gen_gmrf_grid(g, theta), {"kind": kind, "g": g, "theta": theta}
     raise ValueError(f"unknown generator {kind!r}; use pentadiagonal:N or gmrf:G:THETA")
@@ -152,21 +158,17 @@ def run_bench(args) -> list[dict]:
         for method in methods:
             for rep in range(args.reps):
                 rep_seed = args.seed + rep
-                row = {"matrix": label, "n": Q.n, "nnz": Q.nnz, "method": method,
-                       "rep": rep, "seed": rep_seed, "estimate": None,
-                       "std_error": None, "error_bound": None, "exact": exact,
-                       "rel_err": None, "wall_time": None, "warnings": 0,
-                       "error": None}
+                row = dict.fromkeys(BENCH_COLUMNS)
+                row.update(matrix=label, n=Q.n, nnz=Q.nnz, method=method, rep=rep,
+                           seed=rep_seed, exact=exact, warnings=0)
                 try:
                     report = estimate(Q, method, seed=rep_seed, lattice=lattice,
-                                      **options)
-                    row["estimate"] = report.estimate
-                    row["std_error"] = report.std_error
-                    row["error_bound"] = report.error_bound
-                    row["wall_time"] = report.wall_time
-                    row["warnings"] = len(report.warnings)
+                                      **options).to_dict()
+                    row.update({k: report[k] for k in ("estimate", "std_error",
+                                                       "error_bound", "wall_time")})
+                    row["warnings"] = len(report["warnings"])
                     if exact is not None:
-                        row["rel_err"] = _rel_err(report.estimate, exact)
+                        row["rel_err"] = _rel_err(report["estimate"], exact)
                 except Exception as exc:  # noqa: BLE001 - cell failures must not stop the run
                     row["error"] = str(exc)
                 rows.append(row)
@@ -329,10 +331,7 @@ def main(argv=None) -> int:
             if args.format == "json":
                 print(json.dumps(rows, indent=2))
             else:
-                print(_rows_to_csv(rows, ["matrix", "n", "nnz", "method", "rep",
-                                          "seed", "estimate", "std_error",
-                                          "error_bound", "exact", "rel_err",
-                                          "wall_time", "warnings", "error"]))
+                print(_rows_to_csv(rows, BENCH_COLUMNS))
             return 2 if any(r["error"] or r["warnings"] for r in rows) else 0
 
         # gen, the last of the parser's commands

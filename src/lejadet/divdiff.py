@@ -17,9 +17,6 @@ the enclosing ``SpectralInterval``.  The integrand is positive, so nothing
 cancels, and in u = log t it is analytic in a strip about the real axis, so
 the trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
 Review 2014): one fixed step serves every condition number and every degree.
-
-A classical recursion evaluated in extended precision (mpmath) serves as the
-test oracle, and a plain float64 recursion is kept for comparison.
 """
 
 from __future__ import annotations
@@ -31,12 +28,7 @@ import numpy as np
 
 from .spectral import SpectralInterval
 
-__all__ = [
-    "DividedDiffs",
-    "divided_differences_log",
-    "reference_divided_differences",
-    "naive_divided_differences",
-]
+__all__ = ["DividedDiffs", "divided_differences_log"]
 
 # trapezoid step in u = log t: a step of 0.4 leaves errors of 1e-10 to 3e-10,
 # while 0.2 sits at rounding level
@@ -98,43 +90,3 @@ def divided_differences_log(points: np.ndarray,
     return DividedDiffs(coeffs=d, nodes=points, interval=interval,
                         taylor_terms=t.shape[0])
 
-
-def reference_divided_differences(nodes_z, prec_bits: int = 200) -> np.ndarray:
-    """Classical recursion in extended precision; test oracle only.
-
-    Returns the divided differences of log at the given z nodes, correctly
-    rounded to float64.  Note the scaling relation to the production path:
-    its k-th coefficient equals gamma^k times the value returned here.
-    """
-    import mpmath      # a test dependency only, so not imported with the package
-
-    z = [float(t) for t in np.asarray(nodes_z, dtype=np.float64)]
-    if min(z) <= 0.0:
-        raise ValueError("nodes must be positive")
-    n = len(z)
-    if len(set(z)) != n:
-        raise ValueError("coincident nodes")
-    with mpmath.workprec(prec_bits):
-        zm = [mpmath.mpf(t) for t in z]
-        table = [mpmath.log(t) for t in zm]
-        out = [table[0]]
-        for level in range(1, n):
-            table = [(table[i + 1] - table[i]) / (zm[i + level] - zm[i])
-                     for i in range(n - level)]
-            out.append(table[0])
-        return np.array([float(t) for t in out])
-
-
-def naive_divided_differences(nodes_z) -> np.ndarray:
-    """Classical recursion in plain float64, for accuracy comparisons."""
-    z = np.asarray(nodes_z, dtype=np.float64)
-    if np.min(z) <= 0.0:
-        raise ValueError("nodes must be positive")
-    if np.unique(z).shape[0] != z.shape[0]:
-        raise ValueError("coincident nodes")
-    table = np.log(z)
-    out = [table[0]]
-    for level in range(1, z.shape[0]):
-        table = (table[1:] - table[:-1]) / (z[level:] - z[:-level])
-        out.append(table[0])
-    return np.asarray(out)

@@ -12,7 +12,7 @@ from lejadet import (METHODS, LogDetReport, band_logdet_cholesky, dense_logdet_c
                      estimate, gen_pentadiagonal)
 from lejadet import (gen_gmrf_grid, gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
                      load_matrix_market, write_matrix_market)
-from lejadet.cli import _theta_grid, build_parser, main
+from lejadet.cli import BENCH_COLUMNS, _theta_grid, build_parser, main
 from lejadet.likelihood import _sample_field
 
 # the JSON keys of `estimate`; an estimator run and an exact run share them
@@ -430,6 +430,41 @@ class TestBench:
                 assert line[key] == ("" if row[key] is None else str(row[key]))
         assert rows[1]["estimate"] == pytest.approx(rows[0]["exact"], rel=1e-12)
 
+    def test_rows_agree_with_their_reports(self, capsys):
+        # at tol 1e-3 the pentadiagonal matrix takes the exact trace, with an
+        # error bound, and degree 4 leaves the lattice's actions unconverged
+        options = {"queries": 9, "probes": 10, "slq_degree": 15, "tol": 1e-3,
+                   "max_degree": 4}
+        flags = [f"--{name.replace('_', '-')}={value}" for name, value in options.items()]
+        methods = ("leja-hutchpp", "slq", "exact-band")
+        args = ("bench", "--gen", "gmrf:10:-0.2", "--gen", "pentadiagonal:2000",
+                "--methods", ",".join(methods), "--reps", "2", "--seed", "5", *flags)
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 2
+        rows = json.loads(out)
+        _, csv_out, _ = run_cli(capsys, *args)
+        assert csv_out.splitlines()[0] == ",".join(BENCH_COLUMNS)
+        penta = gen_pentadiagonal(2000, seed=5)
+        corpus = {"gmrf:10:-0.2": (gen_gmrf_grid(10, -0.2), (10, -0.2),
+                                   gmrf_grid_logdet_analytic(10, -0.2)),
+                  "pentadiagonal:2000": (penta, None, band_logdet_cholesky(penta, 2))}
+        assert [(r["matrix"], r["method"], r["seed"]) for r in rows] == [
+            (label, m, 5 + rep) for label in corpus for m in methods for rep in (0, 1)]
+        for row in rows:
+            assert tuple(row) == BENCH_COLUMNS
+            Q, lattice, exact = corpus[row["matrix"]]
+            report = estimate(Q, row["method"], seed=row["seed"], lattice=lattice,
+                              **options)
+            for key in ("estimate", "std_error", "error_bound"):
+                assert row[key] == getattr(report, key)
+            assert row["warnings"] == len(report.warnings)
+            assert row["exact"] == exact and row["error"] is None
+            assert row["rel_err"] == abs(row["estimate"] - exact) / abs(exact)
+        # every copied field is exercised: a standard error, an error bound
+        # and warnings each appear, and are absent elsewhere
+        for key in ("std_error", "error_bound", "warnings"):
+            assert len({bool(row[key]) for row in rows}) == 2
+
     def test_no_corpus_rejected(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--methods", "hutchinson")
         assert code == 1 and out == ""
@@ -502,6 +537,13 @@ class TestBench:
 
 
 class TestGen:
+    @pytest.mark.parametrize("spec,n", [("pentadiagonal:1e3", 1000),
+                                        ("gmrf:8.0:-0.2", 64)])
+    def test_integral_spelling_accepted(self, capsys, tmp_path, spec, n):
+        out_path = tmp_path / "m.mtx"
+        code, _, _ = run_cli(capsys, "gen", "--gen", spec, "--out", str(out_path))
+        assert code == 0 and load_matrix_market(out_path).n == n
+
     def test_write_and_reload(self, capsys, tmp_path):
         out_path = tmp_path / "m.mtx"
         code, out, _ = run_cli(capsys, "gen", "--gen", "pentadiagonal:50",
@@ -548,6 +590,29 @@ def test_non_finite_number_refused(capsys, tmp_path, monkeypatch, argv, field):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {field} must be finite")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.mtx").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--gen", "gmrf:10.7:-0.2", "--method", "hutchinson"],
+     "gmrf:G must be an integer, got 10.7"),
+    (["estimate", "--gen", "pentadiagonal:1000.9", "--method", "slq"],
+     "pentadiagonal:N must be an integer, got 1000.9"),
+    (["bench", "--gen", "gmrf:8.5:-0.2", "--methods", "hutchinson"],
+     "gmrf:G must be an integer, got 8.5"),
+    (["bench", "--gen", "pentadiagonal:300", "--gen", "pentadiagonal:2.55e1",
+      "--methods", "slq"], "pentadiagonal:N must be an integer, got 25.5"),
+    (["gen", "--gen", "pentadiagonal:1e-3", "--out", "m.mtx"],
+     "pentadiagonal:N must be an integer, got 0.001"),
+    (["gen", "--gen", "gmrf:4.5:0.1", "--out", "m.mtx"],
+     "gmrf:G must be an integer, got 4.5"),
+], ids=["estimate-gmrf", "estimate-penta", "bench-gmrf", "bench-second-spec",
+        "gen-penta", "gen-gmrf"])
+def test_non_integral_size_refused(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "m.mtx").exists()
 
 

@@ -2,8 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from lejadet import (SpectralInterval, divided_differences_log, generate_fast_leja,
-                     naive_divided_differences, reference_divided_differences)
+from divdiff_oracles import naive_divided_differences, reference_divided_differences
+from lejadet import SpectralInterval, divided_differences_log, generate_fast_leja
 
 LOG3 = 1.0986122886681098
 

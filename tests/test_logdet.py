@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,6 +600,36 @@ def test_public_names_resolve():
     import lejadet.cli
     for module in (lejadet, lejadet.cli):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_readme_names_every_public_name():
+    import lejadet
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [name for name in lejadet.__all__
+            if not re.search(rf"\b{name}\b", readme)] == []
+
+
+# run in a fresh interpreter in which `import mpmath` fails
+NO_MPMATH_RUN = """
+import sys
+sys.modules["mpmath"] = None
+import lejadet
+from lejadet.cli import main
+report = lejadet.estimate(lejadet.gen_gmrf_grid(10, -0.2), "leja-hutchpp")
+assert report.converged and not report.warnings
+assert main(["estimate", "--gen", "pentadiagonal:300", "--method", "hutchinson"]) == 0
+"""
+
+
+def test_runtime_path_needs_no_mpmath():
+    import lejadet
+    package = Path(lejadet.__file__).parent
+    assert [f.name for f in package.glob("*.py") if "mpmath" in f.read_text()] == []
+    env = dict(os.environ, PYTHONPATH=str(package.parent), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", NO_MPMATH_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["report"]["method"] == "hutchinson"
 
 
 class TestSLQ:
