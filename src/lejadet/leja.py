@@ -6,16 +6,15 @@ made of the midpoints of adjacent accepted points (plus any endpoint not
 yet taken).  Accepting a candidate replaces it with the two midpoints it
 creates, so the candidate set tracks the refinement of the interval.
 
-Points are generated once per process and shared: requesting m points
-always returns the first m entries of the same sequence, which makes the
-sequences nested by construction.  An interval's ``c + gamma * xi`` maps
-them onto it.
+The construction is deterministic, so requesting m points always returns
+the first m entries of the one sequence: the sequences are nested by
+construction.  The longest run so far is kept read-only and sliced.  An
+interval's ``c + gamma * xi`` maps the points onto it.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 
 import numpy as np
 
@@ -24,68 +23,51 @@ __all__ = ["generate_fast_leja"]
 DEFAULT_POOL_SIZE = 512
 
 
-class _Pool:
-    """Process-wide growing sequence with its candidate bookkeeping.
+def _fast_leja(count):
+    """The first ``count`` points, as a fresh read-only array.
 
-    The accepted points, the candidates and their distance products are the
-    rows of one array that doubles when full.  Each step takes the largest
-    product (the smallest candidate on a tie), moves the last candidate into
-    its slot, scales the other products by their distance to the new point
-    and appends its midpoints.  ``extend_to`` holds a lock, so concurrent
-    callers each get a prefix of the one sequence.
+    Each step takes the largest distance product (the smallest candidate on
+    a tie), moves the last candidate into its slot, scales the other
+    products by their distance to the new point and appends its midpoints.
+    A step removes one candidate and adds at most two, so ``count + 1``
+    candidate slots suffice.
     """
-
-    CAPACITY = 64                       # initial array length
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.count = 1                 # accepted points; xi_0 is the right endpoint
-        self.sorted = [2.0]
-        self._rows = np.empty((3, self.CAPACITY))      # points, candidates, products
-        self._rows[:, 0] = 2.0, -2.0, 4.0      # xi_0; the left endpoint at |-2 - 2|
-        self._n_cand = 1
-
-    def extend_to(self, count):
-        """Read-only copy of the first ``count`` accepted points, generating
-        any still missing."""
-        with self._lock:
-            while self.count < count:
-                self._accept_next()
-            points = self._rows[0, :count].copy()
-        points.flags.writeable = False
-        return points
-
-    def _accept_next(self):
-        m, nc = self.count, self._n_cand - 1
-        if m == self._rows.shape[1]:   # this step leaves m + 1 points, <= m + 1 gaps
-            self._rows = np.concatenate((self._rows, np.empty_like(self._rows)), axis=1)
-        pts, cand, prod = self._rows
-        top = np.flatnonzero(prod[:nc + 1] == prod[:nc + 1].max())
+    pts, cand, prod = np.empty(count), np.empty(count + 1), np.empty(count + 1)
+    pts[0], cand[0], prod[0] = 2.0, -2.0, 4.0      # xi_0; the left endpoint at |-2 - 2|
+    ordered, nc = [2.0], 1                          # accepted points, sorted; candidates
+    for m in range(1, count):
+        top = np.flatnonzero(prod[:nc] == prod[:nc].max())
         best = top[np.argmin(cand[top])]
         new = float(cand[best])
+        nc -= 1
         cand[best], prod[best] = cand[nc], prod[nc]
         prod[:nc] *= np.abs(cand[:nc] - new)
-        pos = bisect.bisect_left(self.sorted, new)
-        neighbors = self.sorted[max(pos - 1, 0):pos + 1]    # nearest on either side
-        self.sorted.insert(pos, new)
-        self.count += 1
+        pos = bisect.bisect_left(ordered, new)
+        neighbors = ordered[max(pos - 1, 0):pos + 1]     # nearest on either side
+        ordered.insert(pos, new)
         pts[m] = new
         for nb in neighbors:
             cand[nc] = mid = 0.5 * (new + nb)
             prod[nc] = np.prod(np.abs(mid - pts[:m + 1]))
             nc += 1
-        self._n_cand = nc
+    pts.flags.writeable = False
+    return pts
 
 
-_POOL = _Pool()
+_points = np.empty(0)           # the longest run so far
 
 
 def generate_fast_leja(count: int) -> np.ndarray:
     """First ``count`` fast Leja points on [-2, 2], as a read-only float64 array.
 
     On exact product ties the smallest candidate wins, which keeps the
-    sequence deterministic.
+    sequence deterministic.  A request past the kept run computes and keeps
+    a fresh one; racing callers can only keep prefixes, so no lock is needed.
     """
+    global _points
     if count < 1:
         raise ValueError("count must be at least 1")
-    return _POOL.extend_to(count)
+    points = _points            # read once: another caller may rebind it
+    if points.size < count:
+        points = _points = _fast_leja(count)
+    return points[:count]

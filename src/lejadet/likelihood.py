@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from .logdet import estimate
 from .oracle import band_cholesky
-from .sparse import gen_gmrf_grid
+from .sparse import check_lattice_theta, gen_gmrf_grid
 
 __all__ = ["gmrf_likelihood_scan"]
 _DEFAULT = estimate.__kwdefaults__      # the estimator defaults have one home
@@ -42,8 +42,7 @@ def gmrf_likelihood_scan(g: int, theta_true: float, thetas, seed: int = _DEFAULT
     """
     thetas = [float(t) for t in thetas]
     for t in thetas + [theta_true]:
-        if abs(t) >= 0.25:
-            raise ValueError(f"|theta| must be below 1/4, got {t}")
+        check_lattice_theta(t)
     n = g * g
     x = _sample_field(g, theta_true, seed) if sample else None
     rows = []

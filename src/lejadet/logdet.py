@@ -2,14 +2,15 @@
 
 All three estimators target log det Q = tr(log Q).  To keep the Hutch++
 machinery on a positive semidefinite operand the Leja methods normalize the
-matrix by sigma = min(lambda_min, 1), a number on the action engine; the
-scaled matrix is never formed.  The actions interpolate log(z / sigma)
-itself: a constant has no divided differences of order >= 1, so its Newton
-coefficients are those of log z with log(sigma) taken off d_0.  Every action
-on Q therefore returns log(Q/sigma) v, every quadratic form and exact trace
-is one of log(Q/sigma), and the report carries the n*log(sigma) term
-separately (the estimate is assembled as their sum).  Hutchinson is Hutch++
-with an empty sketch: both run one Leja trace body.
+matrix by sigma = lambda_min, which leaves no constant log(lambda_min) I in
+the operator for deflated probes to see as noise; sigma is a number on the
+action engine and the scaled matrix is never formed.  The actions
+interpolate log(z / sigma) itself: a constant has no divided differences of
+order >= 1, so its Newton coefficients are those of log z with log(sigma)
+taken off d_0.  Every action on Q therefore returns log(Q/sigma) v, every
+quadratic form and exact trace is one of log(Q/sigma), and the report
+carries the n*log(sigma) term separately (the estimate is their sum).
+Hutchinson is Hutch++ with an empty sketch: both run one Leja trace body.
 
 That body first asks whether the enclosure alone settles the trace.  For
 the Newton interpolant P_K of log(z / sigma) at K + 1 nodes inside
@@ -185,7 +186,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
 
 class _ActionEngine:
     """Shared setup for Leja actions on one matrix: the bounds (which carry the
-    map), the normalization sigma = min(lambda_min, 1) with its logarithm,
+    map), the normalization sigma = lambda_min with its logarithm,
     and the coefficients of log(z / sigma).
 
     The enclosure is asked first whether it certifies an exact trace at
@@ -202,7 +203,7 @@ class _ActionEngine:
         self.Q = Q
         self.bounds = estimate_interval(Q, seed=seed) if bounds is None else bounds
         self.enclosure_matvecs = self.bounds.matvecs if bounds is None else 0
-        self.sigma = float(min(self.bounds.lambda_min, 1.0))
+        self.sigma = float(self.bounds.lambda_min)
         self.log_sigma = math.log(self.sigma)
         # r^(K+1) / (K+1) bounds the interpolation error on the interval
         # (module docstring); n times it bounds the exact trace's error

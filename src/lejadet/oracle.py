@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from .sparse import SparseMatrixCSR
+from .sparse import SparseMatrixCSR, check_lattice_theta
 
 __all__ = [
     "dense_logdet_cholesky",
@@ -75,8 +75,7 @@ def gmrf_grid_logdet_analytic(g: int, theta: float) -> float:
     """
     if g < 1:
         raise ValueError("grid side must be positive")
-    if abs(theta) >= 0.25:
-        raise ValueError("|theta| must be below 1/4")
+    check_lattice_theta(theta)
     cos = np.cos(np.arange(1, g + 1) * np.pi / (g + 1))
     lam = 1.0 + 2.0 * theta * (cos[:, None] + cos[None, :])
     return float(np.sum(np.log(lam)))

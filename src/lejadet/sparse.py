@@ -36,9 +36,9 @@ class SparseMatrixCSR:
       equal value (an unpartnered explicit zero is refused), so no consumer
       checks it again.
 
-    ``row_ptr`` and ``col_idx`` are stored as int32 when both n and nnz fit
-    in int32, and as int64 otherwise; the range checks run on the input
-    arrays, before any narrowing.  The stored arrays are read-only.
+    ``row_ptr`` and ``col_idx`` are int32 when n and nnz fit, int64 otherwise;
+    the range checks run on the inputs, before any narrowing.  The stored
+    arrays, and any input array sharing their memory, are read-only.
 
     ``diagonal`` is the main diagonal (0 where no entry is stored), taken
     once at construction and frozen like the CSR arrays; it costs one dense
@@ -69,9 +69,9 @@ class SparseMatrixCSR:
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix values must be finite")
         index = _index_dtype(n, nnz)
-        mat = sp.csr_matrix((values, np.ascontiguousarray(col_idx, dtype=index),
-                             np.ascontiguousarray(row_ptr, dtype=index)),
-                            shape=(n, n), copy=False)
+        given = (values, np.ascontiguousarray(col_idx, dtype=index),
+                 np.ascontiguousarray(row_ptr, dtype=index))
+        mat = sp.csr_matrix(given, shape=(n, n), copy=False)
         # strictly increasing columns within each row, checked in C
         if not mat.has_canonical_format:
             raise ValueError("column indices must be strictly increasing within rows")
@@ -84,8 +84,8 @@ class SparseMatrixCSR:
         # the transpose goes before the diagonal is taken, so the
         # construction peak does not rise
         del t
-        for arr in (mat.indptr, mat.indices, mat.data):
-            arr.flags.writeable = False
+        stored = (mat.data, mat.indices, mat.indptr)
+        mat.data, mat.indices, mat.indptr = map(_frozen, stored, given)
         object.__setattr__(self, "_mat", mat)
         diagonal = mat.diagonal()
         diagonal.flags.writeable = False
@@ -96,10 +96,9 @@ class SparseMatrixCSR:
 
     @classmethod
     def from_scipy(cls, mat):
-        """Build from any scipy sparse matrix (duplicates summed, indices sorted)."""
-        m = sp.csr_matrix(mat, dtype=np.float64)
+        """Build from a copy of any scipy sparse matrix (duplicates summed)."""
+        m = sp.csr_matrix(mat, dtype=np.float64, copy=True)
         m.sum_duplicates()
-        m.sort_indices()
         return cls(m.indptr, m.indices, m.data, n=m.shape[0])
 
     @classmethod
@@ -107,7 +106,7 @@ class SparseMatrixCSR:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("dense input must be square")
-        return cls.from_scipy(sp.csr_matrix(arr))
+        return cls.from_scipy(sp.coo_matrix(arr))   # so its conversion is the one copy
 
     @property
     def n(self) -> int:
@@ -155,6 +154,26 @@ class SparseMatrixCSR:
 
     def __repr__(self):
         return f"SparseMatrixCSR(n={self.n}, nnz={self.nnz})"
+
+
+def _frozen(stored, given):
+    """``stored``, scipy's view of ``given``, made read-only together with
+    ``given`` and every array up its ``.base`` chain; a read-only copy
+    instead when the memory belongs to a buffer that is not an array."""
+    chain = [stored, given]
+    while isinstance(chain[-1].base, np.ndarray):
+        chain.append(chain[-1].base)
+    if chain[-1].base is not None:      # numpy cannot freeze such a buffer
+        chain = [stored.copy()]
+    for a in chain:
+        a.flags.writeable = False
+    return chain[0]
+
+
+def check_lattice_theta(theta) -> None:
+    """Refuse a lattice coupling outside |theta| < 1/4, NaN included."""
+    if not abs(theta) < 0.25:
+        raise ValueError(f"|theta| must be below 1/4 for positive definiteness, got {theta}")
 
 
 def _index_dtype(n: int, nnz: int):
@@ -275,12 +294,11 @@ def gen_gmrf_grid(g: int, theta: float) -> SparseMatrixCSR:
     """
     if g < 2:
         raise ValueError("grid side must be at least 2")
-    if abs(theta) >= 0.25:
-        raise ValueError(f"|theta| must be below 1/4 for positive definiteness, got {theta}")
+    check_lattice_theta(theta)
     ones = np.ones(g - 1)
     t = sp.diags([ones, ones], [-1, 1], shape=(g, g))
     eye = sp.identity(g)
     adjacency = sp.kron(eye, t) + sp.kron(t, eye)
     q = (sp.identity(g * g, format="csr") + theta * adjacency).tocsr()
     q.eliminate_zeros()    # theta = 0 would otherwise store an explicit zero pattern
-    return SparseMatrixCSR.from_scipy(q)
+    return SparseMatrixCSR(q.indptr, q.indices, q.data, n=g * g)

@@ -2,6 +2,7 @@ import csv
 import inspect
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -288,6 +289,11 @@ class TestGmrfLikelihood:
     def test_theta_zero_contributes_zero_logdet(self):
         out = gmrf_likelihood_scan(8, -0.1, [0.0], seed=0, m_vec=6)
         assert out["rows"][0]["logdet_est"] == 0.0
+
+    def test_nan_theta_refused(self):
+        for theta_true, thetas in ((-0.2, [math.nan]), (math.nan, [-0.2])):
+            with pytest.raises(ValueError, match="1/4"):
+                gmrf_likelihood_scan(10, theta_true, thetas)
 
     def test_sampling_cap(self):
         out = gmrf_likelihood_scan(65, -0.22, [-0.22], m_vec=6, sample=True)

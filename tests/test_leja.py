@@ -82,28 +82,36 @@ class TestGeneration:
             assert mine >= 0.8 * best
 
     def test_pinned_sequence(self):
-        """The pool's points, hashed when the pool was a list-based loop; they
-        are dyadic rationals, so the bytes do not depend on the platform.  A
-        fresh pool that outgrows its initial arrays gives the same prefixes."""
+        """The points, hashed when they came from a list-based loop; they are
+        dyadic rationals, so the bytes do not depend on the platform.  Fresh
+        runs of other lengths give the same prefixes."""
         pts = generate_fast_leja(DEFAULT_POOL_SIZE)
         assert hashlib.sha256(pts.tobytes()).hexdigest() == (
             "4eac77217a71e79f9ee221a4eb7772a71ac7ba534783bda74cc3a63cd3e4626d")
-        pool = leja._Pool()
-        for count in (leja._Pool.CAPACITY + 1, DEFAULT_POOL_SIZE):
-            np.testing.assert_array_equal(pool.extend_to(count), pts[:count])
+        for count in (65, DEFAULT_POOL_SIZE):
+            np.testing.assert_array_equal(leja._fast_leja(count), pts[:count])
 
-    def test_concurrent_requests_get_prefixes(self):
-        """Threads growing one fresh pool to different lengths at once each
-        get a prefix of the sequentially generated sequence."""
-        reference = leja._Pool().extend_to(300)
-        pool = leja._Pool()
+    def test_longer_request_regenerates(self, monkeypatch):
+        """A request past the kept run computes the longer one and keeps it."""
+        reference = leja._fast_leja(401)
+        monkeypatch.setattr(leja, "_points", leja._fast_leja(3))
+        pts = generate_fast_leja(401)
+        np.testing.assert_array_equal(pts, reference)
+        assert not pts.flags.writeable
+        assert leja._points.size == 401
+
+    def test_concurrent_requests_get_prefixes(self, monkeypatch):
+        """Threads asking for different lengths at once, from a one-point
+        kept run, each get a prefix of the sequentially generated sequence."""
+        reference = leja._fast_leja(300)
+        monkeypatch.setattr(leja, "_points", leja._fast_leja(1))
         counts = [40, 300, 120, 250, 80, 200, 300, 160]
         start = threading.Barrier(len(counts))
         results = {}
 
         def request(i):
             start.wait()
-            results[i] = pool.extend_to(counts[i])
+            results[i] = generate_fast_leja(counts[i])
 
         threads = [threading.Thread(target=request, args=(i,))
                    for i in range(len(counts))]
@@ -119,5 +127,6 @@ class TestGeneration:
         assert not any(t.is_alive() for t in threads)
         for i, count in enumerate(counts):
             np.testing.assert_array_equal(results[i], reference[:count])
-        assert pool.count == 300
-
+        # whichever run was kept last, it is a prefix too
+        kept = leja._points
+        np.testing.assert_array_equal(kept, reference[:kept.size])

@@ -73,12 +73,13 @@ class TestNormalization:
     @pytest.mark.parametrize("lo,hi", [(0.12, 1.88), (2.0, 5.0), (0.5, 0.8), (1.0, 4.0)],
                              ids=["scaled", "unscaled", "below-one", "lambda-min-one"])
     @pytest.mark.parametrize("est", [hutchpp_logdet, hutchinson_logdet])
-    def test_sigma_is_lambda_min_capped_at_one(self, est, lo, hi):
-        # a diagonal with its spectrum spread over the given interval
+    def test_sigma_is_lambda_min(self, est, lo, hi):
+        # a diagonal with its spectrum spread over the given interval; sigma
+        # is its lower end on either side of one
         Q = SparseMatrixCSR.from_dense(np.diag(np.linspace(lo, hi, 6)))
         rep = est(Q, 12, seed=0, bounds=SpectralInterval(lo, hi))
         assert rep.converged
-        assert rep.sigma == min(lo, 1.0)
+        assert rep.sigma == lo
         assert rep.n_log_sigma == Q.n * math.log(rep.sigma)
 
     def test_normalization_algebra(self):
@@ -489,7 +490,7 @@ class TestExactTrace:
             assert rep.estimate == rep.n_log_sigma + rep.trace_estimate
         assert not recwarn.list
 
-    @pytest.mark.parametrize("lo", [0.5, 3.0], ids=["sigma-0.5", "sigma-1"])
+    @pytest.mark.parametrize("lo", [0.5, 3.0], ids=["sigma-0.5", "sigma-3"])
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("estimator", [hutchpp_logdet, hutchinson_logdet],
                              ids=["hutchpp", "hutchinson"])
@@ -497,7 +498,7 @@ class TestExactTrace:
         Q = _diagonal_with_width(lo, 0.99 * THRESHOLDS[2 - degree])
         eig = Q.to_scipy().diagonal()
         rep = estimator(Q, 12, action_tol=EXACT_TOL, seed=0)
-        assert rep.sigma == min(lo, 1.0) and rep.queries == 0
+        assert rep.sigma == lo and rep.queries == 0
         r = (eig[-1] - eig[0]) / eig[0]
         # the bound of `degree`, not of a higher one; a lower one is not certified
         assert rep.error_bound == pytest.approx(Q.n * r ** (degree + 1) / (degree + 1),
@@ -511,7 +512,8 @@ class TestExactTrace:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_equals_the_interpolant_trace(self, degree):
         # a rotated matrix (off-diagonal entries) with its exact extremes as
-        # the enclosure: the estimate is sum P_K(lambda_i) to rounding
+        # the enclosure: the estimate is n log(sigma) + sum P_K(lambda_i) to
+        # rounding, P_K interpolating log(z / sigma) with sigma = lambda_min
         rng = np.random.default_rng(0)
         eig = 3.0 * (1.0 + 0.99 * THRESHOLDS[2 - degree] * rng.uniform(size=40))
         eig[:2] = 3.0, 3.0 * (1.0 + 0.99 * THRESHOLDS[2 - degree])
@@ -528,8 +530,9 @@ class TestExactTrace:
         x = (eig - bounds.c) / bounds.gamma
         newton = d[0] + d[1] * (x - xi[0]) + (d[2] * (x - xi[0]) * (x - xi[1])
                                               if degree == 2 else 0.0)
-        assert rep.queries == 0
-        assert rep.estimate == pytest.approx(np.sum(newton), rel=1e-13)
+        assert rep.queries == 0 and rep.sigma == bounds.lambda_min
+        assert rep.estimate == pytest.approx(Q.n * math.log(bounds.lambda_min)
+                                             + np.sum(newton), rel=1e-13)
         assert abs(rep.estimate - np.sum(np.log(eig))) <= rep.error_bound
 
     @pytest.mark.parametrize("estimator,labels", [

@@ -70,7 +70,7 @@ def test_hutchpp_peak_above_matrix():
     # whose enclosure is too wide for an exact low-degree trace
     Q = gen_gmrf_grid(447, -0.22)
     bounds = estimate_interval(Q, "gershgorin")
-    generate_fast_leja(DEFAULT_POOL_SIZE)      # the process-wide pool, built once
+    generate_fast_leja(DEFAULT_POOL_SIZE)      # the kept Leja run, built once
     rep, peak = traced_peak(lambda: hutchpp_logdet(Q, m_vec=12, seed=1, bounds=bounds))
     assert rep.queries == 12
     assert peak <= 12 * 8 * Q.n

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lejadet import (SparseMatrixCSR, band_logdet_cholesky,
-                     dense_logdet_cholesky, gen_gmrf_grid, gen_pentadiagonal,
-                     gmrf_grid_logdet_analytic)
+                     dense_logdet_cholesky, estimate, gen_gmrf_grid,
+                     gen_pentadiagonal, gmrf_grid_logdet_analytic)
 from lejadet.oracle import band_cholesky
 
 
@@ -95,5 +95,8 @@ class TestLatticeAnalytic:
         assert analytic == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
     def test_invalid_theta(self):
-        with pytest.raises(ValueError):
-            gmrf_grid_logdet_analytic(5, 0.3)
+        for theta in (0.3, math.nan):       # NaN fails |theta| < 1/4 too
+            with pytest.raises(ValueError, match="1/4"):
+                gmrf_grid_logdet_analytic(5, theta)
+        with pytest.raises(ValueError, match="1/4"):
+            estimate(gen_gmrf_grid(10, -0.2), "exact-analytic", lattice=(10, math.nan))

@@ -118,6 +118,48 @@ class TestCSRInvariants:
         m = Q.to_scipy()
         assert m.indptr is Q.row_ptr and m.indices is Q.col_idx
 
+    @staticmethod
+    def writable_sharers(Q, arrays):
+        """Those of ``arrays`` that are writable and share memory with Q."""
+        stored = (Q.row_ptr, Q.col_idx, Q.values)
+        return [a for a in arrays
+                if a.flags.writeable and any(np.shares_memory(a, b) for b in stored)]
+
+    def test_constructor_leaves_no_writable_alias(self):
+        # int32 indices and float64 values are stored without a copy; the
+        # values are a view of a larger array the caller keeps
+        ptr = np.array([0, 2, 4], dtype=np.int32)
+        idx = np.array([0, 1, 0, 1], dtype=np.int32)
+        owner = np.array([7.0, 2.0, 0.5, 0.5, 3.0])
+        vals = owner[1:]
+        Q = SparseMatrixCSR(ptr, idx, vals)
+        assert self.writable_sharers(Q, [ptr, idx, owner, vals]) == []
+        np.testing.assert_array_equal(Q.to_dense(), [[2.0, 0.5], [0.5, 3.0]])
+
+    def test_foreign_buffer_is_copied(self):
+        # memory owned by a bytearray cannot be frozen through numpy
+        buf = bytearray(np.array([2.0, 0.5, 0.5, 3.0]).tobytes())
+        vals = np.frombuffer(buf)
+        Q = SparseMatrixCSR(np.array([0, 2, 4]), np.array([0, 1, 0, 1]), vals)
+        assert vals.flags.writeable and self.writable_sharers(Q, [vals]) == []
+        assert not Q.values.flags.writeable
+
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["canonical", "duplicates"])
+    def test_from_scipy_leaves_its_input_alone(self, duplicates):
+        if duplicates:     # (0, 1) stored twice, columns out of order in row 0
+            a = sp.csr_matrix((np.array([0.25, 2.0, 0.25, 0.5, 3.0]),
+                               np.array([1, 0, 1, 0, 1]), np.array([0, 3, 5])),
+                              shape=(2, 2))
+            assert not a.has_canonical_format
+        else:
+            a = sp.csr_matrix(np.array([[2.0, 0.5], [0.5, 3.0]]))
+        before = [arr.copy() for arr in (a.indptr, a.indices, a.data)]
+        Q = SparseMatrixCSR.from_scipy(a)
+        for arr, old in zip((a.indptr, a.indices, a.data), before):
+            np.testing.assert_array_equal(arr, old)
+        assert self.writable_sharers(Q, [a.indptr, a.indices, a.data]) == []
+        np.testing.assert_array_equal(Q.to_dense(), [[2.0, 0.5], [0.5, 3.0]])
+
     def test_index_dtype_int32_when_it_fits(self):
         Q = SparseMatrixCSR(np.array([0, 1, 2], dtype=np.int64),
                             np.array([0, 1], dtype=np.int64), np.array([1.0, 1.0]))
@@ -323,8 +365,9 @@ class TestGmrfGenerator:
         np.testing.assert_array_equal(Q.to_dense(), np.eye(25))
 
     def test_spd_condition_enforced(self):
-        with pytest.raises(ValueError, match="1/4"):
-            gen_gmrf_grid(4, 0.25)
+        for theta in (0.25, float("nan")):      # NaN fails |theta| < 1/4 too
+            with pytest.raises(ValueError, match="1/4"):
+                gen_gmrf_grid(4, theta)
 
     def test_grid_side_below_two_refused(self):
         with pytest.raises(ValueError, match="grid side must be at least 2"):
