@@ -373,7 +373,9 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_T
     reported in ``warnings``, never silently accepted.  Without ``bounds``
     the spectrum is enclosed by ``estimate_interval(Q, seed=seed)``; its
     time and products with Q count in the wall time and ``matvecs_total``,
-    and ``report.enclosure`` names the route.
+    and ``report.enclosure`` names the route.  The Gershgorin circles were
+    taken when Q was built, so the wall time holds no pass over Q's
+    entries for them.
 
     When the enclosure is narrow enough that, with r = (lambda_max -
     lambda_min) / lambda_min, r^(K+1) / (K+1) <= ``action_tol`` for some
@@ -476,8 +478,10 @@ def _lanczos_quadrature(m_sp, v, m_l):
     """
     _, alphas, betas = _lanczos(m_sp, v, m_l)
     theta, vecs = eigh_tridiagonal(alphas, betas)
-    if np.any(theta <= 0.0):
-        raise ValueError("non-positive Ritz value; matrix does not appear SPD")
+    # a Ritz value within rounding of zero, relative to the largest, is a
+    # singular or indefinite matrix: its log would pass for a finite one
+    if theta[0] <= alphas.size * np.finfo(float).eps * theta[-1]:
+        raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
     tau_sq = vecs[0, :] ** 2
     return ddot(v, v) * float(tau_sq @ np.log(theta)), alphas.size
 
@@ -530,7 +534,8 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     interpolant of degree at most 2 to ``tol``, the estimate is its exact
     trace, with no probe and with ``report.error_bound`` set (see
     ``hutchpp_logdet``).
-    The wall time and matvec total include that enclosure.  ``slq`` runs
+    The wall time and matvec total include that enclosure, but not the
+    Gershgorin pass, which Q made at construction.  ``slq`` runs
     ``probes`` probes of ``slq_degree`` Lanczos steps and needs no enclosure.
     ``exact-dense`` and ``exact-band`` are the Cholesky oracles;
     ``exact-analytic`` is the lattice closed form and needs

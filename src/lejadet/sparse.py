@@ -22,6 +22,10 @@ __all__ = [
 ]
 
 
+# rows per block of the Gershgorin pass; the block's |values| stay small
+_GERSHGORIN_ROWS = 16_384
+
+
 class SparseMatrixCSR:
     """Immutable compressed-sparse-row storage for a square real symmetric matrix.
 
@@ -43,9 +47,21 @@ class SparseMatrixCSR:
     ``diagonal`` is the main diagonal (0 where no entry is stored), taken
     once at construction and frozen like the CSR arrays; it costs one dense
     n-vector, about 12.5% of a pentadiagonal CSR.
+
+    ``gershgorin`` is the pair (min_i (a_ii - r_i), max_i (a_ii + r_i)) of
+    Gershgorin circle extremes, r_i the sum of off-diagonal magnitudes in
+    row i, unfloored and unchecked (``spectral.gershgorin_bounds`` refuses
+    and floors them).  It is taken once, after the diagonal, by one pass
+    over blocks of rows: the block's |values| go into one reused buffer, a
+    product of the block (sharing the matrix's column indices) with a ones
+    vector sums each row in storage order, |a_ii| of the diagonal comes
+    off, and running extremes of a_ii +- r_i are kept.  The ones vector is
+    the only n-length array the pass allocates.  The pass is about a
+    quarter of the constructor's time on a pentadiagonal matrix, and what
+    it keeps is two floats.
     """
 
-    __slots__ = ("_mat", "_diagonal")
+    __slots__ = ("_mat", "_diagonal", "_gershgorin")
 
     def __init__(self, row_ptr, col_idx, values, n=None):
         row_ptr = np.asarray(row_ptr)
@@ -90,6 +106,7 @@ class SparseMatrixCSR:
         diagonal = mat.diagonal()
         diagonal.flags.writeable = False
         object.__setattr__(self, "_diagonal", diagonal)
+        object.__setattr__(self, "_gershgorin", _circle_extremes(mat, diagonal))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrixCSR is immutable")
@@ -132,6 +149,10 @@ class SparseMatrixCSR:
     def diagonal(self) -> np.ndarray:
         return self._diagonal
 
+    @property
+    def gershgorin(self) -> tuple[float, float]:
+        return self._gershgorin
+
     def to_scipy(self) -> sp.csr_matrix:
         """The backing scipy matrix; its arrays are frozen, treat as read-only."""
         return self._mat
@@ -154,6 +175,30 @@ class SparseMatrixCSR:
 
     def __repr__(self):
         return f"SparseMatrixCSR(n={self.n}, nnz={self.nnz})"
+
+
+def _circle_extremes(mat, diag):
+    """(min (a_ii - r_i), max (a_ii + r_i)) by the block pass in the class
+    docstring."""
+    n = mat.shape[0]
+    ones = np.ones(n)
+    indptr = mat.indptr
+    buf = np.empty(0)
+    lambda_max, lambda_min = -np.inf, np.inf
+    for r0 in range(0, n, _GERSHGORIN_ROWS):
+        r1 = min(r0 + _GERSHGORIN_ROWS, n)
+        lo, hi = int(indptr[r0]), int(indptr[r1])
+        if buf.shape[0] < hi - lo:
+            buf = np.empty(hi - lo)
+        vals = np.abs(mat.data[lo:hi], out=buf[:hi - lo])
+        block = sp.csr_matrix((vals, mat.indices[lo:hi], indptr[r0:r1 + 1] - lo),
+                              shape=(r1 - r0, n), copy=False)
+        radius = block @ ones
+        d = diag[r0:r1]
+        radius -= np.abs(d)
+        lambda_max = max(lambda_max, float(np.max(d + radius)))
+        lambda_min = min(lambda_min, float(np.min(np.subtract(d, radius, out=radius))))
+    return lambda_min, lambda_max
 
 
 def _frozen(stored, given):

@@ -2,9 +2,10 @@
 
 Two routes are provided for the enclosing interval [lambda_min, lambda_max]:
 
-- Gershgorin circles: one pass over stored entries, always an enclosure,
-  but possibly loose; a negative lower bound is replaced by a small
-  positive floor.
+- Gershgorin circles: the extremes the matrix took at construction in one
+  pass over its stored entries (see ``SparseMatrixCSR``), so no work per
+  call; always an enclosure, but possibly loose; a negative lower bound is
+  replaced by a small positive floor.
 - Lanczos for lambda_max and shift-inverted Lanczos (shift 0, inner solves
   by conjugate gradients) for lambda_min; tighter but costs matvecs.
   ``estimate_interval`` takes it when Gershgorin's condition number exceeds
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .sparse import SparseMatrixCSR
@@ -39,8 +39,6 @@ __all__ = [
     "estimate_interval",
 ]
 
-# rows per block of the Gershgorin pass; the block's |values| stay small
-_GERSHGORIN_ROWS = 16_384
 # Gershgorin's lower bound is floored at this fraction of its upper bound
 _FLOOR = 1e-8
 # estimate_interval keeps Gershgorin's interval up to this condition number
@@ -100,32 +98,10 @@ def gershgorin_bounds(Q: SparseMatrixCSR) -> SpectralInterval:
     bound is floored at 1e-8 * lambda_max since the circles may dip below
     zero even for SPD input.
 
-    One pass over blocks of rows: the block's |values| go into one reused
-    buffer, a product of the block (sharing Q's column indices) with a
-    ones vector sums each row in storage order, |a_ii| of the matrix's
-    held diagonal comes off, and running extremes of a_ii +- r_i are kept.
-    The ones vector is the only n-length array the pass allocates.
+    Both extremes are read from ``Q.gershgorin``, which the matrix takes
+    once at construction, so this makes no pass over the entries.
     """
-    m = Q.to_scipy()
-    n = Q.n
-    diag = Q.diagonal
-    ones = np.ones(n)
-    indptr = m.indptr
-    buf = np.empty(0)
-    lambda_max, lambda_min = -np.inf, np.inf
-    for r0 in range(0, n, _GERSHGORIN_ROWS):
-        r1 = min(r0 + _GERSHGORIN_ROWS, n)
-        lo, hi = int(indptr[r0]), int(indptr[r1])
-        if buf.shape[0] < hi - lo:
-            buf = np.empty(hi - lo)
-        vals = np.abs(m.data[lo:hi], out=buf[:hi - lo])
-        block = sp.csr_matrix((vals, m.indices[lo:hi], indptr[r0:r1 + 1] - lo),
-                              shape=(r1 - r0, n), copy=False)
-        radius = block @ ones
-        d = diag[r0:r1]
-        radius -= np.abs(d)
-        lambda_max = max(lambda_max, float(np.max(d + radius)))
-        lambda_min = min(lambda_min, float(np.min(np.subtract(d, radius, out=radius))))
+    lambda_min, lambda_max = Q.gershgorin
     if lambda_max <= 0:
         raise ValueError("Gershgorin upper bound is not positive; matrix is not SPD")
     return SpectralInterval(max(_FLOOR * lambda_max, lambda_min), lambda_max,
@@ -191,7 +167,12 @@ def lanczos_lambda_max(Q: SparseMatrixCSR, tol: float = 1e-10,
 
 
 def _cg_solve(m, b, rtol, max_iter):
-    """Conjugate gradients for SPD m; relative residual below rtol or raise."""
+    """Conjugate gradients for SPD m; relative residual below rtol or raise.
+
+    m is refused as not positive definite as soon as p'Ap, the step or the
+    residual stops being a positive finite number: on a singular m, p'Ap
+    falls to rounding level and the step overflows.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -199,19 +180,26 @@ def _cg_solve(m, b, rtol, max_iter):
     bnorm = np.sqrt(float(b @ b))
     if bnorm == 0.0:
         return x, 0
-    for it in range(max_iter):
-        if np.sqrt(rs) <= rtol * bnorm:
-            return x, it
-        ap = m @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise ValueError(f"matrix is not positive definite (CG found p'Ap = {pap:.3e})")
-        alpha = rs / pap
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for it in range(max_iter):
+                if np.sqrt(rs) <= rtol * bnorm:
+                    return x, it
+                ap = m @ p
+                pap = float(p @ ap)
+                # the step leaves (0, inf) when p'Ap is not positive, is not
+                # finite, or is so small that rs / p'Ap overflows
+                alpha = rs / pap if pap > 0.0 else 0.0
+                if not 0.0 < alpha < np.inf:
+                    raise ValueError("matrix is not positive definite "
+                                     f"(CG found p'Ap = {pap:.3e})")
+                x += alpha * p
+                r -= alpha * ap
+                rs_new = float(r @ r)
+                p = r + (rs_new / rs) * p
+                rs = rs_new
+    except FloatingPointError as exc:
+        raise ValueError(f"matrix is not positive definite (CG iterate: {exc})") from None
     if np.sqrt(rs) <= rtol * bnorm:
         return x, max_iter
     raise ConvergenceError(

@@ -667,6 +667,24 @@ class TestSLQ:
         with pytest.raises(ValueError, match="non-positive Ritz value"):
             slq_logdet(indefinite_matrix(0), 40, 3)
 
+    @pytest.mark.parametrize("diag", [[1.0, 0.0], [1.0] * 50 + [0.0]],
+                             ids=["2x2", "51x51"])
+    def test_refuses_singular_matrix(self, diag):
+        # the smallest Ritz values, 1.1e-16 and 8e-17 of the largest, are
+        # rounding: below steps * eps = 4.4e-16 at 2 steps
+        Q = SparseMatrixCSR.from_dense(np.diag(diag))
+        with pytest.raises(ValueError, match="non-positive Ritz value"):
+            slq_logdet(Q, 40, 30)
+
+    @pytest.mark.parametrize("diag", [np.geomspace(1e-12, 1.0, 200),
+                                      [2.0] * 300 + [1e-9]],
+                             ids=["geomspace", "one-tiny"])
+    def test_accepts_ill_conditioned_matrix(self, diag):
+        # Ritz ratios 4.6e-6 (40 steps) and 5e-10 (2 steps), above steps * eps
+        Q = SparseMatrixCSR.from_dense(np.diag(diag))
+        rep = slq_logdet(Q, 40, 3)
+        assert np.isfinite(rep.estimate) and rep.converged
+
     def test_column_major_basis_matches_row_major_reference(self, monkeypatch):
         Q = gen_gmrf_grid(40, -0.24)
         new = slq_logdet(Q, 30, 5, seed=2)

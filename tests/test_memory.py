@@ -38,8 +38,8 @@ def penta():
 
 def test_gen_pentadiagonal_peak():
     # the n x 5 band and its column pattern, then the CSR and its transpose
-    # for the symmetry check; the held diagonal is taken after the transpose
-    # is dropped
+    # for the symmetry check; the held diagonal, then the Gershgorin pass's
+    # ones vector and one row block, come after the transpose is dropped
     Q, peak = traced_peak(lambda: gen_pentadiagonal(N, seed=0))
     m = Q.to_scipy()
     csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
@@ -56,12 +56,17 @@ def test_write_matrix_market_peak(penta, tmp_path):
 
 
 def test_gershgorin_interval_peak(penta):
-    # the ones vector, and one row block's |values|, indices, row pointers and
-    # row sums (two blocks' while the buffer grows or a block is replaced);
-    # the diagonal is the matrix's own
+    # the circle extremes are the matrix's own, taken at construction: the
+    # enclosure allocates no array
     Q, _ = penta
     _, peak = traced_peak(lambda: estimate_interval(Q, "gershgorin"))
     assert peak <= 3 * 8 * N
+
+
+def test_gershgorin_interval_holds_less_than_one_vector(penta):
+    Q, _ = penta
+    _, peak = traced_peak(lambda: estimate_interval(Q, "gershgorin"))
+    assert peak < 8 * N
 
 
 def test_hutchpp_peak_above_matrix():

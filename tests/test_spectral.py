@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import gmrf_spectrum, random_spd
-from lejadet import spectral
+from lejadet import sparse, spectral
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      estimate_interval, gen_gmrf_grid, generate_fast_leja,
                      gershgorin_bounds, lanczos_lambda_max, shift_invert_lambda_min)
@@ -81,7 +83,7 @@ class TestGershgorin:
 
     def test_bitwise_equal_to_entrywise_row_sums(self):
         from lejadet import gen_pentadiagonal
-        rows = spectral._GERSHGORIN_ROWS
+        rows = sparse._GERSHGORIN_ROWS
         for Q in (gen_pentadiagonal(10_000, seed=1), random_spd(3, n=120)[0],
                   # several blocks, the last one partial and holding the top
                   gen_pentadiagonal(3 * rows + 1234, seed=2), _chain(3 * rows + 1234),
@@ -94,6 +96,25 @@ class TestGershgorin:
             iv = gershgorin_bounds(Q)
             assert iv.lambda_max == np.max(diag + radius)
             assert iv.lambda_min == max(1e-8 * iv.lambda_max, np.min(diag - radius))
+
+    @pytest.mark.parametrize("dense,message", [
+        (-np.eye(3), "Gershgorin upper bound is not positive"),
+        # the row sums overflow to inf: no finite enclosure
+        ([[1e308, 1e308], [1e308, 1e308]], "need finite 0 < lambda_min"),
+    ])
+    def test_construction_takes_extremes_quietly_and_bounds_refuse(self, dense,
+                                                                   message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = SparseMatrixCSR.from_dense(dense)
+            with pytest.raises(ValueError, match=message):
+                gershgorin_bounds(Q)
+
+    def test_extremes_are_held_unfloored(self):
+        Q = SparseMatrixCSR.from_dense(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+        assert Q.gershgorin == (-1.0, 3.0)
+        with pytest.raises(AttributeError):
+            Q.gershgorin = (1.0, 3.0)
 
 
 class TestLanczosExtremes:
@@ -130,6 +151,17 @@ class TestLanczosExtremes:
         Q = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         est = shift_invert_lambda_min(Q, tol=1e-10, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("diag", [[1.0, 0.0], [1.0] * 50 + [0.0]],
+                             ids=["2x2", "51x51"])
+    def test_singular_matrix_refused_without_overflow(self, diag):
+        # on the 51 x 51 matrix p'Ap falls to rounding level and the CG
+        # step would overflow; on the 2 x 2 one p'Ap is exactly 0
+        Q = SparseMatrixCSR.from_dense(np.diag(diag))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix is not positive definite"):
+                shift_invert_lambda_min(Q, seed=0)
 
     def test_cg_failure_carries_residual(self):
         # at kappa 1e12 CG stops at its cap of 500 iterations
