@@ -22,8 +22,18 @@ __all__ = [
 ]
 
 
-# rows per block of the Gershgorin pass; the block's |values| stay small
-_GERSHGORIN_ROWS = 16_384
+# the symmetry check and the Gershgorin pass walk the rows in blocks of
+# about n / _BLOCKS rows, never fewer than _MIN_BLOCK_ROWS: a block's
+# temporaries stay a fixed share of the matrix, and small matrices pay the
+# per-block overhead once
+_BLOCKS = 32
+_MIN_BLOCK_ROWS = 4_096
+
+
+def _row_blocks(n: int):
+    """(r0, r1) of each block of rows, in order."""
+    rows = max(-(-n // _BLOCKS), _MIN_BLOCK_ROWS)
+    return ((r0, min(r0 + rows, n)) for r0 in range(0, n, rows))
 
 
 class SparseMatrixCSR:
@@ -37,28 +47,48 @@ class SparseMatrixCSR:
       each row (so there are no duplicate entries);
     - all values are finite;
     - symmetry, bitwise: each stored ``(i, j)`` has a stored ``(j, i)`` of
-      equal value (an unpartnered explicit zero is refused), so no consumer
-      checks it again.
+      equal value (an unpartnered explicit zero is refused; 0.0 and -0.0
+      count as equal), so no consumer checks it again.
 
     ``row_ptr`` and ``col_idx`` are int32 when n and nnz fit, int64 otherwise;
     the range checks run on the inputs, before any narrowing.  The stored
     arrays, and any input array sharing their memory, are read-only.
 
+    Symmetry is checked without a transposed copy of the matrix, over blocks
+    of rows (about n/32 rows each, one block up to 4,096 rows), in order.
+    Walked that way, the entries of column j come up in the order of their
+    rows, which for a symmetric matrix is the order of row j's entries: the
+    k-th stored (i, j) must have its mirror (j, i) at ``row_ptr[j] + k``.
+    The check keeps one counter per column (``row_ptr[j]`` plus the entries
+    of column j seen so far) and sorts each block by column, with scipy's
+    counting sort over the columns [c0, c1) the block's entries lie in; when
+    that span is wider than the block's entry count, over the block's
+    distinct columns instead, found by a radix sort.  Each entry's mirror
+    position must lie within row j and hold column i with an equal value.
+    Distinct entries get distinct positions, so the nnz positions checked
+    are all of them and the verdict is the transpose comparison's.  The
+    counters (one intp n-vector) and one block's sorted copy and mirror
+    positions are all the check allocates, and every step is linear in a
+    block's entries, so the whole check is linear in nnz whatever the
+    pattern.
+
     ``diagonal`` is the main diagonal (0 where no entry is stored), taken
-    once at construction and frozen like the CSR arrays; it costs one dense
-    n-vector, about 12.5% of a pentadiagonal CSR.
+    once at construction, after the symmetry check, and frozen like the CSR
+    arrays; it costs one dense n-vector, about 12.5% of a pentadiagonal CSR.
 
     ``gershgorin`` is the pair (min_i (a_ii - r_i), max_i (a_ii + r_i)) of
     Gershgorin circle extremes, r_i the sum of off-diagonal magnitudes in
     row i, unfloored and unchecked (``spectral.gershgorin_bounds`` refuses
     and floors them).  It is taken once, after the diagonal, by one pass
-    over blocks of rows: the block's |values| go into one reused buffer, a
-    product of the block (sharing the matrix's column indices) with a ones
-    vector sums each row in storage order, |a_ii| of the diagonal comes
-    off, and running extremes of a_ii +- r_i are kept.  The ones vector is
-    the only n-length array the pass allocates.  The pass is about a
-    quarter of the constructor's time on a pentadiagonal matrix, and what
-    it keeps is two floats.
+    over the same blocks of rows: a product of the block's |values| (with
+    the matrix's column indices) and a ones vector sums each row in storage
+    order, |a_ii| of the diagonal comes off, and the block's extremes of
+    a_ii +- r_i are kept; each block's arrays are freed before the next.
+    The ones vector is the only n-length array the pass allocates, and what
+    it keeps is two floats.  The constructor's peak above its inputs is
+    therefore the diagonal, the ones vector and one block on a banded
+    matrix (2.3 n-vectors at n = 2*10^5), and the check's counters and one
+    block's sort on a scattered one (2.7).
     """
 
     __slots__ = ("_mat", "_diagonal", "_gershgorin")
@@ -91,15 +121,7 @@ class SparseMatrixCSR:
         # strictly increasing columns within each row, checked in C
         if not mat.has_canonical_format:
             raise ValueError("column indices must be strictly increasing within rows")
-        t = mat.T.tocsr()       # canonical, so symmetric means equal arrays
-        if not (np.array_equal(mat.indptr, t.indptr)
-                and np.array_equal(mat.indices, t.indices)
-                and np.array_equal(mat.data, t.data)):
-            raise ValueError("matrix is not symmetric: a stored (i, j) has no "
-                             "stored (j, i) of equal value")
-        # the transpose goes before the diagonal is taken, so the
-        # construction peak does not rise
-        del t
+        _check_symmetric(mat)
         stored = (mat.data, mat.indices, mat.indptr)
         mat.data, mat.indices, mat.indptr = map(_frozen, stored, given)
         object.__setattr__(self, "_mat", mat)
@@ -183,22 +205,82 @@ def _circle_extremes(mat, diag):
     n = mat.shape[0]
     ones = np.ones(n)
     indptr = mat.indptr
-    buf = np.empty(0)
-    lambda_max, lambda_min = -np.inf, np.inf
-    for r0 in range(0, n, _GERSHGORIN_ROWS):
-        r1 = min(r0 + _GERSHGORIN_ROWS, n)
+
+    def extremes(r0, r1):       # a block's arrays are freed before the next
         lo, hi = int(indptr[r0]), int(indptr[r1])
-        if buf.shape[0] < hi - lo:
-            buf = np.empty(hi - lo)
-        vals = np.abs(mat.data[lo:hi], out=buf[:hi - lo])
-        block = sp.csr_matrix((vals, mat.indices[lo:hi], indptr[r0:r1 + 1] - lo),
-                              shape=(r1 - r0, n), copy=False)
+        block = sp.csr_matrix((np.abs(mat.data[lo:hi]), mat.indices[lo:hi],
+                               indptr[r0:r1 + 1] - lo), shape=(r1 - r0, n), copy=False)
         radius = block @ ones
+        del block
         d = diag[r0:r1]
         radius -= np.abs(d)
-        lambda_max = max(lambda_max, float(np.max(d + radius)))
-        lambda_min = min(lambda_min, float(np.min(np.subtract(d, radius, out=radius))))
-    return lambda_min, lambda_max
+        return float(np.min(d - radius)), float(np.max(np.add(d, radius, out=radius)))
+
+    lows, highs = zip(*(extremes(r0, r1) for r0, r1 in _row_blocks(n)))
+    return min(lows), max(highs)
+
+
+def _check_symmetric(mat):
+    """Refuse a canonical CSR ``mat`` unless it equals its transpose, by the
+    block walk in the class docstring."""
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    # where column j's next entry is mirrored; intp, so the positions below
+    # gather without a cast, and 8 bytes a row like the diagonal taken next,
+    # which can then reuse their memory (int32 counters left holes that
+    # raised the process peak by 15 MB in some runs)
+    following = indptr[:-1].astype(np.intp)
+    for r0, r1 in _row_blocks(mat.shape[0]):
+        lo, hi = int(indptr[r0]), int(indptr[r1])
+        if lo == hi:
+            continue
+        cols = indices[lo:hi]
+        c0, c1 = int(cols.min()), int(cols.max()) + 1
+        local = cols - c0
+        if c1 - c0 <= hi - lo:
+            present = np.arange(c0, c1)
+        else:
+            present, local = _distinct(local, c1 - c0)
+            present += c0
+        # the block sorted by column, rows increasing within each column
+        by_col = sp.csr_matrix((data[lo:hi], local, indptr[r0:r1 + 1] - lo),
+                               shape=(r1 - r0, present.shape[0]), copy=False).tocsc()
+        del local
+        count = np.diff(by_col.indptr)
+        start = following[present]
+        if np.any(count > indptr[present + 1] - start):
+            _refuse_asymmetric()
+        mirror = np.repeat(start - by_col.indptr[:-1], count)
+        mirror += np.arange(hi - lo)
+        rows = indices[mirror]
+        rows -= r0
+        if not (np.array_equal(rows, by_col.indices)
+                and np.array_equal(data[mirror], by_col.data)):
+            _refuse_asymmetric()
+        start += count
+        following[present] = start
+
+
+def _distinct(keys, width):
+    """The distinct values of the non-negative ``keys`` below ``width``, in
+    order, and each key's rank among them; sorted by 16-bit digits, each a
+    pass of numpy's stable radix argsort, so the cost is linear in the keys
+    whatever their pattern."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    for shift in range(16, int(width - 1).bit_length(), 16):
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    ordered = keys[order]
+    first = np.empty(ordered.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(first) - 1
+    return ordered[first], rank
+
+
+def _refuse_asymmetric():
+    raise ValueError("matrix is not symmetric: a stored (i, j) has no "
+                     "stored (j, i) of equal value")
 
 
 def _frozen(stored, given):
@@ -294,39 +376,56 @@ def gen_pentadiagonal(n: int, seed: int) -> SparseMatrixCSR:
     the result SPD: every off-diagonal magnitude is below 2 while the
     diagonal is at least n.
 
-    The CSR arrays are written directly: an n x 5 band of row slots (row i
-    holds columns i-2 .. i+2) with the six slots outside the matrix
-    dropped, entry by entry equal to building ``Q + Q.T + n*I`` with scipy.
-    Each draw is freed once it is used.
+    The CSR arrays are written directly, entry by entry equal to building
+    ``Q + Q.T + n*I`` with scipy: rows 2 .. n-3 hold five entries each, so
+    their slots are an (n-4) x 5 strided view of the arrays, and the at most
+    four rows at the ends are written slot by slot.  Each draw is written
+    (or added) to its two mirrored slots and freed, so no more than one draw
+    is held beside the arrays.
     """
     if n < 3:
         raise ValueError("pentadiagonal generator needs n >= 3")
+    nnz = 5 * n - 6
+    index = _index_dtype(n, nnz)
+    row_ptr = np.arange(-3, 5 * n - 2, 5, dtype=index)      # 5i - 3 inside
+    row_ptr[[0, 1, n - 1, n]] = 0, 3, nnz - 3, nnz
+    col_idx, values = np.empty(nnz, dtype=index), np.empty(nnz)
+    inside = max(n - 4, 0)                                  # rows 2 .. n-3
+    inner = slice(7, 7 + 5 * inside)
+    ends = sorted({0, 1, n - 2, n - 1})
+
+    def put(out, k, src, add=False):
+        """Entry (i, i + k) = src[i + min(k, 0)] (or += it), in each row i
+        where it exists."""
+        s = min(k, 0)
+        pairs = [(out[inner].reshape(inside, 5)[:, k + 2], src[2 + s:2 + s + inside])]
+        for i in ends:
+            if 0 <= i + k < n:
+                p = row_ptr[i] + i + k - max(i - 2, 0)
+                pairs.append((out[p:p + 1], src[i + s:i + s + 1]))
+        for slots, part in pairs:
+            if add:
+                slots += part
+            else:
+                slots[...] = part
+
     rng = np.random.default_rng(seed)
-    band = np.empty((n, 5))
     d0 = rng.random(n)
     d0 += d0
     d0 += float(n)
-    band[:, 2] = d0
+    put(values, 0, d0)
     del d0
-    u1, u2, l1 = rng.random(n - 1), rng.random(n - 2), rng.random(n - 1)
-    u1 += l1                      # entries (i, i+1) and (i+1, i)
-    del l1
-    band[:-1, 3] = u1
-    band[1:, 1] = u1
-    del u1
-    u2 += rng.random(n - 2)       # entries (i, i+2) and (i+2, i)
-    band[:-2, 4] = u2
-    band[2:, 0] = u2
-    del u2
-    index = _index_dtype(n, 5 * n)
-    cols = np.arange(n, dtype=index)[:, None] + np.arange(-2, 3, dtype=index)
-    inside = (cols >= 0) & (cols < n)
-    values = band[inside]
-    del band
-    col_idx = cols[inside]
-    del cols
-    row_ptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(inside.sum(axis=1), out=row_ptr[1:])
+    # draws u1, u2, l1, l2 in turn: (i, i+1) and (i+1, i) hold u1 + l1,
+    # (i, i+2) and (i+2, i) hold u2 + l2
+    for k, add in ((1, False), (2, False), (1, True), (2, True)):
+        draw = rng.random(n - k)
+        put(values, k, draw, add)
+        put(values, -k, draw, add)
+        del draw
+    columns = np.arange(n, dtype=index)       # column i + k = columns[i + min(k, 0)] + max(k, 0)
+    for k in range(-2, 3):
+        put(col_idx, k, columns + k if k > 0 else columns)
+    del columns
     return SparseMatrixCSR(row_ptr, col_idx, values, n=n)
 
 
@@ -336,14 +435,41 @@ def gen_gmrf_grid(g: int, theta: float) -> SparseMatrixCSR:
     Unit diagonal with coupling ``theta`` at the four nearest-neighbor
     positions of a non-periodic lattice.  For |theta| < 1/4 the eigenvalues
     lie in [1 - 4|theta|, 1 + 4|theta|], so Q is SPD.
+
+    The CSR arrays are written directly, equal to building
+    ``I + theta * (kron(I, T) + kron(T, I))`` with scipy (T the path
+    adjacency) with its zeros dropped.  Node ``a*g + b`` sits in grid row a;
+    all grid rows of one kind (first, inner, last) share one pattern of
+    entries, shifted by ``a*g``, so each kind's rows are one 2-D view of the
+    arrays filled from a template of O(g) entries.  theta = 0 leaves the
+    identity.
     """
     if g < 2:
         raise ValueError("grid side must be at least 2")
     check_lattice_theta(theta)
-    ones = np.ones(g - 1)
-    t = sp.diags([ones, ones], [-1, 1], shape=(g, g))
-    eye = sp.identity(g)
-    adjacency = sp.kron(eye, t) + sp.kron(t, eye)
-    q = (sp.identity(g * g, format="csr") + theta * adjacency).tocsr()
-    q.eliminate_zeros()    # theta = 0 would otherwise store an explicit zero pattern
-    return SparseMatrixCSR(q.indptr, q.indices, q.data, n=g * g)
+    n = g * g
+    nnz = n + 4 * g * (g - 1) if theta != 0 else n
+    index = _index_dtype(n, nnz)
+    row_ptr, col_idx = np.empty(n + 1, dtype=index), np.empty(nnz, dtype=index)
+    values = np.empty(nnz)
+    b = np.arange(g)[:, None]
+    offsets = np.array([-g, -1, 0, 1, g])         # column order within a row
+    cols = b + offsets                            # less a*g, for node a*g + b
+    stored = (cols >= 0) & (cols < g) | (np.abs(offsets) == g)
+    if theta == 0:
+        stored &= offsets == 0
+    start = 0
+    for a0, a1 in ((0, 1), (1, g - 1), (g - 1, g)):     # grid rows of one pattern
+        keep = stored & ((offsets != -g) | (a0 > 0)) & ((offsets != g) | (a1 < g))
+        rows, width = a1 - a0, int(keep.sum())
+        a = np.arange(a0, a1, dtype=index)[:, None]
+        end = start + rows * width
+        np.add(cols[keep].astype(index), a * g,
+               out=col_idx[start:end].reshape(rows, width))
+        values[start:end].reshape(rows, width)[:] = np.where(cols == b, 1.0, theta)[keep]
+        counts = keep.sum(axis=1)
+        np.add((np.cumsum(counts) - counts).astype(index), (a - a0) * width + start,
+               out=row_ptr[a0 * g:a1 * g].reshape(rows, g))
+        start = end
+    row_ptr[n] = nnz
+    return SparseMatrixCSR(row_ptr, col_idx, values, n=n)

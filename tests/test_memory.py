@@ -9,11 +9,13 @@ the working sets they bound are listed in each test.
 
 import tracemalloc
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from lejadet import (band_logdet_cholesky, estimate_interval, gen_gmrf_grid,
-                     gen_pentadiagonal, generate_fast_leja, hutchpp_logdet,
-                     write_matrix_market)
+from lejadet import (SparseMatrixCSR, band_logdet_cholesky, estimate_interval,
+                     gen_gmrf_grid, gen_pentadiagonal, generate_fast_leja,
+                     hutchpp_logdet, write_matrix_market)
 from lejadet.leja import DEFAULT_POOL_SIZE
 
 N = 200_000
@@ -36,14 +38,49 @@ def penta():
     return Q, estimate_interval(Q, "gershgorin")
 
 
-def test_gen_pentadiagonal_peak():
-    # the n x 5 band and its column pattern, then the CSR and its transpose
-    # for the symmetry check; the held diagonal, then the Gershgorin pass's
-    # ones vector and one row block, come after the transpose is dropped
-    Q, peak = traced_peak(lambda: gen_pentadiagonal(N, seed=0))
+def csr_bytes(Q):
     m = Q.to_scipy()
-    csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-    assert peak <= 2.5 * csr
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def test_constructor_peak_above_inputs():
+    # the held diagonal, the Gershgorin pass's ones vector and one block of
+    # rows (its |values|, column indices and row sums); before them the
+    # symmetry check's per-row counters and one block sorted by column; no
+    # transposed copy of the matrix
+    Q = gen_pentadiagonal(N, seed=0)
+    arrays = [a.copy() for a in (Q.row_ptr, Q.col_idx, Q.values)]
+    _, peak = traced_peak(lambda: SparseMatrixCSR(*arrays, n=N))
+    assert peak <= 2.5 * 8 * N
+
+
+def test_constructor_peak_on_scattered_pattern():
+    # each block's columns span nearly all rows, so the symmetry check sorts
+    # it by its distinct columns: the per-row counters (one n-vector) and one
+    # block's radix order, ranks, sorted copy and mirror positions; then the
+    # diagonal, ones vector and Gershgorin block; no transposed copy
+    rng = np.random.default_rng(0)
+    i, j = rng.integers(0, N, size=(2, 2 * N))
+    m = sp.csr_matrix((np.r_[np.full(N, 10.0), np.ones(4 * N)],
+                       (np.r_[np.arange(N), i, j], np.r_[np.arange(N), j, i])), shape=(N, N))
+    m.sum_duplicates()
+    _, peak = traced_peak(lambda: SparseMatrixCSR(m.indptr, m.indices, m.data, n=N))
+    assert peak <= 3 * 8 * N
+
+
+def test_gen_pentadiagonal_peak():
+    # the CSR arrays, written directly, and one draw (or the column
+    # numbers and one shifted copy); then the constructor's peak above its
+    # inputs
+    Q, peak = traced_peak(lambda: gen_pentadiagonal(N, seed=0))
+    assert peak <= csr_bytes(Q) + 3 * 8 * N
+
+
+def test_gen_gmrf_grid_peak():
+    # the CSR arrays, written directly from patterns of O(g) entries; then
+    # the constructor's peak above its inputs
+    Q, peak = traced_peak(lambda: gen_gmrf_grid(447, -0.22))
+    assert peak <= csr_bytes(Q) + 2.5 * 8 * Q.n
 
 
 def test_write_matrix_market_peak(penta, tmp_path):
@@ -51,8 +88,7 @@ def test_write_matrix_market_peak(penta, tmp_path):
     # mask, and the lower triangle's values, rows and columns
     Q, _ = penta
     _, peak = traced_peak(lambda: write_matrix_market(Q, tmp_path / "penta.mtx"))
-    m = Q.to_scipy()
-    assert peak <= 1.25 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    assert peak <= 1.25 * csr_bytes(Q)
 
 
 def test_gershgorin_interval_peak(penta):

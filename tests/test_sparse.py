@@ -4,7 +4,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from lejadet import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
-                     load_matrix_market, matvec, write_matrix_market)
+                     load_matrix_market, matvec, sparse, write_matrix_market)
+from sparse_oracles import lattice_by_kron, pentadiagonal_by_mask
 
 
 def random_sparse_symmetric():
@@ -14,10 +15,21 @@ def random_sparse_symmetric():
     return SparseMatrixCSR.from_dense(a + a.T + 6.0 * np.eye(6))
 
 
-def is_symmetric_bitwise(Q):
-    t = Q.to_scipy().T.tocsr()
-    return (np.array_equal(Q.row_ptr, t.indptr) and np.array_equal(Q.col_idx, t.indices)
-            and Q.values.tobytes() == t.data.tobytes())
+def is_symmetric_bitwise(m):
+    """The transpose comparison, value bits included, on a canonical scipy
+    CSR matrix or a SparseMatrixCSR."""
+    if isinstance(m, SparseMatrixCSR):
+        m = m.to_scipy()
+    t = m.T.tocsr()
+    return (np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
+            and m.data.tobytes() == t.data.tobytes())
+
+
+def same_arrays(Q, row_ptr, col_idx, values):
+    """Q's CSR arrays equal the given ones bitwise, index dtypes included."""
+    return (Q.row_ptr.dtype == row_ptr.dtype and Q.col_idx.dtype == col_idx.dtype
+            and np.array_equal(Q.row_ptr, row_ptr) and np.array_equal(Q.col_idx, col_idx)
+            and Q.values.tobytes() == np.asarray(values).tobytes())
 
 
 class TestMatvec:
@@ -375,3 +387,248 @@ class TestGmrfGenerator:
 
     def test_exactly_symmetric(self):
         assert is_symmetric_bitwise(gen_gmrf_grid(13, -0.22))
+
+
+# ---------------------------------------------------------------------------
+# The blockwise symmetry check
+# ---------------------------------------------------------------------------
+
+ROWS = sparse._MIN_BLOCK_ROWS
+N_BLOCKS = 3 * ROWS + 100        # four blocks of ROWS rows, the last one partial
+
+
+def band(n, bandwidth=2, seed=0, rows=None):
+    """Canonical scipy CSR of a symmetric band matrix of order n with distinct
+    nonzero values; ``rows``, if given, keeps only the entries whose row and
+    column both lie in it."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    r, c, v = [i], [i], [n + rng.random(n)]
+    for k in range(1, min(bandwidth, n - 1) + 1):
+        off = rng.uniform(0.5, 1.5, n - k)
+        r += [i[:-k], i[k:]]
+        c += [i[k:], i[:-k]]
+        v += [off, off]
+    r, c, v = map(np.concatenate, (r, c, v))
+    if rows is not None:
+        keep = np.isin(r, rows) & np.isin(c, rows)
+        r, c, v = r[keep], c[keep], v[keep]
+    return sp.csr_matrix((v, (r, c)), shape=(n, n))
+
+
+def with_entries(m, entries):
+    """``m`` with the (i, j, value) entries stored as well (new positions)."""
+    coo = m.tocoo()
+    i, j, v = (np.array(x).reshape(-1) for x in zip(*entries)) if entries else ([],) * 3
+    return sp.csr_matrix((np.concatenate([coo.data, v]),
+                          (np.concatenate([coo.row, i]), np.concatenate([coo.col, j]))),
+                         shape=m.shape)
+
+
+def without(m, k):
+    """``m`` with its k-th stored entry dropped."""
+    coo = m.tocoo()
+    keep = np.arange(m.nnz) != k
+    return sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=m.shape)
+
+
+def at(m, i, j):
+    """Index into ``m.data`` of the stored (i, j)."""
+    lo, hi = m.indptr[i], m.indptr[i + 1]
+    k = lo + int(np.searchsorted(m.indices[lo:hi], j))
+    assert k < hi and m.indices[k] == j
+    return k
+
+
+def accepts(m):
+    """The constructor's verdict on the arrays of canonical CSR ``m``."""
+    assert m.has_canonical_format
+    try:
+        SparseMatrixCSR(m.indptr, m.indices, m.data.copy(), n=m.shape[0])
+    except ValueError as exc:
+        assert "matrix is not symmetric" in str(exc)
+        return False
+    return True
+
+
+class TestBlockwiseSymmetryCheck:
+    """The constructor walks blocks of rows; it must refuse exactly what the
+    transpose comparison refuses, across block boundaries too."""
+
+    def test_blocks_as_assumed(self):
+        blocks = list(sparse._row_blocks(N_BLOCKS))
+        assert [r0 for r0, _ in blocks] == [0, ROWS, 2 * ROWS, 3 * ROWS]
+        assert blocks[-1][1] == N_BLOCKS
+        assert list(sparse._row_blocks(ROWS)) == [(0, ROWS)]
+
+    def test_one_ulp_in_last_block(self):
+        m = band(N_BLOCKS)
+        assert accepts(m)
+        k = at(m, N_BLOCKS - 1, N_BLOCKS - 3)
+        m.data[k] = np.nextafter(m.data[k], 2.0)
+        assert not is_symmetric_bitwise(m) and not accepts(m)
+
+    @pytest.mark.parametrize("entries,symmetric", [
+        ([(0, N_BLOCKS - 1, 0.5)], False),
+        ([(N_BLOCKS - 1, 0, 0.5)], False),
+        ([(0, N_BLOCKS - 1, 0.5), (N_BLOCKS - 1, 0, 0.5)], True),
+        ([(0, N_BLOCKS - 1, 0.5), (N_BLOCKS - 1, 0, 0.25)], False),
+    ], ids=["upper-only", "lower-only", "pair", "pair-unequal"])
+    def test_far_corner_entry(self, entries, symmetric):
+        # a banded matrix over several blocks, plus a corner entry whose
+        # mirror sits in the first or the last block
+        m = with_entries(band(N_BLOCKS), entries)
+        assert is_symmetric_bitwise(m) == symmetric
+        assert accepts(m) == symmetric
+
+    def test_mirror_pair_straddling_block_boundary(self):
+        m = band(N_BLOCKS)
+        b = list(sparse._row_blocks(N_BLOCKS))[1][0]
+        k = at(m, b, b - 1)           # (b - 1, b) is stored in the block before
+        m.data[k] = np.nextafter(m.data[k], 0.0)
+        assert not accepts(m)
+        m = with_entries(band(N_BLOCKS), [(b - 7, b + 9, 0.75), (b + 9, b - 7, 0.75)])
+        assert accepts(m)
+        m.data[at(m, b + 9, b - 7)] = 0.625
+        assert not accepts(m)
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["unpartnered", "pair"])
+    def test_explicit_zero_across_blocks(self, pair):
+        entries = [(N_BLOCKS - 1, 2, 0.0)] + ([(2, N_BLOCKS - 1, 0.0)] if pair else [])
+        m = with_entries(band(N_BLOCKS), entries)
+        assert m.nnz == band(N_BLOCKS).nnz + len(entries)      # zeros stay stored
+        assert accepts(m) == pair
+
+    def test_empty_rows_and_empty_block(self):
+        # block 1 has no entries, and neither do its columns nor rows 10..19
+        n = 3 * ROWS
+        kept = np.r_[0:10, 20:ROWS, 2 * ROWS:n]
+        m = band(n, rows=kept)
+        assert np.all(np.diff(m.indptr)[ROWS:2 * ROWS] == 0)
+        assert accepts(m)
+        for entries, symmetric in [([(0, ROWS + 5, 1.0)], False),
+                                   ([(ROWS + 5, 0, 1.0)], False),
+                                   ([(15, n - 1, 1.0)], False),
+                                   ([(0, ROWS + 5, 1.0), (ROWS + 5, 0, 1.0)], True)]:
+            e = with_entries(m, entries)
+            assert is_symmetric_bitwise(e) == symmetric
+            assert accepts(e) == symmetric
+
+    @pytest.mark.parametrize("n", [1, 2, ROWS - 1, ROWS, ROWS + 1])
+    def test_sizes_around_one_block(self, n):
+        m = band(n)
+        assert accepts(m)
+        if n > 1:
+            k = at(m, n - 1, n - 2)
+            bad = m.copy()
+            bad.data[k] = np.nextafter(bad.data[k], 0.0)
+            assert not accepts(bad)
+            assert not accepts(with_entries(band(n, bandwidth=0), [(n - 1, 0, 1.0)]))
+
+    @pytest.mark.parametrize("n", [3, N_BLOCKS])
+    def test_cycle_of_equal_values_refused(self, n):
+        # (a, b), (b, c), (c, a) of one value in otherwise empty rows: the
+        # transpose has the same row counts and values, only its columns differ
+        a, b, c = n - 3, n - 2, n - 1
+        m = with_entries(band(n, bandwidth=0, rows=np.arange(a)),
+                         [(a, b, 0.5), (b, c, 0.5), (c, a, 0.5)])
+        assert not accepts(m)
+
+    @pytest.mark.parametrize("n", [2, N_BLOCKS])
+    def test_signed_zero_pair_accepted(self, n):
+        # 0.0 == -0.0, as the transpose comparison's array_equal has it; the
+        # bits are kept as given
+        m = with_entries(band(n, bandwidth=0), [(0, n - 1, 0.0), (n - 1, 0, -0.0)])
+        assert not is_symmetric_bitwise(m)        # the bits differ
+        Q = SparseMatrixCSR(m.indptr, m.indices, m.data, n=n)
+        assert np.signbit(Q.values[at(m, n - 1, 0)])
+        assert not np.signbit(Q.values[at(m, 0, n - 1)])
+
+    @pytest.mark.parametrize("pattern,n", [("arrow", N_BLOCKS), ("scattered", N_BLOCKS),
+                                           ("scattered", 2**16 + 4_500)],
+                             ids=["arrow", "scattered", "scattered-wide"])
+    def test_unbanded_patterns(self, pattern, n):
+        # blocks whose columns span far more than their entries, so the check
+        # sorts them by their distinct columns (past 2^16 columns, in two
+        # radix passes)
+        rng = np.random.default_rng(7)
+        if pattern == "arrow":
+            i = np.arange(1, n)
+            j = np.zeros(n - 1, dtype=int)
+        else:
+            i, j = rng.integers(0, n, size=(2, 4 * n))
+        v = rng.uniform(0.5, 1.5, i.size)
+        m = sp.csr_matrix((np.r_[n + rng.random(n), v, v],
+                           (np.r_[np.arange(n), i, j], np.r_[np.arange(n), j, i])),
+                          shape=(n, n))
+        m.sum_duplicates()
+        widths = [(np.ptp(m.indices[m.indptr[r0]:m.indptr[r1]]) + 1, m.indptr[r1] - m.indptr[r0])
+                  for r0, r1 in sparse._row_blocks(n)]
+        assert any(span > entries for span, entries in widths)
+        assert accepts(m)
+        last = n - 1 if pattern == "arrow" else int(np.flatnonzero(np.diff(m.indptr) > 1)[-1])
+        k = m.indptr[last]          # the last such row's first entry, off the diagonal
+        assert m.indices[k] != last
+        bad = m.copy()
+        bad.data[k] = np.nextafter(bad.data[k], 0.0)
+        assert not is_symmetric_bitwise(bad) and not accepts(bad)
+        assert not accepts(without(m, k))
+
+    @pytest.mark.parametrize("width", [1, 5, 2**16, 2**16 + 1, 2**33])
+    def test_distinct_columns_match_unique(self, width):
+        keys = np.random.default_rng(width).integers(0, width, 5_000)
+        values, rank = sparse._distinct(keys, width)
+        expect, inverse = np.unique(keys, return_inverse=True)
+        assert np.array_equal(values, expect) and np.array_equal(rank, inverse)
+
+    def test_verdict_equals_transpose_comparison(self):
+        # seeded random patterns (a band, scattered mirrored pairs, empty
+        # rows) over one to several blocks, each perturbed at most once
+        rng = np.random.default_rng(2024)
+        sizes = [1, 3, 50, ROWS - 1, ROWS + 1, N_BLOCKS]
+        verdicts = {True: 0, False: 0}
+        for case in range(120):
+            n = sizes[case % len(sizes)]
+            m = band(n, bandwidth=int(rng.integers(0, 4)), seed=case,
+                     rows=np.flatnonzero(rng.random(n) > 0.05))
+            if n > 1:
+                i, j = rng.integers(0, n, size=(2, 3))
+                keep = i != j
+                v = rng.uniform(-1.0, 1.0, 3)[keep]
+                m = with_entries(m, list(zip(i[keep], j[keep], v))
+                                 + list(zip(j[keep], i[keep], v)))
+                m.sum_duplicates()
+            kind = case % 4
+            if kind == 1 and m.nnz:                       # one value by one ulp
+                k = rng.integers(m.nnz)
+                m.data[k] = np.nextafter(m.data[k], np.inf)
+            elif kind == 2 and m.nnz:                     # one entry dropped
+                m = without(m, rng.integers(m.nnz))
+            elif kind == 3 and n > 1:                     # one entry added
+                i, j = rng.integers(0, n, 2)
+                if i != j and not m[i, j]:
+                    m = with_entries(m, [(i, j, rng.uniform(0.5, 1.5))])
+            verdict = is_symmetric_bitwise(m)
+            assert accepts(m) == verdict, (case, n, kind)
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 30
+
+
+class TestGeneratorsMatchOracles:
+    """The generators write CSR directly; the constructions kept in
+    ``sparse_oracles`` give the same arrays bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 16_385])
+    def test_pentadiagonal(self, n):
+        for seed in (0, 11):
+            assert same_arrays(gen_pentadiagonal(n, seed), *pentadiagonal_by_mask(n, seed))
+
+    @pytest.mark.parametrize("g,theta", [(2, -0.22), (3, 0.2499), (300, -0.24),
+                                         (2, 0.0), (7, 0.0), (5, -0.0), (4, 1e-310)],
+                             ids=["g2", "g3", "g300", "g2-zero", "g7-zero",
+                                  "g5-negative-zero", "g4-subnormal"])
+    def test_lattice(self, g, theta):
+        Q = gen_gmrf_grid(g, theta)
+        assert same_arrays(Q, *lattice_by_kron(g, theta))
+        if theta == 0:
+            assert Q.nnz == g * g        # the zero couplings are not stored

@@ -83,12 +83,14 @@ class TestGershgorin:
 
     def test_bitwise_equal_to_entrywise_row_sums(self):
         from lejadet import gen_pentadiagonal
-        rows = sparse._GERSHGORIN_ROWS
+        rows = sparse._MIN_BLOCK_ROWS
         for Q in (gen_pentadiagonal(10_000, seed=1), random_spd(3, n=120)[0],
                   # several blocks, the last one partial and holding the top
                   gen_pentadiagonal(3 * rows + 1234, seed=2), _chain(3 * rows + 1234),
                   _chain(2 * rows + 77, empty=True),
-                  _chain(rows + 5, missing_diagonal=True)):
+                  _chain(rows + 5, missing_diagonal=True),
+                  # n / _BLOCKS rows a block, more than the minimum
+                  _chain(sparse._BLOCKS * rows + 777)):
             row = np.repeat(np.arange(Q.n), np.diff(Q.row_ptr))
             diag = Q.to_scipy().diagonal()
             radius = (np.bincount(row, weights=np.abs(Q.values), minlength=Q.n)
