@@ -405,7 +405,7 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAUL
     return _leja_trace("hutchinson", Q, m_vec, 0, action_tol, seed, bounds, max_degree)
 
 
-def _lanczos(m_sp, v, m_l):
+def _lanczos(m_sp, v, m_l, keep_basis=True):
     """Lanczos on ``v`` with partial reorthogonalization: (basis, alphas, betas).
 
     The loss of orthogonality of each new vector is estimated, not measured:
@@ -422,12 +422,22 @@ def _lanczos(m_sp, v, m_l):
     The last step stops once its alpha is known.  On breakdown (invariant
     Krylov subspace) the outputs are truncated at the step reached.
 
+    A correction is the only step that reads the basis beyond q_{j-1} and
+    q_j.  Without ``keep_basis`` the pass holds just those two, in a ring of
+    two columns: step j writes q_{j+1} over q_{j-1} once the three-term
+    update has read it, and the basis returned is None.  Where the estimate
+    asks for a correction, that pass is abandoned and returns (None,
+    alphas, None), one alpha per product spent.  A pass that is not
+    abandoned performs the operations of a kept-basis pass in the same
+    order, so its alphas and betas are bitwise the same.
+
     The step loop calls scipy's BLAS only: mixing in numpy's (``@``,
     ``np.linalg.norm``) alternates two OpenBLAS thread pools, which stall
     each other when BLAS threads are not pinned.
     """
     n = v.shape[0]
-    basis = np.empty((n, m_l), order="F")
+    width = m_l if keep_basis else min(m_l, 2)      # q_j is column j % width
+    basis = np.empty((n, width), order="F")
     np.divide(v, math.sqrt(ddot(v, v)), out=basis[:, 0])
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))
@@ -436,14 +446,14 @@ def _lanczos(m_sp, v, m_l):
     redo = False
     steps = m_l
     for j in range(m_l):
-        q = basis[:, j]
+        q = basis[:, j % width]
         w = m_sp @ q
         alphas[j] = ddot(q, w)
         if j == m_l - 1:
             break
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
-            w = daxpy(basis[:, j - 1], w, a=-betas[j - 1])
+            w = daxpy(basis[:, (j - 1) % width], w, a=-betas[j - 1])
         b = math.sqrt(ddot(w, w))
         tiny = 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0)
         row = np.full(j + 2, psi)                   # omega_{j+1,k}, k <= j + 1
@@ -455,6 +465,8 @@ def _lanczos(m_sp, v, m_l):
             est += np.copysign(psi * (betas[:j] + b), est)
             row[:j] = est / b
         if redo or np.max(np.abs(row[:j + 1])) > _SEMI_ORTHO:
+            if not keep_basis:
+                return None, alphas[:j + 1], None
             active = basis[:, :j + 1]
             h = dgemv(1.0, active, w, trans=1)
             w = dgemv(-1.0, active, h, beta=1.0, y=w, overwrite_y=True)
@@ -465,18 +477,24 @@ def _lanczos(m_sp, v, m_l):
             steps = j + 1
             break
         betas[j] = b
-        np.divide(w, b, out=basis[:, j + 1])
+        np.divide(w, b, out=basis[:, (j + 1) % width])
         omega_prev, omega = omega, row
-    return basis[:, :steps], alphas[:steps], betas[:steps - 1]
+    return (basis[:, :steps] if keep_basis else None), alphas[:steps], betas[:steps - 1]
 
 
-def _lanczos_quadrature(m_sp, v, m_l):
+def _lanczos_quadrature(m_sp, v, m_l, keep_basis=False):
     """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
 
     The Gauss rule of the tridiagonal of ``_lanczos`` (loss of orthogonality
     estimated by Simon's omega-recurrence); returns it and the steps taken.
+    Unless ``keep_basis``, the Lanczos pass holds two basis vectors, and if
+    its estimate asks for a correction the pass is abandoned: the result is
+    then (None, products spent), and the probe must be run again keeping
+    its basis.
     """
-    _, alphas, betas = _lanczos(m_sp, v, m_l)
+    _, alphas, betas = _lanczos(m_sp, v, m_l, keep_basis)
+    if betas is None:
+        return None, alphas.size
     theta, vecs = eigh_tridiagonal(alphas, betas)
     # a Ritz value within rounding of zero, relative to the largest, is a
     # singular or indefinite matrix: its log would pass for a finite one
@@ -498,6 +516,16 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     after it) is reorthogonalized only when that estimate exceeds sqrt(eps)
     (Simon 1984; see ``_lanczos``), which agrees with full
     reorthogonalization to working precision.
+
+    Only a correction reads the basis beyond the last two Lanczos vectors,
+    so each probe first runs holding those two alone: about 7 n-vectors in
+    all (the probe block, one float probe, the two vectors and the
+    products), not the m_l + 4 of an n x m_l basis.  If its estimate asks
+    for a correction, that pass is abandoned and the probe runs again with
+    the whole basis, as does every later probe of the estimate, so an
+    estimate abandons at most one pass.  The abandoned pass's products
+    count in ``matvecs_total`` but not in ``degrees``.  Estimates, degrees
+    and ``std_error`` are those of keeping every basis, bitwise.
     """
     if m_l < 1:
         raise ValueError("Lanczos degree must be at least 1")
@@ -509,13 +537,18 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     probes = _rademacher(rng, Q.n, n_v)
     total = 0.0
     records, terms = [], []
+    keep_basis, abandoned = False, 0
     for j in range(n_v):
-        val, steps = _lanczos_quadrature(m_sp, _column(probes, j), m_l)
+        v = _column(probes, j)
+        val, steps = (None, 0) if keep_basis else _lanczos_quadrature(m_sp, v, m_l)
+        if val is None:         # from the first abandoned pass on, keep the basis
+            keep_basis, abandoned = True, abandoned + steps
+            val, steps = _lanczos_quadrature(m_sp, v, m_l, keep_basis=True)
         total += val
         terms.append(val)
         records.append(_ActionRecord(f"probe {j}", steps, True, 0.0))
     return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records,
-                   terms=terms)
+                   terms=terms, matvecs=abandoned)
 
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,

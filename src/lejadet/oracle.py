@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from .sparse import SparseMatrixCSR, check_lattice_theta
+from .sparse import SparseMatrixCSR, _row_blocks, check_lattice_theta
 
 __all__ = [
     "dense_logdet_cholesky",
@@ -51,11 +51,24 @@ def band_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> np.ndarray:
     if actual > bandwidth:
         raise ValueError(f"matrix has entries at offset {actual}, "
                          f"outside bandwidth {bandwidth}")
-    m = Q.to_scipy()
-    # column-major, so LAPACK factors it in place
+    # column-major, so LAPACK factors it in place; entry (i, j), j <= i, goes
+    # to ab[i - j, j], which is element i + j * bandwidth of ab in memory
     ab = np.zeros((bandwidth + 1, n), order="F")
-    for off in range(bandwidth + 1):
-        ab[off, : n - off] = m.diagonal(-off)
+    flat = ab.reshape(-1, order="F")
+    ptr, cols, vals = Q.row_ptr, Q.col_idx, Q.values
+
+    def fill(r0, r1):           # a block's arrays are freed before the next
+        lo, hi = int(ptr[r0]), int(ptr[r1])
+        rows = np.repeat(np.arange(r0, r1), np.diff(ptr[r0:r1 + 1]))
+        lower = cols[lo:hi] <= rows
+        rows = rows[lower]
+        rows += cols[lo:hi][lower] * np.intp(bandwidth)
+        entries = vals[lo:hi][lower]
+        entries += 0.0      # -0.0 becomes 0.0, as scipy's diagonal() reads it
+        flat[rows] = entries
+
+    for r0, r1 in _row_blocks(n):
+        fill(r0, r1)
     try:
         return cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -64,7 +77,8 @@ def band_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> np.ndarray:
 
 def band_logdet_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> float:
     """Banded Cholesky log-determinant, 2 * sum(log L_ii) of ``band_cholesky``."""
-    return 2.0 * float(np.sum(np.log(band_cholesky(Q, bandwidth)[0])))
+    diag = band_cholesky(Q, bandwidth)[0]
+    return 2.0 * float(np.sum(np.log(diag, out=diag)))
 
 
 def gmrf_grid_logdet_analytic(g: int, theta: float) -> float:

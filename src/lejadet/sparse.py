@@ -186,14 +186,20 @@ class SparseMatrixCSR:
         return self._mat.toarray()
 
     def bandwidth(self) -> int:
-        """Largest |i - j| over stored entries (0 for diagonal matrices)."""
+        """Largest |i - j| over stored entries (0 for diagonal matrices).
+
+        Columns are sorted, so each row's first entry is its furthest left;
+        by symmetry the entries right of the diagonal mirror those left of
+        it.  The rows are read in blocks, so the temporaries are a block's.
+        """
         ptr, cols = self.row_ptr, self.col_idx
-        rows = np.flatnonzero(ptr[1:] > ptr[:-1])
-        if rows.size == 0:
-            return 0
-        # columns are sorted, so each row's first entry is its furthest left;
-        # by symmetry the entries right of the diagonal mirror those left of it
-        return int((rows - cols[ptr[rows]]).max())
+        width = 0
+        for r0, r1 in _row_blocks(self.n):
+            first = ptr[r0:r1]
+            rows = np.flatnonzero(ptr[r0 + 1:r1 + 1] > first)
+            if rows.size:
+                width = max(width, r0 + int((rows - cols[first[rows]]).max()))
+        return width
 
     def __repr__(self):
         return f"SparseMatrixCSR(n={self.n}, nnz={self.nnz})"

@@ -760,6 +760,55 @@ class TestSLQ:
         slq_logdet(Q, 40, 10, seed=0)
         assert bool(corrections) == fired
 
+    @pytest.mark.parametrize("make,m_l",
+                             SLQ_CASES + [(lambda: gen_pentadiagonal(100_000, seed=0), 40)],
+                             ids=SLQ_IDS + ["penta-1e5"])
+    def test_two_vector_passes_equal_kept_bases_bitwise(self, make, m_l, monkeypatch):
+        Q = make()
+        new = slq_logdet(Q, m_l, 5, seed=3)
+        _keep_every_basis(monkeypatch)
+        ref = slq_logdet(Q, m_l, 5, seed=3)
+        assert ((new.estimate, new.degrees, new.std_error)
+                == (ref.estimate, ref.degrees, ref.std_error))
+
+    @pytest.mark.parametrize("make,abandoned", [
+        (lambda: gen_pentadiagonal(10_000, seed=0), False),
+        (lambda: gen_gmrf_grid(40, -0.24), False),
+        (lambda: random_spd(2, n=200, kappa=1e3)[0], True),
+    ], ids=["penta-1e4", "lattice-40", "spd-2"])
+    def test_abandoned_pass_counts_its_products(self, make, abandoned, monkeypatch):
+        Q = make()
+        new = slq_logdet(Q, 40, 10, seed=0)
+        _keep_every_basis(monkeypatch)
+        ref = slq_logdet(Q, 40, 10, seed=0)
+        # keeping every basis, no pass is abandoned: its matvecs are the
+        # sum of the degrees, which both runs share
+        extra = new.matvecs_total - ref.matvecs_total
+        assert (0 < extra < 40) if abandoned else extra == 0
+
+    def test_every_basis_kept_after_the_first_abandoned_pass(self, monkeypatch):
+        Q = random_spd(2, n=200, kappa=1e3)[0]
+        quadrature, calls = logdet._lanczos_quadrature, []
+
+        def recording(m_sp, v, m_l, keep_basis=False):
+            val, steps = quadrature(m_sp, v, m_l, keep_basis)
+            calls.append((keep_basis, val is None))
+            return val, steps
+
+        monkeypatch.setattr(logdet, "_lanczos_quadrature", recording)
+        slq_logdet(Q, 40, 10, seed=0)
+        first = calls.index((False, True))
+        assert calls == [(False, False)] * first + [(False, True)] + [(True, False)] * (10 - first)
+
+
+def _keep_every_basis(monkeypatch):
+    """Run every SLQ probe with its whole Lanczos basis, as before the
+    two-vector passes."""
+    quadrature = logdet._lanczos_quadrature
+    monkeypatch.setattr(logdet, "_lanczos_quadrature",
+                        lambda m_sp, v, m_l, keep_basis=False:
+                        quadrature(m_sp, v, m_l, keep_basis=True))
+
 
 def _lanczos_quadrature_measured(m_sp, v, m_l):
     """Reference SLQ probe that measures the loss of orthogonality at every step.

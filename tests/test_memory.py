@@ -1,4 +1,4 @@
-"""Memory budgets of matrix build and write, bounds, Hutch++, the exact
+"""Memory budgets of matrix build and write, bounds, Hutch++, SLQ, the exact
 low-degree trace and the band oracle (tracemalloc).
 
 numpy reports its array buffers to tracemalloc, so the traced peak above
@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from lejadet import (SparseMatrixCSR, band_logdet_cholesky, estimate_interval,
                      gen_gmrf_grid, gen_pentadiagonal, generate_fast_leja,
-                     hutchpp_logdet, write_matrix_market)
+                     hutchpp_logdet, slq_logdet, write_matrix_market)
 from lejadet.leja import DEFAULT_POOL_SIZE
 
 N = 200_000
@@ -117,6 +117,20 @@ def test_hutchpp_peak_above_matrix():
     assert peak <= 12 * 8 * Q.n
 
 
+@pytest.mark.parametrize("make", [lambda: gen_pentadiagonal(N, seed=0),
+                                  lambda: gen_gmrf_grid(447, -0.22)],
+                         ids=["penta", "lattice"])
+def test_slq_peak(make):
+    # the int8 probe block (10 columns), one float probe, the Lanczos vectors
+    # q_{j-1} and q_j, and the product being formed beside the last one; no
+    # n x m_l basis, which a probe keeps only once the orthogonality
+    # estimate asks for a correction, and none does on these matrices
+    Q = make()
+    rep, peak = traced_peak(lambda: slq_logdet(Q, 40, 10, seed=0))
+    assert rep.matvecs_total == 400
+    assert peak <= 8 * 8 * Q.n
+
+
 def test_exact_trace_peak(penta):
     # the diagonal, shifted in place; the divided differences' smaller work
     # array is freed before it is taken
@@ -132,3 +146,21 @@ def test_band_logdet_cholesky_peak(penta):
     Q, _ = penta
     _, peak = traced_peak(lambda: band_logdet_cholesky(Q, 2))
     assert peak <= 9 * 8 * N
+
+
+def test_band_logdet_cholesky_peak_above_band(penta):
+    # the band, written from the CSR one block of rows at a time, factored in
+    # place and its diagonal's log taken in place; the bandwidth check's and
+    # the fill's block temporaries
+    Q, _ = penta
+    bandwidth = 2
+    _, peak = traced_peak(lambda: band_logdet_cholesky(Q, bandwidth))
+    assert peak <= (bandwidth + 1 + 0.5) * 8 * N
+
+
+def test_bandwidth_peak(penta):
+    # one block of rows: which of its rows store entries, and their first columns
+    Q, _ = penta
+    width, peak = traced_peak(Q.bandwidth)
+    assert width == 2
+    assert peak <= 0.5 * 8 * N

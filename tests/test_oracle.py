@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 
+from conftest import random_spd
 from lejadet import (SparseMatrixCSR, band_logdet_cholesky,
                      dense_logdet_cholesky, estimate, gen_gmrf_grid,
                      gen_pentadiagonal, gmrf_grid_logdet_analytic)
@@ -75,6 +78,40 @@ class TestBandCholesky:
             band = band_logdet_cholesky(Q, 2)
             dense = dense_logdet_cholesky(Q.to_dense())
             assert band == pytest.approx(dense, rel=1e-9)
+
+    def test_bandwidth_beyond_order(self):
+        # a band wider than the matrix holds zeros past its last subdiagonal
+        Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0, 4.0]))
+        assert band_logdet_cholesky(Q, 5) == pytest.approx(math.log(24.0), abs=1e-14)
+
+    @pytest.mark.parametrize("make,bandwidth", [
+        (lambda: gen_pentadiagonal(50_000, seed=1), 2),
+        (lambda: gen_pentadiagonal(50_000, seed=1), 4),
+        (lambda: gen_gmrf_grid(70, -0.24), 70),
+        (lambda: random_spd(1, n=150, kappa=1e3)[0], 149),
+        (lambda: signed_zeros(), 7),
+    ], ids=["penta", "penta-wider", "lattice", "spd-full", "signed-zeros"])
+    def test_factor_equals_band_of_diagonals(self, make, bandwidth):
+        Q = make()
+        assert band_cholesky(Q, bandwidth).tobytes() == band_by_diagonals(Q, bandwidth).tobytes()
+
+
+def band_by_diagonals(Q, bandwidth):
+    """The factor of the band whose row k is scipy's k-th subdiagonal of Q."""
+    m = Q.to_scipy()
+    ab = np.zeros((bandwidth + 1, Q.n), order="F")
+    for off in range(bandwidth + 1):
+        ab[off, :Q.n - off] = m.diagonal(-off)
+    return cholesky_banded(ab, lower=True)
+
+
+def signed_zeros():
+    """A diagonal matrix of order 10 with a stored -0.0 pair at (3, 0) and
+    (0, 3), and 0.5 at (9, 2) and (2, 9)."""
+    i = np.r_[np.arange(10), 3, 0, 9, 2]
+    j = np.r_[np.arange(10), 0, 3, 2, 9]
+    v = np.r_[np.arange(1.0, 11.0), -0.0, -0.0, 0.5, 0.5]
+    return SparseMatrixCSR.from_scipy(sp.csr_matrix((v, (i, j)), shape=(10, 10)))
 
 
 class TestLatticeAnalytic:

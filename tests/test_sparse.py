@@ -614,6 +614,32 @@ class TestBlockwiseSymmetryCheck:
         assert min(verdicts.values()) >= 30
 
 
+class TestBandwidth:
+    @staticmethod
+    def whole_matrix(m):
+        """The furthest-left entry of every non-empty row, over all rows at once."""
+        ptr, cols = m.indptr, m.indices
+        rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+        return int((rows - cols[ptr[rows]]).max()) if rows.size else 0
+
+    def test_equals_whole_matrix_formula(self):
+        # seeded bands with empty rows and scattered mirrored pairs, over one
+        # to several blocks of rows
+        rng = np.random.default_rng(7)
+        sizes = [1, 2, 50, ROWS - 1, ROWS + 1, N_BLOCKS]
+        for case in range(36):
+            n = sizes[case % len(sizes)]
+            m = band(n, bandwidth=int(rng.integers(0, 4)), seed=case,
+                     rows=np.flatnonzero(rng.random(n) > 0.3 * (case % 3)))
+            if case % 2 and n > 1:
+                i, j = rng.integers(0, n, size=(2, 2))
+                keep = i != j
+                m = with_entries(m, list(zip(i[keep], j[keep], [0.5] * 2))
+                                 + list(zip(j[keep], i[keep], [0.5] * 2)))
+                m.sum_duplicates()
+            assert SparseMatrixCSR.from_scipy(m).bandwidth() == self.whole_matrix(m), case
+
+
 class TestGeneratorsMatchOracles:
     """The generators write CSR directly; the constructions kept in
     ``sparse_oracles`` give the same arrays bit for bit."""
