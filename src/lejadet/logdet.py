@@ -140,7 +140,9 @@ class _ActionRecord(NamedTuple):
     """Diagnostics of one action, as the report needs them."""
 
     label: str
-    degree: int             # one product with Q per degree (per Lanczos step)
+    # products with Q (Lanczos steps for SLQ): a vector action's interpolant
+    # has this degree, a quadratic form's twice it
+    degree: int
     converged: bool
     error_estimate: float
 
@@ -191,9 +193,12 @@ class _ActionEngine:
 
     The enclosure is asked first whether it certifies an exact trace at
     ``tol`` (``exact_degree``, with its certificate ``error_bound``, see
-    ``_exact_trace``); if so, the coefficient table stops at that degree,
-    since the exact trace reads nothing else, and otherwise it holds the
-    max_degree + 1 coefficients of the actions, which is their degree cap.
+    ``_exact_trace``); if so, the coefficient table ``dd`` stops at that
+    degree, since the exact trace reads nothing else, and ``forms`` is None.
+    Otherwise ``dd`` holds the max_degree + 1 coefficients of the vector
+    actions on the Leja nodes, and ``forms`` the 2 max_degree + 1 of the
+    quadratic forms on the doubled sequence (``log_matvec``'s ``form``):
+    both allow max_degree products per action.
 
     ``records`` keeps each action's diagnostics for the report, never its
     result vector.
@@ -212,35 +217,39 @@ class _ActionEngine:
                                   if r ** (K + 1) / (K + 1) <= tol), None)
         K = self.exact_degree
         self.error_bound = None if K is None else Q.n * r ** (K + 1) / (K + 1)
-        # an action of degree m reads coefficients 0..m
+        # a vector action of degree m reads coefficients 0..m, a form of k
+        # products 0..2k of the doubled sequence
         top = max_degree if K is None else K
-        self.dd = divided_differences_log(generate_fast_leja(top + 1), self.bounds)
-        # the table is new on every call: d_0 becomes log(z_0 / sigma)
-        self.dd.coeffs[0] -= self.log_sigma
+        self.dd = self._table(generate_fast_leja(top + 1))
+        self.forms = (None if K is not None else
+                      self._table(np.repeat(self.dd.nodes, 2)[:2 * max_degree + 1]))
         self.records = []
 
-    def act(self, v, tol):
-        """log(Q/sigma) v to relative tolerance ``tol``; returns (result,
-        v' log(Q/sigma) v)."""
-        res = log_matvec(self.Q, v, self.dd, tol)
-        return res, ddot(v, res.vector)
+    def _table(self, nodes):
+        dd = divided_differences_log(nodes, self.bounds)
+        # the table is new on every call: d_0 becomes log(z_0 / sigma)
+        dd.coeffs[0] -= self.log_sigma
+        return dd
 
     def act_all(self, phase, vector, count, tol, images=None):
-        """Act on ``vector(j)`` for j < count to relative tolerance ``tol``;
-        returns their forms v' log(Q/sigma) v in order.
+        """Act on ``vector(j)`` for j < count to relative tolerance ``tol``.
 
-        With ``images``, column j receives log(Q/sigma) vector(j).  Each
-        action is recorded as "<phase> action j".
+        With ``images``, column j receives log(Q/sigma) vector(j) and the
+        list returned is empty.  Without, each action is a quadratic form
+        of the doubled table, and their values v' log(Q/sigma) v are
+        returned in order.  Each action is recorded as "<phase> action j".
         """
         qforms = []
         for j in range(count):
-            res, qform = self.act(vector(j), tol)
+            if images is None:
+                res = log_matvec(self.Q, vector(j), self.forms, tol, form=True)
+                qforms.append(res.form)
+            else:
+                res = log_matvec(self.Q, vector(j), self.dd, tol)
+                images[:, j] = res.vector
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
                                               res.converged, res.error_estimate))
-            if images is not None:
-                images[:, j] = res.vector
             del res     # the next action must not run with this alive
-            qforms.append(qform)
         return qforms
 
 
@@ -361,10 +370,14 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_T
     enclosing interval, with divided differences from one trapezoid sum.
 
     ``action_tol``, in (0, 1), bounds each action's error indicator relative
-    to its probe's norm (``log_matvec``'s ``rtol``), not the estimate's error:
-    at 1e-2 the 12-query estimate of ``gen_gmrf_grid(30, -0.24)`` is 8.1%
-    off.  It governs the deterministic and residual actions, whose quadratic
-    forms enter the estimate directly.  The sketch actions run to
+    to its probe's norm (``log_matvec``'s ``rtol``; a quadratic form's
+    relative to the squared norm), not the estimate's error: at 1e-2 the
+    12-query estimate of ``gen_gmrf_grid(30, -0.24)`` is 3.7% off, and at
+    0.5 12.5% off.  It governs the deterministic and residual actions,
+    whose quadratic forms enter the estimate directly; each is a form of
+    ``log_matvec`` on the doubled Leja sequence, which reaches an
+    interpolant of degree 2k in k products and builds no vector
+    log(Q/sigma) v.  The sketch actions run to
     ``sqrt(action_tol)``: the estimator is unbiased for any basis that does
     not depend on the residual probes, and a basis off by delta changes the
     residual operator (I - AA') log(Q/sigma) (I - AA') only at order
@@ -558,8 +571,10 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     """log det Q by one of ``METHODS``, with the command line's defaults.
 
     ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions of
-    relative tolerance ``tol`` (at most ``max_degree`` each; Hutch++ runs
-    its sketch actions to ``sqrt(tol)``, see ``hutchpp_logdet``)
+    relative tolerance ``tol`` (at most ``max_degree`` products with Q
+    each, where a quadratic form's interpolant after k products has degree
+    2k; Hutch++ runs its sketch actions to ``sqrt(tol)``, see
+    ``hutchpp_logdet``)
     on the interval that ``estimate_interval(Q, seed=seed)`` chooses
     (Gershgorin, or Lanczos when Gershgorin's condition number exceeds 1e4;
     ``report.enclosure``), with divided differences from one trapezoid sum

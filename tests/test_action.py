@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn
 
 from conftest import gmrf_spectrum, random_spd
 from lejadet import (SparseMatrixCSR, SpectralInterval, divided_differences_log,
@@ -11,6 +12,13 @@ from lejadet import (SparseMatrixCSR, SpectralInterval, divided_differences_log,
 
 def make_dd(interval, count=512):
     return divided_differences_log(generate_fast_leja(count), interval)
+
+
+def make_form_dd(interval, products=400):
+    """Divided differences on the doubled Leja sequence (xi_0, xi_0, xi_1,
+    xi_1, ...): 2 * products + 1 of them, a form's cap of ``products``."""
+    xi = generate_fast_leja(products + 1)
+    return divided_differences_log(np.repeat(xi, 2)[:2 * products + 1], interval)
 
 
 def capped(dd, degree):
@@ -41,6 +49,9 @@ class TestSmallCases:
         np.testing.assert_array_equal(res.vector, math.log(c) * v)
         np.testing.assert_array_equal(res.error_history, [0.0])
         assert res.degree_used == 0 and res.matvecs == 0 and res.converged
+        res = log_matvec(Q, v, make_form_dd(interval), rtol=0.0, form=True)
+        assert res.vector is None and res.form == math.log(c) * (v @ v)
+        assert res.degree_used == 0 and res.converged
 
     def test_dense_eigen_oracle_first_basis_vector(self):
         Q, w, V = random_spd(11, n=50, kappa=40.0)
@@ -85,6 +96,12 @@ class TestContracts:
         with pytest.raises(FloatingPointError, match="degree"):
             log_matvec(Q, np.ones(2), capped(dd, 400), rtol=0.0)
 
+
+    def test_form_refuses_a_table_on_single_nodes(self):
+        Q = gen_gmrf_grid(10, -0.2)
+        dd = make_dd(gershgorin_bounds(Q))
+        with pytest.raises(ValueError, match="doubled sequence"):
+            log_matvec(Q, np.ones(Q.n), dd, rtol=1e-7, form=True)
 
     def test_nan_or_negative_tolerance_refused(self):
         # a NaN tolerance used to stop at degree 0 and report convergence
@@ -176,3 +193,54 @@ class TestFusedStep:
             np.testing.assert_array_equal(block, before)
             np.testing.assert_array_equal(a.vector, b.vector)
             np.testing.assert_array_equal(a.error_history, b.error_history)
+
+
+class TestQuadraticForm:
+    """``form=True``: v' P(Q) v from the iterates' inner products, on the
+    doubled Leja sequence."""
+
+    @pytest.mark.parametrize("theta", [-0.22, -0.24, -0.2499, -0.24999])
+    @pytest.mark.parametrize("g", [40, 100, 300])
+    def test_lattice_forms_against_the_closed_form(self, g, theta):
+        # the lattice's eigenvectors are the 2-D DST-I basis, so v' log(Q) v
+        # is the sum of log(lambda) over the squared orthonormal DST-I
+        # coefficients of v; every form is within tol ||v||^2 of it, up to
+        # kappa = 2.1e4 (g = 300, theta = -0.24999)
+        lam = gmrf_spectrum(g, theta)
+        dd = make_form_dd(SpectralInterval(lam.min(), lam.max()))
+        Q = gen_gmrf_grid(g, theta)
+        v = np.random.default_rng(g).integers(0, 2, Q.n) * 2.0 - 1.0
+        exact = float(np.sum(dstn(v.reshape(g, g), type=1, norm="ortho") ** 2
+                             * np.log(lam)))
+        for tol in (1e-2, 1e-4, 1e-7):
+            res = log_matvec(Q, v, dd, rtol=tol, form=True)
+            assert type(res.form) is float
+            assert res.converged and res.error_estimate <= tol * Q.n
+            assert abs(res.form - exact) <= tol * Q.n
+
+    def test_equals_the_doubled_interpolant(self):
+        # after k products the form is v' P(Q) v for the degree-2k Newton
+        # interpolant on the doubled sequence, here stepped as a vector
+        for Q, interval in TestFusedStep().cases():
+            dd = make_form_dd(interval)
+            v = np.random.default_rng(3).standard_normal(Q.n)
+            for k in (0, 1, 2, 7, 20):
+                res = log_matvec(Q, v, capped(dd, 2 * k), rtol=0.0, form=True)
+                assert res.degree_used == res.matvecs == k
+                assert res.error_history.shape == (k + 1,)
+                ref = v @ textbook_log_matvec(Q, v, dd, 2 * k)
+                assert abs(res.form - ref) <= 1e-12 * abs(ref)
+
+    def test_fewer_products_than_a_vector_action(self):
+        # at kappa = 200 the form takes 28 / 54 / 77 products where the
+        # vector action takes 34 / 77 / 120, and unlike v' P(Q) v from the
+        # vector action (6e-4 off at 1e-4) it stays within tol ||v||^2
+        Q, w, V = random_spd(10, n=90, kappa=200.0)
+        interval = SpectralInterval(w.min(), w.max())
+        v = np.random.default_rng(5).standard_normal(90)
+        exact = v @ (V @ (np.log(w) * (V.T @ v)))
+        for tol in (1e-4, 1e-7, 1e-10):
+            vec = log_matvec(Q, v, make_dd(interval), rtol=tol)
+            res = log_matvec(Q, v, make_form_dd(interval), rtol=tol, form=True)
+            assert abs(res.form - exact) <= tol * (v @ v)
+            assert res.degree_used < vec.degree_used

@@ -64,7 +64,7 @@ ROUTE_CASES += [(lambda: gen_pentadiagonal(10_000, seed=0), "gershgorin", 0, 0),
                 (lambda: gen_gmrf_grid(40, -0.24), "gershgorin", 0, 12),
                 (lambda: identity_matrix(50), "gershgorin", 0, 0),
                 (lambda: random_spd(0, n=200, kappa=100.0)[0], "lanczos", 0, 12),
-                (barely_positive_spd, "lanczos", 0, 12)]
+                (barely_positive_spd, "lanczos", 0, 8)]
 ROUTE_IDS = ["lattice-20-seed0", "lattice-20-seed1", "lattice-20-seed2", "penta-1e4",
              "lattice-40", "identity", "spd-floored", "spd-barely-positive"]
 
@@ -352,10 +352,10 @@ def _hutchpp_full_tol_sketch(Q, m_vec, seed, tol=1e-7):
     k = m_vec // 3
     basis, r = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, k), tol))
     assert np.abs(np.diag(r)).min() >= 1e-12 * np.abs(np.diag(r)).max()  # full rank
-    det_term = sum(eng.act(basis[:, j].copy(), tol)[1] for j in range(k))
+    det_term = sum(eng.act_all("deterministic", lambda j: basis[:, j].copy(), k, tol))
     G = _probes(rng, Q.n, m_vec - 2 * k)
     U = G - basis @ (basis.T @ G)
-    res_term = np.mean([eng.act(U[:, j].copy(), tol)[1] for j in range(U.shape[1])])
+    res_term = np.mean(eng.act_all("residual", lambda j: U[:, j].copy(), U.shape[1], tol))
     return Q.n * eng.log_sigma + det_term + res_term
 
 
@@ -394,11 +394,12 @@ class TestHutchPPSketchTolerance:
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-2, 0.5])
     def test_sketch_never_tighter_than_the_other_actions(self, tol, monkeypatch):
-        rel_tols = []
+        rel_tols, forms = [], []
 
-        def recording(Q, v, dd, rtol):
+        def recording(Q, v, dd, rtol, **kwargs):
             rel_tols.append(rtol)
-            return log_matvec(Q, v, dd, rtol)
+            forms.append(kwargs.get("form", False))
+            return log_matvec(Q, v, dd, rtol, **kwargs)
 
         monkeypatch.setattr(logdet, "log_matvec", recording)
         hutchpp_logdet(gen_gmrf_grid(12, -0.22), 12, action_tol=tol, seed=0)
@@ -407,6 +408,8 @@ class TestHutchPPSketchTolerance:
         assert sketch == pytest.approx([math.sqrt(tol)] * 4, rel=1e-12)
         assert others == pytest.approx([tol] * 8, rel=1e-12)
         assert min(sketch) >= max(others) * (1 - 1e-12)
+        # the sketch's images are vectors; every other action is a quadratic form
+        assert forms == [False] * 4 + [True] * 8
 
 
 class TestHutchinson:
@@ -452,7 +455,7 @@ class TestHutchinson:
         Q = gen_gmrf_grid(12, -0.22)
         eng = logdet._ActionEngine(Q, None, 400, seed, 1e-7)
         probes = logdet._rademacher(np.random.default_rng(seed), Q.n, 12)
-        qforms = [eng.act(logdet._column(probes, j), 1e-7)[1] for j in range(12)]
+        qforms = eng.act_all("probe", lambda j: logdet._column(probes, j), 12, 1e-7)
         rep = hutchinson_logdet(Q, 12, seed=seed)
         assert rep.trace_estimate == sum(qforms) / 12
         assert rep.estimate == Q.n * eng.log_sigma + sum(qforms) / 12
@@ -587,12 +590,14 @@ def test_leja_estimators_accept_degree_zero(call):
 
 
 def test_degree_zero_error_estimate_is_the_normalized_constant():
-    # at degree 0 an action is d_0 v with d_0 = log(z_0 / sigma), z_0 =
-    # lambda_max: on Gershgorin's [0.12, 1.88] the indicator is
-    # log(1.88 / 0.12) ||v||, and every probe of the 144-point lattice has
-    # norm 12
+    # at degree 0 a probe's form is d_0 ||v||^2 with d_0 = log(z_0 / sigma),
+    # z_0 = lambda_max: on Gershgorin's [0.12, 1.88] the indicator is the
+    # tail factor (sqrt(kappa) + 1)^2 / (4 sqrt(kappa)) times
+    # log(1.88 / 0.12) ||v||^2, with kappa = 1.88 / 0.12, and every probe of
+    # the 144-point lattice has ||v||^2 = 144
     rep = hutchinson_logdet(gen_gmrf_grid(12, -0.22), 6, max_degree=0)
-    error = math.log(1.88 / 0.12) * 12.0
+    root = math.sqrt(1.88 / 0.12)
+    error = (root + 1.0) ** 2 / (4.0 * root) * math.log(1.88 / 0.12) * 144.0
     assert rep.sigma == pytest.approx(0.12, rel=1e-14)
     assert rep.warnings == [f"probe action {j}: not converged at degree 0 "
                             f"(error estimate {error:.3e})" for j in range(6)]
@@ -923,16 +928,24 @@ def test_hutchpp_engine_keeps_no_vectors(monkeypatch):
                                     lambda: gen_pentadiagonal(300, seed=0)],
                          ids=["lattice-sigma-0.2", "penta-sigma-1"])
 def test_no_action_result_outlives_its_action(monkeypatch, estimator, make_q):
-    """Every action starts with the result vectors of the earlier ones freed:
-    a live one would add an n-vector to the peak (test_memory.py)."""
-    refs, alive = [], []
+    """Every action starts with the n-vectors of the earlier ones freed: a
+    live one would add an n-vector to the peak (test_memory.py).  Those are
+    each action's input and its result vector; a quadratic form's result
+    holds no n-vector at all."""
+    refs, alive, forms = [], [], []
 
-    def tracked(*args, **kwargs):
+    def tracked(Q, v, *args, **kwargs):
         alive.append(sum(r() is not None for r in refs))
-        res = log_matvec(*args, **kwargs)
-        refs.append(weakref.ref(res.vector))
+        res = log_matvec(Q, v, *args, **kwargs)
+        refs.append(weakref.ref(v))
+        if res.vector is None:
+            forms.append(all(not isinstance(x, np.ndarray) or x.size < Q.n
+                             for x in vars(res).values()))
+        else:
+            refs.append(weakref.ref(res.vector))
         return res
 
     monkeypatch.setattr(logdet, "log_matvec", tracked)
     estimator(make_q(), 12, seed=0)
     assert alive == [0] * 12
+    assert forms == [True] * (8 if estimator is hutchpp_logdet else 12)
