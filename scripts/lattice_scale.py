@@ -39,9 +39,7 @@ BASE_MB = 120.0                 # interpreter, numpy, scipy and lejadet, rounded
 # n-vectors held at the peak: the CSR arrays (8.0 for a lattice), the held
 # diagonal, and the estimator's dense block, as tests/test_memory.py bounds
 # it: Hutch++ within 12; SLQ within 8 (the probe block, one float probe, two
-# Lanczos vectors and two products).  An SLQ probe whose orthogonality
-# estimate asks for a correction keeps its whole 40-step basis, and so does
-# every later probe: 8.0 + 1.0 + 41.0 + 4.0 is that worst case
+# Lanczos vectors and two products)
 PEAK_VECTORS = {"leja-hutchpp": 8.0 + 1.0 + 12.0, "slq": 8.0 + 1.0 + 8.0}
 SETTINGS = {"leja-hutchpp": {"queries": 12, "tol": 1e-8},
             "slq": {"slq_degree": 40, "probes": 10}}
@@ -83,10 +81,6 @@ def child(g: int, method: str) -> dict:
            "converged": rep.converged, "estimate": rep.estimate, "exact": exact,
            "rel_err": rel, "within_2pct": rel <= 0.02, "enclosure": rep.enclosure,
            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
-    if method == "slq" and rep.degrees["min"] == rep.degrees["max"]:
-        # products beyond the probes' degrees are an abandoned two-vector
-        # pass, after which every later probe kept its basis
-        row["basis_kept"] = rep.matvecs_total > rep.queries * rep.degrees["max"]
     return row
 
 

@@ -66,9 +66,6 @@ METHODS = ("leja-hutchpp", "hutchinson", "slq") + EXACT_METHODS
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_DEGREE = 400
-# semi-orthogonality level sqrt(eps): SLQ reorthogonalizes a Lanczos vector
-# only when its estimated loss of orthogonality exceeds this
-_SEMI_ORTHO = math.sqrt(np.finfo(np.float64).eps)
 # entries of a probe block drawn per chunk; the chunk's integers stay in cache
 _RADEMACHER_CHUNK = 1 << 16
 # highest interpolant degree whose trace is summed exactly, with no product
@@ -153,8 +150,11 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
-    the degree statistics, matvec total (their degrees, plus ``matvecs``
-    spent elsewhere), warnings and convergence flag come from them.
+    the degree statistics, matvec total (their degrees, plus the ``matvecs``
+    of the spectral enclosure), warnings and convergence flag come from
+    them.  ``trace_estimate`` may be a numpy scalar (the exact trace, an
+    oracle); it is cast to a Python float here, so that the report's
+    numbers, and comparisons on them, serialize with ``json``.
     ``terms`` are the m probe terms whose mean enters the estimate; the
     standard error is their sample standard deviation over sqrt(m), or None
     for m < 2.  ``n`` and ``sigma`` give the n*log(sigma) term, and the wall
@@ -165,6 +165,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         f"(error estimate {r.error_estimate:.3e})"
         for r in records if not r.converged
     ]
+    trace_estimate = float(trace_estimate)
     n_log_sigma = n * math.log(sigma)
     return LogDetReport(
         method=method,
@@ -418,127 +419,69 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAUL
     return _leja_trace("hutchinson", Q, m_vec, 0, action_tol, seed, bounds, max_degree)
 
 
-def _lanczos(m_sp, v, m_l, keep_basis=True):
-    """Lanczos on ``v`` with partial reorthogonalization: (basis, alphas, betas).
+def _lanczos_quadrature(m_sp, v, m_l):
+    """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
 
-    The loss of orthogonality of each new vector is estimated, not measured:
-    Simon's omega-recurrence (Simon, "The Lanczos algorithm with partial
-    reorthogonalization", Math. Comp. 1984) updates omega_{j+1,k} ~= q_{j+1}' q_k
-    for k <= j from the alphas, the betas and the two previous omega rows,
-    plus a roundoff term of psi = sqrt(n) eps / 2 times (beta_k + beta_{j+1}).
-    That is O(j) scalar work and no pass over the basis.  Only when
-    max|omega| exceeds sqrt(eps) is the new vector corrected, w -= V (V' w),
-    and so is the next one (the two-step rule), after which omega is reset
-    to psi.  Keeping the basis semi-orthogonal (|q_i' q_k| <= sqrt(eps))
-    keeps the tridiagonal equal to the projected matrix to working
-    precision, so the Gauss rule matches full reorthogonalization.
-    The last step stops once its alpha is known.  On breakdown (invariant
-    Krylov subspace) the outputs are truncated at the step reached.
-
-    A correction is the only step that reads the basis beyond q_{j-1} and
-    q_j.  Without ``keep_basis`` the pass holds just those two, in a ring of
-    two columns: step j writes q_{j+1} over q_{j-1} once the three-term
-    update has read it, and the basis returned is None.  Where the estimate
-    asks for a correction, that pass is abandoned and returns (None,
-    alphas, None), one alpha per product spent.  A pass that is not
-    abandoned performs the operations of a kept-basis pass in the same
-    order, so its alphas and betas are bitwise the same.
+    The Gauss rule of the tridiagonal of plain Lanczos on ``v``; returns it
+    and the steps taken.  The three-term recurrence runs without
+    reorthogonalization and holds two Lanczos vectors, in a ring of two
+    columns: step j writes q_{j+1} over q_{j-1} once the update has read it.
+    In floating point the vectors lose orthogonality as Ritz values
+    converge, but the Gauss rule stays accurate: lost orthogonality only
+    adds copies of converged Ritz values, whose weights sum to the weight
+    of the one they copy (Greenbaum, "Behavior of slightly perturbed
+    Lanczos and conjugate-gradient recurrences", LAA 1989; Knizhnerman,
+    "The simple Lanczos procedure: estimates of the error of the Gauss
+    quadrature formula", 1996).  The last step stops once its alpha is
+    known.  On breakdown (an invariant Krylov subspace) the rule stops at
+    the step reached.
 
     The step loop calls scipy's BLAS only: mixing in numpy's (``@``,
     ``np.linalg.norm``) alternates two OpenBLAS thread pools, which stall
     each other when BLAS threads are not pinned.
     """
-    n = v.shape[0]
-    width = m_l if keep_basis else min(m_l, 2)      # q_j is column j % width
-    basis = np.empty((n, width), order="F")
-    np.divide(v, math.sqrt(ddot(v, v)), out=basis[:, 0])
+    ring = np.empty((v.shape[0], 2), order="F")     # q_j is column j % 2
+    beta0_sq = ddot(v, v)
+    np.divide(v, math.sqrt(beta0_sq), out=ring[:, 0])
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))
-    psi = 0.5 * math.sqrt(n) * np.finfo(np.float64).eps
-    omega_prev = omega = np.ones(1)                 # rows j - 1 and j
-    redo = False
     steps = m_l
     for j in range(m_l):
-        q = basis[:, j % width]
+        q = ring[:, j % 2]
         w = m_sp @ q
         alphas[j] = ddot(q, w)
         if j == m_l - 1:
             break
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
-            w = daxpy(basis[:, (j - 1) % width], w, a=-betas[j - 1])
+            w = daxpy(ring[:, (j - 1) % 2], w, a=-betas[j - 1])
         b = math.sqrt(ddot(w, w))
-        tiny = 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0)
-        row = np.full(j + 2, psi)                   # omega_{j+1,k}, k <= j + 1
-        row[j + 1] = 1.0
-        if b > tiny and j > 0:
-            est = betas[:j] * omega[1:j + 1] + (alphas[:j] - alphas[j]) * omega[:j]
-            est[1:] += betas[:j - 1] * omega[:j - 1]
-            est -= betas[j - 1] * omega_prev[:j]
-            est += np.copysign(psi * (betas[:j] + b), est)
-            row[:j] = est / b
-        if redo or np.max(np.abs(row[:j + 1])) > _SEMI_ORTHO:
-            if not keep_basis:
-                return None, alphas[:j + 1], None
-            active = basis[:, :j + 1]
-            h = dgemv(1.0, active, w, trans=1)
-            w = dgemv(-1.0, active, h, beta=1.0, y=w, overwrite_y=True)
-            b = math.sqrt(ddot(w, w))
-            row[:j + 1] = psi
-            redo = not redo
-        if b <= tiny:
+        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
             steps = j + 1
             break
         betas[j] = b
-        np.divide(w, b, out=basis[:, (j + 1) % width])
-        omega_prev, omega = omega, row
-    return (basis[:, :steps] if keep_basis else None), alphas[:steps], betas[:steps - 1]
-
-
-def _lanczos_quadrature(m_sp, v, m_l, keep_basis=False):
-    """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
-
-    The Gauss rule of the tridiagonal of ``_lanczos`` (loss of orthogonality
-    estimated by Simon's omega-recurrence); returns it and the steps taken.
-    Unless ``keep_basis``, the Lanczos pass holds two basis vectors, and if
-    its estimate asks for a correction the pass is abandoned: the result is
-    then (None, products spent), and the probe must be run again keeping
-    its basis.
-    """
-    _, alphas, betas = _lanczos(m_sp, v, m_l, keep_basis)
-    if betas is None:
-        return None, alphas.size
-    theta, vecs = eigh_tridiagonal(alphas, betas)
+        np.divide(w, b, out=ring[:, (j + 1) % 2])
+    theta, vecs = eigh_tridiagonal(alphas[:steps], betas[:steps - 1])
     # a Ritz value within rounding of zero, relative to the largest, is a
     # singular or indefinite matrix: its log would pass for a finite one
-    if theta[0] <= alphas.size * np.finfo(float).eps * theta[-1]:
+    if theta[0] <= steps * np.finfo(float).eps * theta[-1]:
         raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
     tau_sq = vecs[0, :] ** 2
-    return ddot(v, v) * float(tau_sq @ np.log(theta)), alphas.size
+    return beta0_sq * float(tau_sq @ np.log(theta)), steps
 
 
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
     """Stochastic Lanczos quadrature baseline.
 
-    For each of ``n_v`` Rademacher probes, ``m_l`` Lanczos steps yield a
-    Gauss rule for v' log(Q) v; the estimate is the probe average.  No
-    normalization is applied: negative log eigenvalues enter the quadrature
-    directly.  The Lanczos basis is kept semi-orthogonal rather than fully
-    orthogonal: Simon's omega-recurrence estimates each step's loss of
-    orthogonality from the Lanczos coefficients, and a step (with the one
-    after it) is reorthogonalized only when that estimate exceeds sqrt(eps)
-    (Simon 1984; see ``_lanczos``), which agrees with full
-    reorthogonalization to working precision.
-
-    Only a correction reads the basis beyond the last two Lanczos vectors,
-    so each probe first runs holding those two alone: about 7 n-vectors in
-    all (the probe block, one float probe, the two vectors and the
-    products), not the m_l + 4 of an n x m_l basis.  If its estimate asks
-    for a correction, that pass is abandoned and the probe runs again with
-    the whole basis, as does every later probe of the estimate, so an
-    estimate abandons at most one pass.  The abandoned pass's products
-    count in ``matvecs_total`` but not in ``degrees``.  Estimates, degrees
-    and ``std_error`` are those of keeping every basis, bitwise.
+    For each of ``n_v`` Rademacher probes, ``m_l`` steps of plain Lanczos
+    (the three-term recurrence, no reorthogonalization; see
+    ``_lanczos_quadrature``) yield a Gauss rule for v' log(Q) v; the
+    estimate is the probe average.  No normalization is applied: negative
+    log eigenvalues enter the quadrature directly.  A probe holds two
+    Lanczos vectors, so an estimate holds about 7 n-vectors in all (the
+    probe block, one float probe, the two vectors and the product being
+    formed), not the m_l + 4 of an n x m_l basis.  ``matvecs_total`` is
+    the sum of the probes' degrees.
     """
     if m_l < 1:
         raise ValueError("Lanczos degree must be at least 1")
@@ -546,22 +489,15 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
         raise ValueError("need at least one probe")
     t0 = time.perf_counter()
     m_sp = Q.to_scipy()
-    rng = np.random.default_rng(seed)
-    probes = _rademacher(rng, Q.n, n_v)
-    total = 0.0
-    records, terms = [], []
-    keep_basis, abandoned = False, 0
+    probes = _rademacher(np.random.default_rng(seed), Q.n, n_v)
+    total, terms, records = 0.0, [], []
     for j in range(n_v):
-        v = _column(probes, j)
-        val, steps = (None, 0) if keep_basis else _lanczos_quadrature(m_sp, v, m_l)
-        if val is None:         # from the first abandoned pass on, keep the basis
-            keep_basis, abandoned = True, abandoned + steps
-            val, steps = _lanczos_quadrature(m_sp, v, m_l, keep_basis=True)
+        val, steps = _lanczos_quadrature(m_sp, _column(probes, j), m_l)
         total += val
         terms.append(val)
         records.append(_ActionRecord(f"probe {j}", steps, True, 0.0))
     return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records,
-                   terms=terms, matvecs=abandoned)
+                   terms=terms)
 
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,

@@ -23,11 +23,13 @@ from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      slq_logdet)
 
 LOG120 = math.log(120.0)
+SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
 
-# (matrix, Lanczos degree) pairs on which the semi-orthogonal SLQ is checked:
-# the pentadiagonal and lattice matrices, where no correction is due, and
-# random_spd seeds 0-19 with kappa in {1e2, 1e3, 1e4} and m_l in {40, 80},
-# where the basis loses orthogonality
+# (matrix, Lanczos degree) pairs on which plain SLQ is checked against full
+# reorthogonalization: the pentadiagonal and lattice matrices, where the
+# Lanczos vectors stay orthogonal to sqrt(eps), and random_spd seeds 0-19
+# with kappa in {1e2, 1e3, 1e4} and m_l in {40, 80}, where they lose
+# orthogonality
 SLQ_CASES = [(lambda: gen_pentadiagonal(10_000, seed=0), 40),
              (lambda: gen_gmrf_grid(40, -0.24), 40)]
 SLQ_IDS = ["penta-1e4", "lattice-40"]
@@ -145,6 +147,20 @@ class TestReportContract:
         old = rep.to_dict()
         del old["error_bound"]
         assert rep.error_bound is None and LogDetReport.from_dict(old) == rep
+
+    @pytest.mark.parametrize("method,make,exact_trace",
+                             [(m, lambda: gen_gmrf_grid(10, -0.22), False)
+                              for m in logdet.METHODS]
+                             + [("hutchinson", lambda: gen_pentadiagonal(10_000, seed=0),
+                                 True)],
+                             ids=list(logdet.METHODS) + ["exact-trace"])
+    def test_numbers_are_python_floats(self, method, make, exact_trace):
+        # a numpy scalar compares to numpy.bool_, which json refuses
+        rep = estimate(make(), method, lattice=(10, -0.22))
+        assert (rep.error_bound is not None) == exact_trace
+        assert type(rep.estimate) is float and type(rep.trace_estimate) is float
+        json.dumps({"negative": rep.estimate < 0.0,
+                    "within": rep.trace_estimate <= rep.estimate + 1.0})
 
 
 def _dense_log(Q, sigma):
@@ -699,26 +715,21 @@ class TestSLQ:
         assert abs(new.estimate - ref.estimate) <= 1e-12 * abs(ref.estimate)
 
     @pytest.mark.parametrize("make,m_l", SLQ_CASES, ids=SLQ_IDS)
-    def test_semi_orthogonal_matches_full_reorthogonalization(self, make, m_l,
-                                                               monkeypatch):
+    def test_plain_matches_full_reorthogonalization(self, make, m_l, monkeypatch):
+        # lost orthogonality only copies converged Ritz values, whose Gauss
+        # weights add up to the one they copy: the rule moves by a small
+        # fraction of the probe spread (at most 0.1 std_error over these cases)
         Q = make()
-        semi = slq_logdet(Q, m_l, 5, seed=3)
-        monkeypatch.setattr(logdet, "_SEMI_ORTHO", 0.0)   # correct at every step
+        plain = slq_logdet(Q, m_l, 5, seed=3)
+        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_c_order)
         full = slq_logdet(Q, m_l, 5, seed=3)
-        assert semi.degrees == full.degrees
-        assert abs(semi.estimate - full.estimate) <= 1e-12 * abs(full.estimate)
-
-    @pytest.mark.parametrize("make,m_l", SLQ_CASES, ids=SLQ_IDS)
-    def test_basis_stays_semi_orthogonal(self, make, m_l):
-        Q = make()
-        probe = logdet._column(logdet._rademacher(np.random.default_rng(3), Q.n, 1), 0)
-        basis, _, _ = logdet._lanczos(Q.to_scipy(), probe, m_l)
-        gram = basis.T @ basis - np.eye(basis.shape[1])
-        assert np.max(np.abs(gram)) <= logdet._SEMI_ORTHO
+        assert plain.degrees == full.degrees
+        assert abs(plain.estimate - full.estimate) <= 0.25 * full.std_error
 
     @pytest.mark.parametrize("make", [lambda: gen_pentadiagonal(10_000, seed=0),
-                                      lambda: gen_gmrf_grid(40, -0.24)],
-                             ids=["penta-1e4", "lattice-40"])
+                                      lambda: gen_gmrf_grid(40, -0.24),
+                                      lambda: gen_pentadiagonal(100_000, seed=0)],
+                             ids=["penta-1e4", "lattice-40", "penta-1e5"])
     def test_bitwise_equal_to_measured_loss_where_no_correction_is_due(
             self, make, monkeypatch):
         Q = make()
@@ -727,92 +738,103 @@ class TestSLQ:
         ref = slq_logdet(Q, 40, 10, seed=0)
         assert (new.estimate, new.degrees) == (ref.estimate, ref.degrees)
 
-    @pytest.mark.parametrize("make,fired", [
-        (lambda: gen_pentadiagonal(10_000, seed=0), False),
-        (lambda: gen_gmrf_grid(40, -0.24), False),
-        (lambda: random_spd(2, n=200, kappa=1e3)[0], True),
-    ], ids=["penta-1e4", "lattice-40", "spd-2"])
-    def test_basis_passed_over_only_to_correct(self, make, fired, monkeypatch):
-        Q = make()
-        dgemv = logdet.dgemv
-        passes, corrections = [], []
-
-        def counting_dgemv(*args, **kwargs):
-            (corrections if "y" in kwargs else passes).append(kwargs.get("trans", 0))
-            return dgemv(*args, **kwargs)
-
-        monkeypatch.setattr(logdet, "dgemv", counting_dgemv)
-        slq_logdet(Q, 40, 10, seed=0)
-        assert passes == [1] * len(corrections)
-        assert bool(corrections) == fired
-
-    @pytest.mark.parametrize("make,fired", [
-        (lambda: gen_pentadiagonal(10_000, seed=0), False),
-        (lambda: random_spd(2, n=200, kappa=1e3)[0], True),
-    ], ids=["penta-1e4", "spd-2"])
-    def test_corrections_only_where_orthogonality_is_lost(self, make, fired,
-                                                          monkeypatch):
-        Q = make()
-        dgemv = logdet.dgemv
-        corrections = []
-
-        def counting_dgemv(*args, **kwargs):
-            if "y" in kwargs:           # w -= V h; the pass h = V'w passes no y
-                corrections.append(args[0])
-            return dgemv(*args, **kwargs)
-
-        monkeypatch.setattr(logdet, "dgemv", counting_dgemv)
-        slq_logdet(Q, 40, 10, seed=0)
-        assert bool(corrections) == fired
-
     @pytest.mark.parametrize("make,m_l",
                              SLQ_CASES + [(lambda: gen_pentadiagonal(100_000, seed=0), 40)],
                              ids=SLQ_IDS + ["penta-1e5"])
     def test_two_vector_passes_equal_kept_bases_bitwise(self, make, m_l, monkeypatch):
+        # the ring of two columns overwrites q_{j-1} only after the update
+        # has read it: the same recurrence on a kept n x m_l basis agrees
+        # bitwise, also where the vectors have lost orthogonality
         Q = make()
         new = slq_logdet(Q, m_l, 5, seed=3)
-        _keep_every_basis(monkeypatch)
+        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_kept_basis)
         ref = slq_logdet(Q, m_l, 5, seed=3)
         assert ((new.estimate, new.degrees, new.std_error)
                 == (ref.estimate, ref.degrees, ref.std_error))
 
-    @pytest.mark.parametrize("make,abandoned", [
-        (lambda: gen_pentadiagonal(10_000, seed=0), False),
-        (lambda: gen_gmrf_grid(40, -0.24), False),
-        (lambda: random_spd(2, n=200, kappa=1e3)[0], True),
-    ], ids=["penta-1e4", "lattice-40", "spd-2"])
-    def test_abandoned_pass_counts_its_products(self, make, abandoned, monkeypatch):
+    @pytest.mark.parametrize("make,m_l", SLQ_CASES[:2], ids=SLQ_IDS[:2])
+    def test_structured_inputs_stay_orthogonal(self, make, m_l, monkeypatch):
+        assert max(_orthogonality_losses(monkeypatch, [make()], m_l)) <= SQRT_EPS
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4], ids=lambda k: f"kappa{k:.0e}")
+    @pytest.mark.parametrize("m_l", [40, 80], ids=lambda m: f"m{m}")
+    def test_random_spd_inputs_lose_orthogonality(self, kappa, m_l, monkeypatch):
+        # the comparison with full reorthogonalization is only a test where
+        # plain Lanczos loses orthogonality: at m_l = 40 in a quarter of the
+        # seeds at least, at m_l = 80 in every seed and far beyond sqrt(eps)
+        matrices = [random_spd(s, n=200, kappa=kappa)[0] for s in range(20)]
+        per_seed = [max(_orthogonality_losses(monkeypatch, [Q], m_l)) for Q in matrices]
+        if m_l == 80:
+            assert min(per_seed) > 0.1
+        else:
+            assert sum(loss > SQRT_EPS for loss in per_seed) >= 5
+
+    @pytest.mark.parametrize("make,m_l", SLQ_CASES, ids=SLQ_IDS)
+    def test_matvecs_are_the_sum_of_degrees(self, make, m_l, monkeypatch):
         Q = make()
-        new = slq_logdet(Q, 40, 10, seed=0)
-        _keep_every_basis(monkeypatch)
-        ref = slq_logdet(Q, 40, 10, seed=0)
-        # keeping every basis, no pass is abandoned: its matvecs are the
-        # sum of the degrees, which both runs share
-        extra = new.matvecs_total - ref.matvecs_total
-        assert (0 < extra < 40) if abandoned else extra == 0
+        quadrature, degrees = logdet._lanczos_quadrature, []
 
-    def test_every_basis_kept_after_the_first_abandoned_pass(self, monkeypatch):
-        Q = random_spd(2, n=200, kappa=1e3)[0]
-        quadrature, calls = logdet._lanczos_quadrature, []
-
-        def recording(m_sp, v, m_l, keep_basis=False):
-            val, steps = quadrature(m_sp, v, m_l, keep_basis)
-            calls.append((keep_basis, val is None))
+        def recording(m_sp, v, m_l):
+            val, steps = quadrature(m_sp, v, m_l)
+            degrees.append(steps)
             return val, steps
 
         monkeypatch.setattr(logdet, "_lanczos_quadrature", recording)
-        slq_logdet(Q, 40, 10, seed=0)
-        first = calls.index((False, True))
-        assert calls == [(False, False)] * first + [(False, True)] + [(True, False)] * (10 - first)
+        rep = slq_logdet(Q, m_l, 5, seed=3)
+        assert len(degrees) == 5
+        assert rep.matvecs_total == sum(degrees)
 
 
-def _keep_every_basis(monkeypatch):
-    """Run every SLQ probe with its whole Lanczos basis, as before the
-    two-vector passes."""
-    quadrature = logdet._lanczos_quadrature
-    monkeypatch.setattr(logdet, "_lanczos_quadrature",
-                        lambda m_sp, v, m_l, keep_basis=False:
-                        quadrature(m_sp, v, m_l, keep_basis=True))
+def _plain_lanczos_kept_basis(m_sp, v, m_l):
+    """Plain Lanczos with the whole n x m_l basis kept, in the estimator's
+    BLAS calls; returns ||v||^2, the tridiagonal, the steps and the basis."""
+    n = v.shape[0]
+    beta0_sq = ddot(v, v)
+    basis = np.empty((n, m_l), order="F")
+    np.divide(v, math.sqrt(beta0_sq), out=basis[:, 0])
+    alphas = np.empty(m_l)
+    betas = np.empty(max(m_l - 1, 0))
+    steps = m_l
+    for j in range(m_l):
+        q = basis[:, j]
+        w = m_sp @ q
+        alphas[j] = ddot(q, w)
+        if j == m_l - 1:
+            break
+        w = daxpy(q, w, a=-alphas[j])
+        if j > 0:
+            w = daxpy(basis[:, j - 1], w, a=-betas[j - 1])
+        b = math.sqrt(ddot(w, w))
+        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
+            steps = j + 1
+            break
+        betas[j] = b
+        np.divide(w, b, out=basis[:, j + 1])
+    return beta0_sq, alphas[:steps], betas[:steps - 1], steps, basis[:, :steps]
+
+
+def _lanczos_quadrature_kept_basis(m_sp, v, m_l):
+    """Reference SLQ probe: the Gauss rule of ``_plain_lanczos_kept_basis``."""
+    beta0_sq, alphas, betas, steps, _ = _plain_lanczos_kept_basis(m_sp, v, m_l)
+    theta, vecs = eigh_tridiagonal(alphas, betas)
+    return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
+
+
+def _orthogonality_losses(monkeypatch, matrices, m_l):
+    """max |V'V - I| of each probe's plain Lanczos basis, over the probes
+    ``slq_logdet(Q, m_l, 5, seed=3)`` draws for each matrix."""
+    losses = []
+
+    def recording(m_sp, v, m_l):
+        beta0_sq, alphas, betas, steps, basis = _plain_lanczos_kept_basis(m_sp, v, m_l)
+        losses.append(float(np.max(np.abs(basis.T @ basis - np.eye(steps)))))
+        theta, vecs = eigh_tridiagonal(alphas, betas)
+        return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
+
+    monkeypatch.setattr(logdet, "_lanczos_quadrature", recording)
+    for Q in matrices:
+        slq_logdet(Q, m_l, 5, seed=3)
+    return losses
 
 
 def _lanczos_quadrature_measured(m_sp, v, m_l):
@@ -842,7 +864,7 @@ def _lanczos_quadrature_measured(m_sp, v, m_l):
         active = basis[:, :j + 1]
         h = dgemv(1.0, active, w, trans=1)
         b = math.sqrt(ddot(w, w))
-        if np.max(np.abs(h)) > logdet._SEMI_ORTHO * b:
+        if np.max(np.abs(h)) > SQRT_EPS * b:
             w = dgemv(-1.0, active, h, beta=1.0, y=w, overwrite_y=True)
             b = math.sqrt(ddot(w, w))
         if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):

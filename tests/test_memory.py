@@ -117,17 +117,17 @@ def test_hutchpp_peak_above_matrix():
     assert peak <= 12 * 8 * Q.n
 
 
-@pytest.mark.parametrize("make", [lambda: gen_pentadiagonal(N, seed=0),
-                                  lambda: gen_gmrf_grid(447, -0.22)],
-                         ids=["penta", "lattice"])
-def test_slq_peak(make):
+@pytest.mark.parametrize("make,m_l", [(lambda: gen_pentadiagonal(N, seed=0), 40),
+                                      (lambda: gen_gmrf_grid(447, -0.22), 40),
+                                      (lambda: gen_pentadiagonal(N, seed=0), 80)],
+                         ids=["penta", "lattice", "penta-degree80"])
+def test_slq_peak(make, m_l):
     # the int8 probe block (10 columns), one float probe, the Lanczos vectors
     # q_{j-1} and q_j, and the product being formed beside the last one; no
-    # n x m_l basis, which a probe keeps only once the orthogonality
-    # estimate asks for a correction, and none does on these matrices
+    # n x m_l basis, at any degree
     Q = make()
-    rep, peak = traced_peak(lambda: slq_logdet(Q, 40, 10, seed=0))
-    assert rep.matvecs_total == 400
+    rep, peak = traced_peak(lambda: slq_logdet(Q, m_l, 10, seed=0))
+    assert rep.matvecs_total == 10 * m_l
     assert peak <= 8 * 8 * Q.n
 
 
