@@ -244,7 +244,7 @@ def _add_common_estimator_args(p):
     p.add_argument("--queries", type=int,
                    help="matvec queries for leja-hutchpp / hutchinson")
     p.add_argument("--probes", type=int, help="SLQ probe vectors")
-    p.add_argument("--slq-degree", type=int, help="SLQ Lanczos degree")
+    p.add_argument("--slq-degree", type=int, help="at most this many Lanczos steps per probe")
     p.add_argument("--tol", type=float,
                    help="action tolerance in (0, 1), relative to each probe norm")
     p.add_argument("--seed", type=int)

@@ -34,6 +34,7 @@ passes an interval.  Every report comes from ``_report``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -199,7 +200,8 @@ class _ActionEngine:
     Otherwise ``dd`` holds the max_degree + 1 coefficients of the vector
     actions on the Leja nodes, and ``forms`` the 2 max_degree + 1 of the
     quadratic forms on the doubled sequence (``log_matvec``'s ``form``):
-    both allow max_degree products per action.
+    both allow max_degree products per action.  ``dd`` is built when first
+    read, so a Hutchinson run, which reads only ``forms``, never builds it.
 
     ``records`` keeps each action's diagnostics for the report, never its
     result vector.
@@ -220,11 +222,14 @@ class _ActionEngine:
         self.error_bound = None if K is None else Q.n * r ** (K + 1) / (K + 1)
         # a vector action of degree m reads coefficients 0..m, a form of k
         # products 0..2k of the doubled sequence
-        top = max_degree if K is None else K
-        self.dd = self._table(generate_fast_leja(top + 1))
+        self.nodes = generate_fast_leja((max_degree if K is None else K) + 1)
         self.forms = (None if K is not None else
-                      self._table(np.repeat(self.dd.nodes, 2)[:2 * max_degree + 1]))
+                      self._table(np.repeat(self.nodes, 2)[:2 * max_degree + 1]))
         self.records = []
+
+    @functools.cached_property
+    def dd(self):
+        return self._table(self.nodes)
 
     def _table(self, nodes):
         dd = divided_differences_log(nodes, self.bounds)
@@ -419,13 +424,50 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAUL
     return _leja_trace("hutchinson", Q, m_vec, 0, action_tol, seed, bounds, max_degree)
 
 
+def _gauss_rule(beta0_sq, alphas, betas):
+    """The Gauss rule beta0^2 sum tau_k^2 log(theta_k) of a Lanczos tridiagonal,
+    and its rounding bound steps * eps * beta0^2 sum tau_k^2 |log(theta_k)|.
+
+    theta_k are the tridiagonal's eigenvalues and tau_k the first entries of
+    its eigenvectors.  A Ritz value within rounding of zero, relative to the
+    largest, is refused: the matrix is singular or indefinite, and its log
+    would pass for a finite one.
+    """
+    rounding = alphas.shape[0] * np.finfo(float).eps
+    theta, vecs = eigh_tridiagonal(alphas, betas)
+    if theta[0] <= rounding * theta[-1]:
+        raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
+    tau_sq = vecs[0, :] ** 2
+    logs = np.log(theta)
+    return (beta0_sq * float(tau_sq @ logs),
+            rounding * beta0_sq * float(tau_sq @ np.abs(logs)))
+
+
+def _check_point(beta0_sq, alphas, betas, previous):
+    """The Gauss rule after 2, 4, 8, ... steps, and whether it has settled.
+
+    Called once the alpha of each step but the last is known, with the rule
+    of the previous check point (None before the first).  At a check point
+    the rule of the steps so far is settled when it agrees with the previous
+    one within its own rounding bound (``_gauss_rule``): agreement across
+    the last half of the steps, not one step's change.  Off the check points
+    it returns ``previous``, unsettled, and solves nothing.
+    """
+    steps = alphas.shape[0]
+    if steps < 2 or steps & (steps - 1):
+        return previous, False
+    value, bound = _gauss_rule(beta0_sq, alphas, betas)
+    return value, previous is not None and abs(value - previous) <= bound
+
+
 def _lanczos_quadrature(m_sp, v, m_l):
     """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
 
-    The Gauss rule of the tridiagonal of plain Lanczos on ``v``; returns it
-    and the steps taken.  The three-term recurrence runs without
-    reorthogonalization and holds two Lanczos vectors, in a ring of two
-    columns: step j writes q_{j+1} over q_{j-1} once the update has read it.
+    The Gauss rule (``_gauss_rule``) of the tridiagonal of plain Lanczos on
+    ``v``; returns it and the steps taken, at most ``m_l``.  The three-term
+    recurrence runs without reorthogonalization and holds two Lanczos
+    vectors, in a ring of two columns: step j writes q_{j+1} over q_{j-1}
+    once the update has read it.
     In floating point the vectors lose orthogonality as Ritz values
     converge, but the Gauss rule stays accurate: lost orthogonality only
     adds copies of converged Ritz values, whose weights sum to the weight
@@ -435,6 +477,15 @@ def _lanczos_quadrature(m_sp, v, m_l):
     quadrature formula", 1996).  The last step stops once its alpha is
     known.  On breakdown (an invariant Krylov subspace) the rule stops at
     the step reached.
+
+    The probe also stops early once its rule has settled to rounding: after
+    4, 8, 16, ... steps (below ``m_l``), when the rule agrees with the one
+    after half as many steps within steps * eps * beta0^2 sum tau_k^2
+    |log(theta_k)| (``_check_point``).  For an analytic f the error of the
+    m-node rule falls like rho^(2m) (Ubaru, Chen and Saad, "Fast estimation
+    of tr(f(A)) via stochastic Lanczos quadrature", SIMAX 2017), so the
+    steps after that change it by rounding only.  A probe that runs to
+    ``m_l`` steps ends on the same rule, computed the same way.
 
     The step loop calls scipy's BLAS only: mixing in numpy's (``@``,
     ``np.linalg.norm``) alternates two OpenBLAS thread pools, which stall
@@ -446,12 +497,16 @@ def _lanczos_quadrature(m_sp, v, m_l):
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))
     steps = m_l
+    rule = None     # the Gauss rule at the last check point
     for j in range(m_l):
         q = ring[:, j % 2]
         w = m_sp @ q
         alphas[j] = ddot(q, w)
         if j == m_l - 1:
             break
+        rule, settled = _check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
+        if settled:
+            return rule, j + 1
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
             w = daxpy(ring[:, (j - 1) % 2], w, a=-betas[j - 1])
@@ -461,27 +516,24 @@ def _lanczos_quadrature(m_sp, v, m_l):
             break
         betas[j] = b
         np.divide(w, b, out=ring[:, (j + 1) % 2])
-    theta, vecs = eigh_tridiagonal(alphas[:steps], betas[:steps - 1])
-    # a Ritz value within rounding of zero, relative to the largest, is a
-    # singular or indefinite matrix: its log would pass for a finite one
-    if theta[0] <= steps * np.finfo(float).eps * theta[-1]:
-        raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
-    tau_sq = vecs[0, :] ** 2
-    return beta0_sq * float(tau_sq @ np.log(theta)), steps
+    return _gauss_rule(beta0_sq, alphas[:steps], betas[:steps - 1])[0], steps
 
 
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
     """Stochastic Lanczos quadrature baseline.
 
-    For each of ``n_v`` Rademacher probes, ``m_l`` steps of plain Lanczos
-    (the three-term recurrence, no reorthogonalization; see
+    For each of ``n_v`` Rademacher probes, at most ``m_l`` steps of plain
+    Lanczos (the three-term recurrence, no reorthogonalization; see
     ``_lanczos_quadrature``) yield a Gauss rule for v' log(Q) v; the
-    estimate is the probe average.  No normalization is applied: negative
+    estimate is the probe average.  A probe stops before ``m_l`` steps once
+    its rule has settled to rounding: after 4, 8, 16, ... steps it agrees
+    with the rule after half as many within steps * eps * ||v||^2 sum
+    tau_k^2 |log(theta_k)|.  No normalization is applied: negative
     log eigenvalues enter the quadrature directly.  A probe holds two
     Lanczos vectors, so an estimate holds about 7 n-vectors in all (the
     probe block, one float probe, the two vectors and the product being
     formed), not the m_l + 4 of an n x m_l basis.  ``matvecs_total`` is
-    the sum of the probes' degrees.
+    the sum of the probes' degrees, the steps they took.
     """
     if m_l < 1:
         raise ValueError("Lanczos degree must be at least 1")
@@ -520,7 +572,9 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     ``hutchpp_logdet``).
     The wall time and matvec total include that enclosure, but not the
     Gershgorin pass, which Q made at construction.  ``slq`` runs
-    ``probes`` probes of ``slq_degree`` Lanczos steps and needs no enclosure.
+    ``probes`` probes of at most ``slq_degree`` Lanczos steps each (a probe
+    stops once its Gauss rule has settled to rounding, see ``slq_logdet``)
+    and needs no enclosure.
     ``exact-dense`` and ``exact-band`` are the Cholesky oracles;
     ``exact-analytic`` is the lattice closed form and needs
     ``lattice = (g, theta)`` of ``Q = gen_gmrf_grid(g, theta)``.

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from conftest import indefinite_matrix, random_spd
 from lejadet import logdet
 from lejadet.action import log_matvec
+from lejadet.divdiff import divided_differences_log
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      band_logdet_cholesky, dense_logdet_cholesky, estimate,
                      estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
@@ -40,6 +40,9 @@ for _kappa in (1e3, 1e2, 1e4):
                               _m_l))
             SLQ_IDS.append(f"spd-{_seed}" if (_kappa, _m_l) == (1e3, 40)
                            else f"spd-{_seed}-kappa{_kappa:.0e}-m{_m_l}")
+# the same with penta-slq's matrix, on which every probe stops at 4 steps
+SLQ_CASES_1E5 = SLQ_CASES + [(lambda: gen_pentadiagonal(100_000, seed=0), 40)]
+SLQ_IDS_1E5 = SLQ_IDS + ["penta-1e5"]
 
 
 def identity_matrix(n):
@@ -738,9 +741,7 @@ class TestSLQ:
         ref = slq_logdet(Q, 40, 10, seed=0)
         assert (new.estimate, new.degrees) == (ref.estimate, ref.degrees)
 
-    @pytest.mark.parametrize("make,m_l",
-                             SLQ_CASES + [(lambda: gen_pentadiagonal(100_000, seed=0), 40)],
-                             ids=SLQ_IDS + ["penta-1e5"])
+    @pytest.mark.parametrize("make,m_l", SLQ_CASES_1E5, ids=SLQ_IDS_1E5)
     def test_two_vector_passes_equal_kept_bases_bitwise(self, make, m_l, monkeypatch):
         # the ring of two columns overwrites q_{j-1} only after the update
         # has read it: the same recurrence on a kept n x m_l basis agrees
@@ -784,10 +785,35 @@ class TestSLQ:
         assert len(degrees) == 5
         assert rep.matvecs_total == sum(degrees)
 
+    @pytest.mark.parametrize("make,m_l", SLQ_CASES_1E5, ids=SLQ_IDS_1E5)
+    def test_stops_only_where_the_rule_has_settled(self, make, m_l, monkeypatch):
+        # against the same passes with no check point settled, which run m_l
+        # steps: a probe that stops has changed its rule by rounding only
+        # since half its steps, so the estimate stays within 1e-14 relative
+        # of the full pass; where no probe stops the two are one computation
+        Q = make()
+        new = slq_logdet(Q, m_l, 5, seed=3)
+        monkeypatch.setattr(logdet, "_check_point",
+                            lambda beta0_sq, alphas, betas, previous: (previous, False))
+        full = slq_logdet(Q, m_l, 5, seed=3)
+        assert full.matvecs_total == 5 * m_l
+        if new.matvecs_total == full.matvecs_total:
+            assert ((new.estimate, new.degrees, new.std_error)
+                    == (full.estimate, full.degrees, full.std_error))
+        else:
+            assert abs(new.estimate - full.estimate) <= 1e-14 * abs(full.estimate)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000], ids=["penta-1e4", "penta-1e5"])
+    def test_pentadiagonal_probes_stop_within_8_steps(self, n):
+        # kappa ~= 1.0001: the rule is fixed to rounding after 2 steps
+        rep = slq_logdet(gen_pentadiagonal(n, seed=0), 40, 5, seed=3)
+        assert rep.degrees["max"] <= 8 and rep.matvecs_total <= 5 * 8
+
 
 def _plain_lanczos_kept_basis(m_sp, v, m_l):
     """Plain Lanczos with the whole n x m_l basis kept, in the estimator's
-    BLAS calls; returns ||v||^2, the tridiagonal, the steps and the basis."""
+    BLAS calls and at its check points; returns ||v||^2, the tridiagonal,
+    the steps and the basis."""
     n = v.shape[0]
     beta0_sq = ddot(v, v)
     basis = np.empty((n, m_l), order="F")
@@ -795,11 +821,16 @@ def _plain_lanczos_kept_basis(m_sp, v, m_l):
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))
     steps = m_l
+    rule = None
     for j in range(m_l):
         q = basis[:, j]
         w = m_sp @ q
         alphas[j] = ddot(q, w)
         if j == m_l - 1:
+            break
+        rule, settled = logdet._check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
+        if settled:
+            steps = j + 1
             break
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
@@ -816,20 +847,19 @@ def _plain_lanczos_kept_basis(m_sp, v, m_l):
 def _lanczos_quadrature_kept_basis(m_sp, v, m_l):
     """Reference SLQ probe: the Gauss rule of ``_plain_lanczos_kept_basis``."""
     beta0_sq, alphas, betas, steps, _ = _plain_lanczos_kept_basis(m_sp, v, m_l)
-    theta, vecs = eigh_tridiagonal(alphas, betas)
-    return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
+    return logdet._gauss_rule(beta0_sq, alphas, betas)[0], steps
 
 
 def _orthogonality_losses(monkeypatch, matrices, m_l):
-    """max |V'V - I| of each probe's plain Lanczos basis, over the probes
-    ``slq_logdet(Q, m_l, 5, seed=3)`` draws for each matrix."""
+    """max |V'V - I| of each probe's plain Lanczos basis, over the steps it
+    runs, for the probes ``slq_logdet(Q, m_l, 5, seed=3)`` draws for each
+    matrix."""
     losses = []
 
     def recording(m_sp, v, m_l):
         beta0_sq, alphas, betas, steps, basis = _plain_lanczos_kept_basis(m_sp, v, m_l)
         losses.append(float(np.max(np.abs(basis.T @ basis - np.eye(steps)))))
-        theta, vecs = eigh_tridiagonal(alphas, betas)
-        return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
+        return logdet._gauss_rule(beta0_sq, alphas, betas)[0], steps
 
     monkeypatch.setattr(logdet, "_lanczos_quadrature", recording)
     for Q in matrices:
@@ -842,8 +872,8 @@ def _lanczos_quadrature_measured(m_sp, v, m_l):
 
     h = V' w is formed against the whole basis after each three-term step,
     and w -= V h is applied when max|h| > sqrt(eps) ||w||.  The BLAS calls
-    are those of the estimator, so where no correction is due the two agree
-    bitwise.
+    and check points are those of the estimator, so where no correction is
+    due the two agree bitwise.
     """
     n = v.shape[0]
     beta0_sq = ddot(v, v)
@@ -852,11 +882,16 @@ def _lanczos_quadrature_measured(m_sp, v, m_l):
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))
     steps = m_l
+    rule = None
     for j in range(m_l):
         q = basis[:, j]
         w = m_sp @ q
         alphas[j] = ddot(q, w)
         if j == m_l - 1:
+            break
+        rule, settled = logdet._check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
+        if settled:
+            steps = j + 1
             break
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
@@ -872,12 +907,12 @@ def _lanczos_quadrature_measured(m_sp, v, m_l):
             break
         betas[j] = b
         np.divide(w, b, out=basis[:, j + 1])
-    theta, vecs = eigh_tridiagonal(alphas[:steps], betas[:steps - 1])
-    return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
+    return logdet._gauss_rule(beta0_sq, alphas[:steps], betas[:steps - 1])[0], steps
 
 
 def _lanczos_quadrature_c_order(m_sp, v, m_l):
-    """Reference SLQ probe with a row-major Lanczos basis (the original layout)."""
+    """Reference SLQ probe with a row-major, fully reorthogonalized Lanczos
+    basis (the original layout), stopping at the estimator's check points."""
     n = v.shape[0]
     beta0_sq = float(v @ v)
     basis = np.empty((n, m_l))
@@ -885,9 +920,15 @@ def _lanczos_quadrature_c_order(m_sp, v, m_l):
     alphas = np.empty(m_l)
     betas = np.empty(max(m_l - 1, 0))
     steps = m_l
+    rule = None
     for j in range(m_l):
         w = m_sp @ basis[:, j]
         alphas[j] = float(basis[:, j] @ w)
+        if j < m_l - 1:
+            rule, settled = logdet._check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
+            if settled:
+                steps = j + 1
+                break
         w -= alphas[j] * basis[:, j]
         if j > 0:
             w -= betas[j - 1] * basis[:, j - 1]
@@ -900,8 +941,7 @@ def _lanczos_quadrature_c_order(m_sp, v, m_l):
             break
         betas[j] = b
         basis[:, j + 1] = w / b
-    theta, vecs = eigh_tridiagonal(alphas[:steps], betas[:steps - 1])
-    return beta0_sq * float(vecs[0, :] ** 2 @ np.log(theta)), steps
+    return logdet._gauss_rule(beta0_sq, alphas[:steps], betas[:steps - 1])[0], steps
 
 
 class TestRademacher:
@@ -971,3 +1011,39 @@ def test_no_action_result_outlives_its_action(monkeypatch, estimator, make_q):
     estimator(make_q(), 12, seed=0)
     assert alive == [0] * 12
     assert forms == [True] * (8 if estimator is hutchpp_logdet else 12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hutchinson_equal_with_the_vector_table_built(seed, monkeypatch):
+    """A Hutchinson run never builds the vector coefficient table; building
+    it at set-up, as every run once did, changes nothing in the report."""
+    Q = gen_gmrf_grid(20, -0.2)
+    lazy = hutchinson_logdet(Q, 12, seed=seed)
+
+    class Eager(logdet._ActionEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.dd     # builds the vector table at set-up
+
+    monkeypatch.setattr(logdet, "_ActionEngine", Eager)
+    eager = hutchinson_logdet(Q, 12, seed=seed)
+    for rep in (lazy, eager):
+        rep.wall_time = 0.0
+    assert lazy.to_dict() == eager.to_dict()
+
+
+@pytest.mark.parametrize("estimator,tables", [(hutchinson_logdet, 1), (hutchpp_logdet, 2)],
+                         ids=["hutchinson", "hutchpp"])
+def test_probe_run_builds_only_the_tables_it_reads(estimator, tables, monkeypatch):
+    """Hutchinson reads the doubled table of its quadratic forms only;
+    Hutch++ reads it and the vector table of its sketch actions."""
+    calls = []
+
+    def counted(nodes, bounds):
+        calls.append(len(nodes))
+        return divided_differences_log(nodes, bounds)
+
+    monkeypatch.setattr(logdet, "divided_differences_log", counted)
+    rep = estimator(gen_gmrf_grid(20, -0.2), 12, seed=0)
+    assert rep.queries == 12 and len(calls) == tables
+    assert calls[0] == 2 * logdet.DEFAULT_MAX_DEGREE + 1

@@ -117,17 +117,25 @@ def test_hutchpp_peak_above_matrix():
     assert peak <= 12 * 8 * Q.n
 
 
-@pytest.mark.parametrize("make,m_l", [(lambda: gen_pentadiagonal(N, seed=0), 40),
-                                      (lambda: gen_gmrf_grid(447, -0.22), 40),
-                                      (lambda: gen_pentadiagonal(N, seed=0), 80)],
-                         ids=["penta", "lattice", "penta-degree80"])
-def test_slq_peak(make, m_l):
+@pytest.mark.parametrize("make,m_l,full_pass",
+                         [(lambda: gen_pentadiagonal(N, seed=0), 40, False),
+                          (lambda: gen_gmrf_grid(447, -0.22), 40, True),
+                          (lambda: gen_gmrf_grid(447, -0.2499), 80, True),
+                          (lambda: gen_pentadiagonal(N, seed=0), 80, False)],
+                         ids=["penta", "lattice", "lattice-degree80", "penta-degree80"])
+def test_slq_peak(make, m_l, full_pass):
     # the int8 probe block (10 columns), one float probe, the Lanczos vectors
     # q_{j-1} and q_j, and the product being formed beside the last one; no
-    # n x m_l basis, at any degree
+    # n x m_l basis, at any degree.  The lattices' Gauss rules do not settle
+    # before m_l steps (at theta = -0.2499 the condition number is about
+    # 5e3), so every probe runs them all; the pentadiagonal's settle within
+    # 8 and its probes stop there
     Q = make()
     rep, peak = traced_peak(lambda: slq_logdet(Q, m_l, 10, seed=0))
-    assert rep.matvecs_total == 10 * m_l
+    if full_pass:
+        assert rep.matvecs_total == 10 * m_l
+    else:
+        assert rep.matvecs_total <= 10 * 8
     assert peak <= 8 * 8 * Q.n
 
 
