@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import daxpy, ddot, dgemv
+from scipy.linalg.blas import ddot, dgemv
 
 from .action import log_matvec
 from .divdiff import divided_differences_log
@@ -51,7 +51,7 @@ from .leja import generate_fast_leja
 from .oracle import (DENSE_CAP, band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import SparseMatrixCSR
-from .spectral import SpectralInterval, estimate_interval
+from .spectral import SpectralInterval, _lanczos, estimate_interval
 
 __all__ = [
     "METHODS",
@@ -463,77 +463,49 @@ def _check_point(beta0_sq, alphas, betas, previous):
 def _lanczos_quadrature(m_sp, v, m_l):
     """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
 
-    The Gauss rule (``_gauss_rule``) of the tridiagonal of plain Lanczos on
-    ``v``; returns it and the steps taken, at most ``m_l``.  The three-term
-    recurrence runs without reorthogonalization and holds two Lanczos
-    vectors, in a ring of two columns: step j writes q_{j+1} over q_{j-1}
-    once the update has read it.
-    In floating point the vectors lose orthogonality as Ritz values
-    converge, but the Gauss rule stays accurate: lost orthogonality only
-    adds copies of converged Ritz values, whose weights sum to the weight
-    of the one they copy (Greenbaum, "Behavior of slightly perturbed
-    Lanczos and conjugate-gradient recurrences", LAA 1989; Knizhnerman,
-    "The simple Lanczos procedure: estimates of the error of the Gauss
-    quadrature formula", 1996).  The last step stops once its alpha is
-    known.  On breakdown (an invariant Krylov subspace) the rule stops at
-    the step reached.
+    The Gauss rule (``_gauss_rule``) of the tridiagonal of plain Lanczos
+    (``spectral._lanczos``) on ``v``, and the steps taken: ``m_l``, the last
+    stopping at its alpha, or fewer on breakdown or once the rule has
+    settled.  Lost orthogonality only adds copies of converged Ritz values,
+    whose weights sum to the weight of the one they copy, so the rule stays
+    accurate (Greenbaum, "Behavior of slightly perturbed Lanczos and
+    conjugate-gradient recurrences", LAA 1989; Knizhnerman, "The simple
+    Lanczos procedure: estimates of the error of the Gauss quadrature
+    formula", 1996).
 
-    The probe also stops early once its rule has settled to rounding: after
-    4, 8, 16, ... steps (below ``m_l``), when the rule agrees with the one
-    after half as many steps within steps * eps * beta0^2 sum tau_k^2
-    |log(theta_k)| (``_check_point``).  For an analytic f the error of the
-    m-node rule falls like rho^(2m) (Ubaru, Chen and Saad, "Fast estimation
-    of tr(f(A)) via stochastic Lanczos quadrature", SIMAX 2017), so the
-    steps after that change it by rounding only.  A probe that runs to
-    ``m_l`` steps ends on the same rule, computed the same way.
-
-    The step loop calls scipy's BLAS only: mixing in numpy's (``@``,
-    ``np.linalg.norm``) alternates two OpenBLAS thread pools, which stall
-    each other when BLAS threads are not pinned.
+    The rule has settled to rounding when, after 4, 8, 16, ... steps (below
+    ``m_l``), it agrees with the one after half as many steps within steps
+    * eps * beta0^2 sum tau_k^2 |log(theta_k)| (``_check_point``).  For an
+    analytic f the error of the m-node rule falls like rho^(2m) (Ubaru,
+    Chen and Saad, "Fast estimation of tr(f(A)) via stochastic Lanczos
+    quadrature", SIMAX 2017), so the steps after that change it by rounding
+    only.  A probe that runs to ``m_l`` steps ends on the same rule,
+    computed the same way.
     """
-    ring = np.empty((v.shape[0], 2), order="F")     # q_j is column j % 2
     beta0_sq = ddot(v, v)
-    np.divide(v, math.sqrt(beta0_sq), out=ring[:, 0])
-    alphas = np.empty(m_l)
-    betas = np.empty(max(m_l - 1, 0))
-    steps = m_l
     rule = None     # the Gauss rule at the last check point
-    for j in range(m_l):
-        q = ring[:, j % 2]
-        w = m_sp @ q
-        alphas[j] = ddot(q, w)
-        if j == m_l - 1:
+    for alphas, betas in _lanczos(lambda x: m_sp @ x, v, m_l):
+        if alphas.shape[0] == m_l:
             break
-        rule, settled = _check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
+        rule, settled = _check_point(beta0_sq, alphas, betas, rule)
         if settled:
-            return rule, j + 1
-        w = daxpy(q, w, a=-alphas[j])
-        if j > 0:
-            w = daxpy(ring[:, (j - 1) % 2], w, a=-betas[j - 1])
-        b = math.sqrt(ddot(w, w))
-        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
-            steps = j + 1
-            break
-        betas[j] = b
-        np.divide(w, b, out=ring[:, (j + 1) % 2])
-    return _gauss_rule(beta0_sq, alphas[:steps], betas[:steps - 1])[0], steps
+            return rule, alphas.shape[0]
+    return _gauss_rule(beta0_sq, alphas, betas)[0], alphas.shape[0]
 
 
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
     """Stochastic Lanczos quadrature baseline.
 
-    For each of ``n_v`` Rademacher probes, at most ``m_l`` steps of plain
-    Lanczos (the three-term recurrence, no reorthogonalization; see
-    ``_lanczos_quadrature``) yield a Gauss rule for v' log(Q) v; the
-    estimate is the probe average.  A probe stops before ``m_l`` steps once
-    its rule has settled to rounding: after 4, 8, 16, ... steps it agrees
-    with the rule after half as many within steps * eps * ||v||^2 sum
-    tau_k^2 |log(theta_k)|.  No normalization is applied: negative
-    log eigenvalues enter the quadrature directly.  A probe holds two
-    Lanczos vectors, so an estimate holds about 7 n-vectors in all (the
-    probe block, one float probe, the two vectors and the product being
-    formed), not the m_l + 4 of an n x m_l basis.  ``matvecs_total`` is
-    the sum of the probes' degrees, the steps they took.
+    For each of ``n_v`` Rademacher probes, plain Lanczos yields a Gauss
+    rule for v' log(Q) v in at most ``m_l`` steps, fewer once the rule has
+    settled to rounding (``_lanczos_quadrature``); the estimate is the probe
+    average.  Its breakdown rule is relative to the scale of Q
+    (``spectral._lanczos``).  No normalization is applied: negative log
+    eigenvalues enter the quadrature directly.  A probe holds two Lanczos
+    vectors, so an estimate holds about 5.3 n-vectors in all at 10 probes
+    (the int8 probe block, one float probe, the two vectors and the product
+    being formed), not the m_l + 4 of an n x m_l basis.  ``matvecs_total``
+    is the sum of the probes' degrees, the steps they took.
     """
     if m_l < 1:
         raise ValueError("Lanczos degree must be at least 1")

@@ -25,7 +25,7 @@ def dense_logdet_cholesky(M: np.ndarray, max_n: int = DENSE_CAP) -> float:
     n = M.shape[0]
     if n > max_n:
         raise ValueError(f"dense oracle capped at n={max_n}, got n={n}")
-    if np.max(np.abs(M - M.T)) > 1e-12 * max(np.max(np.abs(M)), 1.0):
+    if np.max(np.abs(M - M.T)) > 1e-12 * np.max(np.abs(M)):
         raise ValueError("matrix is not symmetric")
     try:
         L = np.linalg.cholesky(M)

@@ -8,6 +8,7 @@ Two routes are provided for the enclosing interval [lambda_min, lambda_max]:
   replaced by a small positive floor.
 - Lanczos for lambda_max and shift-inverted Lanczos (shift 0, inner solves
   by conjugate gradients) for lambda_min; tighter but costs matvecs.
+  Both runs step ``_lanczos``, the recurrence that SLQ (``logdet``) steps.
   ``estimate_interval`` takes it when Gershgorin's condition number exceeds
   1e4: at the default action tolerance, Leja actions on an interval of
   condition 1e4 need degree 345-371 and reach the cap of 400 by 1.5e4.
@@ -26,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.blas import daxpy, ddot
 
 from .sparse import SparseMatrixCSR
 
@@ -118,40 +120,65 @@ class EigenEstimate(NamedTuple):
     matvecs: int = 0          # products with Q; CG iterations for shift-invert
 
 
-def _lanczos_extreme(apply_op, n, rng, tol, max_iter, ceiling=np.inf):
-    """Largest Ritz value of a symmetric operator, plain Lanczos.
+def _lanczos(apply, v, steps):
+    """Plain Lanczos from ``v``, without reorthogonalization: lejadet's one
+    three-term recurrence.
 
-    No reorthogonalization: extreme Ritz values are robust over the short,
-    restart-free runs used here.  Returns an EigenEstimate; a breakdown
-    (vanishing Krylov vector) reports the Ritz value reached so far.  A
-    Ritz value at or above ``ceiling`` stops the run unconverged.
+    Yields the tridiagonal (alphas[:j], betas[:j - 1]) once the alpha of
+    step j is known, for at most ``steps`` steps.  Resumed, it forms beta_j
+    and ends on breakdown, beta_j <= 1e-12 max|alpha|, a rule relative to
+    the operator's scale; it returns whether it broke down.  A caller that
+    leaves at its last alpha never has that beta formed.
+
+    The run holds q_{j-1} and q_j in a ring of two columns, overwriting
+    q_{j-1} once the update has read it, and frees ``v`` once normalized and
+    each product (a new array from ``apply``) once read.  It calls scipy's
+    BLAS only: alternating numpy's and scipy's OpenBLAS thread pools stalls
+    both when BLAS threads are not pinned.
     """
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    v_prev = np.zeros(n)
-    beta = 0.0
-    alphas, betas = [], []
+    ring = np.empty((v.shape[0], 2), order="F")     # q_j is column j % 2
+    np.divide(v, np.sqrt(ddot(v, v)), out=ring[:, 0])
+    del v
+    alphas, betas = np.empty((2, steps))
+    for j in range(steps):
+        q = ring[:, j % 2]
+        w = apply(q)
+        alphas[j] = ddot(q, w)
+        yield alphas[:j + 1], betas[:j]
+        w = daxpy(q, w, a=-alphas[j])
+        if j > 0:
+            w = daxpy(ring[:, (j - 1) % 2], w, a=-betas[j - 1])
+        b = np.sqrt(ddot(w, w))
+        if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
+            return True
+        betas[j] = b
+        np.divide(w, b, out=ring[:, (j + 1) % 2])
+        del w
+    return False
+
+
+def _lanczos_extreme(apply_op, n, rng, tol, max_iter, ceiling=np.inf):
+    """Largest Ritz value of a symmetric operator by ``_lanczos`` from a random
+    start: converged once it changes by at most ``tol`` relatively between
+    steps or on breakdown, unconverged at or above ``ceiling`` or after
+    ``max_iter`` steps.  Extreme Ritz values need no reorthogonalization
+    over runs this short.
+    """
+    lanczos = _lanczos(apply_op, rng.standard_normal(n), max_iter)
     ritz_prev = None
-    for it in range(1, max_iter + 1):
-        w = apply_op(v)
-        alpha = float(v @ w)
-        w = w - alpha * v - beta * v_prev
-        alphas.append(alpha)
-        ritz = float(eigvalsh_tridiagonal(
-            np.asarray(alphas), np.asarray(betas),
-            select="i", select_range=(it - 1, it - 1))[0])
+    while True:
+        try:
+            alphas, betas = next(lanczos)
+        except StopIteration as end:        # end.value: the run broke down
+            return EigenEstimate(ritz, it, end.value, breakdown=end.value, matvecs=it)
+        it = alphas.shape[0]
+        ritz = float(eigvalsh_tridiagonal(alphas, betas, select="i",
+                                          select_range=(it - 1, it - 1))[0])
         if ritz_prev is not None and abs(ritz - ritz_prev) <= tol * max(abs(ritz), 1e-300):
             return EigenEstimate(ritz, it, converged=True, matvecs=it)
         if ritz >= ceiling:
             return EigenEstimate(ritz, it, converged=False, matvecs=it)
         ritz_prev = ritz
-        beta = float(np.linalg.norm(w))
-        if beta <= 1e-12 * max(map(abs, alphas)):
-            return EigenEstimate(ritz, it, converged=True, breakdown=True, matvecs=it)
-        betas.append(beta)
-        v_prev = v
-        v = w / beta
-    return EigenEstimate(ritz, max_iter, converged=False, matvecs=max_iter)
 
 
 def lanczos_lambda_max(Q: SparseMatrixCSR, tol: float = 1e-10,

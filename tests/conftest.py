@@ -31,6 +31,15 @@ def random_spd(seed, n=None, kappa=None, lo=2.0):
     return Q, w, v
 
 
+def scaled(Q, c):
+    """c * Q; a power of two c scales every stored entry exactly."""
+    return SparseMatrixCSR(Q.row_ptr, Q.col_idx, c * Q.values, n=Q.n)
+
+
+# the scales of the scale-invariance tests: far below and far above unit scale
+POWERS_OF_TWO = [2.0 ** -46, 2.0 ** -40, 2.0 ** 40]
+
+
 def indefinite_matrix(seed, n=200):
     """Symmetric matrix with eigenvalues uniform in [-1, 10], extremes pinned."""
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
-from conftest import indefinite_matrix, random_spd
+from conftest import POWERS_OF_TWO, indefinite_matrix, random_spd, scaled
 from lejadet import logdet
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
@@ -809,6 +809,21 @@ class TestSLQ:
         rep = slq_logdet(gen_pentadiagonal(n, seed=0), 40, 5, seed=3)
         assert rep.degrees["max"] <= 8 and rep.matvecs_total <= 5 * 8
 
+    @pytest.mark.parametrize("c", POWERS_OF_TWO, ids=lambda c: f"2^{math.log2(c):.0f}")
+    @pytest.mark.parametrize("make", [lambda: gen_gmrf_grid(40, -0.24),
+                                      lambda: random_spd(0, n=200, kappa=1e3)[0]],
+                             ids=["lattice-40", "spd-0"])
+    def test_scale_free(self, make, c):
+        # log det(cQ) = log det Q + n log c, and the relative breakdown rule
+        # runs every probe as many steps at any scale: an absolute floor
+        # stopped every lattice probe after one step below unit scale
+        Q = make()
+        base = slq_logdet(Q, 40, 5, seed=3)
+        rep = slq_logdet(scaled(Q, c), 40, 5, seed=3)
+        assert rep.degrees == base.degrees
+        shifted = rep.estimate - Q.n * math.log(c)
+        assert abs(shifted - base.estimate) <= 1e-12 * abs(rep.estimate)
+
 
 def _plain_lanczos_kept_basis(m_sp, v, m_l):
     """Plain Lanczos with the whole n x m_l basis kept, in the estimator's
@@ -836,7 +851,7 @@ def _plain_lanczos_kept_basis(m_sp, v, m_l):
         if j > 0:
             w = daxpy(basis[:, j - 1], w, a=-betas[j - 1])
         b = math.sqrt(ddot(w, w))
-        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
+        if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
             steps = j + 1
             break
         betas[j] = b
@@ -902,7 +917,7 @@ def _lanczos_quadrature_measured(m_sp, v, m_l):
         if np.max(np.abs(h)) > SQRT_EPS * b:
             w = dgemv(-1.0, active, h, beta=1.0, y=w, overwrite_y=True)
             b = math.sqrt(ddot(w, w))
-        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
+        if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
             steps = j + 1
             break
         betas[j] = b
@@ -936,7 +951,7 @@ def _lanczos_quadrature_c_order(m_sp, v, m_l):
         if j == m_l - 1:
             break
         b = float(np.linalg.norm(w))
-        if b <= 1e-12 * max(np.max(np.abs(alphas[:j + 1])), 1.0):
+        if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
             steps = j + 1
             break
         betas[j] = b

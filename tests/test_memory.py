@@ -15,7 +15,8 @@ import scipy.sparse as sp
 
 from lejadet import (SparseMatrixCSR, band_logdet_cholesky, estimate_interval,
                      gen_gmrf_grid, gen_pentadiagonal, generate_fast_leja,
-                     hutchpp_logdet, slq_logdet, write_matrix_market)
+                     hutchpp_logdet, lanczos_lambda_max, shift_invert_lambda_min,
+                     slq_logdet, write_matrix_market)
 from lejadet.leja import DEFAULT_POOL_SIZE
 
 N = 200_000
@@ -105,6 +106,31 @@ def test_gershgorin_interval_holds_less_than_one_vector(penta):
     assert peak < 8 * N
 
 
+@pytest.mark.parametrize("make", [lambda: gen_pentadiagonal(N, seed=0),
+                                  lambda: gen_gmrf_grid(447, -0.24)],
+                         ids=["penta", "lattice"])
+def test_lanczos_lambda_max_peak(make):
+    # the Lanczos vectors q_{j-1} and q_j and the product being formed: the
+    # start vector is freed once normalized, and each product once the
+    # update has read it
+    Q = make()
+    _, peak = traced_peak(lambda: lanczos_lambda_max(Q))
+    assert peak <= 3.5 * 8 * Q.n
+
+
+@pytest.mark.parametrize("make", [lambda: gen_pentadiagonal(N, seed=0),
+                                  lambda: gen_gmrf_grid(447, -0.24)],
+                         ids=["penta", "lattice"])
+def test_shift_invert_lambda_min_peak(make):
+    # the two Lanczos vectors and a CG solve's iterate, residual, direction,
+    # product and update temporaries; every solve holds the same set, so
+    # three steps reach the peak of a full run (the lattice's takes 6,000
+    # CG iterations)
+    Q = make()
+    _, peak = traced_peak(lambda: shift_invert_lambda_min(Q, max_iter=3))
+    assert peak <= 7.5 * 8 * Q.n
+
+
 def test_hutchpp_peak_above_matrix():
     # image/basis (4 columns), int8 sketch and probes, one float probe and
     # the action's iterate, sum and product; on a lattice of n = 447^2 ~= N,
@@ -125,8 +151,8 @@ def test_hutchpp_peak_above_matrix():
                          ids=["penta", "lattice", "lattice-degree80", "penta-degree80"])
 def test_slq_peak(make, m_l, full_pass):
     # the int8 probe block (10 columns), one float probe, the Lanczos vectors
-    # q_{j-1} and q_j, and the product being formed beside the last one; no
-    # n x m_l basis, at any degree.  The lattices' Gauss rules do not settle
+    # q_{j-1} and q_j, and the product being formed; no n x m_l basis, at
+    # any degree.  The lattices' Gauss rules do not settle
     # before m_l steps (at theta = -0.2499 the condition number is about
     # 5e3), so every probe runs them all; the pentadiagonal's settle within
     # 8 and its probes stop there

@@ -41,6 +41,16 @@ class TestDenseCholesky:
         with pytest.raises(ValueError, match="matrix is not symmetric"):
             dense_logdet_cholesky(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
+    def test_symmetry_is_checked_relative_to_scale(self):
+        # Cholesky reads only the lower triangle: this matrix would give
+        # -58.7686, where its log det is -58.2578
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            dense_logdet_cholesky(1e-13 * np.array([[2.0, 1.0], [-1.0, 2.0]]))
+        val = dense_logdet_cholesky(1e-13 * np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        assert val == pytest.approx(math.log(3e-26), abs=1e-12)
+        with pytest.raises(ValueError, match="not positive definite"):
+            dense_logdet_cholesky(np.zeros((3, 3)))
+
 
 class TestBandCholesky:
     def test_pentadiagonal_matches_dense(self):

@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import gmrf_spectrum, random_spd
+from conftest import POWERS_OF_TWO, gmrf_spectrum, random_spd, scaled
 from lejadet import sparse, spectral
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      estimate_interval, gen_gmrf_grid, generate_fast_leja,
@@ -132,6 +133,16 @@ class TestLanczosExtremes:
         assert est.iterations == 1
         assert est.breakdown
 
+    @pytest.mark.parametrize("max_iter", [200, 1])
+    @pytest.mark.parametrize("estimator", [lanczos_lambda_max, shift_invert_lambda_min],
+                             ids=["lambda-max", "shift-invert"])
+    def test_identity_breakdown_ends_converged(self, estimator, max_iter):
+        # a breakdown on the last allowed step still ends the run converged
+        Q = SparseMatrixCSR.from_dense(np.eye(6))
+        est = estimator(Q, max_iter=max_iter, seed=0)
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+        assert (est.iterations, est.converged, est.breakdown) == (1, True, True)
+
     def test_gmrf_grid_matches_analytic(self):
         Q = gen_gmrf_grid(50, -0.22)
         lam = gmrf_spectrum(50, -0.22)
@@ -238,6 +249,20 @@ class TestLanczosExtremes:
         assert iv.lambda_min <= lam.min() and iv.lambda_max >= lam.max()
         assert iv.lambda_max == gershgorin_bounds(Q).lambda_max
         assert iv.matvecs - lows[0].matvecs <= 50        # the lambda_max run's share
+
+    @pytest.mark.parametrize("c", POWERS_OF_TWO, ids=lambda c: f"2^{math.log2(c):.0f}")
+    @pytest.mark.parametrize("make", [lambda: gen_gmrf_grid(40, -0.24),
+                                      lambda: random_spd(0, n=200, kappa=1e3)[0]],
+                             ids=["lattice-40", "spd-0"])
+    def test_lanczos_route_is_scale_free(self, make, c):
+        # the breakdown rule and the stop rules are relative: scaling Q by a
+        # power of two changes no step of either run (measured drift of the
+        # ends: 0)
+        Q = make()
+        iv, ivc = estimate_interval(Q, "lanczos"), estimate_interval(scaled(Q, c), "lanczos")
+        assert ivc.matvecs == iv.matvecs
+        assert ivc.lambda_min == pytest.approx(c * iv.lambda_min, rel=1e-15)
+        assert ivc.lambda_max == pytest.approx(c * iv.lambda_max, rel=1e-15)
 
     def test_unknown_route_refused(self):
         with pytest.raises(ValueError, match="unknown bounds method 'cg'"):
