@@ -10,47 +10,36 @@ quadrature and exact Cholesky oracles are included for verification.
 ``estimate(Q, method)`` is the one entry point to all of them.
 """
 
-from .action import ActionResult, log_matvec
-from .divdiff import DividedDiffs, divided_differences_log
 from .leja import generate_fast_leja
 from .likelihood import gmrf_likelihood_scan
-from .logdet import (METHODS, LogDetReport, estimate, hutchinson_logdet,
-                     hutchpp_logdet, slq_logdet)
+from .logdet import METHODS, LogDetReport, estimate, hutchpp_logdet, slq_logdet
 from .oracle import (band_logdet_cholesky, dense_logdet_cholesky,
                      gmrf_grid_logdet_analytic)
 from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, matvec, write_matrix_market)
-from .spectral import (ConvergenceError, EigenEstimate, SpectralInterval,
-                       estimate_interval, gershgorin_bounds, lanczos_lambda_max,
-                       shift_invert_lambda_min)
+from .spectral import (ConvergenceError, SpectralInterval, estimate_interval,
+                       lanczos_lambda_max, shift_invert_lambda_min)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionResult",
     "ConvergenceError",
-    "DividedDiffs",
-    "EigenEstimate",
     "LogDetReport",
     "METHODS",
     "SparseMatrixCSR",
     "SpectralInterval",
     "band_logdet_cholesky",
     "dense_logdet_cholesky",
-    "divided_differences_log",
     "estimate",
     "estimate_interval",
     "gen_gmrf_grid",
     "gen_pentadiagonal",
     "generate_fast_leja",
-    "gershgorin_bounds",
     "gmrf_grid_logdet_analytic",
     "gmrf_likelihood_scan",
-    "hutchinson_logdet",
     "hutchpp_logdet",
     "lanczos_lambda_max",
     "load_matrix_market",
-    "log_matvec",
     "matvec",
     "shift_invert_lambda_min",
     "slq_logdet",

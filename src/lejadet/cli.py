@@ -16,8 +16,8 @@ import sys
 from .likelihood import gmrf_likelihood_scan
 from .logdet import EXACT_METHODS, METHODS, estimate
 from .oracle import DENSE_CAP
-from .sparse import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
-                     load_matrix_market, write_matrix_market)
+from .sparse import (gen_gmrf_grid, gen_pentadiagonal, load_matrix_market,
+                     write_matrix_market)
 from .spectral import ConvergenceError
 
 __all__ = ["main"]
@@ -25,6 +25,13 @@ __all__ = ["main"]
 # the oracle behind each exact method, as named in --with-exact results
 ORACLES = {"exact-dense": "dense-cholesky", "exact-band": "band-cholesky",
            "exact-analytic": "lattice-analytic"}
+# estimate's keyword arguments that are flags of `estimate` and `bench`, with
+# their help; gmrf-likelihood, which runs no SLQ, has all but probes and slq_degree
+ESTIMATOR_FLAGS = {"queries": "matvec queries for leja-hutchpp / hutchinson",
+                   "probes": "SLQ probe vectors",
+                   "slq_degree": "at most this many Lanczos steps per probe",
+                   "tol": "action tolerance in (0, 1), relative to each probe norm",
+                   "seed": None, "max_degree": None}
 # the parsed flags of `estimate` echoed as the JSON result's "config", for replay
 CONFIG_FIELDS = ("method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
                  "seed", "format", "max_degree", "with_exact")
@@ -36,7 +43,7 @@ BENCH_COLUMNS = ("matrix", "n", "nnz", "method", "rep", "seed", "estimate", "std
 
 def _estimator_options(args) -> dict:
     """Check the estimator flags every command shares; the keyword arguments of
-    ``estimate`` they set, seed aside."""
+    ``estimate`` the command's flags set, seed aside."""
     if not args.tol > 0:        # NaN included
         raise ValueError("--tol must be positive")
     if not args.tol < 1:
@@ -45,9 +52,8 @@ def _estimator_options(args) -> dict:
         raise ValueError("--seed must be non-negative")
     if args.max_degree < 0:
         raise ValueError("--max-degree must be non-negative")
-    return {"queries": args.queries, "probes": args.probes,
-            "slq_degree": args.slq_degree, "tol": args.tol,
-            "max_degree": args.max_degree}
+    return {name: value for name, value in vars(args).items()
+            if name in ESTIMATOR_FLAGS and name != "seed"}
 
 
 def _finite(value: float, field: str, integral: bool = False) -> float:
@@ -61,31 +67,28 @@ def _finite(value: float, field: str, integral: bool = False) -> float:
 
 
 def parse_gen_spec(spec: str, seed: int):
-    """Generator grammar: 'pentadiagonal:N' or 'gmrf:G:THETA'."""
+    """Generator grammar: 'pentadiagonal:N' or 'gmrf:G:THETA'.  A matrix source:
+    (Q, (g, theta) of a lattice or None, the exact method that checks Q or None)."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "pentadiagonal":
         if len(parts) != 2:
             raise ValueError("expected pentadiagonal:N")
         n = int(_finite(float(parts[1]), "pentadiagonal:N", integral=True))
-        return gen_pentadiagonal(n, seed=seed), {"kind": kind, "n": n}
+        return gen_pentadiagonal(n, seed=seed), None, "exact-band"
     if kind == "gmrf":
         if len(parts) != 3:
             raise ValueError("expected gmrf:G:THETA")
         g = int(_finite(float(parts[1]), "gmrf:G", integral=True))
         theta = _finite(float(parts[2]), "gmrf:THETA")
-        return gen_gmrf_grid(g, theta), {"kind": kind, "g": g, "theta": theta}
+        return gen_gmrf_grid(g, theta), (g, theta), "exact-analytic"
     raise ValueError(f"unknown generator {kind!r}; use pentadiagonal:N or gmrf:G:THETA")
 
 
 def _load(path: str):
-    """A Matrix Market file and the metadata naming it."""
-    return load_matrix_market(path), {"kind": "file", "path": path}
-
-
-def _lattice(meta: dict):
-    """(g, theta) of a generated lattice, which the analytic oracle needs."""
-    return (meta["g"], meta["theta"]) if meta.get("kind") == "gmrf" else None
+    """A Matrix Market file as a matrix source, as ``parse_gen_spec``."""
+    Q = load_matrix_market(path)
+    return Q, None, "exact-dense" if Q.n <= DENSE_CAP else None
 
 
 def _rel_err(value: float, exact: float) -> float:
@@ -93,24 +96,11 @@ def _rel_err(value: float, exact: float) -> float:
     return abs(value - exact) / max(abs(exact), 1e-300)
 
 
-def _best_oracle(Q: SparseMatrixCSR, meta: dict):
-    """Feasible exact reference for this matrix, or None."""
-    kind = meta.get("kind")
-    if kind == "gmrf":
-        return "exact-analytic"
-    if kind == "pentadiagonal":
-        return "exact-band"
-    if Q.n <= DENSE_CAP:
-        return "exact-dense"
-    return None
-
-
 def run_estimate(args) -> dict:
     """Load or generate the matrix, run the requested method, build the result."""
     options = _estimator_options(args)
-    Q, meta = (_load(args.matrix) if args.matrix is not None
-               else parse_gen_spec(args.gen, args.seed))
-    lattice = _lattice(meta)
+    Q, lattice, reference = (_load(args.matrix) if args.matrix is not None
+                             else parse_gen_spec(args.gen, args.seed))
     report = estimate(Q, args.method, seed=args.seed, lattice=lattice, **options)
     result = {
         "config": {name: getattr(args, name) for name in CONFIG_FIELDS},
@@ -118,12 +108,10 @@ def run_estimate(args) -> dict:
         "report": report.to_dict(),
         "exact": None,
     }
-    if args.with_exact and args.method not in EXACT_METHODS:
-        how = _best_oracle(Q, meta)
-        if how is not None:
-            value = estimate(Q, how, lattice=lattice).estimate
-            result["exact"] = {"value": value, "rel_err": _rel_err(report.estimate, value),
-                               "oracle": ORACLES[how]}
+    if args.with_exact and args.method not in EXACT_METHODS and reference is not None:
+        value = estimate(Q, reference, lattice=lattice).estimate
+        result["exact"] = {"value": value, "rel_err": _rel_err(report.estimate, value),
+                           "oracle": ORACLES[reference]}
     return result
 
 
@@ -135,10 +123,10 @@ def run_bench(args) -> list[dict]:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError("bench needs at least one method in --methods")
-    for method in methods:      # each method before the options, as `estimate` checks
+    for method in methods:      # the methods before the options, as `estimate` checks
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-        options = _estimator_options(args)
+    options = _estimator_options(args)
     if not args.gen and not args.matrix:
         raise ValueError("bench needs at least one --gen or --matrix")
     if args.reps < 1:
@@ -146,15 +134,12 @@ def run_bench(args) -> list[dict]:
     corpus = [(spec, *parse_gen_spec(spec, args.seed)) for spec in args.gen]
     corpus += [(path, *_load(path)) for path in args.matrix]
     rows = []
-    for label, Q, meta in corpus:
-        lattice = _lattice(meta)
-        oracle_how = _best_oracle(Q, meta)
-        exact = None
-        if oracle_how is not None:
-            try:
-                exact = estimate(Q, oracle_how, lattice=lattice).estimate
-            except ValueError:
-                exact = None
+    for label, Q, lattice, reference in corpus:
+        try:    # an oracle that refuses the matrix leaves the exact cells empty
+            exact = None if reference is None else estimate(
+                Q, reference, lattice=lattice).estimate
+        except ValueError:
+            exact = None
         for method in methods:
             for rep in range(args.reps):
                 rep_seed = args.seed + rep
@@ -240,17 +225,12 @@ def _rows_to_csv(rows, fieldnames) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common_estimator_args(p):
-    p.add_argument("--queries", type=int,
-                   help="matvec queries for leja-hutchpp / hutchinson")
-    p.add_argument("--probes", type=int, help="SLQ probe vectors")
-    p.add_argument("--slq-degree", type=int, help="at most this many Lanczos steps per probe")
-    p.add_argument("--tol", type=float,
-                   help="action tolerance in (0, 1), relative to each probe norm")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-degree", type=int)
-    # the defaults are estimate's own (lattice is no flag)
-    p.set_defaults(**{k: v for k, v in estimate.__kwdefaults__.items() if k != "lattice"})
+def _add_estimator_args(p, names=tuple(ESTIMATOR_FLAGS)):
+    """The flags of estimate's keyword arguments ``names``, with its defaults."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=float if name == "tol" else int,
+                       help=ESTIMATOR_FLAGS[name])
+    p.set_defaults(**{name: estimate.__kwdefaults__[name] for name in names})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--matrix", help="Matrix Market file")
     src.add_argument("--gen", help="pentadiagonal:N or gmrf:G:THETA")
     pe.add_argument("--method", required=True, choices=METHODS)
-    _add_common_estimator_args(pe)
+    _add_estimator_args(pe)
     pe.add_argument("--format", default="json", choices=["json", "table"])
     pe.add_argument("--with-exact", action="store_true",
                     help="also compute the best feasible exact oracle")
@@ -277,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--theta-step", type=float, default=0.01)
     pg.add_argument("--no-sample", action="store_true",
                     help="skip sampling; emit only the log-determinant curve")
-    _add_common_estimator_args(pg)
+    _add_estimator_args(pg, ("queries", "tol", "seed", "max_degree"))
     pg.add_argument("--format", default="csv", choices=["csv", "json"])
 
     pb = sub.add_parser("bench", help="timing/accuracy table over a corpus")
@@ -288,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--methods", required=True,
                     help="comma-separated subset of: " + ",".join(METHODS))
     pb.add_argument("--reps", type=int, default=1)
-    _add_common_estimator_args(pb)
+    _add_estimator_args(pb)
     pb.add_argument("--format", default="csv", choices=["csv", "json"])
 
     pw = sub.add_parser("gen", help="write a generated matrix to a file")
@@ -337,9 +317,9 @@ def main(argv=None) -> int:
         # gen, the last of the parser's commands
         if args.seed < 0:
             raise ValueError("--seed must be non-negative")
-        Q, meta = parse_gen_spec(args.gen, args.seed)
+        Q, _, _ = parse_gen_spec(args.gen, args.seed)
         write_matrix_market(Q, args.out)
-        print(f"wrote {meta} to {args.out} (n={Q.n}, nnz={Q.nnz})")
+        print(f"wrote {args.gen} to {args.out} (n={Q.n}, nnz={Q.nnz})")
         return 0
     except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

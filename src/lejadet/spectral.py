@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.blas import daxpy, ddot
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .sparse import SparseMatrixCSR
 
@@ -164,6 +164,8 @@ def _lanczos_extreme(apply_op, n, rng, tol, max_iter, ceiling=np.inf):
     ``max_iter`` steps.  Extreme Ritz values need no reorthogonalization
     over runs this short.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lanczos = _lanczos(apply_op, rng.standard_normal(n), max_iter)
     ritz_prev = None
     while True:
@@ -198,35 +200,35 @@ def _cg_solve(m, b, rtol, max_iter):
 
     m is refused as not positive definite as soon as p'Ap, the step or the
     residual stops being a positive finite number: on a singular m, p'Ap
-    falls to rounding level and the step overflows.
+    falls to rounding level and the step overflows.  The iterate, residual
+    and direction are updated in place by scipy's BLAS, as in ``_lanczos``.
     """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
-    rs = float(r @ r)
-    bnorm = np.sqrt(float(b @ b))
+    rs = ddot(r, r)
+    bnorm = np.sqrt(rs)
     if bnorm == 0.0:
         return x, 0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for it in range(max_iter):
-                if np.sqrt(rs) <= rtol * bnorm:
-                    return x, it
-                ap = m @ p
-                pap = float(p @ ap)
-                # the step leaves (0, inf) when p'Ap is not positive, is not
-                # finite, or is so small that rs / p'Ap overflows
-                alpha = rs / pap if pap > 0.0 else 0.0
-                if not 0.0 < alpha < np.inf:
-                    raise ValueError("matrix is not positive definite "
-                                     f"(CG found p'Ap = {pap:.3e})")
-                x += alpha * p
-                r -= alpha * ap
-                rs_new = float(r @ r)
-                p = r + (rs_new / rs) * p
-                rs = rs_new
-    except FloatingPointError as exc:
-        raise ValueError(f"matrix is not positive definite (CG iterate: {exc})") from None
+    for it in range(max_iter):
+        if np.sqrt(rs) <= rtol * bnorm:
+            return x, it
+        ap = m @ p
+        pap = ddot(p, ap)
+        # the step leaves (0, inf) when p'Ap is not positive, is not
+        # finite, or is so small that rs / p'Ap overflows
+        alpha = rs / pap if pap > 0.0 else 0.0
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("matrix is not positive definite "
+                             f"(CG found p'Ap = {pap:.3e})")
+        x = daxpy(p, x, a=alpha)
+        r = daxpy(ap, r, a=-alpha)
+        rs_new = ddot(r, r)
+        if not rs_new < np.inf:         # NaN included
+            raise ValueError("matrix is not positive definite "
+                             f"(CG found r'r = {rs_new:.3e})")
+        p = daxpy(r, dscal(rs_new / rs, p))
+        rs = rs_new
     if np.sqrt(rs) <= rtol * bnorm:
         return x, max_iter
     raise ConvergenceError(

@@ -1,7 +1,7 @@
 """Classical divided-difference recursions of log, for the tests only.
 
 A classical recursion evaluated in extended precision (mpmath) serves as the
-test oracle for ``lejadet.divided_differences_log``, and a plain float64
+test oracle for ``lejadet.divdiff.divided_differences_log``, and a plain float64
 recursion is kept for comparison.
 """
 

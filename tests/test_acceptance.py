@@ -26,11 +26,12 @@ import scipy.sparse as sp
 from conftest import gmrf_spectrum, random_spd, ufl_matrix_path
 from divdiff_oracles import naive_divided_differences, reference_divided_differences
 from lejadet import (SparseMatrixCSR, SpectralInterval, band_logdet_cholesky,
-                     dense_logdet_cholesky, divided_differences_log,
-                     estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
-                     generate_fast_leja, gmrf_grid_logdet_analytic,
-                     gmrf_likelihood_scan, hutchinson_logdet, hutchpp_logdet,
-                     log_matvec, slq_logdet)
+                     dense_logdet_cholesky, estimate_interval, gen_gmrf_grid,
+                     gen_pentadiagonal, generate_fast_leja, gmrf_grid_logdet_analytic,
+                     gmrf_likelihood_scan, hutchpp_logdet, slq_logdet)
+from lejadet.action import log_matvec
+from lejadet.divdiff import divided_differences_log
+from lejadet.logdet import hutchinson_logdet
 
 LOG120 = math.log(120.0)
 

@@ -6,8 +6,10 @@ import pytest
 from scipy.fft import dstn
 
 from conftest import gmrf_spectrum, random_spd
-from lejadet import (SparseMatrixCSR, SpectralInterval, divided_differences_log,
-                     gen_gmrf_grid, generate_fast_leja, gershgorin_bounds, log_matvec)
+from lejadet import SparseMatrixCSR, SpectralInterval, gen_gmrf_grid, generate_fast_leja
+from lejadet.action import log_matvec
+from lejadet.divdiff import divided_differences_log
+from lejadet.spectral import gershgorin_bounds
 
 
 def make_dd(interval, count=512):

@@ -22,7 +22,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 CHILD = """
 import json, statistics, time
 from lejadet import (estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
-                     hutchpp_logdet, slq_logdet)
+                     hutchpp_logdet, shift_invert_lambda_min, slq_logdet)
 
 def median_time(func, runs=3):
     func()                                  # warm-up
@@ -38,9 +38,12 @@ def median_time(func, runs=3):
 Q = gen_gmrf_grid(316, -0.22)
 bounds = estimate_interval(Q, "gershgorin")
 Q_slq = gen_pentadiagonal(10_000, seed=0)
+# Lanczos steps whose products are CG solves: the enclosure's lambda_min
+Q_si = gen_gmrf_grid(150, -0.22)
 print(json.dumps({
     "hutchpp": median_time(lambda: hutchpp_logdet(Q, 12, seed=1, bounds=bounds)),
     "slq": median_time(lambda: slq_logdet(Q_slq, 40, 5, seed=1)),
+    "shift_invert": median_time(lambda: shift_invert_lambda_min(Q_si, 1e-8)),
 }))
 """
 
@@ -59,5 +62,5 @@ def timed_child(pinned):
 def test_unpinned_blas_costs_at_most_3x_pinned():
     pinned = timed_child(pinned=True)
     unpinned = timed_child(pinned=False)
-    for name in ("hutchpp", "slq"):
+    for name in ("hutchpp", "slq", "shift_invert"):
         assert unpinned[name] <= 3.0 * pinned[name], (name, unpinned, pinned)

@@ -397,6 +397,14 @@ class TestGmrfLikelihood:
                                "--theta-stop", "-0.20", "--queries", "6")
         assert code == 1 and "1/4" in err
 
+    @pytest.mark.parametrize("flag", ["--probes", "--slq-degree"])
+    def test_slq_flags_refused(self, capsys, flag):
+        # the scan runs no SLQ, so it has no SLQ flags to ignore
+        code, out, _ = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
+                               "--theta-true", "-0.22", "--theta-start", "-0.24",
+                               "--theta-stop", "-0.20", flag, "5")
+        assert code == 1 and out == ""
+
 
 class TestBench:
     def test_row_contract(self, capsys):
@@ -482,6 +490,12 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error: unknown method 'cg'; choose from")
 
+    def test_methods_checked_before_options(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--gen", "gmrf:10:-0.2",
+                                 "--methods", "hutchinson,cg", "--tol", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown method 'cg'; choose from")
+
     def test_failed_cell_becomes_error_row(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--gen", "pentadiagonal:60",
                                "--methods", "exact-analytic,exact-band",
@@ -543,6 +557,13 @@ class TestBench:
 
 
 class TestGen:
+    def test_confirms_the_spec_as_given(self, capsys, tmp_path):
+        out_path = tmp_path / "m.mtx"
+        code, out, _ = run_cli(capsys, "gen", "--gen", "gmrf:8.0:-0.2", "--out",
+                               str(out_path))
+        assert code == 0
+        assert out == f"wrote gmrf:8.0:-0.2 to {out_path} (n=64, nnz=288)\n"
+
     @pytest.mark.parametrize("spec,n", [("pentadiagonal:1e3", 1000),
                                         ("gmrf:8.0:-0.2", 64)])
     def test_integral_spelling_accepted(self, capsys, tmp_path, spec, n):
@@ -622,15 +643,18 @@ def test_non_integral_size_refused(capsys, tmp_path, monkeypatch, argv, message)
     assert not (tmp_path / "m.mtx").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("estimate", "--gen", "gmrf:8:-0.2", "--method", "slq"),
-    ("gmrf-likelihood", "--grid-side", "8", "--theta-true", "-0.2",
-     "--theta-start", "-0.2", "--theta-stop", "-0.2"),
-    ("bench", "--methods", "slq"),
+@pytest.mark.parametrize("argv,names", [
+    (("estimate", "--gen", "gmrf:8:-0.2", "--method", "slq"), None),
+    (("gmrf-likelihood", "--grid-side", "8", "--theta-true", "-0.2",
+      "--theta-start", "-0.2", "--theta-stop", "-0.2"),
+     ("queries", "tol", "seed", "max_degree")),
+    (("bench", "--methods", "slq"), None),
 ], ids=["estimate", "gmrf-likelihood", "bench"])
-def test_estimator_defaults_are_estimates_own(argv):
+def test_estimator_defaults_are_estimates_own(argv, names):
     defaults = dict(estimate.__kwdefaults__)
     del defaults["lattice"]
+    if names is not None:       # the scan runs no SLQ and has no SLQ flags
+        defaults = {name: defaults[name] for name in names}
     args = build_parser().parse_args(argv)
     assert {name: getattr(args, name) for name in defaults} == defaults
 

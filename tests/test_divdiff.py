@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from divdiff_oracles import naive_divided_differences, reference_divided_differences
-from lejadet import SpectralInterval, divided_differences_log, generate_fast_leja
+from lejadet import SpectralInterval, generate_fast_leja
+from lejadet.divdiff import divided_differences_log
 
 LOG3 = 1.0986122886681098
 

@@ -16,11 +16,11 @@ from conftest import POWERS_OF_TWO, indefinite_matrix, random_spd, scaled
 from lejadet import logdet
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
+from lejadet.logdet import hutchinson_logdet
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      band_logdet_cholesky, dense_logdet_cholesky, estimate,
                      estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
-                     gmrf_grid_logdet_analytic, hutchinson_logdet, hutchpp_logdet,
-                     slq_logdet)
+                     gmrf_grid_logdet_analytic, hutchpp_logdet, slq_logdet)
 
 LOG120 = math.log(120.0)
 SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from conftest import POWERS_OF_TWO, gmrf_spectrum, random_spd, scaled
 from lejadet import sparse, spectral
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
-                     estimate_interval, gen_gmrf_grid, generate_fast_leja,
-                     gershgorin_bounds, lanczos_lambda_max, shift_invert_lambda_min)
+                     estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
+                     generate_fast_leja, lanczos_lambda_max, shift_invert_lambda_min)
+from lejadet.spectral import gershgorin_bounds
 
 
 def _chain(n, empty=False, missing_diagonal=False):
@@ -142,6 +143,12 @@ class TestLanczosExtremes:
         est = estimator(Q, max_iter=max_iter, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert (est.iterations, est.converged, est.breakdown) == (1, True, True)
+
+    @pytest.mark.parametrize("estimator", [lanczos_lambda_max, shift_invert_lambda_min],
+                             ids=["lambda-max", "shift-invert"])
+    def test_no_step_refused(self, estimator):
+        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+            estimator(gen_pentadiagonal(100, seed=0), max_iter=0)
 
     def test_gmrf_grid_matches_analytic(self):
         Q = gen_gmrf_grid(50, -0.22)
