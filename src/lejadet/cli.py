@@ -15,7 +15,6 @@ import sys
 
 from .likelihood import gmrf_likelihood_scan
 from .logdet import EXACT_METHODS, METHODS, estimate
-from .oracle import DENSE_CAP
 from .sparse import (gen_gmrf_grid, gen_pentadiagonal, load_matrix_market,
                      write_matrix_market)
 from .spectral import ConvergenceError
@@ -23,8 +22,7 @@ from .spectral import ConvergenceError
 __all__ = ["main"]
 
 # the oracle behind each exact method, as named in --with-exact results
-ORACLES = {"exact-dense": "dense-cholesky", "exact-band": "band-cholesky",
-           "exact-analytic": "lattice-analytic"}
+ORACLES = {"exact-band": "band-cholesky", "exact-analytic": "lattice-analytic"}
 # estimate's keyword arguments that are flags of `estimate` and `bench`, with
 # their help; gmrf-likelihood, which runs no SLQ, has all but probes and slq_degree
 ESTIMATOR_FLAGS = {"queries": "matvec queries for leja-hutchpp / hutchinson",
@@ -68,27 +66,29 @@ def _finite(value: float, field: str, integral: bool = False) -> float:
 
 def parse_gen_spec(spec: str, seed: int):
     """Generator grammar: 'pentadiagonal:N' or 'gmrf:G:THETA'.  A matrix source:
-    (Q, (g, theta) of a lattice or None, the exact method that checks Q or None)."""
+    (Q, the exact method that checks Q)."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "pentadiagonal":
         if len(parts) != 2:
             raise ValueError("expected pentadiagonal:N")
         n = int(_finite(float(parts[1]), "pentadiagonal:N", integral=True))
-        return gen_pentadiagonal(n, seed=seed), None, "exact-band"
+        return gen_pentadiagonal(n, seed=seed), "exact-band"
     if kind == "gmrf":
         if len(parts) != 3:
             raise ValueError("expected gmrf:G:THETA")
         g = int(_finite(float(parts[1]), "gmrf:G", integral=True))
         theta = _finite(float(parts[2]), "gmrf:THETA")
-        return gen_gmrf_grid(g, theta), (g, theta), "exact-analytic"
+        return gen_gmrf_grid(g, theta), "exact-analytic"
     raise ValueError(f"unknown generator {kind!r}; use pentadiagonal:N or gmrf:G:THETA")
 
 
-def _load(path: str):
-    """A Matrix Market file as a matrix source, as ``parse_gen_spec``."""
-    Q = load_matrix_market(path)
-    return Q, None, "exact-dense" if Q.n <= DENSE_CAP else None
+def _exact(Q, reference):
+    """log det Q by the exact method ``reference``, or None when it refuses Q."""
+    try:
+        return estimate(Q, reference).estimate
+    except ValueError:
+        return None
 
 
 def _rel_err(value: float, exact: float) -> float:
@@ -99,17 +99,17 @@ def _rel_err(value: float, exact: float) -> float:
 def run_estimate(args) -> dict:
     """Load or generate the matrix, run the requested method, build the result."""
     options = _estimator_options(args)
-    Q, lattice, reference = (_load(args.matrix) if args.matrix is not None
-                             else parse_gen_spec(args.gen, args.seed))
-    report = estimate(Q, args.method, seed=args.seed, lattice=lattice, **options)
+    Q, reference = ((load_matrix_market(args.matrix), "exact-band")
+                    if args.matrix is not None else parse_gen_spec(args.gen, args.seed))
+    report = estimate(Q, args.method, seed=args.seed, **options)
     result = {
         "config": {name: getattr(args, name) for name in CONFIG_FIELDS},
         "matrix": {"n": Q.n, "nnz": Q.nnz},
         "report": report.to_dict(),
         "exact": None,
     }
-    if args.with_exact and args.method not in EXACT_METHODS and reference is not None:
-        value = estimate(Q, reference, lattice=lattice).estimate
+    if args.with_exact and args.method not in EXACT_METHODS \
+            and (value := _exact(Q, reference)) is not None:
         result["exact"] = {"value": value, "rel_err": _rel_err(report.estimate, value),
                            "oracle": ORACLES[reference]}
     return result
@@ -132,14 +132,10 @@ def run_bench(args) -> list[dict]:
     if args.reps < 1:
         raise ValueError("bench needs --reps >= 1")
     corpus = [(spec, *parse_gen_spec(spec, args.seed)) for spec in args.gen]
-    corpus += [(path, *_load(path)) for path in args.matrix]
+    corpus += [(path, load_matrix_market(path), "exact-band") for path in args.matrix]
     rows = []
-    for label, Q, lattice, reference in corpus:
-        try:    # an oracle that refuses the matrix leaves the exact cells empty
-            exact = None if reference is None else estimate(
-                Q, reference, lattice=lattice).estimate
-        except ValueError:
-            exact = None
+    for label, Q, reference in corpus:
+        exact = _exact(Q, reference)
         for method in methods:
             for rep in range(args.reps):
                 rep_seed = args.seed + rep
@@ -147,8 +143,7 @@ def run_bench(args) -> list[dict]:
                 row.update(matrix=label, n=Q.n, nnz=Q.nnz, method=method, rep=rep,
                            seed=rep_seed, exact=exact, warnings=0)
                 try:
-                    report = estimate(Q, method, seed=rep_seed, lattice=lattice,
-                                      **options).to_dict()
+                    report = estimate(Q, method, seed=rep_seed, **options).to_dict()
                     row.update({k: report[k] for k in ("estimate", "std_error",
                                                        "error_bound", "wall_time")})
                     row["warnings"] = len(report["warnings"])
@@ -247,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_args(pe)
     pe.add_argument("--format", default="json", choices=["json", "table"])
     pe.add_argument("--with-exact", action="store_true",
-                    help="also compute the best feasible exact oracle")
+                    help="also run the source's exact method; null if it refuses")
 
     pg = sub.add_parser("gmrf-likelihood", help="log-likelihood scan over theta")
     pg.add_argument("--grid-side", type=int, required=True)
@@ -317,7 +312,7 @@ def main(argv=None) -> int:
         # gen, the last of the parser's commands
         if args.seed < 0:
             raise ValueError("--seed must be non-negative")
-        Q, _, _ = parse_gen_spec(args.gen, args.seed)
+        Q, _ = parse_gen_spec(args.gen, args.seed)
         write_matrix_market(Q, args.out)
         print(f"wrote {args.gen} to {args.out} (n={Q.n}, nnz={Q.nnz})")
         return 0

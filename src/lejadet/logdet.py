@@ -27,7 +27,7 @@ product with Q, and only the K + 1 coefficients it reads are computed; the
 report carries the bound as ``error_bound``.  Otherwise the probes run.
 
 ``estimate`` is the one entry point: it dispatches to the three trace
-estimators and the three exact oracles.  The Leja methods enclose the
+estimators and the two exact oracles.  The Leja methods enclose the
 spectrum themselves, by the rule of ``estimate_interval``, unless the caller
 passes an interval.  Every report comes from ``_report``.
 """
@@ -48,8 +48,7 @@ from scipy.linalg.blas import ddot, dgemv
 from .action import log_matvec
 from .divdiff import divided_differences_log
 from .leja import generate_fast_leja
-from .oracle import (DENSE_CAP, band_logdet_cholesky, dense_logdet_cholesky,
-                     gmrf_grid_logdet_analytic)
+from .oracle import band_logdet_cholesky, gmrf_grid_logdet_analytic, lattice_of
 from .sparse import SparseMatrixCSR
 from .spectral import SpectralInterval, _lanczos, estimate_interval
 
@@ -62,7 +61,7 @@ __all__ = [
     "slq_logdet",
 ]
 
-EXACT_METHODS = ("exact-dense", "exact-band", "exact-analytic")
+EXACT_METHODS = ("exact-band", "exact-analytic")
 METHODS = ("leja-hutchpp", "hutchinson", "slq") + EXACT_METHODS
 
 DEFAULT_TOL = 1e-7
@@ -526,8 +525,7 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,
              slq_degree: int = 40, tol: float = DEFAULT_TOL, seed: int = 0,
-             max_degree: int = DEFAULT_MAX_DEGREE,
-             lattice: tuple[int, float] | None = None) -> LogDetReport:
+             max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
     """log det Q by one of ``METHODS``, with the command line's defaults.
 
     ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions of
@@ -547,9 +545,9 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     ``probes`` probes of at most ``slq_degree`` Lanczos steps each (a probe
     stops once its Gauss rule has settled to rounding, see ``slq_logdet``)
     and needs no enclosure.
-    ``exact-dense`` and ``exact-band`` are the Cholesky oracles;
-    ``exact-analytic`` is the lattice closed form and needs
-    ``lattice = (g, theta)`` of ``Q = gen_gmrf_grid(g, theta)``.
+    The exact methods read Q alone: ``exact-band`` is banded Cholesky at
+    Q's own bandwidth, ``exact-analytic`` the closed form of the lattice
+    ``gen_gmrf_grid(g, theta)`` that Q is (``lattice_of``), or a refusal.
     """
     if method in ("leja-hutchpp", "hutchinson"):
         strategy = hutchpp_logdet if method == "leja-hutchpp" else hutchinson_logdet
@@ -558,14 +556,10 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     if method == "slq":
         return slq_logdet(Q, slq_degree, probes, seed=seed)
     t0 = time.perf_counter()
-    if method == "exact-dense":
-        value = dense_logdet_cholesky(Q.to_dense(max_n=DENSE_CAP))
-    elif method == "exact-band":
+    if method == "exact-band":
         value = band_logdet_cholesky(Q, Q.bandwidth())
     elif method == "exact-analytic":
-        if lattice is None:
-            raise ValueError("the analytic oracle applies only to --gen gmrf:G:THETA")
-        value = gmrf_grid_logdet_analytic(*lattice)
+        value = gmrf_grid_logdet_analytic(*lattice_of(Q))
     else:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     return _report(method, value, queries=0, seed=seed, t0=t0)

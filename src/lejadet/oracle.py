@@ -1,37 +1,20 @@
-"""Exact log-determinant references: dense and banded Cholesky, lattice closed form."""
+"""Exact log-determinant references read off Q: banded Cholesky, lattice closed form."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from .sparse import SparseMatrixCSR, _row_blocks, check_lattice_theta
+from .sparse import SparseMatrixCSR, _row_blocks, check_lattice_theta, gen_gmrf_grid
 
 __all__ = [
-    "dense_logdet_cholesky",
     "band_cholesky",
     "band_logdet_cholesky",
     "gmrf_grid_logdet_analytic",
+    "lattice_of",
 ]
-
-DENSE_CAP = 4000
-
-
-def dense_logdet_cholesky(M: np.ndarray, max_n: int = DENSE_CAP) -> float:
-    """2 * sum(log L_ii) from the dense Cholesky factor of M."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    n = M.shape[0]
-    if n > max_n:
-        raise ValueError(f"dense oracle capped at n={max_n}, got n={n}")
-    if np.max(np.abs(M - M.T)) > 1e-12 * np.max(np.abs(M)):
-        raise ValueError("matrix is not symmetric")
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def band_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> np.ndarray:
@@ -93,3 +76,17 @@ def gmrf_grid_logdet_analytic(g: int, theta: float) -> float:
     cos = np.cos(np.arange(1, g + 1) * np.pi / (g + 1))
     lam = 1.0 + 2.0 * theta * (cos[:, None] + cos[None, :])
     return float(np.sum(np.log(lam)))
+
+
+def lattice_of(Q: SparseMatrixCSR) -> tuple[int, float]:
+    """(g, theta) of the lattice ``gen_gmrf_grid(g, theta)`` whose CSR arrays are Q's,
+    with g = isqrt(n) and theta Q's second stored value (0 when nnz = n)."""
+    g = math.isqrt(Q.n)
+    theta = float(Q.values[1]) if Q.nnz > Q.n else 0.0
+    if g >= 2 and g * g == Q.n and abs(theta) < 0.25:
+        L = gen_gmrf_grid(g, theta)
+        if all(map(np.array_equal, (Q.row_ptr, Q.col_idx, Q.values),
+                   (L.row_ptr, L.col_idx, L.values))):
+            return g, theta
+    raise ValueError(f"exact-analytic applies only to a lattice gen_gmrf_grid(g, theta); "
+                     f"this {Q.n}x{Q.n} matrix with {Q.nnz} entries is not one")

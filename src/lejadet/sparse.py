@@ -135,16 +135,18 @@ class SparseMatrixCSR:
 
     @classmethod
     def from_scipy(cls, mat):
-        """Build from a copy of any scipy sparse matrix (duplicates summed)."""
+        """Build from a copy of any square scipy sparse matrix (duplicates summed)."""
         m = sp.csr_matrix(mat, dtype=np.float64, copy=True)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix is not square: {m.shape[0]}x{m.shape[1]}")
         m.sum_duplicates()
         return cls(m.indptr, m.indices, m.data, n=m.shape[0])
 
     @classmethod
     def from_dense(cls, arr):
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("dense input must be square")
+        if arr.ndim != 2:
+            raise ValueError(f"dense input must be 2-D, got shape {arr.shape}")
         return cls.from_scipy(sp.coo_matrix(arr))   # so its conversion is the one copy
 
     @property
@@ -339,7 +341,7 @@ def load_matrix_market(path) -> SparseMatrixCSR:
     a general-storage file whose content is not symmetric is refused here.
     """
     try:
-        rows, cols, _, fmt, field, symmetry = scipy.io.mminfo(path)
+        fmt, field, symmetry = scipy.io.mminfo(path)[3:]
     except ValueError as exc:
         raise ValueError(f"malformed Matrix Market header in {path}: {exc}") from exc
     if fmt != "coordinate":
@@ -350,8 +352,6 @@ def load_matrix_market(path) -> SparseMatrixCSR:
         raise ValueError(f"unsupported field {field!r}")
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"unsupported symmetry {symmetry!r}")
-    if rows != cols:
-        raise ValueError(f"matrix is not square: {rows}x{cols}")
     try:
         coo = scipy.io.mmread(path)
     except ValueError as exc:

@@ -24,9 +24,10 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import gmrf_spectrum, random_spd, ufl_matrix_path
+from dense_oracles import dense_logdet_cholesky
 from divdiff_oracles import naive_divided_differences, reference_divided_differences
 from lejadet import (SparseMatrixCSR, SpectralInterval, band_logdet_cholesky,
-                     dense_logdet_cholesky, estimate_interval, gen_gmrf_grid,
+                     estimate_interval, gen_gmrf_grid,
                      gen_pentadiagonal, generate_fast_leja, gmrf_grid_logdet_analytic,
                      gmrf_likelihood_scan, hutchpp_logdet, slq_logdet)
 from lejadet.action import log_matvec

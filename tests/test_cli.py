@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from conftest import indefinite_matrix, random_spd
-from lejadet import (METHODS, LogDetReport, band_logdet_cholesky, dense_logdet_cholesky,
+from dense_oracles import dense_logdet_cholesky
+from lejadet import (METHODS, LogDetReport, SparseMatrixCSR, band_logdet_cholesky,
                      estimate, gen_pentadiagonal)
 from lejadet import (gen_gmrf_grid, gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
                      load_matrix_market, write_matrix_market)
@@ -40,6 +42,14 @@ BAD_OPTION_IDS = ["tol-0", "tol-nan", "tol-1", "tol-inf", "seed-negative",
 # log 12, the matrix itself log 14
 ASYMMETRIC_MTX = ("%%MatrixMarket matrix coordinate real general\n"
                   "2 2 4\n1 1 4.0\n1 2 1.0\n2 1 2.0\n2 2 4.0\n")
+
+
+def corner_pair_matrix(n):
+    """4 I with 1 at (0, n - 1) and (n - 1, 0): bandwidth n - 1, so banded
+    Cholesky would store n^2 entries and refuses for n > 14,142."""
+    i, j = np.r_[np.arange(n), 0, n - 1], np.r_[np.arange(n), n - 1, 0]
+    v = np.r_[np.full(n, 4.0), 1.0, 1.0]
+    return SparseMatrixCSR.from_scipy(scipy.sparse.coo_matrix((v, (i, j)), shape=(n, n)))
 
 
 def run_cli(capsys, *argv):
@@ -166,20 +176,29 @@ class TestEstimate:
     @pytest.mark.parametrize("n,dense", [(200, True), (4001, False)],
                              ids=["within-dense-cap", "above-dense-cap"])
     def test_with_exact_on_a_file(self, capsys, tmp_path, n, dense):
-        # a file names no generator, so the dense oracle is the only candidate
+        # a file is checked by banded Cholesky at its own bandwidth, whatever
+        # its size; within the dense test oracle's cap, against that oracle too
         path = tmp_path / "penta.mtx"
         Q = gen_pentadiagonal(n, seed=0)
         write_matrix_market(Q, path)
         code, out, _ = run_cli(capsys, "estimate", "--matrix", str(path),
                                "--method", "leja-hutchpp", "--with-exact")
         assert code == 0
-        result = json.loads(out)
+        exact = json.loads(out)["exact"]
+        assert exact["oracle"] == "band-cholesky"
+        assert exact["value"] == band_logdet_cholesky(Q, 2)
+        assert exact["rel_err"] < 5e-2
         if dense:
-            assert result["exact"]["oracle"] == "dense-cholesky"
-            assert result["exact"]["value"] == dense_logdet_cholesky(Q.to_dense())
-            assert result["exact"]["rel_err"] < 5e-2
-        else:
-            assert result["exact"] is None
+            assert exact["value"] == pytest.approx(dense_logdet_cholesky(Q.to_dense()),
+                                                   rel=1e-12)
+
+    def test_with_exact_null_where_the_band_oracle_refuses(self, capsys, tmp_path):
+        path = tmp_path / "corner.mtx"
+        write_matrix_market(corner_pair_matrix(20_000), path)
+        code, out, _ = run_cli(capsys, "estimate", "--matrix", str(path),
+                               "--method", "hutchinson", "--with-exact")
+        assert code == 0
+        assert json.loads(out)["exact"] is None
 
     def test_table_shows_exact_and_warnings(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--gen", "gmrf:12:-0.22",
@@ -459,16 +478,15 @@ class TestBench:
         _, csv_out, _ = run_cli(capsys, *args)
         assert csv_out.splitlines()[0] == ",".join(BENCH_COLUMNS)
         penta = gen_pentadiagonal(2000, seed=5)
-        corpus = {"gmrf:10:-0.2": (gen_gmrf_grid(10, -0.2), (10, -0.2),
+        corpus = {"gmrf:10:-0.2": (gen_gmrf_grid(10, -0.2),
                                    gmrf_grid_logdet_analytic(10, -0.2)),
-                  "pentadiagonal:2000": (penta, None, band_logdet_cholesky(penta, 2))}
+                  "pentadiagonal:2000": (penta, band_logdet_cholesky(penta, 2))}
         assert [(r["matrix"], r["method"], r["seed"]) for r in rows] == [
             (label, m, 5 + rep) for label in corpus for m in methods for rep in (0, 1)]
         for row in rows:
             assert tuple(row) == BENCH_COLUMNS
-            Q, lattice, exact = corpus[row["matrix"]]
-            report = estimate(Q, row["method"], seed=row["seed"], lattice=lattice,
-                              **options)
+            Q, exact = corpus[row["matrix"]]
+            report = estimate(Q, row["method"], seed=row["seed"], **options)
             for key in ("estimate", "std_error", "error_bound"):
                 assert row[key] == getattr(report, key)
             assert row["warnings"] == len(report.warnings)
@@ -540,13 +558,22 @@ class TestBench:
         (tmp_path / "asym.mtx").write_text(ASYMMETRIC_MTX)
         code, out, err = run_cli(capsys, "bench", "--gen", "gmrf:8:-0.2",
                                  "--matrix", str(tmp_path / bad_file),
-                                 "--methods", "exact-band,exact-dense")
+                                 "--methods", "exact-band")
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_empty_exact_column_where_the_band_oracle_refuses(self, capsys, tmp_path):
+        path = tmp_path / "corner.mtx"
+        write_matrix_market(corner_pair_matrix(20_000), path)
+        code, out, _ = run_cli(capsys, "bench", "--matrix", str(path),
+                               "--methods", "hutchinson,exact-band")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 2 and [r["method"] for r in rows] == ["hutchinson", "exact-band"]
+        assert [(r["exact"], r["rel_err"]) for r in rows] == [("", "")] * 2
+        assert rows[0]["error"] == "" and "too wide-banded" in rows[1]["error"]
+
     def test_exact_column_feasibility_gate(self, capsys):
-        # files above the dense cap would have no exact column; generators
-        # always do (band/analytic oracles)
+        # generators always carry an exact column (band/analytic oracles)
         code, out, _ = run_cli(capsys, "bench", "--gen", "gmrf:12:-0.2",
                                "--methods", "hutchinson", "--reps", "1",
                                "--queries", "6")
@@ -652,7 +679,6 @@ def test_non_integral_size_refused(capsys, tmp_path, monkeypatch, argv, message)
 ], ids=["estimate", "gmrf-likelihood", "bench"])
 def test_estimator_defaults_are_estimates_own(argv, names):
     defaults = dict(estimate.__kwdefaults__)
-    del defaults["lattice"]
     if names is not None:       # the scan runs no SLQ and has no SLQ flags
         defaults = {name: defaults[name] for name in names}
     args = build_parser().parse_args(argv)

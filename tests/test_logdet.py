@@ -18,7 +18,7 @@ from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
 from lejadet.logdet import hutchinson_logdet
 from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
-                     band_logdet_cholesky, dense_logdet_cholesky, estimate,
+                     band_logdet_cholesky, estimate,
                      estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
                      gmrf_grid_logdet_analytic, hutchpp_logdet, slq_logdet)
 
@@ -159,7 +159,7 @@ class TestReportContract:
                              ids=list(logdet.METHODS) + ["exact-trace"])
     def test_numbers_are_python_floats(self, method, make, exact_trace):
         # a numpy scalar compares to numpy.bool_, which json refuses
-        rep = estimate(make(), method, lattice=(10, -0.22))
+        rep = estimate(make(), method)
         assert (rep.error_bound is not None) == exact_trace
         assert type(rep.estimate) is float and type(rep.trace_estimate) is float
         json.dumps({"negative": rep.estimate < 0.0,
@@ -222,9 +222,8 @@ class TestStdError:
         Q = gen_gmrf_grid(8, -0.22)
         reports = [hutchinson_logdet(Q, 1, seed=0), hutchpp_logdet(Q, 3, seed=0),
                    slq_logdet(Q, 10, 1, seed=0)]
-        reports += [estimate(Q, m, lattice=(8, -0.22))
-                    for m in ("exact-dense", "exact-band", "exact-analytic")]
-        assert [r.std_error for r in reports] == [None] * 6
+        reports += [estimate(Q, m) for m in ("exact-band", "exact-analytic")]
+        assert [r.std_error for r in reports] == [None] * 5
         assert hutchpp_logdet(Q, 4, seed=0).std_error is not None   # 2 residual
 
 
@@ -281,11 +280,10 @@ class TestEstimate:
 
     def test_exact_methods_return_oracle_values(self):
         Q = gen_gmrf_grid(12, -0.2)
-        oracles = {"exact-dense": dense_logdet_cholesky(Q.to_dense()),
-                   "exact-band": band_logdet_cholesky(Q, Q.bandwidth()),
+        oracles = {"exact-band": band_logdet_cholesky(Q, Q.bandwidth()),
                    "exact-analytic": gmrf_grid_logdet_analytic(12, -0.2)}
         for method, value in oracles.items():
-            rep = estimate(Q, method, seed=4, lattice=(12, -0.2))
+            rep = estimate(Q, method, seed=4)
             assert (rep.method, rep.estimate, rep.trace_estimate, rep.seed) == \
                 (method, value, value, 4)
             assert rep.matvecs_total == 0 and rep.converged and not rep.warnings
@@ -295,8 +293,9 @@ class TestEstimate:
         Q = gen_gmrf_grid(6, -0.2)
         with pytest.raises(ValueError, match="unknown method"):
             estimate(Q, "cg")
-        with pytest.raises(ValueError, match="analytic"):
-            estimate(Q, "exact-analytic")
+        # 36 = 6^2 rows, but not the lattice gen_gmrf_grid(6, theta)
+        with pytest.raises(ValueError, match="exact-analytic"):
+            estimate(gen_pentadiagonal(36, seed=0), "exact-analytic")
 
 
 class TestHutchPP:
@@ -634,6 +633,9 @@ def test_readme_names_every_public_name():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert [name for name in lejadet.__all__
             if not re.search(rf"\b{name}\b", readme)] == []
+    # the CLI section's "Methods:" line lists METHODS, in order
+    listed = re.search(r"^Methods: (.*?)\.", readme, re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(lejadet.METHODS)
 
 
 # run in a fresh interpreter in which `import mpmath` fails

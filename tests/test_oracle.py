@@ -6,9 +6,10 @@ import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 
 from conftest import random_spd
-from lejadet import (SparseMatrixCSR, band_logdet_cholesky,
-                     dense_logdet_cholesky, estimate, gen_gmrf_grid,
-                     gen_pentadiagonal, gmrf_grid_logdet_analytic)
+from dense_oracles import dense_logdet_cholesky
+from lejadet import (SparseMatrixCSR, band_logdet_cholesky, estimate, gen_gmrf_grid,
+                     gen_pentadiagonal, gmrf_grid_logdet_analytic, load_matrix_market,
+                     write_matrix_market)
 from lejadet.oracle import band_cholesky
 
 
@@ -145,5 +146,40 @@ class TestLatticeAnalytic:
         for theta in (0.3, math.nan):       # NaN fails |theta| < 1/4 too
             with pytest.raises(ValueError, match="1/4"):
                 gmrf_grid_logdet_analytic(5, theta)
-        with pytest.raises(ValueError, match="1/4"):
-            estimate(gen_gmrf_grid(10, -0.2), "exact-analytic", lattice=(10, math.nan))
+
+
+class TestLatticeRecognition:
+    """exact-analytic reads (g, theta) off Q, and refuses any Q that is not
+    the lattice gen_gmrf_grid(g, theta) bitwise."""
+
+    @pytest.mark.parametrize("theta", [-0.22, 0.0, 0.2])
+    @pytest.mark.parametrize("g", [2, 10, 30])
+    def test_lattice_gets_its_closed_form(self, g, theta):
+        rep = estimate(gen_gmrf_grid(g, theta), "exact-analytic")
+        assert rep.estimate == gmrf_grid_logdet_analytic(g, theta)
+
+    def test_lattice_read_back_from_a_file(self, tmp_path):
+        write_matrix_market(gen_gmrf_grid(30, -0.22), tmp_path / "lattice.mtx")
+        rep = estimate(load_matrix_market(tmp_path / "lattice.mtx"), "exact-analytic")
+        assert rep.estimate == gmrf_grid_logdet_analytic(30, -0.22)
+
+    @pytest.mark.parametrize("make", [
+        # n = 100 is a square, and its entry (0, 1) of 1.41 is no lattice theta
+        lambda: gen_pentadiagonal(100, seed=0),
+        # entry (0, 1) is -0.2, a lattice theta, but the diagonal is 2
+        lambda: SparseMatrixCSR.from_scipy(2 * gen_gmrf_grid(10, -0.1).to_scipy()),
+        lambda: perturbed_pair(gen_gmrf_grid(10, -0.2), 37, 47),
+        lambda: gen_pentadiagonal(50, seed=0),      # n is not a square
+        lambda: SparseMatrixCSR.from_dense(np.eye(1)),
+    ], ids=["pentadiagonal-100", "twice-a-lattice", "perturbed-pair", "n-not-square",
+            "one-row"])
+    def test_other_matrices_refused(self, make):
+        with pytest.raises(ValueError, match="^exact-analytic applies only to a lattice"):
+            estimate(make(), "exact-analytic")
+
+
+def perturbed_pair(Q, i, j):
+    """Q with its symmetric pair (i, j), (j, i) moved by one rounding."""
+    m = Q.to_scipy().copy()
+    m[i, j] = m[j, i] = np.nextafter(m[i, j], 0.0)
+    return SparseMatrixCSR.from_scipy(m)

@@ -100,9 +100,19 @@ class TestCSRInvariants:
                 make()
 
     def test_non_square_dense_refused(self):
-        for arr in (np.ones((2, 3)), np.ones(4)):
-            with pytest.raises(ValueError, match="dense input must be square"):
+        with pytest.raises(ValueError, match="^matrix is not square: 2x3$"):
+            SparseMatrixCSR.from_dense(np.ones((2, 3)))
+        for arr in (np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="^dense input must be 2-D"):
                 SparseMatrixCSR.from_dense(arr)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)], ids=["wide", "tall"])
+    def test_non_square_scipy_refused(self, shape):
+        # unchecked, a wide input would become its leading 3 x 3 block, and a
+        # tall one a singular 5 x 5 matrix with two empty rows
+        message = f"^matrix is not square: {shape[0]}x{shape[1]}$"
+        with pytest.raises(ValueError, match=message):
+            SparseMatrixCSR.from_scipy(sp.eye(*shape, format="csr"))
 
     def test_to_dense_cap(self):
         Q = SparseMatrixCSR.from_dense(np.eye(5))
