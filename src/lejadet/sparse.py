@@ -45,7 +45,7 @@ class SparseMatrixCSR:
       ``row_ptr[n] == nnz``;
     - column indices lie in ``[0, n)`` and are strictly increasing within
       each row (so there are no duplicate entries);
-    - all values are finite;
+    - the indices are integers, and the values real and finite;
     - symmetry, bitwise: each stored ``(i, j)`` has a stored ``(j, i)`` of
       equal value (an unpartnered explicit zero is refused; 0.0 and -0.0
       count as equal), so no consumer checks it again.
@@ -63,14 +63,15 @@ class SparseMatrixCSR:
     of column j seen so far) and sorts each block by column, with scipy's
     counting sort over the columns [c0, c1) the block's entries lie in; when
     that span is wider than the block's entry count, over the block's
-    distinct columns instead, found by a radix sort.  Each entry's mirror
+    distinct columns instead, found by ``np.unique``.  Each entry's mirror
     position must lie within row j and hold column i with an equal value.
     Distinct entries get distinct positions, so the nnz positions checked
     are all of them and the verdict is the transpose comparison's.  The
     counters (one intp n-vector) and one block's sorted copy and mirror
-    positions are all the check allocates, and every step is linear in a
-    block's entries, so the whole check is linear in nnz whatever the
-    pattern.
+    positions are all the check allocates.  The counting sort is linear in
+    a block's entries, so the check is linear in nnz on banded blocks; a
+    block of wide span costs k log k in its k entries, so the check costs
+    nnz log nnz at most.
 
     ``diagonal`` is the main diagonal (0 where no entry is stored), taken
     once at construction, after the symmetry check, and frozen like the CSR
@@ -88,27 +89,34 @@ class SparseMatrixCSR:
     it keeps is two floats.  The constructor's peak above its inputs is
     therefore the diagonal, the ones vector and one block on a banded
     matrix (2.3 n-vectors at n = 2*10^5), and the check's counters and one
-    block's sort on a scattered one (2.7).
+    block's sort on a scattered one (2.6).
     """
 
     __slots__ = ("_mat", "_diagonal", "_gershgorin")
 
     def __init__(self, row_ptr, col_idx, values, n=None):
-        row_ptr = np.asarray(row_ptr)
-        col_idx = np.asarray(col_idx)
+        row_ptr, col_idx, values = map(np.asarray, (row_ptr, col_idx, values))
+        # a cast would truncate float indices and drop imaginary parts
+        for name, index in (("row_ptr", row_ptr), ("col_idx", col_idx)):
+            if index.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {index.dtype}")
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"matrix values must be real, got dtype {values.dtype}")
         values = np.ascontiguousarray(values, dtype=np.float64)
+        if row_ptr.ndim != 1:
+            raise ValueError(f"row_ptr must be 1-D, got shape {row_ptr.shape}")
         if n is None:
             n = row_ptr.shape[0] - 1
         if n < 1:
             raise ValueError(f"matrix is empty: n = {n}, expected at least 1")
-        if row_ptr.ndim != 1 or row_ptr.shape[0] != n + 1:
+        if row_ptr.shape[0] != n + 1:
             raise ValueError("row_ptr must have length n+1")
         nnz = values.shape[0]
         if row_ptr[0] != 0 or row_ptr[-1] != nnz:
             raise ValueError("row_ptr[0] must be 0 and row_ptr[n] must equal nnz")
         if col_idx.shape != values.shape:
             raise ValueError("col_idx and values must have equal length")
-        if np.any(np.diff(row_ptr) < 0):
+        if np.any(row_ptr[1:] < row_ptr[:-1]):      # np.diff wraps on unsigned
             raise ValueError("row_ptr must be non-decreasing")
         if nnz and (col_idx.min() < 0 or col_idx.max() >= n):
             raise ValueError("column index out of range")
@@ -135,19 +143,17 @@ class SparseMatrixCSR:
 
     @classmethod
     def from_scipy(cls, mat):
-        """Build from a copy of any square scipy sparse matrix (duplicates summed)."""
-        m = sp.csr_matrix(mat, dtype=np.float64, copy=True)
+        """Build from a copy of a square scipy sparse matrix or 2-D array
+        (duplicates summed in float64; complex input reaches the
+        constructor's refusal uncast)."""
+        if np.ndim(mat) != 2:           # scipy would make a 1-D array one row
+            raise ValueError(f"input must be 2-D, got shape {np.shape(mat)}")
+        dtype = np.complex128 if np.iscomplexobj(mat) else np.float64
+        m = sp.csr_matrix(mat, dtype=dtype, copy=True)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix is not square: {m.shape[0]}x{m.shape[1]}")
         m.sum_duplicates()
         return cls(m.indptr, m.indices, m.data, n=m.shape[0])
-
-    @classmethod
-    def from_dense(cls, arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"dense input must be 2-D, got shape {arr.shape}")
-        return cls.from_scipy(sp.coo_matrix(arr))   # so its conversion is the one copy
 
     @property
     def n(self) -> int:
@@ -180,12 +186,6 @@ class SparseMatrixCSR:
     def to_scipy(self) -> sp.csr_matrix:
         """The backing scipy matrix; its arrays are frozen, treat as read-only."""
         return self._mat
-
-    def to_dense(self, max_n: int = 10_000) -> np.ndarray:
-        if self.n > max_n:
-            raise ValueError(f"refusing to densify a {self.n}x{self.n} matrix "
-                             f"(limit {max_n})")
-        return self._mat.toarray()
 
     def bandwidth(self) -> int:
         """Largest |i - j| over stored entries (0 for diagonal matrices).
@@ -243,12 +243,10 @@ def _check_symmetric(mat):
             continue
         cols = indices[lo:hi]
         c0, c1 = int(cols.min()), int(cols.max()) + 1
-        local = cols - c0
         if c1 - c0 <= hi - lo:
-            present = np.arange(c0, c1)
+            present, local = np.arange(c0, c1), cols - c0
         else:
-            present, local = _distinct(local, c1 - c0)
-            present += c0
+            present, local = np.unique(cols, return_inverse=True)
         # the block sorted by column, rows increasing within each column
         by_col = sp.csr_matrix((data[lo:hi], local, indptr[r0:r1 + 1] - lo),
                                shape=(r1 - r0, present.shape[0]), copy=False).tocsc()
@@ -266,24 +264,6 @@ def _check_symmetric(mat):
             _refuse_asymmetric()
         start += count
         following[present] = start
-
-
-def _distinct(keys, width):
-    """The distinct values of the non-negative ``keys`` below ``width``, in
-    order, and each key's rank among them; sorted by 16-bit digits, each a
-    pass of numpy's stable radix argsort, so the cost is linear in the keys
-    whatever their pattern."""
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-    for shift in range(16, int(width - 1).bit_length(), 16):
-        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-    ordered = keys[order]
-    first = np.empty(ordered.shape[0], dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(first) - 1
-    return ordered[first], rank
 
 
 def _refuse_asymmetric():

@@ -26,7 +26,7 @@ def random_spd(seed, n=None, kappa=None, lo=2.0):
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     dense = (basis * eig) @ basis.T
     dense = 0.5 * (dense + dense.T)
-    Q = SparseMatrixCSR.from_dense(dense)
+    Q = SparseMatrixCSR.from_scipy(dense)
     w, v = np.linalg.eigh(dense)
     return Q, w, v
 
@@ -47,7 +47,7 @@ def indefinite_matrix(seed, n=200):
     eig[0], eig[-1] = -1.0, 10.0
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     dense = (basis * eig) @ basis.T
-    return SparseMatrixCSR.from_dense(0.5 * (dense + dense.T))
+    return SparseMatrixCSR.from_scipy(0.5 * (dense + dense.T))
 
 
 def gmrf_spectrum(g, theta):

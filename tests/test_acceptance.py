@@ -54,18 +54,18 @@ def test_criterion_1_exactness_suite():
                 slq_logdet(eye, 10, 5, seed=0).estimate,
                 band_logdet_cholesky(eye, 0)]
         if n == 10:
-            vals.append(dense_logdet_cholesky(eye.to_dense()))
+            vals.append(dense_logdet_cholesky(eye.to_scipy().toarray()))
         else:
             vals.append(gmrf_grid_logdet_analytic(100, 0.0))
         worst_identity = max(worst_identity, max(abs(v) for v in vals))
 
-    diag5 = SparseMatrixCSR.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+    diag5 = SparseMatrixCSR.from_scipy(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
     est = hutchpp_logdet(diag5, 12, action_tol=1e-10, seed=0).estimate
     diag_err = abs(est - LOG120)
 
     penta = gen_pentadiagonal(500, seed=0)
     band = band_logdet_cholesky(penta, 2)
-    dense = dense_logdet_cholesky(penta.to_dense())
+    dense = dense_logdet_cholesky(penta.to_scipy().toarray())
     chol_rel = abs(band - dense) / abs(dense)
 
     elapsed = time.perf_counter() - t0

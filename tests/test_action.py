@@ -32,7 +32,7 @@ def capped(dd, degree):
 class TestSmallCases:
     def test_scalar_multiple_of_identity(self):
         e = math.e
-        Q = SparseMatrixCSR.from_dense(np.diag([e, e, e]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([e, e, e]))
         dd = make_dd(SpectralInterval(0.9 * e, 1.1 * e))
         v = np.ones(3)
         tol = 1e-9
@@ -43,7 +43,7 @@ class TestSmallCases:
     @pytest.mark.parametrize("c", [1.0, 3.0])
     def test_identity_degenerate_path(self, c):
         # Gershgorin encloses c I in [c, c]: gamma = 0, and log(c) v at degree 0
-        Q = SparseMatrixCSR.from_dense(c * np.eye(4))
+        Q = SparseMatrixCSR.from_scipy(c * np.eye(4))
         interval = gershgorin_bounds(Q)
         assert interval.gamma == 0.0
         v = np.array([1.0, -2.0, 3.0, 0.5])
@@ -93,7 +93,7 @@ class TestContracts:
     def test_overflow_names_the_step(self):
         # an interval wildly below the spectrum makes the scaled recurrence
         # iterate with a factor ~lambda/gamma per step until it overflows
-        Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([2.0, 3.0]))
         dd = make_dd(SpectralInterval(1e-8, 3e-8), count=512)
         with pytest.raises(FloatingPointError, match="degree"):
             log_matvec(Q, np.ones(2), capped(dd, 400), rtol=0.0)

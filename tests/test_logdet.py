@@ -52,11 +52,11 @@ def identity_matrix(n):
 def barely_positive_spd():
     """random_spd(0, n=200, kappa=100) shifted until its Gershgorin lower
     bound is 1e-6 of the upper one: above the floor, at condition 1e6."""
-    dense = random_spd(0, n=200, kappa=100.0)[0].to_dense()
+    dense = random_spd(0, n=200, kappa=100.0)[0].to_scipy().toarray()
     radius = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
     lo, hi = np.min(np.diag(dense) - radius), np.max(np.diag(dense) + radius)
     shift = (1e-6 * hi - lo) / (1.0 - 1e-6)
-    return SparseMatrixCSR.from_dense(dense + shift * np.eye(200))
+    return SparseMatrixCSR.from_scipy(dense + shift * np.eye(200))
 
 
 # (matrix, the enclosure the default rule takes, seed, warnings of 12 actions
@@ -81,7 +81,7 @@ class TestNormalization:
     def test_sigma_is_lambda_min(self, est, lo, hi):
         # a diagonal with its spectrum spread over the given interval; sigma
         # is its lower end on either side of one
-        Q = SparseMatrixCSR.from_dense(np.diag(np.linspace(lo, hi, 6)))
+        Q = SparseMatrixCSR.from_scipy(np.diag(np.linspace(lo, hi, 6)))
         rep = est(Q, 12, seed=0, bounds=SpectralInterval(lo, hi))
         assert rep.converged
         assert rep.sigma == lo
@@ -168,7 +168,7 @@ class TestReportContract:
 
 def _dense_log(Q, sigma):
     """log(Q / sigma) of a small matrix, from its eigendecomposition."""
-    eig, vecs = np.linalg.eigh(Q.to_dense())
+    eig, vecs = np.linalg.eigh(Q.to_scipy().toarray())
     return (vecs * np.log(eig / sigma)) @ vecs.T
 
 
@@ -309,14 +309,14 @@ class TestHutchPP:
         # interval too wide for an exact low-degree trace; with k = n the
         # sketch basis spans everything, the residual vanishes, and the
         # estimate is exact
-        Q = SparseMatrixCSR.from_dense(np.diag(2.0 * np.exp(np.linspace(-0.5, 0.5, 100))))
+        Q = SparseMatrixCSR.from_scipy(np.diag(2.0 * np.exp(np.linspace(-0.5, 0.5, 100))))
         rep = hutchpp_logdet(Q, 300, seed=0, action_tol=1e-10)
         assert rep.queries == 300 and rep.error_bound is None
         assert rep.estimate == pytest.approx(100 * math.log(2.0), abs=1e-6)
 
     def test_rank_deficient_log_captured_deterministically(self):
         # log has rank 4 on diag(1..5); k >= 4 captures the trace exactly
-        Q = SparseMatrixCSR.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
         rep = hutchpp_logdet(Q, 12, seed=0, action_tol=1e-10)
         assert rep.estimate == pytest.approx(LOG120, abs=1e-6)
 
@@ -340,7 +340,7 @@ class TestHutchPP:
         eig[:4] = [400.0, 250.0, 150.0, 90.0]
         basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
         dense = (basis * eig) @ basis.T
-        Q = SparseMatrixCSR.from_dense(0.5 * (dense + dense.T))
+        Q = SparseMatrixCSR.from_scipy(0.5 * (dense + dense.T))
         bounds = SpectralInterval(1.0, 410.0)
         hpp = [hutchpp_logdet(Q, 12, seed=s, bounds=bounds).estimate
                for s in range(20)]
@@ -441,7 +441,7 @@ class TestHutchinson:
         # has d_0 = log 2.  With +-1 probes on a diagonal matrix every
         # quadratic form is the trace, so only the actions' tolerance remains
         w = np.linspace(0.5, 1.0, 50)
-        rep = hutchinson_logdet(SparseMatrixCSR.from_dense(np.diag(w)), 6, seed=0)
+        rep = hutchinson_logdet(SparseMatrixCSR.from_scipy(np.diag(w)), 6, seed=0)
         assert rep.converged and rep.degrees["min"] > 0
         assert rep.estimate == pytest.approx(np.sum(np.log(w)), rel=1e-7)
 
@@ -452,7 +452,7 @@ class TestHutchinson:
     def test_one_point_interval_is_log_c(self):
         # Gershgorin encloses 3 I in [3, 3]: gamma = 0, one coefficient log 3,
         # summed exactly at degree 0; 3, not 1, so that the coefficient is not 0
-        Q = SparseMatrixCSR.from_dense(3.0 * np.eye(30))
+        Q = SparseMatrixCSR.from_scipy(3.0 * np.eye(30))
         rep = hutchinson_logdet(Q, 6, seed=0)
         assert rep.estimate == pytest.approx(30 * math.log(3.0), rel=1e-14)
         assert rep.degrees["max"] == 0 and rep.matvecs_total == 0 and rep.converged
@@ -461,7 +461,7 @@ class TestHutchinson:
     def test_diagonal_probe_average(self):
         # Rademacher quadratic forms are exact on diagonal matrices, so the
         # average over any seed sweep lands on the true value
-        Q = SparseMatrixCSR.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
         ests = [hutchinson_logdet(Q, 300, seed=s, action_tol=1e-9).estimate
                 for s in range(10)]
         assert abs(np.mean(ests) - LOG120) <= 0.01 * LOG120
@@ -482,7 +482,7 @@ class TestHutchinson:
 def _diagonal_with_width(lo, r, n=50):
     """Diagonal matrix with eigenvalues spread over [lo, lo (1 + r)], ends
     included; Gershgorin encloses it exactly."""
-    return SparseMatrixCSR.from_dense(np.diag(lo * (1.0 + r * np.linspace(0.0, 1.0, n))))
+    return SparseMatrixCSR.from_scipy(np.diag(lo * (1.0 + r * np.linspace(0.0, 1.0, n))))
 
 
 # the largest relative width r at which degree K is certified at tolerance
@@ -540,8 +540,8 @@ class TestExactTrace:
         eig[:2] = 3.0, 3.0 * (1.0 + 0.99 * THRESHOLDS[2 - degree])
         basis, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         dense = (basis * eig) @ basis.T
-        Q = SparseMatrixCSR.from_dense(0.5 * (dense + dense.T))
-        eig = np.linalg.eigvalsh(Q.to_dense())
+        Q = SparseMatrixCSR.from_scipy(0.5 * (dense + dense.T))
+        eig = np.linalg.eigvalsh(Q.to_scipy().toarray())
         bounds = SpectralInterval(eig[0], eig[-1])
         rep = hutchinson_logdet(Q, 12, action_tol=EXACT_TOL, bounds=bounds)
         eng = logdet._ActionEngine(Q, bounds, 400, 0, EXACT_TOL)
@@ -667,7 +667,7 @@ class TestSLQ:
         assert abs(rep.estimate) <= 1e-10
 
     def test_full_degree_is_exact_per_probe(self):
-        Q = SparseMatrixCSR.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
         rep = slq_logdet(Q, 5, 7, seed=3)
         assert rep.estimate == pytest.approx(LOG120, abs=1e-10)
 
@@ -698,7 +698,7 @@ class TestSLQ:
     def test_refuses_singular_matrix(self, diag):
         # the smallest Ritz values, 1.1e-16 and 8e-17 of the largest, are
         # rounding: below steps * eps = 4.4e-16 at 2 steps
-        Q = SparseMatrixCSR.from_dense(np.diag(diag))
+        Q = SparseMatrixCSR.from_scipy(np.diag(diag))
         with pytest.raises(ValueError, match="non-positive Ritz value"):
             slq_logdet(Q, 40, 30)
 
@@ -707,7 +707,7 @@ class TestSLQ:
                              ids=["geomspace", "one-tiny"])
     def test_accepts_ill_conditioned_matrix(self, diag):
         # Ritz ratios 4.6e-6 (40 steps) and 5e-10 (2 steps), above steps * eps
-        Q = SparseMatrixCSR.from_dense(np.diag(diag))
+        Q = SparseMatrixCSR.from_scipy(np.diag(diag))
         rep = slq_logdet(Q, 40, 3)
         assert np.isfinite(rep.estimate) and rep.converged
 

@@ -58,8 +58,8 @@ def test_constructor_peak_above_inputs():
 def test_constructor_peak_on_scattered_pattern():
     # each block's columns span nearly all rows, so the symmetry check sorts
     # it by its distinct columns: the per-row counters (one n-vector) and one
-    # block's radix order, ranks, sorted copy and mirror positions; then the
-    # diagonal, ones vector and Gershgorin block; no transposed copy
+    # block's np.unique order, ranks, sorted copy and mirror positions; then
+    # the diagonal, ones vector and Gershgorin block; no transposed copy
     rng = np.random.default_rng(0)
     i, j = rng.integers(0, N, size=(2, 2 * N))
     m = sp.csr_matrix((np.r_[np.full(N, 10.0), np.ones(4 * N)],

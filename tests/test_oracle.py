@@ -57,11 +57,11 @@ class TestBandCholesky:
     def test_pentadiagonal_matches_dense(self):
         Q = gen_pentadiagonal(1000, seed=0)
         band = band_logdet_cholesky(Q, 2)
-        dense = dense_logdet_cholesky(Q.to_dense())
+        dense = dense_logdet_cholesky(Q.to_scipy().toarray())
         assert band == pytest.approx(dense, rel=1e-9)
 
     def test_diagonal_band(self):
-        Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0, 4.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([2.0, 3.0, 4.0]))
         assert band_logdet_cholesky(Q, 0) == pytest.approx(
             math.log(2.0) + math.log(3.0) + math.log(4.0), abs=1e-14)
 
@@ -71,12 +71,12 @@ class TestBandCholesky:
             band_logdet_cholesky(Q, 1)
 
     def test_not_spd(self):
-        Q = SparseMatrixCSR.from_dense(np.diag([1.0, -1.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError, match="positive definite"):
             band_logdet_cholesky(Q, 0)
 
     def test_bandwidth_refusals(self):
-        Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([2.0, 3.0]))
         with pytest.raises(ValueError, match="bandwidth must be non-negative"):
             band_cholesky(Q, -1)
         # (10^8 + 1) * 2 entries of band storage: refused before any allocation
@@ -87,12 +87,12 @@ class TestBandCholesky:
         for n, seed in [(200, 1), (800, 2), (2000, 3)]:
             Q = gen_pentadiagonal(n, seed=seed)
             band = band_logdet_cholesky(Q, 2)
-            dense = dense_logdet_cholesky(Q.to_dense())
+            dense = dense_logdet_cholesky(Q.to_scipy().toarray())
             assert band == pytest.approx(dense, rel=1e-9)
 
     def test_bandwidth_beyond_order(self):
         # a band wider than the matrix holds zeros past its last subdiagonal
-        Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0, 4.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([2.0, 3.0, 4.0]))
         assert band_logdet_cholesky(Q, 5) == pytest.approx(math.log(24.0), abs=1e-14)
 
     @pytest.mark.parametrize("make,bandwidth", [
@@ -130,7 +130,7 @@ class TestLatticeAnalytic:
         assert gmrf_grid_logdet_analytic(7, 0.0) == 0.0
 
     def test_two_by_two_vs_dense(self):
-        exact = dense_logdet_cholesky(gen_gmrf_grid(2, -0.22).to_dense())
+        exact = dense_logdet_cholesky(gen_gmrf_grid(2, -0.22).to_scipy().toarray())
         assert gmrf_grid_logdet_analytic(2, -0.22) == pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize("theta", [-0.22, -0.1, 0.1, 0.2])
@@ -138,7 +138,7 @@ class TestLatticeAnalytic:
     def test_matches_dense_cholesky(self, g, theta):
         """Validates the generator's neighbor structure and the eigenvalue
         formula against each other."""
-        exact = dense_logdet_cholesky(gen_gmrf_grid(g, theta).to_dense())
+        exact = dense_logdet_cholesky(gen_gmrf_grid(g, theta).to_scipy().toarray())
         analytic = gmrf_grid_logdet_analytic(g, theta)
         assert analytic == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
@@ -170,7 +170,7 @@ class TestLatticeRecognition:
         lambda: SparseMatrixCSR.from_scipy(2 * gen_gmrf_grid(10, -0.1).to_scipy()),
         lambda: perturbed_pair(gen_gmrf_grid(10, -0.2), 37, 47),
         lambda: gen_pentadiagonal(50, seed=0),      # n is not a square
-        lambda: SparseMatrixCSR.from_dense(np.eye(1)),
+        lambda: SparseMatrixCSR.from_scipy(np.eye(1)),
     ], ids=["pentadiagonal-100", "twice-a-lattice", "perturbed-pair", "n-not-square",
             "one-row"])
     def test_other_matrices_refused(self, make):

@@ -12,7 +12,7 @@ def random_sparse_symmetric():
     """A 6 x 6 symmetric matrix with about half its off-diagonal entries stored."""
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.25)
-    return SparseMatrixCSR.from_dense(a + a.T + 6.0 * np.eye(6))
+    return SparseMatrixCSR.from_scipy(a + a.T + 6.0 * np.eye(6))
 
 
 def is_symmetric_bitwise(m):
@@ -25,6 +25,12 @@ def is_symmetric_bitwise(m):
             and m.data.tobytes() == t.data.tobytes())
 
 
+# a zero on the diagonal, and zeros off it that a dense input does not store;
+# its stored entries, row by row
+ONE_DOOR = np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 3.0], [0.0, 3.0, 4.0]])
+ONE_DOOR_VALUES = [2.0, -1.0, -1.0, 3.0, 3.0, 4.0]
+
+
 def same_arrays(Q, row_ptr, col_idx, values):
     """Q's CSR arrays equal the given ones bitwise, index dtypes included."""
     return (Q.row_ptr.dtype == row_ptr.dtype and Q.col_idx.dtype == col_idx.dtype
@@ -34,36 +40,36 @@ def same_arrays(Q, row_ptr, col_idx, values):
 
 class TestMatvec:
     def test_identity(self):
-        Q = SparseMatrixCSR.from_dense(np.eye(3))
+        Q = SparseMatrixCSR.from_scipy(np.eye(3))
         np.testing.assert_array_equal(matvec(Q, np.array([1.0, 2.0, 3.0])),
                                       [1.0, 2.0, 3.0])
 
     def test_diagonal(self):
-        Q = SparseMatrixCSR.from_dense(np.diag([2.0, 3.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([2.0, 3.0]))
         np.testing.assert_array_equal(matvec(Q, np.array([1.0, 1.0])), [2.0, 3.0])
 
     def test_pentadiagonal_first_column(self):
         Q = gen_pentadiagonal(5, seed=0)
         e1 = np.zeros(5)
         e1[0] = 1.0
-        np.testing.assert_array_equal(matvec(Q, e1), Q.to_dense()[:, 0])
+        np.testing.assert_array_equal(matvec(Q, e1), Q.to_scipy().toarray()[:, 0])
 
     def test_reproduces_every_column(self):
         for n, seed in [(7, 1), (30, 2), (50, 3)]:
             Q = gen_pentadiagonal(n, seed=seed)
-            dense = Q.to_dense()
+            dense = Q.to_scipy().toarray()
             for j in range(n):
                 e = np.zeros(n)
                 e[j] = 1.0
                 np.testing.assert_array_equal(matvec(Q, e), dense[:, j])
 
     def test_dimension_mismatch(self):
-        Q = SparseMatrixCSR.from_dense(np.eye(3))
+        Q = SparseMatrixCSR.from_scipy(np.eye(3))
         with pytest.raises(ValueError, match="length"):
             matvec(Q, np.ones(4))
 
     def test_nonfinite_rejected(self):
-        Q = SparseMatrixCSR.from_dense(np.eye(2))
+        Q = SparseMatrixCSR.from_scipy(np.eye(2))
         with pytest.raises(ValueError, match="finite"):
             matvec(Q, np.array([1.0, np.nan]))
 
@@ -85,15 +91,29 @@ class TestCSRInvariants:
         ([0, 1], [0], [1.0], 2, "row_ptr must have length n"),
         ([0, 1, 2], [0, 1, 1], [1.0, 1.0], None, "equal length"),
         ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], None, "non-decreasing"),
+        (np.array([0, 2, 1, 3], dtype=np.uint64), [0, 1, 2], [1.0, 1.0, 1.0], None,
+         "non-decreasing"),
         ([0, 1, 2], [0, 1], [1.0, np.inf], None, "must be finite"),
         ([0, 1, 2], [0, 1], [np.nan, 1.0], None, "must be finite"),
-    ], ids=["row-ptr-length", "unequal-lengths", "decreasing-row-ptr", "inf", "nan"])
+        # a cast to the index dtype would truncate these to [0, 1] and [0, 1, 2]
+        ([0, 1, 2], [0.9, 1.7], [1.0, 2.0], None, "^col_idx must hold integers"),
+        ([0, 1.5, 2], [0, 1], [1.0, 2.0], None, "^row_ptr must hold integers"),
+        ([0, 1, 2], [False, True], [1.0, 2.0], None, "^col_idx must hold integers"),
+        ([[0, 1]], [0], [1.0], None, r"^row_ptr must be 1-D, got shape \(1, 2\)$"),
+        # a cast to float64 would drop the imaginary parts, or parse the strings
+        ([0, 1, 2], [0, 1], [1.0 + 2.0j, 1.0], None, "^matrix values must be real"),
+        ([0, 1, 2], [0, 1], [1.0 + 0.0j, 1.0], None, "^matrix values must be real"),
+        ([0, 1, 2], [0, 1], ["1", "2"], None, "^matrix values must be real"),
+    ], ids=["row-ptr-length", "unequal-lengths", "decreasing-row-ptr",
+            "decreasing-unsigned-row-ptr", "inf", "nan", "float-col-idx", "float-row-ptr",
+            "bool-col-idx", "2d-row-ptr", "complex", "complex-zero-imaginary", "strings"])
+    @pytest.mark.filterwarnings("error")
     def test_malformed_arrays_refused(self, row_ptr, cols, values, n, message):
         with pytest.raises(ValueError, match=message):
             SparseMatrixCSR(np.array(row_ptr), np.array(cols), np.array(values), n=n)
 
     def test_empty_matrix_refused(self):
-        for make in (lambda: SparseMatrixCSR.from_dense(np.zeros((0, 0))),
+        for make in (lambda: SparseMatrixCSR.from_scipy(np.zeros((0, 0))),
                      lambda: SparseMatrixCSR(np.array([0]), np.array([], dtype=int),
                                              np.array([]))):
             with pytest.raises(ValueError, match="matrix is empty: n = 0"):
@@ -101,10 +121,39 @@ class TestCSRInvariants:
 
     def test_non_square_dense_refused(self):
         with pytest.raises(ValueError, match="^matrix is not square: 2x3$"):
-            SparseMatrixCSR.from_dense(np.ones((2, 3)))
-        for arr in (np.ones(4), np.ones((2, 2, 2))):
-            with pytest.raises(ValueError, match="^dense input must be 2-D"):
-                SparseMatrixCSR.from_dense(arr)
+            SparseMatrixCSR.from_scipy(np.ones((2, 3)))
+        # scipy would read a 1-D array as one row: length 1 as a 1 x 1 matrix
+        for arr in (np.array([5.0]), np.ones(4), np.ones((2, 2, 2)), sp.coo_array(np.ones(4))):
+            with pytest.raises(ValueError, match="^input must be 2-D"):
+                SparseMatrixCSR.from_scipy(arr)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [
+        lambda: sp.csr_matrix([[1 + 2j, 0], [0, 1]]),
+        lambda: np.array([[1 + 0j, 0], [0, 1]]),
+        lambda: [[2.0, 1j], [-1j, 2.0]],
+    ], ids=["scipy", "array", "nested-lists"])
+    def test_complex_input_refused(self, make):
+        # not made real with a ComplexWarning on the way in
+        with pytest.raises(ValueError, match="^matrix values must be real"):
+            SparseMatrixCSR.from_scipy(make())
+
+    @pytest.mark.parametrize("make,values", [
+        (lambda: ONE_DOOR, ONE_DOOR_VALUES),
+        (lambda: ONE_DOOR.tolist(), ONE_DOOR_VALUES),
+        # (0, 0) and (2, 2) stored twice, columns out of order
+        (lambda: sp.coo_matrix(([3.0, 1.5, -1.0, 3.0, -1.0, 1.0, 0.5, 3.0],
+                                ([2, 0, 1, 1, 0, 2, 0, 2], [2, 0, 0, 2, 1, 2, 0, 1])),
+                               shape=(3, 3)), ONE_DOOR_VALUES),
+        (lambda: sp.csc_matrix(ONE_DOOR), ONE_DOOR_VALUES),
+        (lambda: ONE_DOOR.astype(np.int64), ONE_DOOR_VALUES),
+        (lambda: ONE_DOOR != 0, [1.0] * 6),
+    ], ids=["array", "nested-lists", "coo-duplicates", "csc", "int", "bool"])
+    def test_from_scipy_matches_constructor(self, make, values):
+        ref = SparseMatrixCSR(np.array([0, 2, 4, 6], dtype=np.int32),
+                              np.array([0, 1, 0, 2, 1, 2], dtype=np.int32), np.array(values))
+        Q = SparseMatrixCSR.from_scipy(make())
+        assert same_arrays(Q, ref.row_ptr, ref.col_idx, ref.values)
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3)], ids=["wide", "tall"])
     def test_non_square_scipy_refused(self, shape):
@@ -113,12 +162,6 @@ class TestCSRInvariants:
         message = f"^matrix is not square: {shape[0]}x{shape[1]}$"
         with pytest.raises(ValueError, match=message):
             SparseMatrixCSR.from_scipy(sp.eye(*shape, format="csr"))
-
-    def test_to_dense_cap(self):
-        Q = SparseMatrixCSR.from_dense(np.eye(5))
-        assert Q.to_dense(max_n=5).shape == (5, 5)
-        with pytest.raises(ValueError, match="refusing to densify a 5x5 matrix"):
-            Q.to_dense(max_n=4)
 
     def test_column_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -132,7 +175,7 @@ class TestCSRInvariants:
                                 np.array([1.0, 1.0]))
 
     def test_immutable(self):
-        Q = SparseMatrixCSR.from_dense(np.eye(2))
+        Q = SparseMatrixCSR.from_scipy(np.eye(2))
         with pytest.raises(AttributeError):
             Q._mat = None
         for arr in (Q.row_ptr, Q.col_idx, Q.values):
@@ -156,7 +199,7 @@ class TestCSRInvariants:
         vals = owner[1:]
         Q = SparseMatrixCSR(ptr, idx, vals)
         assert self.writable_sharers(Q, [ptr, idx, owner, vals]) == []
-        np.testing.assert_array_equal(Q.to_dense(), [[2.0, 0.5], [0.5, 3.0]])
+        np.testing.assert_array_equal(Q.to_scipy().toarray(), [[2.0, 0.5], [0.5, 3.0]])
 
     def test_foreign_buffer_is_copied(self):
         # memory owned by a bytearray cannot be frozen through numpy
@@ -180,7 +223,7 @@ class TestCSRInvariants:
         for arr, old in zip((a.indptr, a.indices, a.data), before):
             np.testing.assert_array_equal(arr, old)
         assert self.writable_sharers(Q, [a.indptr, a.indices, a.data]) == []
-        np.testing.assert_array_equal(Q.to_dense(), [[2.0, 0.5], [0.5, 3.0]])
+        np.testing.assert_array_equal(Q.to_scipy().toarray(), [[2.0, 0.5], [0.5, 3.0]])
 
     def test_index_dtype_int32_when_it_fits(self):
         Q = SparseMatrixCSR(np.array([0, 1, 2], dtype=np.int64),
@@ -194,13 +237,13 @@ class TestCSRInvariants:
                             np.array([1.0, 1.0]), n=2)
 
     def test_asymmetric_refused(self):
-        sym = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        sym = SparseMatrixCSR.from_scipy(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         assert is_symmetric_bitwise(sym)
         for dense in ([[2.0, -1.0], [0.0, 2.0]],          # (1, 0) not stored
                       [[4.0, 1.0], [2.0, 4.0]],           # both stored, unequal
                       [[4.0, 1.0], [np.nextafter(1.0, 2.0), 4.0]]):   # by one ulp
             with pytest.raises(ValueError, match="matrix is not symmetric"):
-                SparseMatrixCSR.from_dense(np.array(dense))
+                SparseMatrixCSR.from_scipy(np.array(dense))
 
     def test_unpartnered_explicit_zero_refused(self):
         # stored (0, 1) = 0.0 has no stored (1, 0) partner
@@ -217,10 +260,10 @@ class TestHeldDiagonal:
         lambda: SparseMatrixCSR(np.array([0, 3, 4, 6]), np.array([0, 1, 2, 0, 0, 2]),
                                 np.array([2.0, 0.5, -1.0, 0.5, -1.0, 3.0])),
         # row 1 (and column 1) is empty
-        lambda: SparseMatrixCSR.from_dense(np.array([[2.0, 0.0, -1.0],
+        lambda: SparseMatrixCSR.from_scipy(np.array([[2.0, 0.0, -1.0],
                                                      [0.0, 0.0, 0.0],
                                                      [-1.0, 0.0, 4.0]])),
-        lambda: SparseMatrixCSR.from_dense(np.array([[-0.25]])),
+        lambda: SparseMatrixCSR.from_scipy(np.array([[-0.25]])),
         random_sparse_symmetric,
         lambda: gen_pentadiagonal(1000, seed=2),
     ], ids=["missing-entry", "empty-row", "n-1", "random-sparse", "penta"])
@@ -233,9 +276,9 @@ class TestHeldDiagonal:
     def test_present_after_every_constructor(self, tmp_path):
         dense = np.array([[3.0, -1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, 2.0, 5.0]])
         p = tmp_path / "m.mtx"
-        write_matrix_market(SparseMatrixCSR.from_dense(dense), p)
+        write_matrix_market(SparseMatrixCSR.from_scipy(dense), p)
         for Q in (SparseMatrixCSR.from_scipy(sp.coo_matrix(dense)),
-                  SparseMatrixCSR.from_dense(dense), load_matrix_market(p)):
+                  SparseMatrixCSR.from_scipy(dense), load_matrix_market(p)):
             assert np.array_equal(Q.diagonal, [3.0, 0.0, 5.0])
 
     def test_frozen(self):
@@ -253,7 +296,7 @@ class TestMatrixMarket:
         p.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
                      "2 2 3\n1 1 2.0\n2 1 -1.0\n2 2 2.0\n")
         Q = load_matrix_market(p)
-        np.testing.assert_array_equal(Q.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
+        np.testing.assert_array_equal(Q.to_scipy().toarray(), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_duplicates_summed(self, tmp_path):
         p = tmp_path / "m.mtx"
@@ -291,7 +334,7 @@ class TestMatrixMarket:
         p.write_text("%%MatrixMarket matrix coordinate real general\n"
                      "2 2 4\n1 1 4.0\n1 2 1.0\n2 1 1.0\n2 2 4.0\n")
         Q = load_matrix_market(p)
-        np.testing.assert_array_equal(Q.to_dense(), [[4.0, 1.0], [1.0, 4.0]])
+        np.testing.assert_array_equal(Q.to_scipy().toarray(), [[4.0, 1.0], [1.0, 4.0]])
         p.write_text("%%MatrixMarket matrix coordinate real general\n"
                      "2 2 4\n1 1 4.0\n1 2 1.0\n2 1 2.0\n2 2 4.0\n")
         with pytest.raises(ValueError, match="matrix is not symmetric"):
@@ -302,7 +345,7 @@ class TestMatrixMarket:
         p.write_text("%%MatrixMarket matrix coordinate integer general\n"
                      "% a comment\n2 2 2\n1 1 3\n2 2 4\n")
         Q = load_matrix_market(p)
-        np.testing.assert_array_equal(Q.to_dense(), [[3.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_array_equal(Q.to_scipy().toarray(), [[3.0, 0.0], [0.0, 4.0]])
 
     @pytest.mark.parametrize("content,msg", [
         ("%%Garbage matrix\n1 1 1\n1 1 1.0\n", "header"),
@@ -330,7 +373,7 @@ class TestPentadiagonalGenerator:
     def test_structure(self):
         n = 5
         Q = gen_pentadiagonal(n, seed=0)
-        dense = Q.to_dense()
+        dense = Q.to_scipy().toarray()
         assert Q.bandwidth() == 2
         diag = np.diag(dense)
         assert np.all(diag >= n) and np.all(diag < n + 2)
@@ -339,7 +382,7 @@ class TestPentadiagonalGenerator:
 
     def test_minimal_size_band_full(self):
         Q = gen_pentadiagonal(3, seed=1)
-        dense = Q.to_dense()
+        dense = Q.to_scipy().toarray()
         assert np.all(dense != 0.0)
 
     def test_too_small(self):
@@ -380,11 +423,11 @@ class TestGmrfGenerator:
             [theta, 0.0, 1.0, theta],
             [0.0, theta, theta, 1.0],
         ])
-        np.testing.assert_array_equal(Q.to_dense(), expected)
+        np.testing.assert_array_equal(Q.to_scipy().toarray(), expected)
 
     def test_theta_zero_is_identity(self):
         Q = gen_gmrf_grid(5, 0.0)
-        np.testing.assert_array_equal(Q.to_dense(), np.eye(25))
+        np.testing.assert_array_equal(Q.to_scipy().toarray(), np.eye(25))
 
     def test_spd_condition_enforced(self):
         for theta in (0.25, float("nan")):      # NaN fails |theta| < 1/4 too
@@ -559,8 +602,8 @@ class TestBlockwiseSymmetryCheck:
                              ids=["arrow", "scattered", "scattered-wide"])
     def test_unbanded_patterns(self, pattern, n):
         # blocks whose columns span far more than their entries, so the check
-        # sorts them by their distinct columns (past 2^16 columns, in two
-        # radix passes)
+        # sorts them by their distinct columns, found by np.unique (past 2^16
+        # columns too)
         rng = np.random.default_rng(7)
         if pattern == "arrow":
             i = np.arange(1, n)
@@ -583,13 +626,6 @@ class TestBlockwiseSymmetryCheck:
         bad.data[k] = np.nextafter(bad.data[k], 0.0)
         assert not is_symmetric_bitwise(bad) and not accepts(bad)
         assert not accepts(without(m, k))
-
-    @pytest.mark.parametrize("width", [1, 5, 2**16, 2**16 + 1, 2**33])
-    def test_distinct_columns_match_unique(self, width):
-        keys = np.random.default_rng(width).integers(0, width, 5_000)
-        values, rank = sparse._distinct(keys, width)
-        expect, inverse = np.unique(keys, return_inverse=True)
-        assert np.array_equal(values, expect) and np.array_equal(rank, inverse)
 
     def test_verdict_equals_transpose_comparison(self):
         # seeded random patterns (a band, scattered mirrored pairs, empty

@@ -39,12 +39,12 @@ def _chain(n, empty=False, missing_diagonal=False):
 
 class TestGershgorin:
     def test_diagonal(self):
-        Q = SparseMatrixCSR.from_dense(np.diag([1.0, 2.0, 3.0]))
+        Q = SparseMatrixCSR.from_scipy(np.diag([1.0, 2.0, 3.0]))
         iv = gershgorin_bounds(Q)
         assert iv.lambda_min == 1.0 and iv.lambda_max == 3.0
 
     def test_tridiag_two(self):
-        Q = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        Q = SparseMatrixCSR.from_scipy(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         iv = gershgorin_bounds(Q)
         # centers 2, radii 1; true spectrum is {1, 3}
         assert iv.lambda_min == 1.0 and iv.lambda_max == 3.0
@@ -56,18 +56,18 @@ class TestGershgorin:
         assert iv.lambda_max == pytest.approx(1.88, abs=1e-15)
 
     def test_eps_floor_guards_negative_bound(self):
-        Q = SparseMatrixCSR.from_dense(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+        Q = SparseMatrixCSR.from_scipy(np.array([[1.0, -2.0], [-2.0, 1.0]]))
         iv = gershgorin_bounds(Q)
         assert iv.lambda_min == pytest.approx(1e-8 * 3.0)
 
     def test_refuses_a_non_positive_upper_bound(self):
         with pytest.raises(ValueError, match="Gershgorin upper bound is not positive"):
-            gershgorin_bounds(SparseMatrixCSR.from_dense(-np.eye(3)))
+            gershgorin_bounds(SparseMatrixCSR.from_scipy(-np.eye(3)))
 
     def test_requires_symmetry(self):
         # every stage assumes symmetry, so such a matrix never reaches Gershgorin
         with pytest.raises(ValueError, match="matrix is not symmetric"):
-            SparseMatrixCSR.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            SparseMatrixCSR.from_scipy(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_large_pentadiagonal_stays_positive(self):
         # diagonal dominance: diagonal >= n against row radii below 8
@@ -110,12 +110,12 @@ class TestGershgorin:
                                                                    message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Q = SparseMatrixCSR.from_dense(dense)
+            Q = SparseMatrixCSR.from_scipy(dense)
             with pytest.raises(ValueError, match=message):
                 gershgorin_bounds(Q)
 
     def test_extremes_are_held_unfloored(self):
-        Q = SparseMatrixCSR.from_dense(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+        Q = SparseMatrixCSR.from_scipy(np.array([[1.0, -2.0], [-2.0, 1.0]]))
         assert Q.gershgorin == (-1.0, 3.0)
         with pytest.raises(AttributeError):
             Q.gershgorin = (1.0, 3.0)
@@ -123,12 +123,12 @@ class TestGershgorin:
 
 class TestLanczosExtremes:
     def test_known_diagonal(self):
-        Q = SparseMatrixCSR.from_dense(np.diag(np.arange(1.0, 11.0)))
+        Q = SparseMatrixCSR.from_scipy(np.diag(np.arange(1.0, 11.0)))
         est = lanczos_lambda_max(Q, tol=1e-12, seed=0)
         assert est.value == pytest.approx(10.0, abs=1e-8)
 
     def test_identity_one_iteration(self):
-        Q = SparseMatrixCSR.from_dense(np.eye(6))
+        Q = SparseMatrixCSR.from_scipy(np.eye(6))
         est = lanczos_lambda_max(Q, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.iterations == 1
@@ -139,7 +139,7 @@ class TestLanczosExtremes:
                              ids=["lambda-max", "shift-invert"])
     def test_identity_breakdown_ends_converged(self, estimator, max_iter):
         # a breakdown on the last allowed step still ends the run converged
-        Q = SparseMatrixCSR.from_dense(np.eye(6))
+        Q = SparseMatrixCSR.from_scipy(np.eye(6))
         est = estimator(Q, max_iter=max_iter, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert (est.iterations, est.converged, est.breakdown) == (1, True, True)
@@ -157,18 +157,18 @@ class TestLanczosExtremes:
         assert est.value == pytest.approx(lam.max(), abs=1e-6)
 
     def test_lambda_min_known_diagonal(self):
-        Q = SparseMatrixCSR.from_dense(np.diag(np.arange(1.0, 11.0)))
+        Q = SparseMatrixCSR.from_scipy(np.diag(np.arange(1.0, 11.0)))
         est = shift_invert_lambda_min(Q, tol=1e-9, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
     def test_lambda_min_identity(self):
-        Q = SparseMatrixCSR.from_dense(np.eye(5))
+        Q = SparseMatrixCSR.from_scipy(np.eye(5))
         est = shift_invert_lambda_min(Q, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-10)
         assert est.matvecs == est.iterations      # one CG iteration per solve
 
     def test_lambda_min_tridiag(self):
-        Q = SparseMatrixCSR.from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        Q = SparseMatrixCSR.from_scipy(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         est = shift_invert_lambda_min(Q, tol=1e-10, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-8)
 
@@ -177,7 +177,7 @@ class TestLanczosExtremes:
     def test_singular_matrix_refused_without_overflow(self, diag):
         # on the 51 x 51 matrix p'Ap falls to rounding level and the CG
         # step would overflow; on the 2 x 2 one p'Ap is exactly 0
-        Q = SparseMatrixCSR.from_dense(np.diag(diag))
+        Q = SparseMatrixCSR.from_scipy(np.diag(diag))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="matrix is not positive definite"):
@@ -221,7 +221,7 @@ class TestLanczosExtremes:
             assert iv.lambda_min == pytest.approx(w.min(), rel=2e-5)
 
     def test_ceiling_stops_the_run_unconverged(self):
-        Q = SparseMatrixCSR.from_dense(np.diag(np.arange(1.0, 11.0)))
+        Q = SparseMatrixCSR.from_scipy(np.diag(np.arange(1.0, 11.0)))
         m = Q.to_scipy()
 
         def run(**kwargs):
@@ -273,11 +273,11 @@ class TestLanczosExtremes:
 
     def test_unknown_route_refused(self):
         with pytest.raises(ValueError, match="unknown bounds method 'cg'"):
-            estimate_interval(SparseMatrixCSR.from_dense(np.eye(3)), "cg")
+            estimate_interval(SparseMatrixCSR.from_scipy(np.eye(3)), "cg")
 
     def test_default_rule_keeps_gershgorin_up_to_condition_1e4(self):
         for top, route in [(1e4, "gershgorin"), (1.5e4, "lanczos")]:
-            Q = SparseMatrixCSR.from_dense(np.diag(np.geomspace(1.0, top, 50)))
+            Q = SparseMatrixCSR.from_scipy(np.diag(np.geomspace(1.0, top, 50)))
             iv = estimate_interval(Q)
             assert iv.method == route and iv.lambda_max == pytest.approx(top, rel=2e-5)
             assert (iv.matvecs == 0) == (route == "gershgorin")
