@@ -21,8 +21,8 @@ from .spectral import ConvergenceError
 
 __all__ = ["main"]
 
-# the oracle behind each exact method, as named in --with-exact results
-ORACLES = {"exact-band": "band-cholesky", "exact-analytic": "lattice-analytic"}
+# each exact method's oracle as --with-exact names it, in the order _exact tries them
+ORACLES = {"exact-analytic": "lattice-analytic", "exact-band": "band-cholesky"}
 # estimate's keyword arguments that are flags of `estimate` and `bench`, with
 # their help; gmrf-likelihood, which runs no SLQ, has all but probes and slq_degree
 ESTIMATOR_FLAGS = {"queries": "matvec queries for leja-hutchpp / hutchinson",
@@ -65,30 +65,31 @@ def _finite(value: float, field: str, integral: bool = False) -> float:
 
 
 def parse_gen_spec(spec: str, seed: int):
-    """Generator grammar: 'pentadiagonal:N' or 'gmrf:G:THETA'.  A matrix source:
-    (Q, the exact method that checks Q)."""
+    """Generator grammar: 'pentadiagonal:N' or 'gmrf:G:THETA'."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "pentadiagonal":
         if len(parts) != 2:
             raise ValueError("expected pentadiagonal:N")
         n = int(_finite(float(parts[1]), "pentadiagonal:N", integral=True))
-        return gen_pentadiagonal(n, seed=seed), "exact-band"
+        return gen_pentadiagonal(n, seed=seed)
     if kind == "gmrf":
         if len(parts) != 3:
             raise ValueError("expected gmrf:G:THETA")
         g = int(_finite(float(parts[1]), "gmrf:G", integral=True))
         theta = _finite(float(parts[2]), "gmrf:THETA")
-        return gen_gmrf_grid(g, theta), "exact-analytic"
+        return gen_gmrf_grid(g, theta)
     raise ValueError(f"unknown generator {kind!r}; use pentadiagonal:N or gmrf:G:THETA")
 
 
-def _exact(Q, reference):
-    """log det Q by the exact method ``reference``, or None when it refuses Q."""
-    try:
-        return estimate(Q, reference).estimate
-    except ValueError:
-        return None
+def _exact(Q):
+    """(log det Q, its oracle) by the first of ``ORACLES`` to accept Q, or (None, None)."""
+    for method, oracle in ORACLES.items():
+        try:
+            return estimate(Q, method).estimate, oracle
+        except ValueError:
+            pass
+    return None, None
 
 
 def _rel_err(value: float, exact: float) -> float:
@@ -99,8 +100,8 @@ def _rel_err(value: float, exact: float) -> float:
 def run_estimate(args) -> dict:
     """Load or generate the matrix, run the requested method, build the result."""
     options = _estimator_options(args)
-    Q, reference = ((load_matrix_market(args.matrix), "exact-band")
-                    if args.matrix is not None else parse_gen_spec(args.gen, args.seed))
+    Q = (load_matrix_market(args.matrix) if args.matrix is not None
+         else parse_gen_spec(args.gen, args.seed))
     report = estimate(Q, args.method, seed=args.seed, **options)
     result = {
         "config": {name: getattr(args, name) for name in CONFIG_FIELDS},
@@ -108,10 +109,11 @@ def run_estimate(args) -> dict:
         "report": report.to_dict(),
         "exact": None,
     }
-    if args.with_exact and args.method not in EXACT_METHODS \
-            and (value := _exact(Q, reference)) is not None:
-        result["exact"] = {"value": value, "rel_err": _rel_err(report.estimate, value),
-                           "oracle": ORACLES[reference]}
+    if args.with_exact and args.method not in EXACT_METHODS:
+        value, oracle = _exact(Q)
+        if value is not None:
+            result["exact"] = {"value": value, "rel_err": _rel_err(report.estimate, value),
+                               "oracle": oracle}
     return result
 
 
@@ -131,11 +133,11 @@ def run_bench(args) -> list[dict]:
         raise ValueError("bench needs at least one --gen or --matrix")
     if args.reps < 1:
         raise ValueError("bench needs --reps >= 1")
-    corpus = [(spec, *parse_gen_spec(spec, args.seed)) for spec in args.gen]
-    corpus += [(path, load_matrix_market(path), "exact-band") for path in args.matrix]
+    corpus = [(spec, parse_gen_spec(spec, args.seed)) for spec in args.gen]
+    corpus += [(path, load_matrix_market(path)) for path in args.matrix]
     rows = []
-    for label, Q, reference in corpus:
-        exact = _exact(Q, reference)
+    for label, Q in corpus:
+        exact, _ = _exact(Q)
         for method in methods:
             for rep in range(args.reps):
                 rep_seed = args.seed + rep
@@ -242,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_args(pe)
     pe.add_argument("--format", default="json", choices=["json", "table"])
     pe.add_argument("--with-exact", action="store_true",
-                    help="also run the source's exact method; null if it refuses")
+                    help="also compute log det Q exactly, read off Q: the lattice "
+                         "closed form, else banded Cholesky; null if both refuse")
 
     pg = sub.add_parser("gmrf-likelihood", help="log-likelihood scan over theta")
     pg.add_argument("--grid-side", type=int, required=True)
@@ -250,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--theta-start", type=float, required=True)
     pg.add_argument("--theta-stop", type=float, required=True)
     pg.add_argument("--theta-step", type=float, default=0.01)
-    pg.add_argument("--no-sample", action="store_true",
-                    help="skip sampling; emit only the log-determinant curve")
     _add_estimator_args(pg, ("queries", "tol", "seed", "max_degree"))
     pg.add_argument("--format", default="csv", choices=["csv", "json"])
 
@@ -292,8 +293,7 @@ def main(argv=None) -> int:
             thetas = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
             out = gmrf_likelihood_scan(
                 args.grid_side, args.theta_true, thetas, seed=args.seed,
-                m_vec=args.queries, tol=args.tol, max_degree=args.max_degree,
-                sample=not args.no_sample)
+                m_vec=args.queries, tol=args.tol, max_degree=args.max_degree)
             if args.format == "json":
                 print(json.dumps(out, indent=2))
             else:
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         # gen, the last of the parser's commands
         if args.seed < 0:
             raise ValueError("--seed must be non-negative")
-        Q, _ = parse_gen_spec(args.gen, args.seed)
+        Q = parse_gen_spec(args.gen, args.seed)
         write_matrix_market(Q, args.out)
         print(f"wrote {args.gen} to {args.out} (n={Q.n}, nnz={Q.nnz})")
         return 0

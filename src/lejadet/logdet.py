@@ -548,7 +548,10 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     The exact methods read Q alone: ``exact-band`` is banded Cholesky at
     Q's own bandwidth, ``exact-analytic`` the closed form of the lattice
     ``gen_gmrf_grid(g, theta)`` that Q is (``lattice_of``), or a refusal.
+    Every method refuses a seed that is not a non-negative integer.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if method in ("leja-hutchpp", "hutchinson"):
         strategy = hutchpp_logdet if method == "leja-hutchpp" else hutchinson_logdet
         return strategy(Q, queries, action_tol=tol, seed=seed,

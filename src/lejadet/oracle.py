@@ -64,18 +64,20 @@ def band_logdet_cholesky(Q: SparseMatrixCSR, bandwidth: int) -> float:
     return 2.0 * float(np.sum(np.log(diag, out=diag)))
 
 
-def gmrf_grid_logdet_analytic(g: int, theta: float) -> float:
-    """Closed-form log det of the non-periodic lattice precision matrix.
-
-    The g^2 eigenvalues are 1 + 2*theta*(cos(i*pi/(g+1)) + cos(j*pi/(g+1)))
-    for i, j = 1..g, so the log-determinant is their log sum.
-    """
+def lattice_eigenvalues(g: int, theta: float) -> np.ndarray:
+    """Spectrum lam of the non-periodic lattice Q(theta) = S diag(lam) S, S the
+    orthonormal 2-D type-I sine transform: the g-by-g array of eigenvalues
+    1 + 2*theta*(cos(i*pi/(g+1)) + cos(j*pi/(g+1))) for i, j = 1..g."""
     if g < 1:
         raise ValueError("grid side must be positive")
     check_lattice_theta(theta)
     cos = np.cos(np.arange(1, g + 1) * np.pi / (g + 1))
-    lam = 1.0 + 2.0 * theta * (cos[:, None] + cos[None, :])
-    return float(np.sum(np.log(lam)))
+    return 1.0 + 2.0 * theta * (cos[:, None] + cos[None, :])
+
+
+def gmrf_grid_logdet_analytic(g: int, theta: float) -> float:
+    """Closed-form log det of the lattice Q(theta), the log sum of its eigenvalues."""
+    return float(np.sum(np.log(lattice_eigenvalues(g, theta))))
 
 
 def lattice_of(Q: SparseMatrixCSR) -> tuple[int, float]:
@@ -83,7 +85,8 @@ def lattice_of(Q: SparseMatrixCSR) -> tuple[int, float]:
     with g = isqrt(n) and theta Q's second stored value (0 when nnz = n)."""
     g = math.isqrt(Q.n)
     theta = float(Q.values[1]) if Q.nnz > Q.n else 0.0
-    if g >= 2 and g * g == Q.n and abs(theta) < 0.25:
+    if g >= 2 and g * g == Q.n and Q.nnz == Q.n + 4 * g * (g - 1) * (theta != 0) \
+            and abs(theta) < 0.25:
         L = gen_gmrf_grid(g, theta)
         if all(map(np.array_equal, (Q.row_ptr, Q.col_idx, Q.values),
                    (L.row_ptr, L.col_idx, L.values))):

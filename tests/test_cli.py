@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
+from scipy.fft import dstn
 
 from conftest import indefinite_matrix, random_spd
 from dense_oracles import dense_logdet_cholesky
@@ -16,7 +16,9 @@ from lejadet import (METHODS, LogDetReport, SparseMatrixCSR, band_logdet_cholesk
 from lejadet import (gen_gmrf_grid, gmrf_grid_logdet_analytic, gmrf_likelihood_scan,
                      load_matrix_market, write_matrix_market)
 from lejadet.cli import BENCH_COLUMNS, _theta_grid, build_parser, main
+from lejadet import likelihood
 from lejadet.likelihood import _sample_field
+from lejadet.oracle import lattice_eigenvalues
 
 # the JSON keys of `estimate`; an estimator run and an exact run share them
 RESULT_KEYS = {"config", "matrix", "report", "exact"}
@@ -176,8 +178,9 @@ class TestEstimate:
     @pytest.mark.parametrize("n,dense", [(200, True), (4001, False)],
                              ids=["within-dense-cap", "above-dense-cap"])
     def test_with_exact_on_a_file(self, capsys, tmp_path, n, dense):
-        # a file is checked by banded Cholesky at its own bandwidth, whatever
-        # its size; within the dense test oracle's cap, against that oracle too
+        # a file that is not a lattice is checked by banded Cholesky at its own
+        # bandwidth, whatever its size; within the dense test oracle's cap,
+        # against that oracle too
         path = tmp_path / "penta.mtx"
         Q = gen_pentadiagonal(n, seed=0)
         write_matrix_market(Q, path)
@@ -191,6 +194,17 @@ class TestEstimate:
         if dense:
             full = Q.to_scipy().toarray()
             assert exact["value"] == pytest.approx(dense_logdet_cholesky(full), rel=1e-12)
+
+    def test_with_exact_on_a_lattice_file(self, capsys, tmp_path):
+        # the reference is read off Q, so a lattice file gets its closed form
+        path = tmp_path / "lattice.mtx"
+        write_matrix_market(gen_gmrf_grid(30, -0.22), path)
+        code, out, _ = run_cli(capsys, "estimate", "--matrix", str(path),
+                               "--method", "hutchinson", "--with-exact")
+        assert code == 0
+        exact = json.loads(out)["exact"]
+        assert (exact["oracle"], exact["value"]) == \
+            ("lattice-analytic", gmrf_grid_logdet_analytic(30, -0.22))
 
     def test_with_exact_null_where_the_band_oracle_refuses(self, capsys, tmp_path):
         path = tmp_path / "corner.mtx"
@@ -299,8 +313,7 @@ class TestGmrfLikelihood:
         # a generous query budget on a grid large enough for the noise floor
         # keeps the column inside 1% of the oracle value at each theta
         thetas = [-0.24, -0.22, -0.20]
-        out = gmrf_likelihood_scan(100, -0.22, thetas, seed=2, m_vec=600,
-                                   sample=False)
+        out = gmrf_likelihood_scan(100, -0.22, thetas, seed=2, m_vec=600)
         for r in out["rows"]:
             exact = gmrf_grid_logdet_analytic(100, r["theta"])
             assert abs(r["logdet_est"] - exact) <= 1e-2 * abs(exact)
@@ -314,27 +327,26 @@ class TestGmrfLikelihood:
             with pytest.raises(ValueError, match="1/4"):
                 gmrf_likelihood_scan(10, theta_true, thetas)
 
-    def test_sampling_cap(self):
-        out = gmrf_likelihood_scan(65, -0.22, [-0.22], m_vec=6, sample=True)
-        assert out["rows"][0]["loglik"] is not None
-        # (585 + 1) * 585^2 entries of band storage exceed the 2e8 guard
-        with pytest.raises(ValueError, match="too wide-banded"):
-            gmrf_likelihood_scan(585, -0.22, [-0.22], sample=True)
+    def test_grid_side_600_is_sampled(self):
+        # the sine transform samples any grid side, here n = 360,000
+        out = gmrf_likelihood_scan(600, -0.22, [-0.22], m_vec=3)
+        n = 600 * 600
+        # x' Q x of a draw with precision Q is chi-squared with n degrees
+        assert abs(out["rows"][0]["quadform"] - n) < 6 * math.sqrt(2 * n)
 
-    def test_banded_sample_matches_dense_draw(self):
+    def test_grid_side_one_refused_before_the_draw(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "_sample_field", None)
+        with pytest.raises(ValueError, match="grid side must be at least 2"):
+            gmrf_likelihood_scan(1, -0.22, [-0.22])
+
+    def test_sample_gives_back_its_draw(self):
+        # Q = S diag(lam) S, so S(Q x) / sqrt(lam) is the standard normal draw
         g, theta, seed = 10, -0.22, 3
-        chol = np.linalg.cholesky(gen_gmrf_grid(g, theta).to_scipy().toarray())
-        z = np.random.default_rng(seed).standard_normal(g * g)
-        dense = scipy.linalg.solve_triangular(chol.T, z, lower=False)
-        banded = _sample_field(g, theta, seed)
-        np.testing.assert_allclose(banded, dense, rtol=0,
-                                   atol=1e-12 * np.abs(dense).max())
-
-    def test_no_sample_mode(self):
-        out = gmrf_likelihood_scan(70, -0.22, [-0.22], sample=False, m_vec=6)
-        row = out["rows"][0]
-        assert row["loglik"] is None and row["quadform"] is None
-        assert row["logdet_est"] is not None
+        x = _sample_field(g, theta, seed)
+        qx = (gen_gmrf_grid(g, theta).to_scipy() @ x).reshape(g, g)
+        back = dstn(qx, type=1, norm="ortho") / np.sqrt(lattice_eigenvalues(g, theta))
+        z = np.random.default_rng(seed).standard_normal((g, g))
+        np.testing.assert_allclose(back, z, rtol=0, atol=1e-12)
 
     def test_cli_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
@@ -416,9 +428,10 @@ class TestGmrfLikelihood:
                                "--theta-stop", "-0.20", "--queries", "6")
         assert code == 1 and "1/4" in err
 
-    @pytest.mark.parametrize("flag", ["--probes", "--slq-degree"])
+    @pytest.mark.parametrize("flag", ["--probes", "--slq-degree", "--no-sample"])
     def test_slq_flags_refused(self, capsys, flag):
-        # the scan runs no SLQ, so it has no SLQ flags to ignore
+        # the scan runs no SLQ and always draws its sample, so it has no SLQ
+        # flags and no --no-sample to ignore
         code, out, _ = run_cli(capsys, "gmrf-likelihood", "--grid-side", "8",
                                "--theta-true", "-0.22", "--theta-start", "-0.24",
                                "--theta-stop", "-0.20", flag, "5")
@@ -572,8 +585,17 @@ class TestBench:
         assert [(r["exact"], r["rel_err"]) for r in rows] == [("", "")] * 2
         assert rows[0]["error"] == "" and "too wide-banded" in rows[1]["error"]
 
+    def test_exact_column_of_a_lattice_file(self, capsys, tmp_path):
+        path = tmp_path / "lattice.mtx"
+        write_matrix_market(gen_gmrf_grid(30, -0.22), path)
+        code, out, _ = run_cli(capsys, "bench", "--matrix", str(path),
+                               "--methods", "hutchinson", "--queries", "6")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and rows[0]["error"] == ""
+        assert float(rows[0]["exact"]) == gmrf_grid_logdet_analytic(30, -0.22)
+
     def test_exact_column_feasibility_gate(self, capsys):
-        # generators always carry an exact column (band/analytic oracles)
+        # a generated lattice's exact column is its closed form
         code, out, _ = run_cli(capsys, "bench", "--gen", "gmrf:12:-0.2",
                                "--methods", "hutchinson", "--reps", "1",
                                "--queries", "6")

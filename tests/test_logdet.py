@@ -17,7 +17,7 @@ from lejadet import logdet
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
 from lejadet.logdet import hutchinson_logdet
-from lejadet import (ConvergenceError, SparseMatrixCSR, SpectralInterval,
+from lejadet import (METHODS, ConvergenceError, SparseMatrixCSR, SpectralInterval,
                      band_logdet_cholesky, estimate,
                      estimate_interval, gen_gmrf_grid, gen_pentadiagonal,
                      gmrf_grid_logdet_analytic, hutchpp_logdet, slq_logdet)
@@ -288,6 +288,23 @@ class TestEstimate:
                 (method, value, value, 4)
             assert rep.matvecs_total == 0 and rep.converged and not rep.warnings
             assert rep.enclosure is None
+
+    @pytest.mark.parametrize("seed", [-1, -3, 1.5, np.float64(2.0), "1", None])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("make", [lambda: gen_pentadiagonal(10_000, seed=0),
+                                      lambda: gen_gmrf_grid(8, -0.2)],
+                             ids=["penta-1e4", "lattice-8"])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, make, method, seed):
+        # whether the method would draw anything on this matrix or not
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            estimate(make(), method, seed=seed)
+
+    @pytest.mark.parametrize("method", ["leja-hutchpp", "hutchinson", "slq"])
+    def test_numpy_integer_seed_accepted(self, method):
+        Q = gen_gmrf_grid(8, -0.2)
+        assert estimate(Q, method, seed=np.int64(3)).estimate == \
+            estimate(Q, method, seed=3).estimate
 
     def test_rejects_unknown_method_and_analytic_without_lattice(self):
         Q = gen_gmrf_grid(6, -0.2)
@@ -659,6 +676,27 @@ def test_runtime_path_needs_no_mpmath():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["report"]["method"] == "hutchinson"
+
+
+# run in a fresh interpreter: the modules that importing lejadet loads
+IMPORTED_RUN = """
+import sys
+import lejadet
+import lejadet.cli
+print(sorted(name for name in ("scipy.fft", "mpmath") if name in sys.modules))
+"""
+
+
+def test_import_loads_neither_scipy_fft_nor_mpmath():
+    # scipy.fft is loaded by the first lattice field draw and mpmath only by
+    # the tests, so neither adds to the import time or peak memory of a run
+    import lejadet
+    package = Path(lejadet.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", IMPORTED_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 class TestSLQ:

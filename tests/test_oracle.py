@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dstn
 from scipy.linalg import cholesky_banded
 
 from conftest import random_spd
@@ -10,7 +11,8 @@ from dense_oracles import dense_logdet_cholesky
 from lejadet import (SparseMatrixCSR, band_logdet_cholesky, estimate, gen_gmrf_grid,
                      gen_pentadiagonal, gmrf_grid_logdet_analytic, load_matrix_market,
                      write_matrix_market)
-from lejadet.oracle import band_cholesky
+from lejadet import oracle
+from lejadet.oracle import band_cholesky, lattice_eigenvalues
 
 
 class TestDenseCholesky:
@@ -147,6 +149,23 @@ class TestLatticeAnalytic:
             with pytest.raises(ValueError, match="1/4"):
                 gmrf_grid_logdet_analytic(5, theta)
 
+    @pytest.mark.parametrize("theta", [-0.22, 0.2])
+    @pytest.mark.parametrize("g", [2, 5, 10])
+    def test_sine_transform_diagonalizes_the_lattice(self, g, theta):
+        # Q = S diag(lam) S, S the orthonormal 2-D type-I sine transform, whose
+        # row m is the transform of the m-th unit grid
+        S = dstn(np.eye(g * g).reshape(g * g, g, g), type=1, norm="ortho", axes=(1, 2))
+        S = S.reshape(g * g, g * g)
+        lam = lattice_eigenvalues(g, theta).ravel()
+        np.testing.assert_allclose(S @ (lam[:, None] * S),
+                                   gen_gmrf_grid(g, theta).to_scipy().toarray(),
+                                   rtol=0, atol=1e-13)
+
+    def test_grid_side_below_one_refused(self):
+        for spectrum in (lattice_eigenvalues, gmrf_grid_logdet_analytic):
+            with pytest.raises(ValueError, match="grid side must be positive"):
+                spectrum(0, -0.2)
+
 
 class TestLatticeRecognition:
     """exact-analytic reads (g, theta) off Q, and refuses any Q that is not
@@ -176,6 +195,26 @@ class TestLatticeRecognition:
     def test_other_matrices_refused(self, make):
         with pytest.raises(ValueError, match="^exact-analytic applies only to a lattice"):
             estimate(make(), "exact-analytic")
+
+    @pytest.mark.parametrize("make,builds", [
+        # 10^4 = 100^2 rows of 3n - 2 and 5n - 6 entries, not the lattice's 5n - 400
+        (lambda: SparseMatrixCSR.from_scipy(
+            sp.diags([0.1, 1.0, 0.1], [-1, 0, 1], shape=(10_000, 10_000))), []),
+        (lambda: gen_pentadiagonal(10_000, seed=0), []),
+        # the lattice's entry count, so a lattice is built to compare against
+        (lambda: perturbed_pair(gen_gmrf_grid(10, -0.2), 37, 47), [(10, -0.2)]),
+    ], ids=["tridiagonal-1e4", "pentadiagonal-1e4", "perturbed-pair"])
+    def test_entry_count_read_before_a_lattice_is_built(self, make, builds, monkeypatch):
+        Q, calls = make(), []
+
+        def spy(g, theta):
+            calls.append((g, theta))
+            return gen_gmrf_grid(g, theta)
+
+        monkeypatch.setattr(oracle, "gen_gmrf_grid", spy)
+        with pytest.raises(ValueError, match="^exact-analytic applies only to a lattice"):
+            estimate(Q, "exact-analytic")
+        assert calls == builds
 
 
 def perturbed_pair(Q, i, j):
