@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .logdet import estimate
+from .logdet import _checked_seed, estimate
 from .oracle import lattice_eigenvalues
-from .sparse import check_lattice_theta, gen_gmrf_grid
+from .sparse import check_lattice, gen_gmrf_grid
 
 __all__ = ["gmrf_likelihood_scan"]
 _DEFAULT = estimate.__kwdefaults__      # the estimator defaults have one home
@@ -37,13 +37,13 @@ def gmrf_likelihood_scan(g: int, theta_true: float, thetas, seed: int = _DEFAULT
     with the Leja/Hutch++ estimator for the log-determinant term.  One
     estimator seed is reused across the whole grid (common random numbers),
     so estimation noise shifts the curve smoothly instead of scrambling the
-    argmax.
+    argmax.  The seed, by ``estimate``'s rule, and each lattice, by
+    ``check_lattice``, are checked before the draw.
     """
+    seed = _checked_seed(seed)
     thetas = [float(t) for t in thetas]
     for t in thetas + [theta_true]:
-        check_lattice_theta(t)
-    if g < 2:                       # gen_gmrf_grid's refusal, before the draw
-        raise ValueError("grid side must be at least 2")
+        check_lattice(g, t)
     x = _sample_field(g, theta_true, seed)
     rows = []
     warn_count = 0

@@ -97,10 +97,6 @@ class LogDetReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogDetReport":
-        return cls(**d)
-
 
 def _degree_stats(degrees):
     if not degrees:
@@ -153,8 +149,9 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
     the degree statistics, matvec total (their degrees, plus the ``matvecs``
     of the spectral enclosure), warnings and convergence flag come from
     them.  ``trace_estimate`` may be a numpy scalar (the exact trace, an
-    oracle); it is cast to a Python float here, so that the report's
-    numbers, and comparisons on them, serialize with ``json``.
+    oracle); it is cast to a Python float here, and ``queries`` and
+    ``seed`` to Python ints, so that the report's numbers, and comparisons
+    on them, serialize with ``json``.
     ``terms`` are the m probe terms whose mean enters the estimate; the
     standard error is their sample standard deviation over sqrt(m), or None
     for m < 2.  ``n`` and ``sigma`` give the n*log(sigma) term, and the wall
@@ -173,9 +170,9 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         trace_estimate=trace_estimate,
         n_log_sigma=n_log_sigma,
         sigma=sigma,
-        queries=queries,
+        queries=int(queries),
         degrees=_degree_stats([r.degree for r in records]),
-        seed=seed,
+        seed=int(seed),
         wall_time=time.perf_counter() - t0,
         matvecs_total=matvecs + sum(r.degree for r in records),
         warnings=warnings,
@@ -523,6 +520,14 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
                    terms=terms)
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as a Python int, or a refusal unless it is a non-negative
+    integer (a bool is not one)."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,
              slq_degree: int = 40, tol: float = DEFAULT_TOL, seed: int = 0,
              max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
@@ -550,8 +555,7 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     ``gen_gmrf_grid(g, theta)`` that Q is (``lattice_of``), or a refusal.
     Every method refuses a seed that is not a non-negative integer.
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _checked_seed(seed)
     if method in ("leja-hutchpp", "hutchinson"):
         strategy = hutchpp_logdet if method == "leja-hutchpp" else hutchinson_logdet
         return strategy(Q, queries, action_tol=tol, seed=seed,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy.linalg import cholesky_banded
 
-from .sparse import SparseMatrixCSR, _row_blocks, check_lattice_theta, gen_gmrf_grid
+from .sparse import SparseMatrixCSR, _row_blocks, check_lattice, gen_gmrf_grid
 
 __all__ = [
     "band_cholesky",
@@ -68,9 +68,7 @@ def lattice_eigenvalues(g: int, theta: float) -> np.ndarray:
     """Spectrum lam of the non-periodic lattice Q(theta) = S diag(lam) S, S the
     orthonormal 2-D type-I sine transform: the g-by-g array of eigenvalues
     1 + 2*theta*(cos(i*pi/(g+1)) + cos(j*pi/(g+1))) for i, j = 1..g."""
-    if g < 1:
-        raise ValueError("grid side must be positive")
-    check_lattice_theta(theta)
+    check_lattice(g, theta)
     cos = np.cos(np.arange(1, g + 1) * np.pi / (g + 1))
     return 1.0 + 2.0 * theta * (cos[:, None] + cos[None, :])
 

@@ -41,8 +41,8 @@ class SparseMatrixCSR:
 
     Invariants checked at construction:
 
-    - n >= 1; ``row_ptr`` is non-decreasing with ``row_ptr[0] == 0`` and
-      ``row_ptr[n] == nnz``;
+    - n = len(row_ptr) - 1 >= 1; ``row_ptr`` is non-decreasing with
+      ``row_ptr[0] == 0`` and ``row_ptr[n] == nnz``;
     - column indices lie in ``[0, n)`` and are strictly increasing within
       each row (so there are no duplicate entries);
     - the indices are integers, and the values real and finite;
@@ -94,7 +94,7 @@ class SparseMatrixCSR:
 
     __slots__ = ("_mat", "_diagonal", "_gershgorin")
 
-    def __init__(self, row_ptr, col_idx, values, n=None):
+    def __init__(self, row_ptr, col_idx, values):
         row_ptr, col_idx, values = map(np.asarray, (row_ptr, col_idx, values))
         # a cast would truncate float indices and drop imaginary parts
         for name, index in (("row_ptr", row_ptr), ("col_idx", col_idx)):
@@ -105,12 +105,9 @@ class SparseMatrixCSR:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if row_ptr.ndim != 1:
             raise ValueError(f"row_ptr must be 1-D, got shape {row_ptr.shape}")
-        if n is None:
-            n = row_ptr.shape[0] - 1
+        n = row_ptr.shape[0] - 1
         if n < 1:
             raise ValueError(f"matrix is empty: n = {n}, expected at least 1")
-        if row_ptr.shape[0] != n + 1:
-            raise ValueError("row_ptr must have length n+1")
         nnz = values.shape[0]
         if row_ptr[0] != 0 or row_ptr[-1] != nnz:
             raise ValueError("row_ptr[0] must be 0 and row_ptr[n] must equal nnz")
@@ -153,7 +150,7 @@ class SparseMatrixCSR:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix is not square: {m.shape[0]}x{m.shape[1]}")
         m.sum_duplicates()
-        return cls(m.indptr, m.indices, m.data, n=m.shape[0])
+        return cls(m.indptr, m.indices, m.data)
 
     @property
     def n(self) -> int:
@@ -285,8 +282,11 @@ def _frozen(stored, given):
     return chain[0]
 
 
-def check_lattice_theta(theta) -> None:
-    """Refuse a lattice coupling outside |theta| < 1/4, NaN included."""
+def check_lattice(g: int, theta) -> None:
+    """Refuse a lattice outside its domain: grid side g >= 2 and coupling
+    |theta| < 1/4, NaN refused."""
+    if g < 2:
+        raise ValueError("grid side must be at least 2")
     if not abs(theta) < 0.25:
         raise ValueError(f"|theta| must be below 1/4 for positive definiteness, got {theta}")
 
@@ -363,11 +363,14 @@ def gen_pentadiagonal(n: int, seed: int) -> SparseMatrixCSR:
     diagonal is at least n.
 
     The CSR arrays are written directly, entry by entry equal to building
-    ``Q + Q.T + n*I`` with scipy: rows 2 .. n-3 hold five entries each, so
-    their slots are an (n-4) x 5 strided view of the arrays, and the at most
-    four rows at the ends are written slot by slot.  Each draw is written
-    (or added) to its two mirrored slots and freed, so no more than one draw
-    is held beside the arrays.
+    ``Q + Q.T + n*I`` with scipy.  Row i's entries are columns i-2 .. i+2:
+    slot k of row i in a C-order n x 5 array holds entry (i, i+k-2), and a
+    matching array holds its column.  Each draw is added to its two
+    mirrored slot columns and freed, so no more than one draw is held
+    beside the slot arrays.  The six slots outside the matrix lie at flat
+    positions 0, 1, 5 and 5n-6, 5n-2, 5n-1: shifting row 0's three entries
+    one slot right and row n-1's one slot left leaves the 5n-6 entries in
+    order in ``flat[3:5n-3]``, and those views are the CSR arrays.
     """
     if n < 3:
         raise ValueError("pentadiagonal generator needs n >= 3")
@@ -375,44 +378,28 @@ def gen_pentadiagonal(n: int, seed: int) -> SparseMatrixCSR:
     index = _index_dtype(n, nnz)
     row_ptr = np.arange(-3, 5 * n - 2, 5, dtype=index)      # 5i - 3 inside
     row_ptr[[0, 1, n - 1, n]] = 0, 3, nnz - 3, nnz
-    col_idx, values = np.empty(nnz, dtype=index), np.empty(nnz)
-    inside = max(n - 4, 0)                                  # rows 2 .. n-3
-    inner = slice(7, 7 + 5 * inside)
-    ends = sorted({0, 1, n - 2, n - 1})
-
-    def put(out, k, src, add=False):
-        """Entry (i, i + k) = src[i + min(k, 0)] (or += it), in each row i
-        where it exists."""
-        s = min(k, 0)
-        pairs = [(out[inner].reshape(inside, 5)[:, k + 2], src[2 + s:2 + s + inside])]
-        for i in ends:
-            if 0 <= i + k < n:
-                p = row_ptr[i] + i + k - max(i - 2, 0)
-                pairs.append((out[p:p + 1], src[i + s:i + s + 1]))
-        for slots, part in pairs:
-            if add:
-                slots += part
-            else:
-                slots[...] = part
-
     rng = np.random.default_rng(seed)
-    d0 = rng.random(n)
-    d0 += d0
-    d0 += float(n)
-    put(values, 0, d0)
-    del d0
+    values = np.zeros((n, 5))
+    diag = values[:, 2]
+    diag += rng.random(n)
+    diag += diag
+    diag += float(n)
     # draws u1, u2, l1, l2 in turn: (i, i+1) and (i+1, i) hold u1 + l1,
     # (i, i+2) and (i+2, i) hold u2 + l2
-    for k, add in ((1, False), (2, False), (1, True), (2, True)):
+    for k in (1, 2, 1, 2):
         draw = rng.random(n - k)
-        put(values, k, draw, add)
-        put(values, -k, draw, add)
+        values[:-k, 2 + k] += draw
+        values[k:, 2 - k] += draw
         del draw
-    columns = np.arange(n, dtype=index)       # column i + k = columns[i + min(k, 0)] + max(k, 0)
-    for k in range(-2, 3):
-        put(col_idx, k, columns + k if k > 0 else columns)
-    del columns
-    return SparseMatrixCSR(row_ptr, col_idx, values, n=n)
+    # the row numbers come after the array they fill, so freeing them leaves
+    # no hole under it in the heap (a hole raised the peak of later builds)
+    cols = np.empty((n, 5), dtype=index)
+    np.add(np.arange(n, dtype=index)[:, None], np.arange(-2, 3, dtype=index), out=cols)
+    flat = [a.reshape(-1) for a in (cols, values)]
+    for slots in flat:
+        slots[3:6] = slots[2:5]             # row 0 one slot right
+        slots[-6:-3] = slots[-5:-2]         # row n-1 one slot left
+    return SparseMatrixCSR(row_ptr, *(slots[3:-3] for slots in flat))
 
 
 def gen_gmrf_grid(g: int, theta: float) -> SparseMatrixCSR:
@@ -430,9 +417,7 @@ def gen_gmrf_grid(g: int, theta: float) -> SparseMatrixCSR:
     arrays filled from a template of O(g) entries.  theta = 0 leaves the
     identity.
     """
-    if g < 2:
-        raise ValueError("grid side must be at least 2")
-    check_lattice_theta(theta)
+    check_lattice(g, theta)
     n = g * g
     nnz = n + 4 * g * (g - 1) if theta != 0 else n
     index = _index_dtype(n, nnz)
@@ -458,4 +443,4 @@ def gen_gmrf_grid(g: int, theta: float) -> SparseMatrixCSR:
                out=row_ptr[a0 * g:a1 * g].reshape(rows, g))
         start = end
     row_ptr[n] = nnz
-    return SparseMatrixCSR(row_ptr, col_idx, values, n=n)
+    return SparseMatrixCSR(row_ptr, col_idx, values)

@@ -33,7 +33,7 @@ def random_spd(seed, n=None, kappa=None, lo=2.0):
 
 def scaled(Q, c):
     """c * Q; a power of two c scales every stored entry exactly."""
-    return SparseMatrixCSR(Q.row_ptr, Q.col_idx, c * Q.values, n=Q.n)
+    return SparseMatrixCSR(Q.row_ptr, Q.col_idx, c * Q.values)
 
 
 # the scales of the scale-invariance tests: far below and far above unit scale

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ class TestEstimate:
                                "--seed", "1", "--with-exact")
         assert code == 0
         result = json.loads(out)
-        rep = LogDetReport.from_dict(result["report"])
+        rep = LogDetReport(**result["report"])
         assert rep.to_dict() == result["report"]
         # config block embeds every resolved value, defaults included
         assert result["config"]["seed"] == 1
@@ -333,6 +334,14 @@ class TestGmrfLikelihood:
         n = 600 * 600
         # x' Q x of a draw with precision Q is chi-squared with n degrees
         assert abs(out["rows"][0]["quadform"] - n) < 6 * math.sqrt(2 * n)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_refused_before_the_draw(self, monkeypatch, seed):
+        # estimate's refusal, not numpy's words from the sampler's draw
+        monkeypatch.setattr(likelihood, "_sample_field", None)
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            gmrf_likelihood_scan(10, -0.22, [-0.22], seed=seed)
 
     def test_grid_side_one_refused_before_the_draw(self, monkeypatch):
         monkeypatch.setattr(likelihood, "_sample_field", None)

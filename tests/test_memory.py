@@ -51,7 +51,7 @@ def test_constructor_peak_above_inputs():
     # transposed copy of the matrix
     Q = gen_pentadiagonal(N, seed=0)
     arrays = [a.copy() for a in (Q.row_ptr, Q.col_idx, Q.values)]
-    _, peak = traced_peak(lambda: SparseMatrixCSR(*arrays, n=N))
+    _, peak = traced_peak(lambda: SparseMatrixCSR(*arrays))
     assert peak <= 2.5 * 8 * N
 
 
@@ -65,13 +65,13 @@ def test_constructor_peak_on_scattered_pattern():
     m = sp.csr_matrix((np.r_[np.full(N, 10.0), np.ones(4 * N)],
                        (np.r_[np.arange(N), i, j], np.r_[np.arange(N), j, i])), shape=(N, N))
     m.sum_duplicates()
-    _, peak = traced_peak(lambda: SparseMatrixCSR(m.indptr, m.indices, m.data, n=N))
+    _, peak = traced_peak(lambda: SparseMatrixCSR(m.indptr, m.indices, m.data))
     assert peak <= 3 * 8 * N
 
 
 def test_gen_pentadiagonal_peak():
-    # the CSR arrays, written directly, and one draw (or the column
-    # numbers and one shifted copy); then the constructor's peak above its
+    # the n x 5 slot arrays, whose middles are the CSR arrays, and one
+    # draw (or the row numbers); then the constructor's peak above its
     # inputs
     Q, peak = traced_peak(lambda: gen_pentadiagonal(N, seed=0))
     assert peak <= csr_bytes(Q) + 3 * 8 * N

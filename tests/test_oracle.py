@@ -162,9 +162,11 @@ class TestLatticeAnalytic:
                                    rtol=0, atol=1e-13)
 
     def test_grid_side_below_one_refused(self):
+        # the lattice's one domain check, shared with gen_gmrf_grid
         for spectrum in (lattice_eigenvalues, gmrf_grid_logdet_analytic):
-            with pytest.raises(ValueError, match="grid side must be positive"):
-                spectrum(0, -0.2)
+            for g in (0, 1):
+                with pytest.raises(ValueError, match="grid side must be at least 2"):
+                    spectrum(g, -0.2)
 
 
 class TestLatticeRecognition:

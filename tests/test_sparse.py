@@ -87,30 +87,29 @@ class TestCSRInvariants:
             SparseMatrixCSR(np.array([0, 2, 1]), np.array([0, 1]),
                             np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("row_ptr,cols,values,n,message", [
-        ([0, 1], [0], [1.0], 2, "row_ptr must have length n"),
-        ([0, 1, 2], [0, 1, 1], [1.0, 1.0], None, "equal length"),
-        ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], None, "non-decreasing"),
-        (np.array([0, 2, 1, 3], dtype=np.uint64), [0, 1, 2], [1.0, 1.0, 1.0], None,
+    @pytest.mark.parametrize("row_ptr,cols,values,message", [
+        ([0, 1, 2], [0, 1, 1], [1.0, 1.0], "equal length"),
+        ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], "non-decreasing"),
+        (np.array([0, 2, 1, 3], dtype=np.uint64), [0, 1, 2], [1.0, 1.0, 1.0],
          "non-decreasing"),
-        ([0, 1, 2], [0, 1], [1.0, np.inf], None, "must be finite"),
-        ([0, 1, 2], [0, 1], [np.nan, 1.0], None, "must be finite"),
+        ([0, 1, 2], [0, 1], [1.0, np.inf], "must be finite"),
+        ([0, 1, 2], [0, 1], [np.nan, 1.0], "must be finite"),
         # a cast to the index dtype would truncate these to [0, 1] and [0, 1, 2]
-        ([0, 1, 2], [0.9, 1.7], [1.0, 2.0], None, "^col_idx must hold integers"),
-        ([0, 1.5, 2], [0, 1], [1.0, 2.0], None, "^row_ptr must hold integers"),
-        ([0, 1, 2], [False, True], [1.0, 2.0], None, "^col_idx must hold integers"),
-        ([[0, 1]], [0], [1.0], None, r"^row_ptr must be 1-D, got shape \(1, 2\)$"),
+        ([0, 1, 2], [0.9, 1.7], [1.0, 2.0], "^col_idx must hold integers"),
+        ([0, 1.5, 2], [0, 1], [1.0, 2.0], "^row_ptr must hold integers"),
+        ([0, 1, 2], [False, True], [1.0, 2.0], "^col_idx must hold integers"),
+        ([[0, 1]], [0], [1.0], r"^row_ptr must be 1-D, got shape \(1, 2\)$"),
         # a cast to float64 would drop the imaginary parts, or parse the strings
-        ([0, 1, 2], [0, 1], [1.0 + 2.0j, 1.0], None, "^matrix values must be real"),
-        ([0, 1, 2], [0, 1], [1.0 + 0.0j, 1.0], None, "^matrix values must be real"),
-        ([0, 1, 2], [0, 1], ["1", "2"], None, "^matrix values must be real"),
-    ], ids=["row-ptr-length", "unequal-lengths", "decreasing-row-ptr",
+        ([0, 1, 2], [0, 1], [1.0 + 2.0j, 1.0], "^matrix values must be real"),
+        ([0, 1, 2], [0, 1], [1.0 + 0.0j, 1.0], "^matrix values must be real"),
+        ([0, 1, 2], [0, 1], ["1", "2"], "^matrix values must be real"),
+    ], ids=["unequal-lengths", "decreasing-row-ptr",
             "decreasing-unsigned-row-ptr", "inf", "nan", "float-col-idx", "float-row-ptr",
             "bool-col-idx", "2d-row-ptr", "complex", "complex-zero-imaginary", "strings"])
     @pytest.mark.filterwarnings("error")
-    def test_malformed_arrays_refused(self, row_ptr, cols, values, n, message):
+    def test_malformed_arrays_refused(self, row_ptr, cols, values, message):
         with pytest.raises(ValueError, match=message):
-            SparseMatrixCSR(np.array(row_ptr), np.array(cols), np.array(values), n=n)
+            SparseMatrixCSR(np.array(row_ptr), np.array(cols), np.array(values))
 
     def test_empty_matrix_refused(self):
         for make in (lambda: SparseMatrixCSR.from_scipy(np.zeros((0, 0))),
@@ -234,7 +233,7 @@ class TestCSRInvariants:
         # 2**33 wraps to 0 in int32; the range check must see the input value
         with pytest.raises(ValueError, match="out of range"):
             SparseMatrixCSR(np.array([0, 1, 2]), np.array([0, 2**33], dtype=np.int64),
-                            np.array([1.0, 1.0]), n=2)
+                            np.array([1.0, 1.0]))
 
     def test_asymmetric_refused(self):
         sym = SparseMatrixCSR.from_scipy(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -497,7 +496,7 @@ def accepts(m):
     """The constructor's verdict on the arrays of canonical CSR ``m``."""
     assert m.has_canonical_format
     try:
-        SparseMatrixCSR(m.indptr, m.indices, m.data.copy(), n=m.shape[0])
+        SparseMatrixCSR(m.indptr, m.indices, m.data.copy())
     except ValueError as exc:
         assert "matrix is not symmetric" in str(exc)
         return False
@@ -593,7 +592,7 @@ class TestBlockwiseSymmetryCheck:
         # bits are kept as given
         m = with_entries(band(n, bandwidth=0), [(0, n - 1, 0.0), (n - 1, 0, -0.0)])
         assert not is_symmetric_bitwise(m)        # the bits differ
-        Q = SparseMatrixCSR(m.indptr, m.indices, m.data, n=n)
+        Q = SparseMatrixCSR(m.indptr, m.indices, m.data)
         assert np.signbit(Q.values[at(m, n - 1, 0)])
         assert not np.signbit(Q.values[at(m, 0, n - 1)])
 
