@@ -1,0 +1,208 @@
+"""Record of the Gauss-Radau stop of the Leja quadratic forms: BENCH_bracket.json.
+
+Usage (from the repository root, with a checkout of the parent commit made
+by ``git archive`` or ``git clone``):
+
+    python scripts/bracket_bench.py --parent PATH [--pairs 10] [--seconds 30]
+
+Two parts, both run against the parent checkout:
+
+- ``workloads``: for each workload of BENCHMARK.json, ``--pairs`` pairs of
+  ``perfbench/run.py --workload W --seed S --seconds S --trace 0``, one
+  process at a time, the parent first on odd seeds and this checkout first
+  on even ones; per side the medians, quartiles and per-run values of the
+  end-to-end metrics, in BENCH_slq_ring.json's layout.
+- ``forms``: per matrix and tolerance, four Rademacher probes' quadratic
+  forms ``log_matvec(..., form=True)`` on the interval ``estimate_interval``
+  picks (the exact one for ``random_spd``, whose Lanczos route CG refuses
+  at kappa = 1e4): products per form, the worst error at the stop,
+  |form - v' log(Q/sigma) v| / ||v||^2, and how many forms stopped on the
+  bracket or fell back to the tail rule (the parent has no bracket).  Each side runs in its own
+  process on its own ``src/``.  The reference is the lattice's sine-transform
+  closed form, a dense eigendecomposition for ``random_spd`` (as in
+  tests/conftest.py) and, for the pentadiagonal matrix, SLQ's Lanczos rule
+  run until it has settled to rounding.
+
+Run it on the uncommitted change: ``parent_sha`` is this checkout's HEAD.
+No gate: the record is evidence; the tests and the benchmark own the bounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "BENCH_bracket.json"
+METRICS = ("estimate_s", "setup_s", "matvecs_per_estimate", "peak_rss_mb")
+TOLS = (1e-7, 1e-10)
+PROBES = 4
+# (label, constructor call) of the form matrices; the call is evaluated in
+# the child process with lejadet imported as lj and random_spd defined
+MATRICES = (("lattice g=300 theta=-0.22", "lj.gen_gmrf_grid(300, -0.22)"),
+            ("lattice g=300 theta=-0.24", "lj.gen_gmrf_grid(300, -0.24)"),
+            ("lattice g=100 theta=-0.2499", "lj.gen_gmrf_grid(100, -0.2499)"),
+            ("pentadiagonal n=10000 seed=0", "lj.gen_pentadiagonal(10_000, 0)"),
+            ("random_spd(1, n=300, kappa=1e2)", "random_spd(1, 300, 1e2)"),
+            ("random_spd(1, n=300, kappa=1e3)", "random_spd(1, 300, 1e3)"),
+            ("random_spd(1, n=300, kappa=1e4)", "random_spd(1, 300, 1e4)"))
+
+
+def cpu_name() -> str:
+    with open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    return platform.machine()
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one perfbench run in ``checkout``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(results: list[dict]) -> dict:
+    per_run = {m: [r["metrics"][m]["value"] for r in results] for m in METRICS}
+    return {"all_correct": all(r["correct"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "median": {m: statistics.median(v) for m, v in per_run.items()},
+            "quartiles": {m: statistics.quantiles(v, n=4)[::2] for m, v in per_run.items()},
+            "per_run": per_run}
+
+
+def workloads(parent: Path, pairs: int, seconds: float) -> dict:
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    out = {}
+    for name in names:
+        sides = {"parent": [], "change": []}
+        seeds = list(range(1, pairs + 1))
+        for seed in seeds:
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                sides[side].append(bench_run(parent if side == "parent" else ROOT,
+                                             name, seed, seconds))
+                print(f"{name} seed {seed} {side}: "
+                      f"{ {m: round(sides[side][-1]['metrics'][m]['value'], 4) for m in METRICS} }",
+                      flush=True)
+        rows = {side: summary(results) for side, results in sides.items()}
+        rows["change_lower_in"] = {
+            m: sum(c < p for c, p in zip(rows["change"]["per_run"][m],
+                                         rows["parent"]["per_run"][m]))
+            for m in METRICS}
+        out[name] = {"pairs": pairs, "seeds": seeds, **rows}
+    return out
+
+
+FORMS_CHILD = r'''
+import json, math, sys
+import numpy as np
+from scipy.fft import dstn
+import lejadet as lj
+from lejadet import logdet
+from lejadet.action import log_matvec
+
+def random_spd(seed, n, kappa, lo=2.0):
+    """tests/conftest.py's matrix, on its exact interval."""
+    rng = np.random.default_rng(seed)
+    eig = lo * kappa ** rng.uniform(0.0, 1.0, size=n)
+    eig[0], eig[-1] = lo, lo * kappa
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    dense = (basis * eig) @ basis.T
+    w = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    return (lj.SparseMatrixCSR.from_scipy(0.5 * (dense + dense.T)),
+            lj.SpectralInterval(w[0], w[-1], method="exact"))
+
+def reference(Q, v):
+    """v' log(Q) v."""
+    try:
+        g, theta = logdet.lattice_of(Q)
+    except ValueError:
+        pass
+    else:
+        lam = lj.oracle.lattice_eigenvalues(g, theta)
+        return float(np.sum(dstn(v.reshape(g, g), type=1, norm="ortho") ** 2 * np.log(lam)))
+    if Q.n <= 1000:
+        w, V = np.linalg.eigh(Q.to_scipy().toarray())
+        return float(v @ (V @ (np.log(w) * (V.T @ v))))
+    return logdet._lanczos_quadrature(Q.to_scipy(), v, 60)[0]
+
+rows = []
+for label, call, tols, probes in json.loads(sys.argv[1]):
+    Q = eval(call)
+    Q, bounds = Q if isinstance(Q, tuple) else (Q, lj.estimate_interval(Q, seed=0))
+    # a tolerance no exact trace meets: the engine builds the forms' table
+    eng = logdet._ActionEngine(Q, bounds, logdet.DEFAULT_MAX_DEGREE, 0, 1e-300)
+    for tol in tols:
+        rng = np.random.default_rng(0)
+        products, errors, stops, converged = [], [], [], []
+        for _ in range(probes):
+            v = rng.integers(0, 2, Q.n) * 2.0 - 1.0
+            res = log_matvec(Q, v, eng.forms, tol, form=True)
+            exact = reference(Q, v) - eng.log_sigma * Q.n
+            products.append(res.degree_used)
+            errors.append(abs(res.form - exact) / Q.n)
+            stops.append(getattr(res, "stop", None))
+            converged.append(res.converged)
+        rows.append({"matrix": label, "tol": tol, "enclosure": bounds.method,
+                     "kappa": bounds.condition, "products": products,
+                     "worst_error": max(errors), "converged": all(converged),
+                     "bracket_stops": stops.count("bracket"),
+                     "tail_fallbacks": stops.count("tail")})
+print(json.dumps(rows))
+'''
+
+
+def forms(checkout: Path) -> list[dict]:
+    """Per-form rows of ``checkout``'s ``log_matvec``, in a child process."""
+    spec = json.dumps([(label, call, TOLS, PROBES) for label, call in MATRICES])
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", FORMS_CHILD, spec], env=env,
+                          capture_output=True, text=True, timeout=3600, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    import numpy
+    import scipy
+    record = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds "
+                   f"{args.seconds:g} --trace 0",
+        "order": "pairs in seed order, one process at a time; parent first on odd seeds, "
+                 "change first on even seeds",
+        "env": {"python": platform.python_version(), "numpy": numpy.__version__,
+                "scipy": scipy.__version__, "nproc": os.cpu_count(),
+                "blas_threads": "1", "cpu": cpu_name()},
+        "parent_sha": subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, text=True,
+                                     capture_output=True, check=True).stdout.strip(),
+        "change": "the commit that adds this file (measured on its working tree over "
+                  "the parent)",
+        "claim": "lattice-300 matvecs_per_estimate lower; every other workload and "
+                 "metric within its bound",
+        "forms": {"probes": PROBES, "tols": list(TOLS),
+                  "error": "max over probes of |form - v' log(Q/sigma) v| / ||v||^2",
+                  "parent": forms(args.parent), "change": forms(ROOT)},
+    }
+    OUT.write_text(json.dumps(record, indent=1) + "\n")
+    record["workloads"] = workloads(args.parent, args.pairs, args.seconds)
+    OUT.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {OUT}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,8 +15,8 @@ import sys
 
 from .likelihood import gmrf_likelihood_scan
 from .logdet import EXACT_METHODS, METHODS, estimate
-from .sparse import (gen_gmrf_grid, gen_pentadiagonal, load_matrix_market,
-                     write_matrix_market)
+from .sparse import (_checked_seed, gen_gmrf_grid, gen_pentadiagonal,
+                     load_matrix_market, write_matrix_market)
 from .spectral import ConvergenceError
 
 __all__ = ["main"]
@@ -46,8 +46,6 @@ def _estimator_options(args) -> dict:
         raise ValueError("--tol must be positive")
     if not args.tol < 1:
         raise ValueError("--tol must be below 1")
-    if args.seed < 0:
-        raise ValueError("--seed must be non-negative")
     if args.max_degree < 0:
         raise ValueError("--max-degree must be non-negative")
     return {name: value for name, value in vars(args).items()
@@ -196,6 +194,8 @@ def _render_estimate(result: dict, fmt: str) -> str:
                               else f"{rep['error_bound']:.3e}"),
         f"queries         {rep['queries']}",
         f"degrees         min {rep['degrees']['min']} / median {rep['degrees']['median']} / max {rep['degrees']['max']}",
+        f"forms           {rep['bracket_stops']} stopped on the bracket / "
+        f"{rep['tail_fallbacks']} fell back to the tail rule",
         f"matvecs         {rep['matvecs_total']}",
         f"wall time       {rep['wall_time']:.3f} s",
         f"seed            {rep['seed']}",
@@ -281,6 +281,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 means success-with-warnings here
         return 0 if not exc.code else 1
     try:
+        _checked_seed(args.seed)        # every command's, before any work
         if args.command == "estimate":
             result = run_estimate(args)
             print(_render_estimate(result, args.format))
@@ -310,8 +311,6 @@ def main(argv=None) -> int:
             return 2 if any(r["error"] or r["warnings"] for r in rows) else 0
 
         # gen, the last of the parser's commands
-        if args.seed < 0:
-            raise ValueError("--seed must be non-negative")
         Q = parse_gen_spec(args.gen, args.seed)
         write_matrix_market(Q, args.out)
         print(f"wrote {args.gen} to {args.out} (n={Q.n}, nnz={Q.nnz})")

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .logdet import _checked_seed, estimate
+from .logdet import estimate
 from .oracle import lattice_eigenvalues
-from .sparse import check_lattice, gen_gmrf_grid
+from .sparse import _checked_seed, check_lattice, gen_gmrf_grid
 
 __all__ = ["gmrf_likelihood_scan"]
 _DEFAULT = estimate.__kwdefaults__      # the estimator defaults have one home

@@ -42,14 +42,14 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import ddot, dgemv
 
 from .action import log_matvec
 from .divdiff import divided_differences_log
 from .leja import generate_fast_leja
 from .oracle import band_logdet_cholesky, gmrf_grid_logdet_analytic, lattice_of
-from .sparse import SparseMatrixCSR
+from .quadrature import gauss_rule
+from .sparse import SparseMatrixCSR, _checked_seed
 from .spectral import SpectralInterval, _lanczos, estimate_interval
 
 __all__ = [
@@ -93,6 +93,10 @@ class LogDetReport:
     enclosure: str | None = None
     # |estimate - log det Q| is at most this when the trace was summed exactly
     error_bound: float | None = None
+    # quadratic forms that stopped on their Gauss-Radau bracket, and those
+    # whose moments broke down so that the tail rule took over
+    bracket_stops: int = 0
+    tail_fallbacks: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -138,6 +142,8 @@ class _ActionRecord(NamedTuple):
     degree: int
     converged: bool
     error_estimate: float
+    # a quadratic form's ``ActionResult.stop``; None for a vector action
+    stop: str | None = None
 
 
 def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
@@ -147,8 +153,9 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
     the degree statistics, matvec total (their degrees, plus the ``matvecs``
-    of the spectral enclosure), warnings and convergence flag come from
-    them.  ``trace_estimate`` may be a numpy scalar (the exact trace, an
+    of the spectral enclosure), warnings, convergence flag and the counts of
+    forms that stopped on their bracket or fell back to the tail rule come
+    from them.  ``trace_estimate`` may be a numpy scalar (the exact trace, an
     oracle); it is cast to a Python float here, and ``queries`` and
     ``seed`` to Python ints, so that the report's numbers, and comparisons
     on them, serialize with ``json``.
@@ -181,6 +188,8 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
                    if len(terms) >= 2 else None),
         enclosure=enclosure,
         error_bound=error_bound,
+        bracket_stops=sum(r.stop == "bracket" for r in records),
+        tail_fallbacks=sum(r.stop == "tail" for r in records),
     )
 
 
@@ -250,7 +259,8 @@ class _ActionEngine:
                 res = log_matvec(self.Q, vector(j), self.dd, tol)
                 images[:, j] = res.vector
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
-                                              res.converged, res.error_estimate))
+                                              res.converged, res.error_estimate,
+                                              res.stop))
             del res     # the next action must not run with this alive
         return qforms
 
@@ -374,12 +384,18 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_T
     ``action_tol``, in (0, 1), bounds each action's error indicator relative
     to its probe's norm (``log_matvec``'s ``rtol``; a quadratic form's
     relative to the squared norm), not the estimate's error: at 1e-2 the
-    12-query estimate of ``gen_gmrf_grid(30, -0.24)`` is 3.7% off, and at
-    0.5 12.5% off.  It governs the deterministic and residual actions,
+    12-query estimate of ``gen_gmrf_grid(30, -0.24)`` is 4.6% off, and at
+    0.5 9.5% off.  It governs the deterministic and residual actions,
     whose quadratic forms enter the estimate directly; each is a form of
-    ``log_matvec`` on the doubled Leja sequence, which reaches an
-    interpolant of degree 2k in k products and builds no vector
-    log(Q/sigma) v.  The sketch actions run to
+    ``log_matvec`` on the doubled Leja sequence, which builds no vector
+    log(Q/sigma) v.  A form stops once the Gauss and Gauss-Radau rules read
+    off its own products' inner products bracket v' log(Q/sigma) v in an
+    interval at most action_tol * ||v||^2 wide, and returns its midpoint;
+    where those moments break down it stops on the tail rule instead
+    (``log_matvec``).  ``report.bracket_stops`` and
+    ``report.tail_fallbacks`` count the two.  A Gauss node below the
+    interval's lower end proves that the interval does not enclose the
+    spectrum, and the estimate is refused.  The sketch actions run to
     ``sqrt(action_tol)``: the estimator is unbiased for any basis that does
     not depend on the residual probes, and a basis off by delta changes the
     residual operator (I - AA') log(Q/sigma) (I - AA') only at order
@@ -421,22 +437,15 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAUL
 
 
 def _gauss_rule(beta0_sq, alphas, betas):
-    """The Gauss rule beta0^2 sum tau_k^2 log(theta_k) of a Lanczos tridiagonal,
-    and its rounding bound steps * eps * beta0^2 sum tau_k^2 |log(theta_k)|.
+    """The Gauss rule (``quadrature.gauss_rule``) of a Lanczos tridiagonal.
 
-    theta_k are the tridiagonal's eigenvalues and tau_k the first entries of
-    its eigenvectors.  A Ritz value within rounding of zero, relative to the
-    largest, is refused: the matrix is singular or indefinite, and its log
-    would pass for a finite one.
+    A Ritz value within rounding of zero, relative to the largest, is
+    refused: the matrix is singular or indefinite.
     """
-    rounding = alphas.shape[0] * np.finfo(float).eps
-    theta, vecs = eigh_tridiagonal(alphas, betas)
-    if theta[0] <= rounding * theta[-1]:
+    rule = gauss_rule(beta0_sq, alphas, betas)
+    if rule is None:
         raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
-    tau_sq = vecs[0, :] ** 2
-    logs = np.log(theta)
-    return (beta0_sq * float(tau_sq @ logs),
-            rounding * beta0_sq * float(tau_sq @ np.abs(logs)))
+    return rule
 
 
 def _check_point(beta0_sq, alphas, betas, previous):
@@ -452,8 +461,8 @@ def _check_point(beta0_sq, alphas, betas, previous):
     steps = alphas.shape[0]
     if steps < 2 or steps & (steps - 1):
         return previous, False
-    value, bound = _gauss_rule(beta0_sq, alphas, betas)
-    return value, previous is not None and abs(value - previous) <= bound
+    value, rounding, _ = _gauss_rule(beta0_sq, alphas, betas)
+    return value, previous is not None and abs(value - previous) <= rounding
 
 
 def _lanczos_quadrature(m_sp, v, m_l):
@@ -486,7 +495,7 @@ def _lanczos_quadrature(m_sp, v, m_l):
         rule, settled = _check_point(beta0_sq, alphas, betas, rule)
         if settled:
             return rule, alphas.shape[0]
-    return _gauss_rule(beta0_sq, alphas, betas)[0], alphas.shape[0]
+    return _gauss_rule(beta0_sq, alphas, betas).value, alphas.shape[0]
 
 
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
@@ -518,14 +527,6 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
         records.append(_ActionRecord(f"probe {j}", steps, True, 0.0))
     return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records,
                    terms=terms)
-
-
-def _checked_seed(seed) -> int:
-    """``seed`` as a Python int, or a refusal unless it is a non-negative
-    integer (a bool is not one)."""
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
 
 
 def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int = 30,

@@ -353,6 +353,14 @@ def write_matrix_market(Q: SparseMatrixCSR, path) -> None:
 # Synthetic generators used in the experiments
 # ---------------------------------------------------------------------------
 
+def _checked_seed(seed) -> int:
+    """``seed`` as a Python int, or a refusal unless it is a non-negative
+    integer (a bool is not one)."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def gen_pentadiagonal(n: int, seed: int) -> SparseMatrixCSR:
     """Random SPD pentadiagonal matrix of dimension n.
 
@@ -360,7 +368,8 @@ def gen_pentadiagonal(n: int, seed: int) -> SparseMatrixCSR:
     from a seeded PCG64 generator (numpy ``default_rng``), then the matrix
     is symmetrized and shifted: ``Q + Q.T + n*I``.  Diagonal dominance makes
     the result SPD: every off-diagonal magnitude is below 2 while the
-    diagonal is at least n.
+    diagonal is at least n.  A seed that is not a non-negative integer is
+    refused, as ``estimate`` refuses it.
 
     The CSR arrays are written directly, entry by entry equal to building
     ``Q + Q.T + n*I`` with scipy.  Row i's entries are columns i-2 .. i+2:
@@ -374,6 +383,7 @@ def gen_pentadiagonal(n: int, seed: int) -> SparseMatrixCSR:
     """
     if n < 3:
         raise ValueError("pentadiagonal generator needs n >= 3")
+    seed = _checked_seed(seed)
     nnz = 5 * n - 6
     index = _index_dtype(n, nnz)
     row_ptr = np.arange(-3, 5 * n - 2, 5, dtype=index)      # 5i - 3 inside

@@ -9,6 +9,8 @@ from conftest import gmrf_spectrum, random_spd
 from lejadet import SparseMatrixCSR, SpectralInterval, gen_gmrf_grid, generate_fast_leja
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
+from lejadet.logdet import _lanczos_quadrature
+from lejadet.quadrature import ModifiedChebyshev
 from lejadet.spectral import gershgorin_bounds
 
 
@@ -218,17 +220,20 @@ class TestQuadraticForm:
             res = log_matvec(Q, v, dd, rtol=tol, form=True)
             assert type(res.form) is float
             assert res.converged and res.error_estimate <= tol * Q.n
-            assert abs(res.form - exact) <= tol * Q.n
+            # the midpoint of the Gauss-Radau bracket, within its half-width
+            assert res.stop == "bracket"
+            assert abs(res.form - exact) <= res.error_estimate
 
     def test_equals_the_doubled_interpolant(self):
         # after k products the form is v' P(Q) v for the degree-2k Newton
-        # interpolant on the doubled sequence, here stepped as a vector
+        # interpolant on the doubled sequence, here stepped as a vector: at
+        # rtol 0 no rule is solved and the form runs to the cap
         for Q, interval in TestFusedStep().cases():
             dd = make_form_dd(interval)
             v = np.random.default_rng(3).standard_normal(Q.n)
             for k in (0, 1, 2, 7, 20):
                 res = log_matvec(Q, v, capped(dd, 2 * k), rtol=0.0, form=True)
-                assert res.degree_used == res.matvecs == k
+                assert res.degree_used == res.matvecs == k and res.stop is None
                 assert res.error_history.shape == (k + 1,)
                 ref = v @ textbook_log_matvec(Q, v, dd, 2 * k)
                 assert abs(res.form - ref) <= 1e-12 * abs(ref)
@@ -246,3 +251,77 @@ class TestQuadraticForm:
             res = log_matvec(Q, v, make_form_dd(interval), rtol=tol, form=True)
             assert abs(res.form - exact) <= tol * (v @ v)
             assert res.degree_used < vec.degree_used
+
+    @staticmethod
+    def moments(Q, v, dd, products):
+        """The modified Chebyshev table fed the moments of ``products`` steps
+        of the form's recursion, one table per product count."""
+        c, gamma = dd.interval.c, dd.interval.gamma
+        xi = dd.nodes[::2]
+        m_sp = Q.to_scipy()
+        table = ModifiedChebyshev(dd.nodes.tolist())
+        assert table.add(v @ v)
+        w = v
+        for k in range(products):
+            y = (m_sp @ w - c * w) / gamma - xi[k] * w
+            assert table.add(w @ y) and table.add(y @ y)
+            w = y
+            yield k + 1, table
+
+    @pytest.mark.parametrize("theta", [-0.22, -0.24, -0.2499])
+    @pytest.mark.parametrize("g", [40, 100])
+    def test_gauss_above_and_radau_below_the_closed_form(self, g, theta):
+        # for log, Gauss is an upper bound and Radau at the interval's lower
+        # end a lower bound on v' log(Q) v, at every product count until the
+        # bracket is within rounding of the value
+        lam = gmrf_spectrum(g, theta)
+        iv = SpectralInterval(lam.min(), lam.max())
+        dd = make_form_dd(iv)
+        Q = gen_gmrf_grid(g, theta)
+        v = np.random.default_rng(g).integers(0, 2, Q.n) * 2.0 - 1.0
+        exact = float(np.sum(dstn(v.reshape(g, g), type=1, norm="ortho") ** 2
+                             * np.log(lam)))
+        slack = 1e-12 * Q.n
+        for k, table in self.moments(Q, v, dd, 40):
+            gauss, radau = table.gauss(iv.c, iv.gamma), table.radau(-2.0, iv.c, iv.gamma)
+            assert gauss.value >= exact - slack
+            assert radau.value <= exact + slack
+            assert gauss.lowest >= iv.lambda_min
+
+    @pytest.mark.parametrize("theta", [-0.22, -0.2499])
+    def test_gauss_rule_of_the_moments_is_lanczos_rule(self, theta):
+        # the k-node Gauss rule of a measure is one rule however its Jacobi
+        # matrix is found: from the form's moments or by Lanczos on Q
+        g = 100
+        lam = gmrf_spectrum(g, theta)
+        iv = SpectralInterval(lam.min(), lam.max())
+        Q = gen_gmrf_grid(g, theta)
+        v = np.random.default_rng(1).integers(0, 2, Q.n) * 2.0 - 1.0
+        m_sp = Q.to_scipy()
+        rules = {k: table.gauss(iv.c, iv.gamma).value
+                 for k, table in self.moments(Q, v, make_form_dd(iv), 32)}
+        for k in range(1, 33):
+            lanczos, steps = _lanczos_quadrature(m_sp, v, k)
+            assert abs(rules[steps] - lanczos) <= 1e-12 * abs(lanczos)
+
+    def test_bracket_stops_before_the_tail_rule(self):
+        # lattice-300's matrix on Gershgorin's interval: the form closes its
+        # bracket in 22 products, where the tail rule took 28
+        Q = gen_gmrf_grid(300, -0.24)
+        v = np.random.default_rng(0).integers(0, 2, Q.n) * 2.0 - 1.0
+        res = log_matvec(Q, v, make_form_dd(gershgorin_bounds(Q)), rtol=1e-7, form=True)
+        assert res.stop == "bracket" and res.converged
+        assert res.degree_used == 22 and res.error_history.shape == (23,)
+
+    def test_falls_back_to_the_tail_rule_on_breakdown(self):
+        # on a log-uniform spectrum the moment recursion breaks down (a
+        # negative beta at product 45) long before the bracket closes; the
+        # tail rule then stops the form where it stopped before there was a
+        # bracket, after 95 products at 1e-7 (it reads 1.2e-6 ||v||^2 off)
+        Q, w, _ = random_spd(1, n=300, kappa=1e3)
+        dd = make_form_dd(SpectralInterval(w.min(), w.max()))
+        v = np.random.default_rng(0).integers(0, 2, 300) * 2.0 - 1.0
+        res = log_matvec(Q, v, dd, rtol=1e-7, form=True)
+        assert res.stop == "tail" and res.converged
+        assert res.degree_used == 95
+        assert res.error_estimate == res.error_history[-1] <= 1e-7 * (v @ v)

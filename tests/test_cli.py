@@ -27,7 +27,8 @@ CONFIG_KEYS = ["method", "matrix", "gen", "queries", "probes", "slq_degree", "to
                "seed", "format", "max_degree", "with_exact"]
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
-               "warnings", "converged", "std_error", "enclosure", "error_bound"}
+               "warnings", "converged", "std_error", "enclosure", "error_bound",
+               "bracket_stops", "tail_fallbacks"}
 
 # the estimator options every estimator command refuses before it runs, with
 # their messages; each command line below is complete apart from them
@@ -35,7 +36,7 @@ BAD_OPTIONS = [(("--tol", "0"), "--tol must be positive"),
                (("--tol", "nan"), "--tol must be positive"),
                (("--tol", "1"), "--tol must be below 1"),
                (("--tol", "inf"), "--tol must be below 1"),
-               (("--seed", "-1"), "--seed must be non-negative"),
+               (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
                (("--max-degree", "-1"), "--max-degree must be non-negative")]
 BAD_OPTION_IDS = ["tol-0", "tol-nan", "tol-1", "tol-inf", "seed-negative",
                   "max-degree-negative"]
@@ -132,6 +133,9 @@ class TestEstimate:
                                "--format", "table")
         assert code == 0
         assert "estimate" in out and "wall time" in out
+        # every probe's form closes its Gauss-Radau bracket on the lattice
+        assert ("forms           8 stopped on the bracket / 0 fell back to the tail rule"
+                in out.splitlines())
         assert "enclosure       gershgorin" in out.splitlines()
         (line,) = [ln for ln in out.splitlines() if ln.startswith("std error")]
         assert float(line.split()[-1]) > 0
@@ -642,11 +646,12 @@ class TestGen:
     @pytest.mark.parametrize("spec,seed", [("pentadiagonal:10", "-1"),
                                            ("gmrf:4:-0.2", "-3")])
     def test_negative_seed_refused(self, capsys, tmp_path, spec, seed):
+        # the library's one seed check, whether or not the generator draws
         out_path = tmp_path / "m.mtx"
         code, out, err = run_cli(capsys, "gen", "--gen", spec, "--seed", seed,
                                  "--out", str(out_path))
         assert code == 1 and out == ""
-        assert err == "error: --seed must be non-negative\n"
+        assert err == f"error: seed must be a non-negative integer, got {seed}\n"
         assert not out_path.exists()
 
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
-from conftest import POWERS_OF_TWO, indefinite_matrix, random_spd, scaled
+from conftest import POWERS_OF_TWO, gmrf_spectrum, indefinite_matrix, random_spd, scaled
 from lejadet import logdet
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
@@ -63,13 +63,16 @@ def barely_positive_spd():
 # of tolerance 1e-12 capped at degree 5): Gershgorin on the generators and
 # the identity, Lanczos on random_spd matrices whose Gershgorin condition
 # number is 1e8 (floored) or 1e6; the pentadiagonal (kappa near 1) and the
-# identity (a degenerate map) converge under the cap
+# identity (a degenerate map) converge under the cap, and so do the barely
+# positive matrix's forms, whose Gauss-Radau brackets close within 5
+# products on Lanczos's interval of condition 1.28 (the tail rule left 8 of
+# them just above the tolerance)
 ROUTE_CASES = [(lambda: gen_gmrf_grid(20, -0.22), "gershgorin", s, 12) for s in range(3)]
 ROUTE_CASES += [(lambda: gen_pentadiagonal(10_000, seed=0), "gershgorin", 0, 0),
                 (lambda: gen_gmrf_grid(40, -0.24), "gershgorin", 0, 12),
                 (lambda: identity_matrix(50), "gershgorin", 0, 0),
                 (lambda: random_spd(0, n=200, kappa=100.0)[0], "lanczos", 0, 12),
-                (barely_positive_spd, "lanczos", 0, 8)]
+                (barely_positive_spd, "lanczos", 0, 0)]
 ROUTE_IDS = ["lattice-20-seed0", "lattice-20-seed1", "lattice-20-seed2", "penta-1e4",
              "lattice-40", "identity", "spd-floored", "spd-barely-positive"]
 
@@ -344,6 +347,31 @@ class TestHutchPP:
         with pytest.raises(ValueError, match="3"):
             hutchpp_logdet(identity_matrix(4), 2)
 
+    def test_counts_the_forms_by_how_they_stopped(self):
+        # the lattice's 8 forms close their brackets; on a log-uniform
+        # spectrum every form's moments break down and the tail rule stops it
+        rep = hutchpp_logdet(gen_gmrf_grid(40, -0.24), 12, seed=0)
+        assert (rep.bracket_stops, rep.tail_fallbacks) == (8, 0)
+        Q, w, _ = random_spd(1, n=300, kappa=1e3)
+        rep = hutchinson_logdet(Q, 6, seed=0, bounds=SpectralInterval(w.min(), w.max()))
+        assert (rep.bracket_stops, rep.tail_fallbacks) == (0, 6)
+        # at the products the tail rule took before there was a bracket
+        assert rep.degrees == {"min": 95, "median": 95.0, "max": 98}
+        for method in ("slq", "exact-band"):
+            rep = estimate(Q, method)
+            assert (rep.bracket_stops, rep.tail_fallbacks) == (0, 0)
+
+    def test_refuses_an_interval_the_moments_prove_no_enclosure(self):
+        # twice lambda_min as the lower end: the exact Hutch++ estimate was
+        # returned 6.75% off with converged True and no warning
+        g, theta = 40, -0.24
+        lam = gmrf_spectrum(g, theta)
+        with pytest.raises(ValueError, match=re.escape(
+                f"below the interval [{2.0 * lam.min():.6g}, {lam.max():.6g}]: it does "
+                f"not enclose the spectrum")):
+            hutchpp_logdet(gen_gmrf_grid(g, theta), 12, seed=0,
+                           bounds=SpectralInterval(2.0 * lam.min(), lam.max()))
+
     def test_gmrf_unbiased_over_seeds(self):
         Q = gen_gmrf_grid(20, -0.22)
         exact = gmrf_grid_logdet_analytic(20, -0.22)
@@ -401,15 +429,21 @@ class TestHutchPPSketchTolerance:
     """The sketch actions run to sqrt(tol), every other one to tol."""
 
     def test_sketch_reaches_a_lower_degree(self, monkeypatch):
+        # than the same vector actions at the full tolerance; the forms are
+        # not comparable, since they stop on their bracket in fewer products
         engines = _recorded_engines(monkeypatch)
-        rep = hutchpp_logdet(gen_gmrf_grid(40, -0.22), 12, seed=0)
+        Q = gen_gmrf_grid(40, -0.22)
+        rep = hutchpp_logdet(Q, 12, seed=0)
         (eng,) = engines
         degrees = {}
         for r in eng.records:
             degrees.setdefault(r.label.split()[0], []).append(r.degree)
         assert set(degrees) == {"sketch", "deterministic", "residual"}
-        assert max(degrees["sketch"]) < min(degrees["deterministic"])
-        assert rep.degrees["min"] == min(degrees["sketch"])
+        sketch = logdet._rademacher(np.random.default_rng(0), Q.n, 4)
+        full = [log_matvec(Q, logdet._column(sketch, j), eng.dd, 1e-7).degree_used
+                for j in range(4)]
+        assert all(s < f for s, f in zip(degrees["sketch"], full))
+        assert rep.degrees["min"] == min(r.degree for r in eng.records)
         assert rep.converged and not rep.warnings
         assert rep.matvecs_total == sum(r.degree for r in eng.records)
 

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from lejadet import (SparseMatrixCSR, gen_gmrf_grid, gen_pentadiagonal,
+from lejadet import (SparseMatrixCSR, estimate, gen_gmrf_grid, gen_pentadiagonal,
                      load_matrix_market, matvec, sparse, write_matrix_market)
 from sparse_oracles import lattice_by_kron, pentadiagonal_by_mask
 
@@ -400,6 +402,16 @@ class TestPentadiagonalGenerator:
         assert np.array_equal(Q.row_ptr, ref.indptr)
         assert np.array_equal(Q.col_idx, ref.indices)
         assert Q.values.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_refused_with_estimates_message(self, seed):
+        # one seed check for the generator and the estimators: numpy refused
+        # -1 and 1.5 in its own words, and ran True as seed 1
+        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            gen_pentadiagonal(10, seed)
+        with pytest.raises(ValueError, match=message):
+            estimate(gen_gmrf_grid(4, -0.2), "slq", seed=seed)
 
     def test_seed_reproducible(self):
         a = gen_pentadiagonal(64, seed=42)
