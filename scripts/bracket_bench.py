@@ -1,11 +1,15 @@
-"""Record of the Gauss-Radau stop of the Leja quadratic forms: BENCH_bracket.json.
+"""Record of the Gauss-Radau stops: the Leja quadratic forms' in
+BENCH_bracket.json, SLQ's in BENCH_slq_bracket.json.
 
 Usage (from the repository root, with a checkout of the parent commit made
 by ``git archive`` or ``git clone``):
 
-    python scripts/bracket_bench.py --parent PATH [--pairs 10] [--seconds 30]
+    python scripts/bracket_bench.py --parent PATH [--part forms|slq] [--pairs 10]
+        [--seconds 30]
 
-Two parts, both run against the parent checkout:
+``--part forms`` (the default) writes ``forms`` and ``workloads`` to
+BENCH_bracket.json, ``--part slq`` writes ``slq`` and ``workloads`` to
+BENCH_slq_bracket.json; every part runs against the parent checkout:
 
 - ``workloads``: for each workload of BENCHMARK.json, ``--pairs`` pairs of
   ``perfbench/run.py --workload W --seed S --seconds S --trace 0``, one
@@ -22,6 +26,12 @@ Two parts, both run against the parent checkout:
   closed form, a dense eigendecomposition for ``random_spd`` (as in
   tests/conftest.py) and, for the pentadiagonal matrix, SLQ's Lanczos rule
   run until it has settled to rounding.
+- ``slq``: per matrix, Lanczos cap m_l and probe seed, the steps each of
+  ``slq_logdet(Q, m_l, 10, seed)``'s probes took, the worst relative
+  deviation of a probe from the same probe run to m_l steps, and
+  ``report.bracket_stops``, for the parent and this checkout, each in its
+  own process on its own ``src/``.  A probe that ran to m_l is also
+  checked bitwise against the parent's.
 
 Run it on the uncommitted change: ``parent_sha`` is this checkout's HEAD.
 No gate: the record is evidence; the tests and the benchmark own the bounds.
@@ -39,7 +49,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUT = ROOT / "BENCH_bracket.json"
+OUT = {"forms": ROOT / "BENCH_bracket.json", "slq": ROOT / "BENCH_slq_bracket.json"}
 METRICS = ("estimate_s", "setup_s", "matvecs_per_estimate", "peak_rss_mb")
 TOLS = (1e-7, 1e-10)
 PROBES = 4
@@ -52,6 +62,21 @@ MATRICES = (("lattice g=300 theta=-0.22", "lj.gen_gmrf_grid(300, -0.22)"),
             ("random_spd(1, n=300, kappa=1e2)", "random_spd(1, 300, 1e2)"),
             ("random_spd(1, n=300, kappa=1e3)", "random_spd(1, 300, 1e3)"),
             ("random_spd(1, n=300, kappa=1e4)", "random_spd(1, 300, 1e4)"))
+
+
+# (label, constructor call, m_l, probe seeds) of the SLQ rows, evaluated as
+# MATRICES' calls are, with loose_tridiagonal defined
+SLQ_MATRICES = (
+    [(f"pentadiagonal n={n} seed={s}", f"lj.gen_pentadiagonal({n}, {s})", 40, (0, 1))
+     for n, seeds in ((10_000, (0,)), (100_000, (0, 1, 2)), (1_000_000, (0,)))
+     for s in seeds]
+    + [("lattice g=447 theta=-0.22", "lj.gen_gmrf_grid(447, -0.22)", 80, (0,)),
+       ("lattice g=300 theta=-0.24", "lj.gen_gmrf_grid(300, -0.24)", 80, (0,)),
+       ("loose-Gershgorin tridiagonal n=10000", "loose_tridiagonal(10_000)", 80, (0,)),
+       ("lattice g=100 theta=-0.2499", "lj.gen_gmrf_grid(100, -0.2499)", 80, (0,)),
+       ("random_spd(0, n=200, kappa=1e3)", "random_spd(0, 200, 1e3)[0]", 40, (0,)),
+       ("random_spd(0, n=200, kappa=1e2)", "random_spd(0, 200, 1e2)[0]", 80, (0,))])
+SLQ_PROBES = 10
 
 
 def cpu_name() -> str:
@@ -102,14 +127,8 @@ def workloads(parent: Path, pairs: int, seconds: float) -> dict:
     return out
 
 
-FORMS_CHILD = r'''
-import json, math, sys
-import numpy as np
-from scipy.fft import dstn
-import lejadet as lj
-from lejadet import logdet
-from lejadet.action import log_matvec
-
+# tests/conftest.py's matrix, on its exact interval; pasted into the children
+RANDOM_SPD = r'''
 def random_spd(seed, n, kappa, lo=2.0):
     """tests/conftest.py's matrix, on its exact interval."""
     rng = np.random.default_rng(seed)
@@ -120,6 +139,17 @@ def random_spd(seed, n, kappa, lo=2.0):
     w = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     return (lj.SparseMatrixCSR.from_scipy(0.5 * (dense + dense.T)),
             lj.SpectralInterval(w[0], w[-1], method="exact"))
+'''
+
+FORMS_CHILD = r'''
+import json, math, sys
+import numpy as np
+from scipy.fft import dstn
+import lejadet as lj
+from lejadet import logdet
+from lejadet.action import log_matvec
+
+RANDOM_SPD
 
 def reference(Q, v):
     """v' log(Q) v."""
@@ -161,19 +191,103 @@ print(json.dumps(rows))
 '''
 
 
-def forms(checkout: Path) -> list[dict]:
-    """Per-form rows of ``checkout``'s ``log_matvec``, in a child process."""
-    spec = json.dumps([(label, call, TOLS, PROBES) for label, call in MATRICES])
+SLQ_CHILD = r'''
+import json, sys
+import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import eigvalsh_tridiagonal
+import lejadet as lj
+from lejadet import logdet
+RANDOM_SPD
+
+def loose_tridiagonal(n):
+    """Diagonal alternating 2.8 and 5.767, off-diagonal 1.3: Gershgorin's
+    lower end is 0.2, lambda_min 1.29."""
+    diag, off = np.where(np.arange(n) % 2, 5.767, 2.8), np.full(n - 1, 1.3)
+    return lj.SparseMatrixCSR.from_scipy(sp.diags([off, diag, off], [-1, 0, 1],
+                                                  format="csr"))
+
+def probes(Q, m_l, seed, full):
+    """(value, steps) of each probe of slq_logdet(Q, m_l, n_v, seed), and the
+    report; with ``full`` every probe runs m_l steps (the parent: no check
+    point settles; this checkout: no lower end, so no bracket)."""
+    quadrature, out = logdet._lanczos_quadrature, []
+    check = getattr(logdet, "_check_point", None)
+
+    def recording(*args):
+        if full and check is None:
+            args = args[:3] + (0.0,)
+        result = quadrature(*args)
+        out.append((float(result[0]), int(result[1])))
+        return result
+
+    logdet._lanczos_quadrature = recording
+    if full and check is not None:
+        logdet._check_point = lambda beta0_sq, alphas, betas, previous: (previous, False)
+    try:
+        rep = lj.slq_logdet(Q, m_l, N_V, seed=seed)
+    finally:
+        logdet._lanczos_quadrature = quadrature
+        if check is not None:
+            logdet._check_point = check
+    return out, rep
+
+rows = []
+for label, call, m_l, seeds in json.loads(sys.argv[1]):
+    Q = eval(call)
+    for seed in seeds:
+        stopped, rep = probes(Q, m_l, seed, False)
+        full, _ = probes(Q, m_l, seed, True)
+        rows.append({"matrix": label, "m_l": m_l, "probe_seed": seed,
+                     "gershgorin_lower": Q.gershgorin[0],
+                     "steps": [k for _, k in stopped],
+                     "worst_deviation": max(abs(v - f) / abs(f)
+                                            for (v, _), (f, _) in zip(stopped, full)),
+                     "values": [v.hex() for v, _ in stopped],
+                     "bracket_stops": getattr(rep, "bracket_stops", 0),
+                     "matvecs_total": rep.matvecs_total})
+print(json.dumps(rows))
+'''
+
+
+def child(checkout: Path, code: str, spec) -> list[dict]:
+    """The rows ``code`` prints for ``spec``, run on ``checkout``'s ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", FORMS_CHILD, spec], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(spec)], env=env,
                           capture_output=True, text=True, timeout=3600, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def forms(checkout: Path) -> list[dict]:
+    """Per-form rows of ``checkout``'s ``log_matvec``, in a child process."""
+    return child(checkout, FORMS_CHILD.replace("RANDOM_SPD", RANDOM_SPD),
+                 [(label, call, TOLS, PROBES) for label, call in MATRICES])
+
+
+def slq(parent: Path) -> dict:
+    """Per-probe SLQ rows of the parent and this checkout; a probe that ran
+    to m_l on both sides is marked where its values agree bitwise."""
+    code = (SLQ_CHILD.replace("RANDOM_SPD", RANDOM_SPD)
+            .replace("N_V", str(SLQ_PROBES)))
+    sides = {side: child(path, code, SLQ_MATRICES)
+             for side, path in (("parent", parent), ("change", ROOT))}
+    for old, new in zip(sides["parent"], sides["change"]):
+        full = [i for i, (a, b) in enumerate(zip(old["steps"], new["steps"]))
+                if a == b == new["m_l"]]
+        new["full_probes_bitwise_to_parent"] = (
+            f"{sum(old['values'][i] == new['values'][i] for i in full)}/{len(full)}")
+    for row in sides["parent"] + sides["change"]:
+        del row["values"]
+    return {"probes": SLQ_PROBES,
+            "deviation": "max over probes of |value - value run to m_l| / |value run to m_l|",
+            **sides}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
+    parser.add_argument("--part", choices=tuple(OUT), default="forms")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
@@ -191,16 +305,23 @@ def main(argv=None) -> int:
                                      capture_output=True, check=True).stdout.strip(),
         "change": "the commit that adds this file (measured on its working tree over "
                   "the parent)",
-        "claim": "lattice-300 matvecs_per_estimate lower; every other workload and "
-                 "metric within its bound",
-        "forms": {"probes": PROBES, "tols": list(TOLS),
-                  "error": "max over probes of |form - v' log(Q/sigma) v| / ||v||^2",
-                  "parent": forms(args.parent), "change": forms(ROOT)},
     }
-    OUT.write_text(json.dumps(record, indent=1) + "\n")
+    if args.part == "forms":
+        record["claim"] = ("lattice-300 matvecs_per_estimate lower; every other workload "
+                           "and metric within its bound")
+        record["forms"] = {"probes": PROBES, "tols": list(TOLS),
+                           "error": "max over probes of |form - v' log(Q/sigma) v| / "
+                                    "||v||^2",
+                           "parent": forms(args.parent), "change": forms(ROOT)}
+    else:
+        record["claim"] = ("penta-slq matvecs_per_estimate lower; every other workload "
+                           "and metric within its bound")
+        record["slq"] = slq(args.parent)
+    out = OUT[args.part]
+    out.write_text(json.dumps(record, indent=1) + "\n")
     record["workloads"] = workloads(args.parent, args.pairs, args.seconds)
-    OUT.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {OUT}")
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
     return 0
 
 

@@ -43,7 +43,8 @@ when the interval encloses the spectrum.  The form stops once the
 bracket's width G - R is at most rtol ||v||^2, and returns the midpoint,
 whose error half that width bounds.  The rules are solved after 2 and 4
 products, then at the product where the width's geometric decay between
-the last two check points reaches the tolerance.  A Gauss node
+the last two check points reaches the tolerance (``quadrature.next_check``,
+the schedule SLQ's probes follow too).  A Gauss node
 below the interval's lower end proves that the interval misses part of
 the spectrum, and the form is refused.
 
@@ -70,14 +71,11 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .divdiff import DividedDiffs
-from .quadrature import ModifiedChebyshev
+from .quadrature import FIRST_CHECK, ModifiedChebyshev, next_check, radau_rule
 from .sparse import SparseMatrixCSR
 
 __all__ = ["ActionResult", "log_matvec"]
 
-# a form first solves its rules after this many products, then after twice
-# as many; later check points follow the bracket's measured decay
-_FIRST_CHECK = 2
 # the rounding allowed a Gauss node of the moments below the interval's lower
 # end, relative to its width: one further below refuses the interval.  On
 # exact intervals no node fell more than 7e-16 of the width below it; a
@@ -172,19 +170,6 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
                         converged=converged, error_history=np.asarray(history))
 
 
-def _next_check(previous, current, bound):
-    """Products at which a form next solves its rules, from the bracket's
-    widths (products, width) at its last two check points: where
-    their geometric decay reaches ``bound``, at least one product on; twice
-    the products where no decay was measured."""
-    k1, h1 = current
-    if previous is None or not 0.0 < h1 < previous[1]:
-        return 2 * k1
-    k0, h0 = previous
-    per_product = math.log(h1 / h0) / (k1 - k0)
-    return k1 + max(1, math.ceil(math.log(bound / h1) / per_product))
-
-
 def _form(step, v, norm_sq, dd, rtol):
     """v' P(Q) v on the doubled sequence, stopped on its Gauss-Radau bracket
     or, after a breakdown, on the tail rule (module docstring).
@@ -212,7 +197,7 @@ def _form(step, v, norm_sq, dd, rtol):
     if moments is not None and not moments.add(norm_sq):
         moments, stop = None, "tail"
     checked = None      # (products, bracket width) at the last check point
-    next_check = _FIRST_CHECK
+    check_at = FIRST_CHECK
     history = [err]
     converged = True
     w = v
@@ -236,9 +221,11 @@ def _form(step, v, norm_sq, dd, rtol):
         if not (moments.add(cross) and moments.add(square)):
             moments, stop = None, "tail"
             continue
-        if m != next_check and m != cap:
+        if m != check_at and m != cap:
             continue
-        gauss, radau = moments.gauss(c, gamma), moments.radau(-2.0, c, gamma)
+        gauss = moments.gauss(c, gamma)
+        radau = radau_rule(moments.betas[0], moments.alphas, moments.betas[1:], -2.0,
+                           c, gamma)
         if gauss is None or radau is None:
             moments, stop = None, "tail"
             continue
@@ -255,7 +242,7 @@ def _form(step, v, norm_sq, dd, rtol):
         if checked is not None and width > checked[1]:
             moments, stop = None, "tail"    # G falls and R rises: rounding has taken over
             continue
-        next_check = _next_check(checked, (m, width), bound)
+        check_at = next_check(checked, (m, width), bound)
         checked = (m, width)
     return ActionResult(vector=None, degree_used=m, error_estimate=err, matvecs=m,
                         converged=converged, error_history=np.asarray(history),

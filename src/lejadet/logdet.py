@@ -48,8 +48,8 @@ from .action import log_matvec
 from .divdiff import divided_differences_log
 from .leja import generate_fast_leja
 from .oracle import band_logdet_cholesky, gmrf_grid_logdet_analytic, lattice_of
-from .quadrature import gauss_rule
-from .sparse import SparseMatrixCSR, _checked_seed
+from .quadrature import FIRST_CHECK, gauss_rule, next_check, radau_rule
+from .sparse import SparseMatrixCSR, _checked_seed, _row_blocks
 from .spectral import SpectralInterval, _lanczos, estimate_interval
 
 __all__ = [
@@ -278,7 +278,8 @@ def _exact_trace(eng):
         tr omega_1 = sum(a - z_0) / gamma,
         tr omega_2 = [sum((a - z_0)(a - z_1)) + sum_{i != j} q_ij^2] / gamma^2,
 
-    from one copy of the matrix's held diagonal, shifted in place; no
+    summed over blocks of rows of the matrix's held diagonal
+    (``sparse._row_blocks``), each shifted into one block-sized buffer; no
     product with Q.
     """
     iv = eng.bounds
@@ -289,15 +290,20 @@ def _exact_trace(eng):
     if degree == 0:
         return trace
     z0, z1 = (iv.c + iv.gamma * eng.dd.nodes[:2]).tolist()
-    diag = Q.diagonal.copy()
-    # sum_{i != j} q_ij^2; rounding leaves about eps * sum(a^2) in it, which
-    # d_2 / gamma^2 ~ 1 / (2 lambda^2) scales to about eps * n
-    off = ddot(Q.values, Q.values) - ddot(diag, diag) if degree == 2 else 0.0
-    diag -= z0
-    shifted = float(diag.sum())
+    shifted = squares = 0.0     # sum(a - z_0) and sum((a - z_0)^2)
+    blocks = list(_row_blocks(Q.n))
+    buffer = np.empty(blocks[0][1])
+    for r0, r1 in blocks:
+        block = np.subtract(Q.diagonal[r0:r1], z0, out=buffer[:r1 - r0])
+        shifted += float(block.sum())
+        if degree == 2:
+            squares += ddot(block, block)
     trace += d[1] * shifted / iv.gamma
     if degree == 2:     # (a - z_0)(a - z_1) = (a - z_0)^2 - (z_1 - z_0)(a - z_0)
-        trace += d[2] * (ddot(diag, diag) - (z1 - z0) * shifted + off) / iv.gamma ** 2
+        # sum_{i != j} q_ij^2; rounding leaves about eps * sum(a^2) in it,
+        # which d_2 / gamma^2 ~ 1 / (2 lambda^2) scales to about eps * n
+        off = ddot(Q.values, Q.values) - ddot(Q.diagonal, Q.diagonal)
+        trace += d[2] * (squares - (z1 - z0) * shifted + off) / iv.gamma ** 2
     return trace
 
 
@@ -448,63 +454,56 @@ def _gauss_rule(beta0_sq, alphas, betas):
     return rule
 
 
-def _check_point(beta0_sq, alphas, betas, previous):
-    """The Gauss rule after 2, 4, 8, ... steps, and whether it has settled.
-
-    Called once the alpha of each step but the last is known, with the rule
-    of the previous check point (None before the first).  At a check point
-    the rule of the steps so far is settled when it agrees with the previous
-    one within its own rounding bound (``_gauss_rule``): agreement across
-    the last half of the steps, not one step's change.  Off the check points
-    it returns ``previous``, unsettled, and solves nothing.
-    """
-    steps = alphas.shape[0]
-    if steps < 2 or steps & (steps - 1):
-        return previous, False
-    value, rounding, _ = _gauss_rule(beta0_sq, alphas, betas)
-    return value, previous is not None and abs(value - previous) <= rounding
-
-
-def _lanczos_quadrature(m_sp, v, m_l):
+def _lanczos_quadrature(m_sp, v, m_l, lowest):
     """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
 
-    The Gauss rule (``_gauss_rule``) of the tridiagonal of plain Lanczos
-    (``spectral._lanczos``) on ``v``, and the steps taken: ``m_l``, the last
-    stopping at its alpha, or fewer on breakdown or once the rule has
-    settled.  Lost orthogonality only adds copies of converged Ritz values,
-    whose weights sum to the weight of the one they copy, so the rule stays
-    accurate (Greenbaum, "Behavior of slightly perturbed Lanczos and
-    conjugate-gradient recurrences", LAA 1989; Knizhnerman, "The simple
-    Lanczos procedure: estimates of the error of the Gauss quadrature
-    formula", 1996).
-
-    The rule has settled to rounding when, after 4, 8, 16, ... steps (below
-    ``m_l``), it agrees with the one after half as many steps within steps
-    * eps * beta0^2 sum tau_k^2 |log(theta_k)| (``_check_point``).  For an
-    analytic f the error of the m-node rule falls like rho^(2m) (Ubaru,
-    Chen and Saad, "Fast estimation of tr(f(A)) via stochastic Lanczos
-    quadrature", SIMAX 2017), so the steps after that change it by rounding
-    only.  A probe that runs to ``m_l`` steps ends on the same rule,
-    computed the same way.
+    Plain Lanczos (``spectral._lanczos``) on ``v`` for at most ``m_l``
+    steps; returns the value, the steps and, where the probe stopped on its
+    bracket, half its width (else None).  At the check points of
+    ``quadrature.next_check`` the tridiagonal of k steps gives the k-node
+    Gauss rule G (``_gauss_rule``), an upper bound on v' log(Q) v, and the
+    (k+1)-node Gauss-Radau rule R with a node at ``lowest``, a lower bound
+    on the spectrum, which makes R a lower bound; the probe returns their
+    midpoint once |G - R| <= G.rounding + R.rounding.  A ``lowest`` at or
+    below zero gives no bracket, nor does a check point where R is None.  A
+    probe that runs to ``m_l`` steps, or breaks down, returns G, computed
+    as it always was.  Lost orthogonality only adds copies of converged
+    Ritz values, whose weights sum to the weight of the one they copy, so
+    the rules stay accurate (Greenbaum, "Behavior of slightly perturbed
+    Lanczos and conjugate-gradient recurrences", LAA 1989; Knizhnerman,
+    "The simple Lanczos procedure: estimates of the error of the Gauss
+    quadrature formula", 1996).
     """
     beta0_sq = ddot(v, v)
-    rule = None     # the Gauss rule at the last check point
+    check_at, checked = FIRST_CHECK, None     # (steps, width) at the last check point
     for alphas, betas in _lanczos(lambda x: m_sp @ x, v, m_l):
-        if alphas.shape[0] == m_l:
+        k = alphas.shape[0]
+        if k == m_l:
             break
-        rule, settled = _check_point(beta0_sq, alphas, betas, rule)
-        if settled:
-            return rule, alphas.shape[0]
-    return _gauss_rule(beta0_sq, alphas, betas).value, alphas.shape[0]
+        if not lowest > 0 or k != check_at or betas.shape[0] < k:
+            continue
+        gauss = _gauss_rule(beta0_sq, alphas, betas[:k - 1])
+        radau = radau_rule(beta0_sq, alphas, betas ** 2, lowest)
+        if radau is None:
+            check_at = 2 * k
+            continue
+        width, bound = abs(gauss.value - radau.value), gauss.rounding + radau.rounding
+        if width <= bound:
+            return 0.5 * (gauss.value + radau.value), k, 0.5 * width
+        check_at, checked = next_check(checked, (k, width), bound), (k, width)
+    return _gauss_rule(beta0_sq, alphas, betas[:k - 1]).value, k, None
 
 
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
     """Stochastic Lanczos quadrature baseline.
 
     For each of ``n_v`` Rademacher probes, plain Lanczos yields a Gauss
-    rule for v' log(Q) v in at most ``m_l`` steps, fewer once the rule has
-    settled to rounding (``_lanczos_quadrature``); the estimate is the probe
-    average.  Its breakdown rule is relative to the scale of Q
+    rule G for v' log(Q) v in at most ``m_l`` steps; the estimate is the
+    probe average.  Where Q's raw Gershgorin lower end ``Q.gershgorin[0]``
+    is positive, a probe stops once G and the Gauss-Radau rule with a node
+    there agree to rounding (``_lanczos_quadrature``); its record keeps
+    half their gap as its error estimate, and ``report.bracket_stops``
+    counts it.  Its breakdown rule is relative to the scale of Q
     (``spectral._lanczos``).  No normalization is applied: negative log
     eigenvalues enter the quadrature directly.  A probe holds two Lanczos
     vectors, so an estimate holds about 5.3 n-vectors in all at 10 probes
@@ -521,10 +520,12 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     probes = _rademacher(np.random.default_rng(seed), Q.n, n_v)
     total, terms, records = 0.0, [], []
     for j in range(n_v):
-        val, steps = _lanczos_quadrature(m_sp, _column(probes, j), m_l)
+        val, steps, half = _lanczos_quadrature(m_sp, _column(probes, j), m_l,
+                                               Q.gershgorin[0])
         total += val
         terms.append(val)
-        records.append(_ActionRecord(f"probe {j}", steps, True, 0.0))
+        records.append(_ActionRecord(f"probe {j}", steps, True, half or 0.0,
+                                     None if half is None else "bracket"))
     return _report("slq", total / n_v, queries=n_v, seed=seed, t0=t0, records=records,
                    terms=terms)
 
@@ -548,8 +549,9 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     ``hutchpp_logdet``).
     The wall time and matvec total include that enclosure, but not the
     Gershgorin pass, which Q made at construction.  ``slq`` runs
-    ``probes`` probes of at most ``slq_degree`` Lanczos steps each (a probe
-    stops once its Gauss rule has settled to rounding, see ``slq_logdet``)
+    ``probes`` probes of at most ``slq_degree`` Lanczos steps each (where
+    Q's Gershgorin lower end is positive, a probe stops once its Gauss and
+    Gauss-Radau rules bracket v' log(Q) v to rounding, see ``slq_logdet``)
     and needs no enclosure.
     The exact methods read Q alone: ``exact-band`` is banded Cholesky at
     Q's own bandwidth, ``exact-analytic`` the closed form of the lattice

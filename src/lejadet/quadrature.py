@@ -27,13 +27,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-__all__ = ["GaussRule", "ModifiedChebyshev", "gauss_rule"]
+__all__ = ["FIRST_CHECK", "GaussRule", "ModifiedChebyshev", "gauss_rule", "next_check",
+           "radau_rule"]
 
 # a beta_k at or below this ends the recursion: sqrt(eps) times 16, the
 # square of the width of [-2, 2], where the nodes lie.  Past the number of
 # points of its measure the recursion's betas are rounding (5e-13 and 1e-12
 # on an 8-point measure), while on the lattices they stay near 1
 _BETA_FLOOR = 16.0 * math.sqrt(np.finfo(float).eps)
+# a bracket's rules are first solved after this many products, then after
+# twice as many; later check points follow its measured decay (``next_check``)
+FIRST_CHECK = 2
 
 
 class GaussRule(NamedTuple):
@@ -62,6 +66,45 @@ def gauss_rule(beta0_sq, alphas, offdiag, c=0.0, gamma=1.0):
     logs = np.log(z)
     return GaussRule(beta0_sq * float(tau_sq @ logs),
                      rounding * beta0_sq * float(tau_sq @ np.abs(logs)), float(z[0]))
+
+
+def radau_rule(beta0_sq, alphas, betas, fixed, c=0.0, gamma=1.0):
+    """The (k+1)-node Gauss-Radau rule for log with one node at ``fixed``,
+    from the k ``alphas`` and the ``betas`` beta_1..beta_k of the recurrence
+    (the squares of the Jacobi matrix's off-diagonal entries), nodes mapped
+    as in ``gauss_rule``.
+
+    Its last diagonal entry is fixed - beta_k / r_k with r_k = p_k / p_{k-1}
+    at ``fixed`` (r_1 = fixed - alpha_0, r_{j+1} = fixed - alpha_j -
+    beta_j / r_j), which places an eigenvalue at ``fixed`` (Golub and
+    Meurant 2010, section 6.2).  Returns None where a pivot r_j is zero,
+    where that entry is not finite, and where ``gauss_rule`` does.
+    """
+    # Python floats, so that a zero pivot raises
+    a, b, fixed = [float(x) for x in alphas], [float(x) for x in betas], float(fixed)
+    try:
+        r = fixed - a[0]
+        for alpha, beta in zip(a[1:], b):
+            r = fixed - alpha - beta / r
+        last = fixed - b[-1] / r
+    except ZeroDivisionError:
+        return None
+    if not math.isfinite(last):
+        return None
+    return gauss_rule(beta0_sq, np.array(a + [last]), np.sqrt(b), c, gamma)
+
+
+def next_check(previous, current, bound):
+    """Steps at which a bracket is next solved, from its widths (steps,
+    width) at its last two check points: where their geometric decay
+    reaches ``bound``, at least one step on; twice the steps where no decay
+    was measured."""
+    k1, h1 = current
+    if previous is None or not 0.0 < h1 < previous[1]:
+        return 2 * k1
+    k0, h0 = previous
+    per_step = math.log(h1 / h0) / (k1 - k0)
+    return k1 + max(1, math.ceil(math.log(bound / h1) / per_step))
 
 
 class ModifiedChebyshev:
@@ -126,22 +169,3 @@ class ModifiedChebyshev:
         k = len(self.alphas)
         return gauss_rule(self.betas[0], np.array(self.alphas),
                           np.sqrt(self.betas[1:k]), c, gamma)
-
-    def radau(self, fixed, c, gamma):
-        """The (k+1)-node Gauss-Radau rule for log with one node at ``fixed``.
-
-        Its last diagonal entry is fixed - beta_k / r_k with r_k = p_k / p_{k-1}
-        at ``fixed`` (r_1 = fixed - alpha_0, r_{j+1} = fixed - alpha_j -
-        beta_j / r_j), which places an eigenvalue at ``fixed`` (Golub and
-        Meurant 2010, section 6.2).
-        """
-        alphas, betas = self.alphas, self.betas
-        k = len(alphas)
-        r = fixed - alphas[0]
-        for j in range(1, k):
-            r = fixed - alphas[j] - betas[j] / r
-        last = fixed - betas[k] / r
-        if not math.isfinite(last):
-            return None
-        return gauss_rule(betas[0], np.array(alphas + [last]),
-                          np.sqrt(betas[1:k + 1]), c, gamma)

@@ -124,11 +124,13 @@ def _lanczos(apply, v, steps):
     """Plain Lanczos from ``v``, without reorthogonalization: lejadet's one
     three-term recurrence.
 
-    Yields the tridiagonal (alphas[:j], betas[:j - 1]) once the alpha of
-    step j is known, for at most ``steps`` steps.  Resumed, it forms beta_j
-    and ends on breakdown, beta_j <= 1e-12 max|alpha|, a rule relative to
-    the operator's scale; it returns whether it broke down.  A caller that
-    leaves at its last alpha never has that beta formed.
+    Yields the tridiagonal (alphas[:j], betas[:j]) once the alpha of step j
+    and the beta_j that follows it are known, before product j + 1, for at
+    most ``steps`` steps: the leading j x j block is alphas with
+    betas[:j - 1], and betas[j - 1] couples it to step j + 1.  On
+    breakdown, beta_j <= 1e-12 max|alpha|, a rule relative to the
+    operator's scale, it yields (alphas[:j], betas[:j - 1]) instead and
+    returns True; it returns False once ``steps`` run out.
 
     The run holds q_{j-1} and q_j in a ring of two columns, overwriting
     q_{j-1} once the update has read it, and frees ``v`` once normalized and
@@ -144,14 +146,15 @@ def _lanczos(apply, v, steps):
         q = ring[:, j % 2]
         w = apply(q)
         alphas[j] = ddot(q, w)
-        yield alphas[:j + 1], betas[:j]
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
             w = daxpy(ring[:, (j - 1) % 2], w, a=-betas[j - 1])
         b = np.sqrt(ddot(w, w))
         if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
+            yield alphas[:j + 1], betas[:j]
             return True
         betas[j] = b
+        yield alphas[:j + 1], betas[:j + 1]
         np.divide(w, b, out=ring[:, (j + 1) % 2])
         del w
     return False
@@ -174,7 +177,7 @@ def _lanczos_extreme(apply_op, n, rng, tol, max_iter, ceiling=np.inf):
         except StopIteration as end:        # end.value: the run broke down
             return EigenEstimate(ritz, it, end.value, breakdown=end.value, matvecs=it)
         it = alphas.shape[0]
-        ritz = float(eigvalsh_tridiagonal(alphas, betas, select="i",
+        ritz = float(eigvalsh_tridiagonal(alphas, betas[:it - 1], select="i",
                                           select_range=(it - 1, it - 1))[0])
         if ritz_prev is not None and abs(ritz - ritz_prev) <= tol * max(abs(ritz), 1e-300):
             return EigenEstimate(ritz, it, converged=True, matvecs=it)

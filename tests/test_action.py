@@ -10,7 +10,7 @@ from lejadet import SparseMatrixCSR, SpectralInterval, gen_gmrf_grid, generate_f
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
 from lejadet.logdet import _lanczos_quadrature
-from lejadet.quadrature import ModifiedChebyshev
+from lejadet.quadrature import ModifiedChebyshev, radau_rule
 from lejadet.spectral import gershgorin_bounds
 
 
@@ -283,7 +283,9 @@ class TestQuadraticForm:
                              * np.log(lam)))
         slack = 1e-12 * Q.n
         for k, table in self.moments(Q, v, dd, 40):
-            gauss, radau = table.gauss(iv.c, iv.gamma), table.radau(-2.0, iv.c, iv.gamma)
+            gauss = table.gauss(iv.c, iv.gamma)
+            radau = radau_rule(table.betas[0], table.alphas, table.betas[1:], -2.0,
+                               iv.c, iv.gamma)
             assert gauss.value >= exact - slack
             assert radau.value <= exact + slack
             assert gauss.lowest >= iv.lambda_min
@@ -301,8 +303,28 @@ class TestQuadraticForm:
         rules = {k: table.gauss(iv.c, iv.gamma).value
                  for k, table in self.moments(Q, v, make_form_dd(iv), 32)}
         for k in range(1, 33):
-            lanczos, steps = _lanczos_quadrature(m_sp, v, k)
+            lanczos, steps, _ = _lanczos_quadrature(m_sp, v, k, 0.0)
             assert abs(rules[steps] - lanczos) <= 1e-12 * abs(lanczos)
+
+    @pytest.mark.parametrize("array", [list, np.array], ids=["list", "array"])
+    def test_radau_rule_refuses_a_zero_pivot(self, array):
+        # r_1 = -2 - 0 = -2 and r_2 = -2 + 0.5 - 3 / (-2) = 0: the fixed node
+        # is a node of the 2-node Gauss rule, and no Radau rule exists there
+        table = ModifiedChebyshev([0.0] * 8)
+        table.alphas, table.betas = [0.0, -0.5], [1.0, 3.0, 0.5]
+        assert radau_rule(table.betas[0], array(table.alphas), array(table.betas[1:]),
+                          -2.0, 0.0, 1.0) is None
+
+    def test_radau_rule_places_a_node_at_the_fixed_point(self):
+        # the leading 2 x 2 block has eigenvalues 1.76 and 3.24; the rule
+        # adds a third node at 1, below them, and keeps the total weight
+        rule = radau_rule(2.0, [2.0, 3.0], [0.25, 0.0625], 1.0)
+        alphas = np.array([2.0, 3.0, 1.0 - 0.0625 / (1.0 - 3.0 - 0.25 / (1.0 - 2.0))])
+        jacobi = np.diag(alphas) + np.diag([0.5, 0.25], 1) + np.diag([0.5, 0.25], -1)
+        nodes, vecs = np.linalg.eigh(jacobi)
+        assert rule.lowest == pytest.approx(1.0, abs=1e-15)
+        assert nodes[0] == pytest.approx(1.0, abs=1e-15)
+        assert rule.value == pytest.approx(2.0 * vecs[0] ** 2 @ np.log(nodes), rel=1e-15)
 
     def test_bracket_stops_before_the_tail_rule(self):
         # lattice-300's matrix on Gershgorin's interval: the form closes its

@@ -40,7 +40,7 @@ for _kappa in (1e3, 1e2, 1e4):
                               _m_l))
             SLQ_IDS.append(f"spd-{_seed}" if (_kappa, _m_l) == (1e3, 40)
                            else f"spd-{_seed}-kappa{_kappa:.0e}-m{_m_l}")
-# the same with penta-slq's matrix, on which every probe stops at 4 steps
+# the same with penta-slq's matrix, on which every probe stops at 2 steps
 SLQ_CASES_1E5 = SLQ_CASES + [(lambda: gen_pentadiagonal(100_000, seed=0), 40)]
 SLQ_IDS_1E5 = SLQ_IDS + ["penta-1e5"]
 
@@ -217,7 +217,7 @@ class TestStdError:
         Q = gen_gmrf_grid(10, -0.2)
         rep = slq_logdet(Q, 20, 6, seed=6)
         G = _probes(np.random.default_rng(6), Q.n, 6)
-        terms = [logdet._lanczos_quadrature(Q.to_scipy(), G[:, j], 20)[0]
+        terms = [logdet._lanczos_quadrature(Q.to_scipy(), G[:, j], 20, Q.gershgorin[0])[0]
                  for j in range(6)]
         assert rep.std_error == pytest.approx(_std_error(terms), rel=1e-12)
 
@@ -789,7 +789,7 @@ class TestSLQ:
     def test_column_major_basis_matches_row_major_reference(self, monkeypatch):
         Q = gen_gmrf_grid(40, -0.24)
         new = slq_logdet(Q, 30, 5, seed=2)
-        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_c_order)
+        monkeypatch.setattr(logdet, "_lanczos", _lanczos_c_order)
         ref = slq_logdet(Q, 30, 5, seed=2)
         assert new.degrees == ref.degrees
         assert abs(new.estimate - ref.estimate) <= 1e-12 * abs(ref.estimate)
@@ -801,7 +801,7 @@ class TestSLQ:
         # fraction of the probe spread (at most 0.1 std_error over these cases)
         Q = make()
         plain = slq_logdet(Q, m_l, 5, seed=3)
-        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_c_order)
+        monkeypatch.setattr(logdet, "_lanczos", _lanczos_c_order)
         full = slq_logdet(Q, m_l, 5, seed=3)
         assert plain.degrees == full.degrees
         assert abs(plain.estimate - full.estimate) <= 0.25 * full.std_error
@@ -814,7 +814,7 @@ class TestSLQ:
             self, make, monkeypatch):
         Q = make()
         new = slq_logdet(Q, 40, 10, seed=0)
-        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_measured)
+        monkeypatch.setattr(logdet, "_lanczos", _lanczos_measured)
         ref = slq_logdet(Q, 40, 10, seed=0)
         assert (new.estimate, new.degrees) == (ref.estimate, ref.degrees)
 
@@ -825,7 +825,7 @@ class TestSLQ:
         # bitwise, also where the vectors have lost orthogonality
         Q = make()
         new = slq_logdet(Q, m_l, 5, seed=3)
-        monkeypatch.setattr(logdet, "_lanczos_quadrature", _lanczos_quadrature_kept_basis)
+        monkeypatch.setattr(logdet, "_lanczos", _lanczos_kept_basis)
         ref = slq_logdet(Q, m_l, 5, seed=3)
         assert ((new.estimate, new.degrees, new.std_error)
                 == (ref.estimate, ref.degrees, ref.std_error))
@@ -852,10 +852,10 @@ class TestSLQ:
         Q = make()
         quadrature, degrees = logdet._lanczos_quadrature, []
 
-        def recording(m_sp, v, m_l):
-            val, steps = quadrature(m_sp, v, m_l)
-            degrees.append(steps)
-            return val, steps
+        def recording(m_sp, v, m_l, lowest):
+            result = quadrature(m_sp, v, m_l, lowest)
+            degrees.append(result[1])
+            return result
 
         monkeypatch.setattr(logdet, "_lanczos_quadrature", recording)
         rep = slq_logdet(Q, m_l, 5, seed=3)
@@ -863,28 +863,77 @@ class TestSLQ:
         assert rep.matvecs_total == sum(degrees)
 
     @pytest.mark.parametrize("make,m_l", SLQ_CASES_1E5, ids=SLQ_IDS_1E5)
-    def test_stops_only_where_the_rule_has_settled(self, make, m_l, monkeypatch):
-        # against the same passes with no check point settled, which run m_l
-        # steps: a probe that stops has changed its rule by rounding only
-        # since half its steps, so the estimate stays within 1e-14 relative
-        # of the full pass; where no probe stops the two are one computation
+    def test_stops_only_where_the_bracket_closed(self, make, m_l, monkeypatch):
+        # against the same passes with no lower end, hence no bracket, which
+        # run m_l steps: a probe that stops has its Gauss and Gauss-Radau
+        # rules within rounding of each other, so it stays within 1e-14
+        # relative of its full pass; a probe that does not stop (no lower
+        # end on random_spd, no closed bracket on lattice-40) is the same
+        # computation
         Q = make()
-        new = slq_logdet(Q, m_l, 5, seed=3)
-        monkeypatch.setattr(logdet, "_check_point",
-                            lambda beta0_sq, alphas, betas, previous: (previous, False))
-        full = slq_logdet(Q, m_l, 5, seed=3)
-        assert full.matvecs_total == 5 * m_l
-        if new.matvecs_total == full.matvecs_total:
+        quadrature, probes = logdet._lanczos_quadrature, {"new": [], "full": []}
+
+        def run(label):
+            def recording(m_sp, v, m_l, lowest):
+                result = quadrature(m_sp, v, m_l, lowest if label == "new" else 0.0)
+                probes[label].append(result)
+                return result
+
+            monkeypatch.setattr(logdet, "_lanczos_quadrature", recording)
+            return slq_logdet(Q, m_l, 5, seed=3)
+
+        new, full = run("new"), run("full")
+        assert full.matvecs_total == 5 * m_l and full.bracket_stops == 0
+        assert new.bracket_stops == sum(half is not None for _, _, half in probes["new"])
+        for (value, steps, half), (reference, _, _) in zip(probes["new"], probes["full"]):
+            if half is None:
+                assert (value, steps) == (reference, m_l)
+            else:
+                assert steps < m_l
+                assert abs(value - reference) <= 1e-14 * abs(reference)
+        if new.bracket_stops == 0:
             assert ((new.estimate, new.degrees, new.std_error)
                     == (full.estimate, full.degrees, full.std_error))
-        else:
-            assert abs(new.estimate - full.estimate) <= 1e-14 * abs(full.estimate)
 
     @pytest.mark.parametrize("n", [10_000, 100_000], ids=["penta-1e4", "penta-1e5"])
-    def test_pentadiagonal_probes_stop_within_8_steps(self, n):
-        # kappa ~= 1.0001: the rule is fixed to rounding after 2 steps
+    def test_pentadiagonal_probes_stop_at_2_steps(self, n):
+        # kappa ~= 1.0001: the bracket is closed to rounding after 2 steps,
+        # the first check point
         rep = slq_logdet(gen_pentadiagonal(n, seed=0), 40, 5, seed=3)
-        assert rep.degrees["max"] <= 8 and rep.matvecs_total <= 5 * 8
+        assert rep.degrees == {"min": 2, "median": 2.0, "max": 2}
+        assert rep.matvecs_total == 5 * 2
+
+    @pytest.mark.parametrize("n_v", [1, 10])
+    def test_pentadiagonal_probes_count_as_bracket_stops(self, n_v):
+        rep = slq_logdet(gen_pentadiagonal(10_000, seed=0), 40, n_v, seed=0)
+        assert rep.bracket_stops == n_v and rep.tail_fallbacks == 0
+        assert rep.converged and rep.warnings == []
+
+    def test_bracket_holds_the_form_at_every_check_point(self, monkeypatch):
+        # on a diagonal Q every Rademacher probe has v' log(Q) v = tr log Q;
+        # the Gauss rule is above it and the Gauss-Radau rule at Q's
+        # Gershgorin end, here lambda_min, below it, at every check point
+        # (2, 4 and the ones the width's decay picks) until they meet
+        diag = np.geomspace(1.0, 10.0, 300)
+        Q = SparseMatrixCSR.from_scipy(np.diag(diag))
+        exact = float(np.sum(np.log(diag)))
+        rules = {"gauss": [], "radau": []}
+
+        def recorded(name, rule):
+            def call(*args):
+                rules[name].append(rule(*args))
+                return rules[name][-1]
+            return call
+
+        monkeypatch.setattr(logdet, "_gauss_rule", recorded("gauss", logdet._gauss_rule))
+        monkeypatch.setattr(logdet, "radau_rule", recorded("radau", logdet.radau_rule))
+        rep = slq_logdet(Q, 80, 5, seed=0)
+        assert rep.bracket_stops == 5 and rep.degrees["max"] < 80
+        assert len(rules["gauss"]) == len(rules["radau"]) >= 3 * 5
+        slack = 1e-13 * abs(exact)
+        for gauss, radau in zip(rules["gauss"], rules["radau"]):
+            assert radau.value - slack <= exact <= gauss.value + slack
+        assert rep.estimate == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize("c", POWERS_OF_TWO, ids=lambda c: f"2^{math.log2(c):.0f}")
     @pytest.mark.parametrize("make", [lambda: gen_gmrf_grid(40, -0.24),
@@ -902,138 +951,107 @@ class TestSLQ:
         assert abs(shifted - base.estimate) <= 1e-12 * abs(rep.estimate)
 
 
-def _plain_lanczos_kept_basis(m_sp, v, m_l):
-    """Plain Lanczos with the whole n x m_l basis kept, in the estimator's
-    BLAS calls and at its check points; returns ||v||^2, the tridiagonal,
-    the steps and the basis."""
-    n = v.shape[0]
-    beta0_sq = ddot(v, v)
-    basis = np.empty((n, m_l), order="F")
-    np.divide(v, math.sqrt(beta0_sq), out=basis[:, 0])
-    alphas = np.empty(m_l)
-    betas = np.empty(max(m_l - 1, 0))
-    steps = m_l
-    rule = None
-    for j in range(m_l):
+def _lanczos_kept_basis(apply, v, steps, bases=None):
+    """``spectral._lanczos`` with the whole n x steps basis kept, in its BLAS
+    calls: the reference the ring of two columns must match bitwise.  The
+    basis is appended to ``bases`` when one is given."""
+    basis = np.empty((v.shape[0], steps), order="F")
+    if bases is not None:
+        bases.append(basis)
+    np.divide(v, np.sqrt(ddot(v, v)), out=basis[:, 0])
+    alphas, betas = np.empty((2, steps))
+    for j in range(steps):
         q = basis[:, j]
-        w = m_sp @ q
+        w = apply(q)
         alphas[j] = ddot(q, w)
-        if j == m_l - 1:
-            break
-        rule, settled = logdet._check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
-        if settled:
-            steps = j + 1
-            break
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
             w = daxpy(basis[:, j - 1], w, a=-betas[j - 1])
-        b = math.sqrt(ddot(w, w))
+        b = np.sqrt(ddot(w, w))
         if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
-            steps = j + 1
-            break
+            yield alphas[:j + 1], betas[:j]
+            return
         betas[j] = b
-        np.divide(w, b, out=basis[:, j + 1])
-    return beta0_sq, alphas[:steps], betas[:steps - 1], steps, basis[:, :steps]
-
-
-def _lanczos_quadrature_kept_basis(m_sp, v, m_l):
-    """Reference SLQ probe: the Gauss rule of ``_plain_lanczos_kept_basis``."""
-    beta0_sq, alphas, betas, steps, _ = _plain_lanczos_kept_basis(m_sp, v, m_l)
-    return logdet._gauss_rule(beta0_sq, alphas, betas)[0], steps
+        yield alphas[:j + 1], betas[:j + 1]
+        if j + 1 < steps:
+            np.divide(w, b, out=basis[:, j + 1])
 
 
 def _orthogonality_losses(monkeypatch, matrices, m_l):
     """max |V'V - I| of each probe's plain Lanczos basis, over the steps it
     runs, for the probes ``slq_logdet(Q, m_l, 5, seed=3)`` draws for each
     matrix."""
-    losses = []
+    quadrature, bases, losses = logdet._lanczos_quadrature, [], []
 
-    def recording(m_sp, v, m_l):
-        beta0_sq, alphas, betas, steps, basis = _plain_lanczos_kept_basis(m_sp, v, m_l)
-        losses.append(float(np.max(np.abs(basis.T @ basis - np.eye(steps)))))
-        return logdet._gauss_rule(beta0_sq, alphas, betas)[0], steps
+    def recording(m_sp, v, m_l, lowest):
+        result = quadrature(m_sp, v, m_l, lowest)
+        basis = bases.pop()[:, :result[1]]
+        losses.append(float(np.max(np.abs(basis.T @ basis - np.eye(result[1])))))
+        return result
 
-    monkeypatch.setattr(logdet, "_lanczos_quadrature", recording)
-    for Q in matrices:
-        slq_logdet(Q, m_l, 5, seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(logdet, "_lanczos",
+                      lambda apply, v, steps: _lanczos_kept_basis(apply, v, steps, bases))
+        patch.setattr(logdet, "_lanczos_quadrature", recording)
+        for Q in matrices:
+            slq_logdet(Q, m_l, 5, seed=3)
     return losses
 
 
-def _lanczos_quadrature_measured(m_sp, v, m_l):
-    """Reference SLQ probe that measures the loss of orthogonality at every step.
+def _lanczos_measured(apply, v, steps):
+    """Reference Lanczos that measures the loss of orthogonality at every step.
 
     h = V' w is formed against the whole basis after each three-term step,
     and w -= V h is applied when max|h| > sqrt(eps) ||w||.  The BLAS calls
-    and check points are those of the estimator, so where no correction is
-    due the two agree bitwise.
+    are those of ``spectral._lanczos``, so where no correction is due the
+    estimator, whose stop test reads this tridiagonal, agrees bitwise.
     """
-    n = v.shape[0]
-    beta0_sq = ddot(v, v)
-    basis = np.empty((n, m_l), order="F")
-    np.divide(v, math.sqrt(beta0_sq), out=basis[:, 0])
-    alphas = np.empty(m_l)
-    betas = np.empty(max(m_l - 1, 0))
-    steps = m_l
-    rule = None
-    for j in range(m_l):
+    basis = np.empty((v.shape[0], steps), order="F")
+    np.divide(v, np.sqrt(ddot(v, v)), out=basis[:, 0])
+    alphas, betas = np.empty((2, steps))
+    for j in range(steps):
         q = basis[:, j]
-        w = m_sp @ q
+        w = apply(q)
         alphas[j] = ddot(q, w)
-        if j == m_l - 1:
-            break
-        rule, settled = logdet._check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
-        if settled:
-            steps = j + 1
-            break
         w = daxpy(q, w, a=-alphas[j])
         if j > 0:
             w = daxpy(basis[:, j - 1], w, a=-betas[j - 1])
         active = basis[:, :j + 1]
         h = dgemv(1.0, active, w, trans=1)
-        b = math.sqrt(ddot(w, w))
+        b = np.sqrt(ddot(w, w))
         if np.max(np.abs(h)) > SQRT_EPS * b:
             w = dgemv(-1.0, active, h, beta=1.0, y=w, overwrite_y=True)
-            b = math.sqrt(ddot(w, w))
+            b = np.sqrt(ddot(w, w))
         if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
-            steps = j + 1
-            break
+            yield alphas[:j + 1], betas[:j]
+            return
         betas[j] = b
-        np.divide(w, b, out=basis[:, j + 1])
-    return logdet._gauss_rule(beta0_sq, alphas[:steps], betas[:steps - 1])[0], steps
+        yield alphas[:j + 1], betas[:j + 1]
+        if j + 1 < steps:
+            np.divide(w, b, out=basis[:, j + 1])
 
 
-def _lanczos_quadrature_c_order(m_sp, v, m_l):
-    """Reference SLQ probe with a row-major, fully reorthogonalized Lanczos
-    basis (the original layout), stopping at the estimator's check points."""
-    n = v.shape[0]
-    beta0_sq = float(v @ v)
-    basis = np.empty((n, m_l))
-    basis[:, 0] = v / np.sqrt(beta0_sq)
-    alphas = np.empty(m_l)
-    betas = np.empty(max(m_l - 1, 0))
-    steps = m_l
-    rule = None
-    for j in range(m_l):
-        w = m_sp @ basis[:, j]
+def _lanczos_c_order(apply, v, steps):
+    """Reference Lanczos with a row-major, fully reorthogonalized basis (the
+    original layout), yielding as ``spectral._lanczos`` does."""
+    basis = np.empty((v.shape[0], steps))
+    basis[:, 0] = v / np.sqrt(float(v @ v))
+    alphas, betas = np.empty((2, steps))
+    for j in range(steps):
+        w = apply(basis[:, j])
         alphas[j] = float(basis[:, j] @ w)
-        if j < m_l - 1:
-            rule, settled = logdet._check_point(beta0_sq, alphas[:j + 1], betas[:j], rule)
-            if settled:
-                steps = j + 1
-                break
         w -= alphas[j] * basis[:, j]
         if j > 0:
             w -= betas[j - 1] * basis[:, j - 1]
         w -= basis[:, :j + 1] @ (basis[:, :j + 1].T @ w)
-        if j == m_l - 1:
-            break
         b = float(np.linalg.norm(w))
         if b <= 1e-12 * np.max(np.abs(alphas[:j + 1])):
-            steps = j + 1
-            break
+            yield alphas[:j + 1], betas[:j]
+            return
         betas[j] = b
-        basis[:, j + 1] = w / b
-    return logdet._gauss_rule(beta0_sq, alphas[:steps], betas[:steps - 1])[0], steps
+        yield alphas[:j + 1], betas[:j + 1]
+        if j + 1 < steps:
+            basis[:, j + 1] = w / b
 
 
 class TestRademacher:

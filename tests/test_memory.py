@@ -143,31 +143,29 @@ def test_hutchpp_peak_above_matrix():
     assert peak <= 12 * 8 * Q.n
 
 
-@pytest.mark.parametrize("make,m_l,full_pass",
-                         [(lambda: gen_pentadiagonal(N, seed=0), 40, False),
-                          (lambda: gen_gmrf_grid(447, -0.22), 40, True),
-                          (lambda: gen_gmrf_grid(447, -0.2499), 80, True),
-                          (lambda: gen_pentadiagonal(N, seed=0), 80, False)],
+@pytest.mark.parametrize("make,m_l,steps",
+                         [(lambda: gen_pentadiagonal(N, seed=0), 40, 2),
+                          (lambda: gen_gmrf_grid(447, -0.22), 40, 29),
+                          (lambda: gen_gmrf_grid(447, -0.2499), 80, 80),
+                          (lambda: gen_pentadiagonal(N, seed=0), 80, 2)],
                          ids=["penta", "lattice", "lattice-degree80", "penta-degree80"])
-def test_slq_peak(make, m_l, full_pass):
+def test_slq_peak(make, m_l, steps):
     # the int8 probe block (10 columns), one float probe, the Lanczos vectors
     # q_{j-1} and q_j, and the product being formed; no n x m_l basis, at
-    # any degree.  The lattices' Gauss rules do not settle
-    # before m_l steps (at theta = -0.2499 the condition number is about
-    # 5e3), so every probe runs them all; the pentadiagonal's settle within
-    # 8 and its probes stop there
+    # any degree.  Every probe stops on its Gauss-Radau bracket except at
+    # theta = -0.2499 (condition number about 5e3), where the bracket does
+    # not close within 80 steps and every probe runs them all: the
+    # pentadiagonal's after 2 steps, the theta = -0.22 lattice's after 29
     Q = make()
     rep, peak = traced_peak(lambda: slq_logdet(Q, m_l, 10, seed=0))
-    if full_pass:
-        assert rep.matvecs_total == 10 * m_l
-    else:
-        assert rep.matvecs_total <= 10 * 8
+    assert rep.matvecs_total == 10 * steps
+    assert rep.bracket_stops == (10 if steps < m_l else 0)
     assert peak <= 8 * 8 * Q.n
 
 
 def test_exact_trace_peak(penta):
-    # the diagonal, shifted in place; the divided differences' smaller work
-    # array is freed before it is taken
+    # one block of rows of the diagonal, shifted into a buffer, and the
+    # divided differences' work arrays
     Q, bounds = penta
     generate_fast_leja(DEFAULT_POOL_SIZE)
     rep, peak = traced_peak(lambda: hutchpp_logdet(Q, m_vec=12, seed=1, bounds=bounds))
