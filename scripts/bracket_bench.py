@@ -1,15 +1,18 @@
 """Record of the Gauss-Radau stops: the Leja quadratic forms' in
-BENCH_bracket.json, SLQ's in BENCH_slq_bracket.json.
+BENCH_bracket.json, SLQ's in BENCH_slq_bracket.json, and the Hutch++ forms'
+shared truncation budget in BENCH_budget.json.
 
 Usage (from the repository root, with a checkout of the parent commit made
 by ``git archive`` or ``git clone``):
 
-    python scripts/bracket_bench.py --parent PATH [--part forms|slq] [--pairs 10]
-        [--seconds 30]
+    python scripts/bracket_bench.py --parent PATH [--part forms|slq|budget]
+        [--pairs 10] [--seconds 30]
 
 ``--part forms`` (the default) writes ``forms`` and ``workloads`` to
 BENCH_bracket.json, ``--part slq`` writes ``slq`` and ``workloads`` to
-BENCH_slq_bracket.json; every part runs against the parent checkout:
+BENCH_slq_bracket.json, ``--part budget`` writes ``budget`` and
+``workloads`` to BENCH_budget.json; every part runs against the parent
+checkout:
 
 - ``workloads``: for each workload of BENCHMARK.json, ``--pairs`` pairs of
   ``perfbench/run.py --workload W --seed S --seconds S --trace 0``, one
@@ -32,6 +35,15 @@ BENCH_slq_bracket.json; every part runs against the parent checkout:
   ``report.bracket_stops``, for the parent and this checkout, each in its
   own process on its own ``src/``.  A probe that ran to m_l is also
   checked bitwise against the parent's.
+- ``budget``: per matrix of ``BUDGET_MATRICES``, tolerance and seed,
+  ``hutchpp_logdet(Q, 12, tol, seed)`` for the parent and this checkout,
+  each in its own process on its own ``src/``: the products of the
+  deterministic and the residual forms, the matvecs per estimate, the
+  bracket stops, ``report.truncation_bound`` (absent on the parent) against
+  n * tol / 2, the largest |change - parent| of the estimate, the RMS
+  relative error of each side against the lattice's closed form or banded
+  Cholesky, and how many Hutchinson (12 probes) and SLQ (40 steps, 10
+  probes) estimates equal the parent's bitwise.
 
 Run it on the uncommitted change: ``parent_sha`` is this checkout's HEAD.
 No gate: the record is evidence; the tests and the benchmark own the bounds.
@@ -49,7 +61,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUT = {"forms": ROOT / "BENCH_bracket.json", "slq": ROOT / "BENCH_slq_bracket.json"}
+OUT = {"forms": ROOT / "BENCH_bracket.json", "slq": ROOT / "BENCH_slq_bracket.json",
+       "budget": ROOT / "BENCH_budget.json"}
 METRICS = ("estimate_s", "setup_s", "matvecs_per_estimate", "peak_rss_mb")
 TOLS = (1e-7, 1e-10)
 PROBES = 4
@@ -77,6 +90,16 @@ SLQ_MATRICES = (
        ("random_spd(0, n=200, kappa=1e3)", "random_spd(0, 200, 1e3)[0]", 40, (0,)),
        ("random_spd(0, n=200, kappa=1e2)", "random_spd(0, 200, 1e2)[0]", 80, (0,))])
 SLQ_PROBES = 10
+
+# (label, constructor call, tol) of the budget rows, evaluated as MATRICES'
+# calls are; each runs BUDGET_SEEDS
+BUDGET_MATRICES = (("lattice g=300 theta=-0.24", "lj.gen_gmrf_grid(300, -0.24)", 1e-7),
+                   ("lattice g=447 theta=-0.22", "lj.gen_gmrf_grid(447, -0.22)", 1e-7),
+                   ("lattice g=40 theta=-0.22", "lj.gen_gmrf_grid(40, -0.22)", 1e-7),
+                   ("lattice g=100 theta=-0.2499", "lj.gen_gmrf_grid(100, -0.2499)", 1e-7),
+                   ("pentadiagonal n=10000 seed=0", "lj.gen_pentadiagonal(10_000, 0)",
+                    1e-10))
+BUDGET_SEEDS = tuple(range(10))
 
 
 def cpu_name() -> str:
@@ -250,6 +273,43 @@ print(json.dumps(rows))
 '''
 
 
+BUDGET_CHILD = r'''
+import json, sys
+import lejadet as lj
+from lejadet import logdet
+
+engines = []
+
+class Recording(logdet._ActionEngine):
+    def __init__(self, *args):
+        super().__init__(*args)
+        engines.append(self)
+
+logdet._ActionEngine = Recording
+rows = []
+for label, call, tol, seeds in json.loads(sys.argv[1]):
+    Q = eval(call)
+    oracle = "exact-analytic" if label.startswith("lattice") else "exact-band"
+    exact = lj.estimate(Q, oracle).estimate
+    for seed in seeds:
+        engines.clear()
+        rep = lj.hutchpp_logdet(Q, 12, action_tol=tol, seed=seed)
+        products = {}
+        for r in engines[0].records:
+            products.setdefault(r.label.split()[0], []).append(r.degree)
+        rows.append({"matrix": label, "tol": tol, "seed": seed, "n": Q.n,
+                     "exact": exact, "estimate": rep.estimate,
+                     "deterministic": products.get("deterministic", []),
+                     "residual": products.get("residual", []),
+                     "matvecs": rep.matvecs_total, "bracket_stops": rep.bracket_stops,
+                     "truncation_bound": getattr(rep, "truncation_bound", None),
+                     "hutchinson": logdet.hutchinson_logdet(Q, 12, action_tol=tol,
+                                                            seed=seed).estimate.hex(),
+                     "slq": lj.slq_logdet(Q, 40, 10, seed=seed).estimate.hex()})
+print(json.dumps(rows))
+'''
+
+
 def child(checkout: Path, code: str, spec) -> list[dict]:
     """The rows ``code`` prints for ``spec``, run on ``checkout``'s ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1")
@@ -283,6 +343,38 @@ def slq(parent: Path) -> dict:
             **sides}
 
 
+def budget(parent: Path) -> list[dict]:
+    """Per matrix, the parent's and this checkout's Hutch++ forms over
+    ``BUDGET_SEEDS``, and how far the estimates moved."""
+    spec = [(label, call, tol, BUDGET_SEEDS) for label, call, tol in BUDGET_MATRICES]
+    sides = {side: child(path, BUDGET_CHILD, spec)
+             for side, path in (("parent", parent), ("change", ROOT))}
+    out = []
+    for label, _, tol in BUDGET_MATRICES:
+        runs = {side: [r for r in rows if r["matrix"] == label]
+                for side, rows in sides.items()}
+        n = runs["change"][0]["n"]
+        row = {"matrix": label, "tol": tol, "n": n, "half_budget": n * tol / 2}
+        for side, rs in runs.items():
+            rel = [(r["estimate"] - r["exact"]) / abs(r["exact"]) for r in rs]
+            bounds = [r["truncation_bound"] for r in rs]
+            row[side] = {
+                "deterministic_products": sorted({k for r in rs for k in r["deterministic"]}),
+                "residual_products": sorted({k for r in rs for k in r["residual"]}),
+                "matvecs_per_estimate": [r["matvecs"] for r in rs],
+                "bracket_stops": [r["bracket_stops"] for r in rs],
+                "max_truncation_bound": (None if None in bounds else max(bounds)),
+                "rms_rel_err": statistics.fmean(x * x for x in rel) ** 0.5}
+        pairs = list(zip(runs["parent"], runs["change"]))
+        row["max_abs_estimate_change"] = max(abs(c["estimate"] - p["estimate"])
+                                             for p, c in pairs)
+        for name in ("hutchinson", "slq"):
+            row[f"{name}_bitwise_to_parent"] = (
+                f"{sum(p[name] == c[name] for p, c in pairs)}/{len(pairs)}")
+        out.append(row)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -313,10 +405,18 @@ def main(argv=None) -> int:
                            "error": "max over probes of |form - v' log(Q/sigma) v| / "
                                     "||v||^2",
                            "parent": forms(args.parent), "change": forms(ROOT)}
-    else:
+    elif args.part == "slq":
         record["claim"] = ("penta-slq matvecs_per_estimate lower; every other workload "
                            "and metric within its bound")
         record["slq"] = slq(args.parent)
+    else:
+        record["claim"] = ("lattice-300 matvecs_per_estimate lower; every other workload "
+                           "and metric within its bound")
+        record["budget"] = {"queries": 12, "seeds": list(BUDGET_SEEDS),
+                            "parent": "every form's bracket at most tol ||v||^2 wide",
+                            "change": "the forms share n * tol by their weight in the "
+                                      "estimate",
+                            "rows": budget(args.parent)}
     out = OUT[args.part]
     out.write_text(json.dumps(record, indent=1) + "\n")
     record["workloads"] = workloads(args.parent, args.pairs, args.seconds)

@@ -28,7 +28,8 @@ ORACLES = {"exact-analytic": "lattice-analytic", "exact-band": "band-cholesky"}
 ESTIMATOR_FLAGS = {"queries": "matvec queries for leja-hutchpp / hutchinson",
                    "probes": "SLQ probe vectors",
                    "slq_degree": "at most this many Lanczos steps per probe",
-                   "tol": "action tolerance in (0, 1), relative to each probe norm",
+                   "tol": "tolerance in (0, 1): the Leja forms share a truncation "
+                          "budget of n * tol",
                    "seed": None, "max_degree": None}
 # the parsed flags of `estimate` echoed as the JSON result's "config", for replay
 CONFIG_FIELDS = ("method", "matrix", "gen", "queries", "probes", "slq_degree", "tol",
@@ -192,6 +193,8 @@ def _render_estimate(result: dict, fmt: str) -> str:
                               else f"{rep['std_error']:.3e}"),
         "error bound     " + ("-" if rep["error_bound"] is None
                               else f"{rep['error_bound']:.3e}"),
+        "truncation      " + ("-" if rep["truncation_bound"] is None
+                              else f"{rep['truncation_bound']:.3e}"),
         f"queries         {rep['queries']}",
         f"degrees         min {rep['degrees']['min']} / median {rep['degrees']['median']} / max {rep['degrees']['max']}",
         f"forms           {rep['bracket_stops']} stopped on the bracket / "

@@ -97,6 +97,9 @@ class LogDetReport:
     # whose moments broke down so that the tail rule took over
     bracket_stops: int = 0
     tail_fallbacks: int = 0
+    # the Leja forms' certified truncation error where every one stopped on
+    # its bracket (``hutchpp_logdet``); None on every other report
+    truncation_bound: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -148,7 +151,7 @@ class _ActionRecord(NamedTuple):
 
 def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
             sigma=1.0, n=0, enclosure=None, matvecs=0,
-            error_bound=None) -> LogDetReport:
+            error_bound=None, truncation_bound=None) -> LogDetReport:
     """The one assembly of a ``LogDetReport``.
 
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
@@ -162,7 +165,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
     ``terms`` are the m probe terms whose mean enters the estimate; the
     standard error is their sample standard deviation over sqrt(m), or None
     for m < 2.  ``n`` and ``sigma`` give the n*log(sigma) term, and the wall
-    time runs from ``t0``.  ``error_bound`` bounds an exactly summed trace.
+    time runs from ``t0``; ``error_bound`` and ``truncation_bound`` are copied.
     """
     warnings = [
         f"{r.label}: not converged at degree {r.degree} "
@@ -190,6 +193,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         error_bound=error_bound,
         bracket_stops=sum(r.stop == "bracket" for r in records),
         tail_fallbacks=sum(r.stop == "tail" for r in records),
+        truncation_bound=truncation_bound,
     )
 
 
@@ -242,21 +246,27 @@ class _ActionEngine:
         dd.coeffs[0] -= self.log_sigma
         return dd
 
-    def act_all(self, phase, vector, count, tol, images=None):
-        """Act on ``vector(j)`` for j < count to relative tolerance ``tol``.
+    def act_all(self, phase, vector, count, tol, images=None, share=None):
+        """Act on ``vector(j)`` for j < count.
 
-        With ``images``, column j receives log(Q/sigma) vector(j) and the
-        list returned is empty.  Without, each action is a quadratic form
-        of the doubled table, and their values v' log(Q/sigma) v are
+        With ``images``, column j receives log(Q/sigma) vector(j), to
+        relative tolerance ``tol``, and the list returned is empty.
+        Without, each action is a quadratic form of the doubled table that
+        stops once its bracket on v' log(Q/sigma) v is at most ``tol *
+        share`` wide, absolutely: ``log_matvec``'s rtol is tol * (share /
+        ||v||^2), and a zero v's form is 0 at 0 products.  Their values are
         returned in order.  Each action is recorded as "<phase> action j".
         """
         qforms = []
         for j in range(count):
+            v = vector(j)
             if images is None:
-                res = log_matvec(self.Q, vector(j), self.forms, tol, form=True)
+                norm_sq = ddot(v, v)
+                rtol = tol * (share / norm_sq) if norm_sq > 0 else tol
+                res = log_matvec(self.Q, v, self.forms, rtol, form=True)
                 qforms.append(res.form)
             else:
-                res = log_matvec(self.Q, vector(j), self.dd, tol)
+                res = log_matvec(self.Q, v, self.dd, tol)
                 images[:, j] = res.vector
             self.records.append(_ActionRecord(f"{phase} action {j}", res.degree_used,
                                               res.converged, res.error_estimate,
@@ -312,9 +322,10 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
 
     The exact trace of ``_exact_trace`` is returned instead, with
     ``queries`` 0, whenever the enclosure certifies one.  With k = 0 there
-    is no sketch, QR or deterministic phase: the basis is empty and the
+    is no sketch, QR or deterministic phase: the basis is empty, and the
     m_vec probes, named "probe" rather than "residual", are the first draw
-    of ``default_rng(seed)``.
+    of ``default_rng(seed)``; each takes all of n * action_tol, m of them
+    at weight 1/m, so its rtol is action_tol since ||g||^2 = n.
     """
     if not action_tol > 0:      # NaN too: every action would stop at degree 0
         raise ValueError("action_tol must be positive")
@@ -332,7 +343,6 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
     rng = np.random.default_rng(seed)
     n_res = m_vec - 2 * k
     basis = np.empty((n, 0), order="F")
-    det_term = 0.0
     if k:
         sketch = _rademacher(rng, n, k)
         y = np.empty((n, k), order="F")
@@ -349,10 +359,10 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
         if not keep.all():
             basis = np.asfortranarray(basis[:, keep])
 
-        for qf in eng.act_all("deterministic", lambda j: basis[:, j],
-                              basis.shape[1], action_tol):
-            det_term += qf
-
+    # the forms' shares of n * action_tol, by weight in the estimate
+    kept = basis.shape[1]
+    det_term = sum(eng.act_all("deterministic", lambda j: basis[:, j], kept, action_tol,
+                               share=n / (kept + n_res)))
     probes = _rademacher(rng, n, n_res)
 
     def deflated(j):
@@ -362,16 +372,17 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
                       overwrite_y=True)
         return u
 
-    terms = eng.act_all("residual" if k else "probe", deflated, n_res, action_tol)
-    res_term = 0.0
-    for qf in terms:
-        res_term += qf
-    res_term /= n_res
-
+    terms = eng.act_all("residual" if k else "probe", deflated, n_res, action_tol,
+                        share=n * n_res / (kept + n_res))
+    res_term = sum(terms) / n_res
+    forms = eng.records[k:]
+    truncation = (sum(r.error_estimate for r in forms[:kept])
+                  + sum(r.error_estimate for r in forms[kept:]) / n_res
+                  if all(r.stop == "bracket" for r in forms) else None)
     return _report(method, det_term + res_term, queries=m_vec, seed=seed, t0=t0,
                    records=eng.records, terms=terms, sigma=eng.sigma, n=n,
-                   enclosure=eng.bounds.method,
-                   matvecs=eng.enclosure_matvecs)
+                   enclosure=eng.bounds.method, matvecs=eng.enclosure_matvecs,
+                   truncation_bound=truncation)
 
 
 def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_TOL,
@@ -387,19 +398,23 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_T
     Every action interpolates log(z / sigma) at the fast Leja points of the
     enclosing interval, with divided differences from one trapezoid sum.
 
-    ``action_tol``, in (0, 1), bounds each action's error indicator relative
-    to its probe's norm (``log_matvec``'s ``rtol``; a quadratic form's
-    relative to the squared norm), not the estimate's error: at 1e-2 the
-    12-query estimate of ``gen_gmrf_grid(30, -0.24)`` is 4.6% off, and at
-    0.5 9.5% off.  It governs the deterministic and residual actions,
-    whose quadratic forms enter the estimate directly; each is a form of
-    ``log_matvec`` on the doubled Leja sequence, which builds no vector
-    log(Q/sigma) v.  A form stops once the Gauss and Gauss-Radau rules read
-    off its own products' inner products bracket v' log(Q/sigma) v in an
-    interval at most action_tol * ||v||^2 wide, and returns its midpoint;
-    where those moments break down it stops on the tail rule instead
-    (``log_matvec``).  ``report.bracket_stops`` and
-    ``report.tail_fallbacks`` count the two.  A Gauss node below the
+    ``action_tol``, in (0, 1), sets the budget B = n * action_tol that the
+    quadratic forms making up the estimate share by their weights in it:
+    each of the k' deterministic forms on the basis columns kept (weight 1)
+    gets B / (k' + m), each of the m = m_vec - 2k residual ones (weight
+    1/m) m B / (k' + m), the split that spends the fewest products (README).
+    Each is a form of ``log_matvec`` on the doubled Leja sequence, which
+    builds no vector log(Q/sigma) v, and stops once the Gauss and
+    Gauss-Radau rules read off its own products' inner products bracket
+    v' log(Q/sigma) v in an interval no wider than its share, and returns
+    its midpoint; where those moments break down it stops on the tail rule
+    instead (``log_matvec``).  ``report.bracket_stops`` and
+    ``report.tail_fallbacks`` count the two.  Where every form stopped on
+    its bracket, ``report.truncation_bound`` (the deterministic forms'
+    half-widths plus the mean of the residual ones') bounds their
+    truncation error by B / 2, but not the probes' Monte Carlo error: at
+    1e-2 the 12-query estimate of ``gen_gmrf_grid(30, -0.24)`` is 4.58%
+    off, and at 0.5 9.54% off.  A Gauss node below the
     interval's lower end proves that the interval does not enclose the
     spectrum, and the estimate is refused.  The sketch actions run to
     ``sqrt(action_tol)``: the estimator is unbiased for any basis that does
@@ -419,8 +434,8 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_T
     K <= min(2, max_degree), no probe is drawn: the estimate is the exact
     trace of the degree-K interpolant for the smallest such K, summed from
     the diagonal and the stored values of Q.  Its error is at most
-    ``report.error_bound`` = n r^(K+1) / (K+1), the same n * action_tol
-    budget the probes' actions accept, provided ``bounds`` (given or
+    ``report.error_bound`` = n r^(K+1) / (K+1), the same budget B the
+    probes' forms share, provided ``bounds`` (given or
     found) encloses the spectrum, as the actions assume too.  Such a report
     has ``queries`` 0, ``std_error`` None, all-zero ``degrees`` and, in
     ``matvecs_total``, only the enclosure's products; ``error_bound`` is
@@ -535,15 +550,16 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
              max_degree: int = DEFAULT_MAX_DEGREE) -> LogDetReport:
     """log det Q by one of ``METHODS``, with the command line's defaults.
 
-    ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions of
-    relative tolerance ``tol`` (at most ``max_degree`` products with Q
-    each, where a quadratic form's interpolant after k products has degree
-    2k; Hutch++ runs its sketch actions to ``sqrt(tol)``, see
-    ``hutchpp_logdet``)
-    on the interval that ``estimate_interval(Q, seed=seed)`` chooses
+    ``leja-hutchpp`` and ``hutchinson`` spend ``queries`` Leja actions (at
+    most ``max_degree`` products with Q each, where a quadratic form's
+    interpolant after k products has degree 2k) on the interval that
+    ``estimate_interval(Q, seed=seed)`` chooses
     (Gershgorin, or Lanczos when Gershgorin's condition number exceeds 1e4;
     ``report.enclosure``), with divided differences from one trapezoid sum
-    (``divided_differences_log``).  When that interval certifies an
+    (``divided_differences_log``).  Their quadratic forms share a
+    truncation budget of n * ``tol`` by their weights in the estimate, and
+    Hutch++ runs its sketch actions to ``sqrt(tol)`` relative to the
+    probe's norm (``hutchpp_logdet``).  When that interval certifies an
     interpolant of degree at most 2 to ``tol``, the estimate is its exact
     trace, with no probe and with ``report.error_bound`` set (see
     ``hutchpp_logdet``).

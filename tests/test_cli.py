@@ -28,7 +28,7 @@ CONFIG_KEYS = ["method", "matrix", "gen", "queries", "probes", "slq_degree", "to
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
                "warnings", "converged", "std_error", "enclosure", "error_bound",
-               "bracket_stops", "tail_fallbacks"}
+               "bracket_stops", "tail_fallbacks", "truncation_bound"}
 
 # the estimator options every estimator command refuses before it runs, with
 # their messages; each command line below is complete apart from them
@@ -140,6 +140,9 @@ class TestEstimate:
         (line,) = [ln for ln in out.splitlines() if ln.startswith("std error")]
         assert float(line.split()[-1]) > 0
         assert "error bound     -" in out.splitlines()
+        # the forms' certified truncation error, within half of n * tol
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("truncation")]
+        assert 0 < float(line.split()[-1]) <= 100 * 1e-7 / 2
 
     def test_exact_trace_shows_its_bound(self, capsys):
         # pentadiagonal 10^4: the enclosure certifies a degree-2 interpolant
@@ -150,6 +153,7 @@ class TestEstimate:
         (line,) = [ln for ln in lines if ln.startswith("error bound")]
         assert 0 < float(line.split()[-1]) < 1e-3
         assert "std error       -" in lines and "queries         0" in lines
+        assert "truncation      -" in lines
         code, out, _ = run_cli(capsys, "bench", "--gen", "pentadiagonal:10000",
                                "--methods", "hutchinson,exact-band")
         assert code == 0

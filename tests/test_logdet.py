@@ -411,22 +411,37 @@ def _recorded_engines(monkeypatch):
 
 
 def _hutchpp_full_tol_sketch(Q, m_vec, seed, tol=1e-7):
-    """Hutch++ with the sketch actions run to ``tol`` like every other action,
-    on the estimator's probe draws."""
+    """Hutch++ with the sketch actions run to ``tol``, on the estimator's probe
+    draws; its forms take the estimator's shares of the budget n * tol."""
     eng = logdet._ActionEngine(Q, None, 400, seed, tol)
     rng = np.random.default_rng(seed)
     k = m_vec // 3
     basis, r = np.linalg.qr(_sketch_image(eng, _probes(rng, Q.n, k), tol))
     assert np.abs(np.diag(r)).min() >= 1e-12 * np.abs(np.diag(r)).max()  # full rank
-    det_term = sum(eng.act_all("deterministic", lambda j: basis[:, j].copy(), k, tol))
-    G = _probes(rng, Q.n, m_vec - 2 * k)
+    m = m_vec - 2 * k
+    det_term = sum(eng.act_all("deterministic", lambda j: basis[:, j].copy(), k, tol,
+                               share=Q.n / (k + m)))
+    G = _probes(rng, Q.n, m)
     U = G - basis @ (basis.T @ G)
-    res_term = np.mean(eng.act_all("residual", lambda j: U[:, j].copy(), U.shape[1], tol))
+    res_term = np.mean(eng.act_all("residual", lambda j: U[:, j].copy(), m, tol,
+                                   share=Q.n * m / (k + m)))
     return Q.n * eng.log_sigma + det_term + res_term
 
 
+def _recorded_rtols(monkeypatch):
+    """(rtol, ||v||^2, form) of every ``log_matvec`` call from now on, in order."""
+    calls = []
+
+    def recording(Q, v, dd, rtol, **kwargs):
+        calls.append((rtol, ddot(v, v), kwargs.get("form", False)))
+        return log_matvec(Q, v, dd, rtol, **kwargs)
+
+    monkeypatch.setattr(logdet, "log_matvec", recording)
+    return calls
+
+
 class TestHutchPPSketchTolerance:
-    """The sketch actions run to sqrt(tol), every other one to tol."""
+    """The sketch actions run to sqrt(tol); the forms share the budget n * tol."""
 
     def test_sketch_reaches_a_lower_degree(self, monkeypatch):
         # than the same vector actions at the full tolerance; the forms are
@@ -465,23 +480,56 @@ class TestHutchPPSketchTolerance:
         assert np.std(got, ddof=1) / spread == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-2, 0.5])
-    def test_sketch_never_tighter_than_the_other_actions(self, tol, monkeypatch):
-        rel_tols, forms = [], []
-
-        def recording(Q, v, dd, rtol, **kwargs):
-            rel_tols.append(rtol)
-            forms.append(kwargs.get("form", False))
-            return log_matvec(Q, v, dd, rtol, **kwargs)
-
-        monkeypatch.setattr(logdet, "log_matvec", recording)
-        hutchpp_logdet(gen_gmrf_grid(12, -0.22), 12, action_tol=tol, seed=0)
-        sketch, others = rel_tols[:4], rel_tols[4:]
-        assert len(others) == 8
-        assert sketch == pytest.approx([math.sqrt(tol)] * 4, rel=1e-12)
-        assert others == pytest.approx([tol] * 8, rel=1e-12)
-        assert min(sketch) >= max(others) * (1 - 1e-12)
+    def test_sketch_at_sqrt_tol_and_forms_at_their_share(self, tol, monkeypatch):
+        # 4 sketch actions, 4 deterministic forms on unit basis columns and 4
+        # residual forms: B = n tol, a deterministic form's bracket is held to
+        # B / 8 and a residual one's, of weight 1/4, to 4 B / 8
+        calls = _recorded_rtols(monkeypatch)
+        Q = gen_gmrf_grid(12, -0.22)
+        hutchpp_logdet(Q, 12, action_tol=tol, seed=0)
+        rtols, norms, forms = map(list, zip(*calls))
+        budget = Q.n * tol
+        assert rtols[:4] == pytest.approx([math.sqrt(tol)] * 4, rel=1e-12)
+        assert norms[4:8] == pytest.approx([1.0] * 4, rel=1e-12)
+        assert [r * s for r, s in zip(rtols[4:8], norms[4:8])] == pytest.approx(
+            [budget / 8] * 4, rel=1e-12)
+        assert [r * s for r, s in zip(rtols[8:], norms[8:])] == pytest.approx(
+            [4 * budget / 8] * 4, rel=1e-12)
         # the sketch's images are vectors; every other action is a quadratic form
         assert forms == [False] * 4 + [True] * 8
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-7, 1e-2, 0.5])
+    def test_hutchinson_forms_at_tol_exactly(self, tol, monkeypatch):
+        # no basis: each of the m probes, ||g||^2 = n, takes m B / m = tol n
+        calls = _recorded_rtols(monkeypatch)
+        hutchinson_logdet(gen_gmrf_grid(12, -0.22), 12, action_tol=tol, seed=0)
+        assert [(rtol, form) for rtol, _, form in calls] == [(tol, True)] * 12
+
+    # the sketch spans R^3 at these seeds: the residual probes are rounding,
+    # and seed 12's second one is exactly zero
+    @pytest.mark.parametrize("seed", [12, 13, 17, 19])
+    def test_spanning_basis_leaves_finite_forms(self, seed, monkeypatch):
+        # Gershgorin's lower end, 1, lies below lambda_min = 1.27, so that
+        # log(Q/sigma) is regular; on a diagonal matrix it has a null vector
+        # and the basis never spans.  A rounding-level probe's rtol, tol share
+        # / ||u||^2, is large but finite; a zero probe's is tol
+        calls = _recorded_rtols(monkeypatch)
+        dense = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+        rep = hutchpp_logdet(SparseMatrixCSR.from_scipy(dense), 12, seed=seed)
+        forms = [(rtol, norm_sq) for rtol, norm_sq, form in calls if form]
+        assert len(forms) == 7      # 3 deterministic, 4 residual
+        assert all(norm_sq < 1e-29 for _, norm_sq in forms[3:])
+        assert all(math.isfinite(rtol) for rtol, _ in forms)
+        assert (seed == 12) == ((1e-7, 0.0) in forms)
+        assert rep.converged and not rep.warnings
+        assert rep.estimate == pytest.approx(np.linalg.slogdet(dense)[1], abs=1e-6)
+
+    def test_zero_probe_is_zero_at_no_product(self):
+        Q = gen_gmrf_grid(12, -0.22)
+        eng = logdet._ActionEngine(Q, None, 400, 0, 1e-7)
+        forms = eng.act_all("residual", lambda j: np.zeros(Q.n), 2, 1e-7, share=Q.n)
+        assert forms == [0.0] * 2
+        assert [(r.degree, r.stop) for r in eng.records] == [(0, "tail")] * 2
 
 
 class TestHutchinson:
@@ -527,10 +575,50 @@ class TestHutchinson:
         Q = gen_gmrf_grid(12, -0.22)
         eng = logdet._ActionEngine(Q, None, 400, seed, 1e-7)
         probes = logdet._rademacher(np.random.default_rng(seed), Q.n, 12)
-        qforms = eng.act_all("probe", lambda j: logdet._column(probes, j), 12, 1e-7)
+        qforms = eng.act_all("probe", lambda j: logdet._column(probes, j), 12, 1e-7,
+                             share=Q.n)
         rep = hutchinson_logdet(Q, 12, seed=seed)
         assert rep.trace_estimate == sum(qforms) / 12
         assert rep.estimate == Q.n * eng.log_sigma + sum(qforms) / 12
+
+
+class TestTruncationBound:
+    """The forms' certified truncation error: the deterministic forms' bracket
+    half-widths plus the mean of the residual forms', at most n tol / 2."""
+
+    @pytest.mark.parametrize("g,theta", [(40, -0.22), (300, -0.24)])
+    def test_within_half_the_budget(self, g, theta):
+        Q = gen_gmrf_grid(g, theta)
+        for seed in range(10):
+            for rep in (hutchpp_logdet(Q, 12, seed=seed),
+                        hutchinson_logdet(Q, 12, seed=seed)):
+                assert rep.bracket_stops == 12 - 4 * (rep.method == "leja-hutchpp")
+                assert 0 < rep.truncation_bound <= Q.n * 1e-7 / 2
+
+    def test_sums_the_forms_half_widths(self, monkeypatch):
+        engines = _recorded_engines(monkeypatch)
+        rep = hutchpp_logdet(gen_gmrf_grid(40, -0.22), 12, seed=0)
+        (eng,) = engines
+        half = {}
+        for r in eng.records:
+            half.setdefault(r.label.split()[0], []).append(r.error_estimate)
+        assert rep.truncation_bound == (sum(half["deterministic"])
+                                        + sum(half["residual"]) / 4)
+
+    @pytest.mark.parametrize("report", [
+        lambda: slq_logdet(gen_gmrf_grid(20, -0.22), 40, 4, seed=0),
+        lambda: estimate(gen_gmrf_grid(20, -0.22), "exact-band"),
+        lambda: estimate(gen_gmrf_grid(20, -0.22), "exact-analytic"),
+        lambda: hutchpp_logdet(gen_pentadiagonal(10_000, seed=0), 12, seed=0),
+        lambda: hutchinson_logdet(random_spd(0, n=200, kappa=1e3)[0], 6, seed=0),
+        lambda: hutchpp_logdet(SparseMatrixCSR.from_scipy(
+            np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])), 12, seed=12),
+    ], ids=["slq", "exact-band", "exact-analytic", "exact-trace", "tail-fallback",
+            "zero-probe"])
+    def test_none_unless_every_form_stopped_on_its_bracket(self, report):
+        rep = report()
+        assert rep.truncation_bound is None
+        assert rep.method == "slq" or rep.queries == 0 or rep.tail_fallbacks > 0
 
 
 def _diagonal_with_width(lo, r, n=50):
