@@ -186,7 +186,7 @@ def reference(Q, v):
     if Q.n <= 1000:
         w, V = np.linalg.eigh(Q.to_scipy().toarray())
         return float(v @ (V @ (np.log(w) * (V.T @ v))))
-    return logdet._lanczos_quadrature(Q.to_scipy(), v, 60)[0]
+    return logdet._lanczos_quadrature(Q.to_scipy(), v, 60, 0.0)[0]
 
 rows = []
 for label, call, tols, probes in json.loads(sys.argv[1]):
@@ -232,27 +232,20 @@ def loose_tridiagonal(n):
 
 def probes(Q, m_l, seed, full):
     """(value, steps) of each probe of slq_logdet(Q, m_l, n_v, seed), and the
-    report; with ``full`` every probe runs m_l steps (the parent: no check
-    point settles; this checkout: no lower end, so no bracket)."""
+    report; with ``full`` every probe runs m_l steps (no lower end, so no
+    bracket)."""
     quadrature, out = logdet._lanczos_quadrature, []
-    check = getattr(logdet, "_check_point", None)
 
-    def recording(*args):
-        if full and check is None:
-            args = args[:3] + (0.0,)
-        result = quadrature(*args)
+    def recording(m_sp, v, m_l, lowest):
+        result = quadrature(m_sp, v, m_l, 0.0 if full else lowest)
         out.append((float(result[0]), int(result[1])))
         return result
 
     logdet._lanczos_quadrature = recording
-    if full and check is not None:
-        logdet._check_point = lambda beta0_sq, alphas, betas, previous: (previous, False)
     try:
         rep = lj.slq_logdet(Q, m_l, N_V, seed=seed)
     finally:
         logdet._lanczos_quadrature = quadrature
-        if check is not None:
-            logdet._check_point = check
     return out, rep
 
 rows = []

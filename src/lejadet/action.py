@@ -36,22 +36,15 @@ The same two inner products are the modified moments nu_{2k-1} and
 nu_{2k} of the probe's spectral measure in the Newton basis of eta, and
 the modified Chebyshev algorithm (``quadrature.ModifiedChebyshev``) turns
 each into the next recurrence coefficient of the measure in O(k) flops,
-holding no vector.  After k products they give the k-node Gauss rule G,
-an upper bound on v' log(Q) v, and the (k+1)-node Gauss-Radau rule R with
-a node fixed at xi = -2, the interval's lower end, which is a lower bound
-when the interval encloses the spectrum.  The form stops once the
-bracket's width G - R is at most rtol ||v||^2, and returns the midpoint,
-whose error half that width bounds.  The rules are solved after 2 and 4
-products, then at the product where the width's geometric decay between
-the last two check points reaches the tolerance (``quadrature.next_check``,
-the schedule SLQ's probes follow too).  A Gauss node
-below the interval's lower end proves that the interval misses part of
-the spectrum, and the form is refused.
+holding no vector.  The form stops on their Gauss-Radau bracket
+(``quadrature.Bracket``) with a node fixed at xi = -2, the interval's
+lower end, once it is at most rtol ||v||^2 wide.  A Gauss node below
+that end proves that the interval misses part of the spectrum, and the
+form is refused.
 
 When the moments' recursion breaks down (a beta_k at rounding level or
-below, a non-finite coefficient, a non-positive node, or a bracket that
-widened between check points, which exact arithmetic rules out) the form
-falls back to the tail rule.  The terms of the sum decay like rho^2 per
+below, or a non-finite coefficient) or the bracket ends, the form falls
+back to the tail rule.  The terms of the sum decay like rho^2 per
 product, with rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1) the convergence
 factor of log on an interval of condition kappa, so the rest of the sum
 is about the last two terms times tail = 1 / (1 - rho^2) = (sqrt(kappa) +
@@ -71,7 +64,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .divdiff import DividedDiffs
-from .quadrature import FIRST_CHECK, ModifiedChebyshev, next_check, radau_rule
+from .quadrature import Bracket, ModifiedChebyshev
 from .sparse import SparseMatrixCSR
 
 __all__ = ["ActionResult", "log_matvec"]
@@ -193,11 +186,10 @@ def _form(step, v, norm_sq, dd, rtol):
     # the rules integrate log z; P interpolates log z - log(z_0) + d_0
     offset = norm_sq * (coeffs[0] - math.log(c + gamma * dd.nodes[0]))
     moments = ModifiedChebyshev(dd.nodes.tolist()) if rtol > 0 else None
+    bracket = Bracket(-2.0, bound, c, gamma)
     stop = None
     if moments is not None and not moments.add(norm_sq):
         moments, stop = None, "tail"
-    checked = None      # (products, bracket width) at the last check point
-    check_at = FIRST_CHECK
     history = [err]
     converged = True
     w = v
@@ -221,29 +213,20 @@ def _form(step, v, norm_sq, dd, rtol):
         if not (moments.add(cross) and moments.add(square)):
             moments, stop = None, "tail"
             continue
-        if m != check_at and m != cap:
+        if m != bracket.due and m != cap:
             continue
-        gauss = moments.gauss(c, gamma)
-        radau = radau_rule(moments.betas[0], moments.alphas, moments.betas[1:], -2.0,
-                           c, gamma)
-        if gauss is None or radau is None:
-            moments, stop = None, "tail"
-            continue
-        if gauss.lowest < iv.lambda_min - _NODE_SLACK * 4.0 * gamma:
+        midpoint = bracket.check(moments.betas[0], moments.alphas, moments.betas[1:])
+        gauss = bracket.gauss
+        if gauss is not None and gauss.lowest < iv.lambda_min - _NODE_SLACK * 4.0 * gamma:
             raise ValueError(
                 f"a Gauss node of the probe's moments lies at {gauss.lowest:.6g}, below "
                 f"the interval [{iv.lambda_min:.6g}, {iv.lambda_max:.6g}]: it does "
                 f"not enclose the spectrum")
-        width = abs(gauss.value - radau.value)
-        if width <= bound:
-            total = 0.5 * (gauss.value + radau.value) + offset
-            err, stop = 0.5 * width, "bracket"
+        if midpoint is not None:
+            total, err, stop = midpoint + offset, 0.5 * bracket.width, "bracket"
             break
-        if checked is not None and width > checked[1]:
-            moments, stop = None, "tail"    # G falls and R rises: rounding has taken over
-            continue
-        check_at = next_check(checked, (m, width), bound)
-        checked = (m, width)
+        if bracket.due is None:
+            moments, stop = None, "tail"
     return ActionResult(vector=None, degree_used=m, error_estimate=err, matvecs=m,
                         converged=converged, error_history=np.asarray(history),
                         form=float(total), stop=stop)

@@ -48,7 +48,7 @@ from .action import log_matvec
 from .divdiff import divided_differences_log
 from .leja import generate_fast_leja
 from .oracle import band_logdet_cholesky, gmrf_grid_logdet_analytic, lattice_of
-from .quadrature import FIRST_CHECK, gauss_rule, next_check, radau_rule
+from .quadrature import Bracket, gauss_rule
 from .sparse import SparseMatrixCSR, _checked_seed, _row_blocks
 from .spectral import SpectralInterval, _lanczos, estimate_interval
 
@@ -404,12 +404,11 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_T
     gets B / (k' + m), each of the m = m_vec - 2k residual ones (weight
     1/m) m B / (k' + m), the split that spends the fewest products (README).
     Each is a form of ``log_matvec`` on the doubled Leja sequence, which
-    builds no vector log(Q/sigma) v, and stops once the Gauss and
-    Gauss-Radau rules read off its own products' inner products bracket
-    v' log(Q/sigma) v in an interval no wider than its share, and returns
-    its midpoint; where those moments break down it stops on the tail rule
-    instead (``log_matvec``).  ``report.bracket_stops`` and
-    ``report.tail_fallbacks`` count the two.  Where every form stopped on
+    builds no vector log(Q/sigma) v, and stops once the Gauss-Radau bracket
+    of its own products' inner products (``quadrature.Bracket``) is no
+    wider than its share, and returns its midpoint; where those moments
+    break down it stops on the tail rule instead (``log_matvec``).
+    ``report.bracket_stops`` and ``report.tail_fallbacks`` count the two.  Where every form stopped on
     its bracket, ``report.truncation_bound`` (the deterministic forms'
     half-widths plus the mean of the residual ones') bounds their
     truncation error by B / 2, but not the probes' Monte Carlo error: at
@@ -457,56 +456,40 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAUL
     return _leja_trace("hutchinson", Q, m_vec, 0, action_tol, seed, bounds, max_degree)
 
 
-def _gauss_rule(beta0_sq, alphas, betas):
-    """The Gauss rule (``quadrature.gauss_rule``) of a Lanczos tridiagonal.
-
-    A Ritz value within rounding of zero, relative to the largest, is
-    refused: the matrix is singular or indefinite.
-    """
-    rule = gauss_rule(beta0_sq, alphas, betas)
-    if rule is None:
-        raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
-    return rule
-
-
 def _lanczos_quadrature(m_sp, v, m_l, lowest):
     """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
 
     Plain Lanczos (``spectral._lanczos``) on ``v`` for at most ``m_l``
     steps; returns the value, the steps and, where the probe stopped on its
-    bracket, half its width (else None).  At the check points of
-    ``quadrature.next_check`` the tridiagonal of k steps gives the k-node
-    Gauss rule G (``_gauss_rule``), an upper bound on v' log(Q) v, and the
-    (k+1)-node Gauss-Radau rule R with a node at ``lowest``, a lower bound
-    on the spectrum, which makes R a lower bound; the probe returns their
-    midpoint once |G - R| <= G.rounding + R.rounding.  A ``lowest`` at or
-    below zero gives no bracket, nor does a check point where R is None.  A
-    probe that runs to ``m_l`` steps, or breaks down, returns G, computed
-    as it always was.  Lost orthogonality only adds copies of converged
-    Ritz values, whose weights sum to the weight of the one they copy, so
-    the rules stay accurate (Greenbaum, "Behavior of slightly perturbed
-    Lanczos and conjugate-gradient recurrences", LAA 1989; Knizhnerman,
-    "The simple Lanczos procedure: estimates of the error of the Gauss
-    quadrature formula", 1996).
+    bracket, half its width (else None).  Where ``lowest``, a lower bound
+    on the spectrum, is positive, the tridiagonal feeds a
+    ``quadrature.Bracket`` with its Radau node there and no bound, so the
+    probe returns the midpoint once the Gauss and Gauss-Radau rules agree
+    to rounding.  A probe with no bracket, or whose bracket ended, runs to
+    ``m_l`` steps or breakdown and returns its Gauss rule; a Ritz value
+    within rounding of zero, relative to the largest, then refuses the
+    matrix as singular or indefinite.  Lost orthogonality only adds copies
+    of converged Ritz values, whose weights sum to the weight of the one
+    they copy, so the rules stay accurate (Greenbaum, "Behavior of slightly
+    perturbed Lanczos and conjugate-gradient recurrences", LAA 1989;
+    Knizhnerman, "The simple Lanczos procedure: estimates of the error of
+    the Gauss quadrature formula", 1996).
     """
     beta0_sq = ddot(v, v)
-    check_at, checked = FIRST_CHECK, None     # (steps, width) at the last check point
+    bracket = Bracket(lowest) if lowest > 0 else None
     for alphas, betas in _lanczos(lambda x: m_sp @ x, v, m_l):
         k = alphas.shape[0]
         if k == m_l:
             break
-        if not lowest > 0 or k != check_at or betas.shape[0] < k:
+        if bracket is None or k != bracket.due or betas.shape[0] < k:
             continue
-        gauss = _gauss_rule(beta0_sq, alphas, betas[:k - 1])
-        radau = radau_rule(beta0_sq, alphas, betas ** 2, lowest)
-        if radau is None:
-            check_at = 2 * k
-            continue
-        width, bound = abs(gauss.value - radau.value), gauss.rounding + radau.rounding
-        if width <= bound:
-            return 0.5 * (gauss.value + radau.value), k, 0.5 * width
-        check_at, checked = next_check(checked, (k, width), bound), (k, width)
-    return _gauss_rule(beta0_sq, alphas, betas[:k - 1]).value, k, None
+        midpoint = bracket.check(beta0_sq, alphas, betas ** 2)
+        if midpoint is not None:
+            return midpoint, k, 0.5 * bracket.width
+    gauss = gauss_rule(beta0_sq, alphas, betas[:k - 1] ** 2)
+    if gauss is None:
+        raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
+    return gauss.value, k, None
 
 
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
@@ -515,9 +498,9 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     For each of ``n_v`` Rademacher probes, plain Lanczos yields a Gauss
     rule G for v' log(Q) v in at most ``m_l`` steps; the estimate is the
     probe average.  Where Q's raw Gershgorin lower end ``Q.gershgorin[0]``
-    is positive, a probe stops once G and the Gauss-Radau rule with a node
-    there agree to rounding (``_lanczos_quadrature``); its record keeps
-    half their gap as its error estimate, and ``report.bracket_stops``
+    is positive, a probe may stop earlier on its Gauss-Radau bracket with a
+    node there (``_lanczos_quadrature``); its record keeps half the
+    bracket's width as its error estimate, and ``report.bracket_stops``
     counts it.  Its breakdown rule is relative to the scale of Q
     (``spectral._lanczos``).  No normalization is applied: negative log
     eigenvalues enter the quadrature directly.  A probe holds two Lanczos
@@ -565,10 +548,9 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     ``hutchpp_logdet``).
     The wall time and matvec total include that enclosure, but not the
     Gershgorin pass, which Q made at construction.  ``slq`` runs
-    ``probes`` probes of at most ``slq_degree`` Lanczos steps each (where
-    Q's Gershgorin lower end is positive, a probe stops once its Gauss and
-    Gauss-Radau rules bracket v' log(Q) v to rounding, see ``slq_logdet``)
-    and needs no enclosure.
+    ``probes`` probes of at most ``slq_degree`` Lanczos steps each (fewer
+    where a probe's Gauss-Radau bracket closes, see ``slq_logdet``) and
+    needs no enclosure.
     The exact methods read Q alone: ``exact-band`` is banded Cholesky at
     Q's own bandwidth, ``exact-analytic`` the closed form of the lattice
     ``gen_gmrf_grid(g, theta)`` that Q is (``lattice_of``), or a refusal.

@@ -16,7 +16,8 @@ is negative and every odd one positive, so the Gauss rule is an upper bound
 on the integral and the Gauss-Radau rule with one node fixed at a is a lower
 bound (Golub and Meurant, *Matrices, Moments and Quadrature with
 Applications*, 2010): the two bracket v' log(A) v whenever a is at or below
-the spectrum.
+the spectrum.  ``Bracket`` is the one stop rule built on them, for the Leja
+forms (``action``) and the SLQ probes (``logdet``) alike.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-__all__ = ["FIRST_CHECK", "GaussRule", "ModifiedChebyshev", "gauss_rule", "next_check",
-           "radau_rule"]
+__all__ = ["Bracket", "GaussRule", "ModifiedChebyshev", "gauss_rule", "radau_rule"]
 
 # a beta_k at or below this ends the recursion: sqrt(eps) times 16, the
 # square of the width of [-2, 2], where the nodes lie.  Past the number of
 # points of its measure the recursion's betas are rounding (5e-13 and 1e-12
 # on an 8-point measure), while on the lattices they stay near 1
 _BETA_FLOOR = 16.0 * math.sqrt(np.finfo(float).eps)
-# a bracket's rules are first solved after this many products, then after
-# twice as many; later check points follow its measured decay (``next_check``)
-FIRST_CHECK = 2
 
 
 class GaussRule(NamedTuple):
@@ -49,16 +46,16 @@ class GaussRule(NamedTuple):
     lowest: float
 
 
-def gauss_rule(beta0_sq, alphas, offdiag, c=0.0, gamma=1.0):
+def gauss_rule(beta0_sq, alphas, betas, c=0.0, gamma=1.0):
     """The Gauss rule for log of the tridiagonal with diagonal ``alphas`` and
-    off-diagonal ``offdiag``, its nodes mapped by z = c + gamma * theta.
+    squared off-diagonal ``betas``, its nodes mapped by z = c + gamma * theta.
 
     Returns a ``GaussRule``, or None when the lowest node is within rounding
     of zero, relative to the largest, or below it: the log of such a node
     would pass for a finite one.
     """
-    rounding = alphas.shape[0] * np.finfo(float).eps
-    theta, vecs = eigh_tridiagonal(alphas, offdiag)
+    rounding = len(alphas) * np.finfo(float).eps
+    theta, vecs = eigh_tridiagonal(alphas, np.sqrt(betas))
     z = c + gamma * theta
     if not z[0] > rounding * z[-1]:     # NaN too
         return None
@@ -70,9 +67,8 @@ def gauss_rule(beta0_sq, alphas, offdiag, c=0.0, gamma=1.0):
 
 def radau_rule(beta0_sq, alphas, betas, fixed, c=0.0, gamma=1.0):
     """The (k+1)-node Gauss-Radau rule for log with one node at ``fixed``,
-    from the k ``alphas`` and the ``betas`` beta_1..beta_k of the recurrence
-    (the squares of the Jacobi matrix's off-diagonal entries), nodes mapped
-    as in ``gauss_rule``.
+    from the k ``alphas`` and the squared ``betas`` beta_1..beta_k of the
+    recurrence, nodes mapped as in ``gauss_rule``.
 
     Its last diagonal entry is fixed - beta_k / r_k with r_k = p_k / p_{k-1}
     at ``fixed`` (r_1 = fixed - alpha_0, r_{j+1} = fixed - alpha_j -
@@ -91,20 +87,57 @@ def radau_rule(beta0_sq, alphas, betas, fixed, c=0.0, gamma=1.0):
         return None
     if not math.isfinite(last):
         return None
-    return gauss_rule(beta0_sq, np.array(a + [last]), np.sqrt(b), c, gamma)
+    return gauss_rule(beta0_sq, a + [last], b, c, gamma)
 
 
-def next_check(previous, current, bound):
-    """Steps at which a bracket is next solved, from its widths (steps,
-    width) at its last two check points: where their geometric decay
-    reaches ``bound``, at least one step on; twice the steps where no decay
-    was measured."""
-    k1, h1 = current
-    if previous is None or not 0.0 < h1 < previous[1]:
-        return 2 * k1
-    k0, h0 = previous
-    per_step = math.log(h1 / h0) / (k1 - k0)
-    return k1 + max(1, math.ceil(math.log(bound / h1) / per_step))
+class Bracket:
+    """One probe's Gauss-Radau bracket on the integral of log, and when to
+    solve it: the stop rule of the Leja forms and the SLQ probes.
+
+    ``check`` takes the Jacobi matrix of k steps, the k alphas and the
+    squared betas beta_1..beta_k, and solves the k-node Gauss rule G, an
+    upper bound, and the (k+1)-node Gauss-Radau rule R with a node at
+    ``fixed``, a lower bound when ``fixed`` is at or below the spectrum,
+    nodes mapped by z = c + gamma * theta.  The bracket closes once |G - R|
+    is at most ``bound`` or, with no bound, at most G's and R's rounding
+    bounds together; its value is then the midpoint, within half the width
+    of the integral.  It is due after 2 steps, then after 4, then at the
+    step where the width's geometric decay between the last two check
+    points reaches the bound, at least one step on (twice the steps where
+    the width did not fall).  A rule that is None, or a width above the
+    last check point's, which exact arithmetic rules out, ends the bracket:
+    ``due`` becomes None, and the probe goes on without it.
+    """
+
+    def __init__(self, fixed, bound=None, c=0.0, gamma=1.0):
+        self.fixed, self.bound, self.c, self.gamma = fixed, bound, c, gamma
+        self.due = 2            # steps at the next check point
+        self.gauss = None       # the Gauss rule of the last check
+        self.width = None
+        self._last = None       # (steps, width) at the last check point
+
+    def check(self, beta0_sq, alphas, betas):
+        """Solve both rules; their midpoint once the bracket closes, else None."""
+        k = len(alphas)
+        gauss = self.gauss = gauss_rule(beta0_sq, alphas, betas[:k - 1], self.c,
+                                        self.gamma)
+        radau = radau_rule(beta0_sq, alphas, betas, self.fixed, self.c, self.gamma)
+        if gauss is None or radau is None:
+            self.due = None
+            return None
+        width = self.width = abs(gauss.value - radau.value)
+        bound = gauss.rounding + radau.rounding if self.bound is None else self.bound
+        if width <= bound:
+            return 0.5 * (gauss.value + radau.value)
+        last, self._last = self._last, (k, width)
+        if last is not None and width > last[1]:
+            self.due = None     # G fell and R rose: rounding has taken over
+        elif last is None or not width < last[1]:
+            self.due = 2 * k
+        else:
+            per_step = math.log(width / last[1]) / (k - last[0])
+            self.due = k + max(1, math.ceil(math.log(bound / width) / per_step))
+        return None
 
 
 class ModifiedChebyshev:
@@ -163,9 +196,3 @@ class ModifiedChebyshev:
             ok = betas[-1] > (_BETA_FLOOR if k else 0.0) and math.isfinite(betas[-1])
         self._before, self._last = last, new
         return ok
-
-    def gauss(self, c, gamma):
-        """The k-node Gauss rule for log, nodes mapped by z = c + gamma * theta."""
-        k = len(self.alphas)
-        return gauss_rule(self.betas[0], np.array(self.alphas),
-                          np.sqrt(self.betas[1:k]), c, gamma)

@@ -10,7 +10,7 @@ from lejadet import SparseMatrixCSR, SpectralInterval, gen_gmrf_grid, generate_f
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
 from lejadet.logdet import _lanczos_quadrature
-from lejadet.quadrature import ModifiedChebyshev, radau_rule
+from lejadet.quadrature import ModifiedChebyshev, gauss_rule, radau_rule
 from lejadet.spectral import gershgorin_bounds
 
 
@@ -283,7 +283,8 @@ class TestQuadraticForm:
                              * np.log(lam)))
         slack = 1e-12 * Q.n
         for k, table in self.moments(Q, v, dd, 40):
-            gauss = table.gauss(iv.c, iv.gamma)
+            gauss = gauss_rule(table.betas[0], table.alphas, table.betas[1:k],
+                               iv.c, iv.gamma)
             radau = radau_rule(table.betas[0], table.alphas, table.betas[1:], -2.0,
                                iv.c, iv.gamma)
             assert gauss.value >= exact - slack
@@ -300,7 +301,8 @@ class TestQuadraticForm:
         Q = gen_gmrf_grid(g, theta)
         v = np.random.default_rng(1).integers(0, 2, Q.n) * 2.0 - 1.0
         m_sp = Q.to_scipy()
-        rules = {k: table.gauss(iv.c, iv.gamma).value
+        rules = {k: gauss_rule(table.betas[0], table.alphas, table.betas[1:k],
+                               iv.c, iv.gamma).value
                  for k, table in self.moments(Q, v, make_form_dd(iv), 32)}
         for k in range(1, 33):
             lanczos, steps, _ = _lanczos_quadrature(m_sp, v, k, 0.0)

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from conftest import POWERS_OF_TWO, gmrf_spectrum, indefinite_matrix, random_spd, scaled
-from lejadet import logdet
+from lejadet import logdet, quadrature
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
 from lejadet.logdet import hutchinson_logdet
@@ -1006,15 +1006,19 @@ class TestSLQ:
         Q = SparseMatrixCSR.from_scipy(np.diag(diag))
         exact = float(np.sum(np.log(diag)))
         rules = {"gauss": [], "radau": []}
+        check, radau_rule = quadrature.Bracket.check, quadrature.radau_rule
 
-        def recorded(name, rule):
-            def call(*args):
-                rules[name].append(rule(*args))
-                return rules[name][-1]
-            return call
+        def recorded_check(bracket, *args):
+            midpoint = check(bracket, *args)
+            rules["gauss"].append(bracket.gauss)
+            return midpoint
 
-        monkeypatch.setattr(logdet, "_gauss_rule", recorded("gauss", logdet._gauss_rule))
-        monkeypatch.setattr(logdet, "radau_rule", recorded("radau", logdet.radau_rule))
+        def recorded_radau(*args):
+            rules["radau"].append(radau_rule(*args))
+            return rules["radau"][-1]
+
+        monkeypatch.setattr(quadrature.Bracket, "check", recorded_check)
+        monkeypatch.setattr(quadrature, "radau_rule", recorded_radau)
         rep = slq_logdet(Q, 80, 5, seed=0)
         assert rep.bracket_stops == 5 and rep.degrees["max"] < 80
         assert len(rules["gauss"]) == len(rules["radau"]) >= 3 * 5
@@ -1022,6 +1026,22 @@ class TestSLQ:
         for gauss, radau in zip(rules["gauss"], rules["radau"]):
             assert radau.value - slack <= exact <= gauss.value + slack
         assert rep.estimate == pytest.approx(exact, rel=1e-13)
+
+    def test_failed_radau_rule_runs_the_probe_to_m_l(self, monkeypatch):
+        # a Radau rule that does not exist at the first check point ends the
+        # bracket: every probe runs its 40 steps, as with no lower end, where
+        # otherwise it stops at 2
+        Q = gen_pentadiagonal(10_000, seed=0)
+        radau_rule = quadrature.radau_rule
+        monkeypatch.setattr(quadrature, "radau_rule", lambda beta0_sq, alphas, *args: (
+            None if len(alphas) == 2 else radau_rule(beta0_sq, alphas, *args)))
+        rep = slq_logdet(Q, 40, 5, seed=0)
+        G = _probes(np.random.default_rng(0), Q.n, 5)
+        terms = [logdet._lanczos_quadrature(Q.to_scipy(), G[:, j], 40, 0.0)[0]
+                 for j in range(5)]
+        assert rep.degrees == {"min": 40, "median": 40.0, "max": 40}
+        assert rep.bracket_stops == 0
+        assert rep.estimate == sum(terms) / 5
 
     @pytest.mark.parametrize("c", POWERS_OF_TWO, ids=lambda c: f"2^{math.log2(c):.0f}")
     @pytest.mark.parametrize("make", [lambda: gen_gmrf_grid(40, -0.24),
