@@ -1,6 +1,6 @@
-"""Record of the Gauss-Radau stops: the Leja quadratic forms' in
-BENCH_bracket.json, SLQ's in BENCH_slq_bracket.json, and the Hutch++ forms'
-shared truncation budget in BENCH_budget.json.
+"""Record of the Gauss-Radau stops: the Leja quadratic forms' and their
+Lanczos hand-offs in BENCH_handoff.json, SLQ's in BENCH_slq_bracket.json,
+and the Hutch++ forms' shared truncation budget in BENCH_budget.json.
 
 Usage (from the repository root, with a checkout of the parent commit made
 by ``git archive`` or ``git clone``):
@@ -9,7 +9,7 @@ by ``git archive`` or ``git clone``):
         [--pairs 10] [--seconds 30]
 
 ``--part forms`` (the default) writes ``forms`` and ``workloads`` to
-BENCH_bracket.json, ``--part slq`` writes ``slq`` and ``workloads`` to
+BENCH_handoff.json, ``--part slq`` writes ``slq`` and ``workloads`` to
 BENCH_slq_bracket.json, ``--part budget`` writes ``budget`` and
 ``workloads`` to BENCH_budget.json; every part runs against the parent
 checkout:
@@ -23,12 +23,13 @@ checkout:
   forms ``log_matvec(..., form=True)`` on the interval ``estimate_interval``
   picks (the exact one for ``random_spd``, whose Lanczos route CG refuses
   at kappa = 1e4): products per form, the worst error at the stop,
-  |form - v' log(Q/sigma) v| / ||v||^2, and how many forms stopped on the
-  bracket or fell back to the tail rule (the parent has no bracket).  Each side runs in its own
-  process on its own ``src/``.  The reference is the lattice's sine-transform
-  closed form, a dense eigendecomposition for ``random_spd`` (as in
-  tests/conftest.py) and, for the pentadiagonal matrix, SLQ's Lanczos rule
-  run until it has settled to rounding.
+  |form - v' log(Q/sigma) v| / ||v||^2, each form's ``stop`` ("bracket",
+  "lanczos" for a hand-off, or the parent's "tail"), and how many forms
+  stopped on the bracket or were handed to Lanczos.  Each side runs in its
+  own process on its own ``src/``.  The reference is the lattice's
+  sine-transform closed form, a dense eigendecomposition for
+  ``random_spd`` (as in tests/conftest.py) and, for the pentadiagonal
+  matrix, SLQ's Lanczos rule run until it has settled to rounding.
 - ``slq``: per matrix, Lanczos cap m_l and probe seed, the steps each of
   ``slq_logdet(Q, m_l, 10, seed)``'s probes took, the worst relative
   deviation of a probe from the same probe run to m_l steps, and
@@ -61,7 +62,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUT = {"forms": ROOT / "BENCH_bracket.json", "slq": ROOT / "BENCH_slq_bracket.json",
+OUT = {"forms": ROOT / "BENCH_handoff.json", "slq": ROOT / "BENCH_slq_bracket.json",
        "budget": ROOT / "BENCH_budget.json"}
 METRICS = ("estimate_s", "setup_s", "matvecs_per_estimate", "peak_rss_mb")
 TOLS = (1e-7, 1e-10)
@@ -164,6 +165,15 @@ def random_spd(seed, n, kappa, lo=2.0):
             lj.SpectralInterval(w[0], w[-1], method="exact"))
 '''
 
+# the Lanczos probe, in quadrature since it serves the Leja forms' hand-off
+# too, and in logdet before; pasted into the children
+LANCZOS_QUADRATURE = r'''
+try:
+    from lejadet.quadrature import _lanczos_quadrature
+except ImportError:
+    from lejadet.logdet import _lanczos_quadrature
+'''
+
 FORMS_CHILD = r'''
 import json, math, sys
 import numpy as np
@@ -171,6 +181,7 @@ from scipy.fft import dstn
 import lejadet as lj
 from lejadet import logdet
 from lejadet.action import log_matvec
+LANCZOS_QUADRATURE
 
 RANDOM_SPD
 
@@ -186,7 +197,7 @@ def reference(Q, v):
     if Q.n <= 1000:
         w, V = np.linalg.eigh(Q.to_scipy().toarray())
         return float(v @ (V @ (np.log(w) * (V.T @ v))))
-    return logdet._lanczos_quadrature(Q.to_scipy(), v, 60, 0.0)[0]
+    return _lanczos_quadrature(Q.to_scipy(), v, 60, 0.0)[0]
 
 rows = []
 for label, call, tols, probes in json.loads(sys.argv[1]):
@@ -208,8 +219,8 @@ for label, call, tols, probes in json.loads(sys.argv[1]):
         rows.append({"matrix": label, "tol": tol, "enclosure": bounds.method,
                      "kappa": bounds.condition, "products": products,
                      "worst_error": max(errors), "converged": all(converged),
-                     "bracket_stops": stops.count("bracket"),
-                     "tail_fallbacks": stops.count("tail")})
+                     "stops": stops, "bracket_stops": stops.count("bracket"),
+                     "handoffs": stops.count("lanczos")})
 print(json.dumps(rows))
 '''
 
@@ -222,6 +233,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 import lejadet as lj
 from lejadet import logdet
 RANDOM_SPD
+LANCZOS_QUADRATURE
 
 def loose_tridiagonal(n):
     """Diagonal alternating 2.8 and 5.767, off-diagonal 1.3: Gershgorin's
@@ -234,18 +246,18 @@ def probes(Q, m_l, seed, full):
     """(value, steps) of each probe of slq_logdet(Q, m_l, n_v, seed), and the
     report; with ``full`` every probe runs m_l steps (no lower end, so no
     bracket)."""
-    quadrature, out = logdet._lanczos_quadrature, []
+    out = []
 
     def recording(m_sp, v, m_l, lowest):
-        result = quadrature(m_sp, v, m_l, 0.0 if full else lowest)
+        result = _lanczos_quadrature(m_sp, v, m_l, 0.0 if full else lowest)
         out.append((float(result[0]), int(result[1])))
         return result
 
-    logdet._lanczos_quadrature = recording
+    logdet._lanczos_quadrature = recording      # the name SLQ calls
     try:
         rep = lj.slq_logdet(Q, m_l, N_V, seed=seed)
     finally:
-        logdet._lanczos_quadrature = quadrature
+        logdet._lanczos_quadrature = _lanczos_quadrature
     return out, rep
 
 rows = []
@@ -313,7 +325,8 @@ def child(checkout: Path, code: str, spec) -> list[dict]:
 
 def forms(checkout: Path) -> list[dict]:
     """Per-form rows of ``checkout``'s ``log_matvec``, in a child process."""
-    return child(checkout, FORMS_CHILD.replace("RANDOM_SPD", RANDOM_SPD),
+    return child(checkout, FORMS_CHILD.replace("RANDOM_SPD", RANDOM_SPD)
+                 .replace("LANCZOS_QUADRATURE", LANCZOS_QUADRATURE),
                  [(label, call, TOLS, PROBES) for label, call in MATRICES])
 
 
@@ -321,6 +334,7 @@ def slq(parent: Path) -> dict:
     """Per-probe SLQ rows of the parent and this checkout; a probe that ran
     to m_l on both sides is marked where its values agree bitwise."""
     code = (SLQ_CHILD.replace("RANDOM_SPD", RANDOM_SPD)
+            .replace("LANCZOS_QUADRATURE", LANCZOS_QUADRATURE)
             .replace("N_V", str(SLQ_PROBES)))
     sides = {side: child(path, code, SLQ_MATRICES)
              for side, path in (("parent", parent), ("change", ROOT))}
@@ -392,8 +406,9 @@ def main(argv=None) -> int:
                   "the parent)",
     }
     if args.part == "forms":
-        record["claim"] = ("lattice-300 matvecs_per_estimate lower; every other workload "
-                           "and metric within its bound")
+        record["claim"] = ("no gain: every workload and metric within its bound; forms "
+                           "whose moments break down are handed to Lanczos and close "
+                           "their bracket")
         record["forms"] = {"probes": PROBES, "tols": list(TOLS),
                            "error": "max over probes of |form - v' log(Q/sigma) v| / "
                                     "||v||^2",

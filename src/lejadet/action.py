@@ -33,26 +33,18 @@ the same recursion therefore give the form of the degree-2k interpolant:
 two dot products and no axpy per product.
 
 The same two inner products are the modified moments nu_{2k-1} and
-nu_{2k} of the probe's spectral measure in the Newton basis of eta, and
-the modified Chebyshev algorithm (``quadrature.ModifiedChebyshev``) turns
-each into the next recurrence coefficient of the measure in O(k) flops,
-holding no vector.  The form stops on their Gauss-Radau bracket
-(``quadrature.Bracket``) with a node fixed at xi = -2, the interval's
-lower end, once it is at most rtol ||v||^2 wide.  A Gauss node below
-that end proves that the interval misses part of the spectrum, and the
-form is refused.
-
-When the moments' recursion breaks down (a beta_k at rounding level or
-below, or a non-finite coefficient) or the bracket ends, the form falls
-back to the tail rule.  The terms of the sum decay like rho^2 per
-product, with rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1) the convergence
-factor of log on an interval of condition kappa, so the rest of the sum
-is about the last two terms times tail = 1 / (1 - rho^2) = (sqrt(kappa) +
-1)^2 / (4 sqrt(kappa)); the form stops once tail times their absolute sum
-is at most rtol ||v||^2.  Without the tail factor the bare last terms
-under-read the error at large kappa (2.6e-3 against 1e-4 at kappa = 5e3).
-Even so this is an estimate, not a bound: on a log-uniform spectrum of
-kappa = 1e3 it stopped 1.2e-6 ||v||^2 off at rtol 1e-7.
+nu_{2k} of the probe's spectral measure in the Newton basis of eta; the
+modified Chebyshev algorithm (``quadrature.ModifiedChebyshev``) turns each
+into the next recurrence coefficient in O(k) flops, holding no vector,
+and the form stops once their Gauss-Radau bracket (``quadrature.Bracket``)
+with a node fixed at xi = -2, the interval's lower end, is at most rtol
+||v||^2 wide.  That map loses accuracy when the measure crowds one end of
+the interval (Gautschi, SISC 1982).  Where its recursion breaks down (a
+beta_k at rounding level or a non-finite coefficient) or its bracket ends,
+a Gauss node below the interval included, the form hands its probe to
+plain Lanczos from v (``quadrature._lanczos_quadrature``) with the same
+node and bound for the rest of the cap's products.  Its Ritz values stay
+in the spectrum's hull to rounding, so one below the interval refuses it.
 """
 
 from __future__ import annotations
@@ -64,22 +56,17 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .divdiff import DividedDiffs
-from .quadrature import Bracket, ModifiedChebyshev
+from .quadrature import Bracket, ModifiedChebyshev, _lanczos_quadrature
 from .sparse import SparseMatrixCSR
 
 __all__ = ["ActionResult", "log_matvec"]
-
-# the rounding allowed a Gauss node of the moments below the interval's lower
-# end, relative to its width: one further below refuses the interval.  On
-# exact intervals no node fell more than 7e-16 of the width below it; a
-# lattice's lower end moved up to twice lambda_min left one 1.5e-2 below it
-_NODE_SLACK = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
 class ActionResult:
     """Interpolant value P_m(Q) v, or its quadratic form v' P(Q) v, with
-    convergence diagnostics; a form's ``vector`` is None."""
+    convergence diagnostics; a form's ``vector`` and ``error_history`` are
+    None."""
 
     vector: np.ndarray | None = field(repr=False)
     degree_used: int        # products with Q
@@ -88,9 +75,10 @@ class ActionResult:
     converged: bool
     error_history: np.ndarray = field(repr=False, default=None)
     form: float | None = None
-    # how a form was governed: "bracket" if it stopped on its Gauss-Radau
-    # bracket, "tail" if its moments broke down and the tail rule took over;
-    # None for a vector action and for a form that did neither
+    # how a form was governed: "bracket" if it stopped on its moments'
+    # Gauss-Radau bracket, "lanczos" if its moments broke down and Lanczos
+    # took its probe over; None for a vector action and for a form that did
+    # neither
     stop: str | None = None
 
 
@@ -110,10 +98,11 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
     sequence (``dd.nodes[2k] == dd.nodes[2k + 1]``), the recursion runs on
     its nodes ``dd.nodes[::2]``, and the result's ``form`` is the midpoint
     of the Gauss-Radau bracket on v' log(Q) v once the bracket is at most
-    rtol * ||v||_2^2 wide, or v' P(Q) v for the interpolant of degree 2k
-    after k products, stopped by the tail rule where the moments broke
-    down, or after (len(dd) - 1) // 2 products (the module docstring).  A
-    Gauss node below the interval refuses it with a ``ValueError``.
+    rtol * ||v||_2^2 wide, its moments' or, where they break down,
+    Lanczos's, or else v' P(Q) v for the interpolant of degree 2k after the
+    cap's k = (len(dd) - 1) // 2 products (the module docstring).  A Ritz
+    value below the interval refuses it with a ``ValueError``.  A zero v
+    gives 0 at degree zero.
     """
     if not rtol >= 0:       # NaN too: it would stop at once
         raise ValueError("rtol must be non-negative")
@@ -122,10 +111,10 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
         raise ValueError(f"vector has shape {v.shape}, expected ({Q.n},)")
     coeffs = dd.coeffs
     norm_sq = ddot(v, v)
-    if dd.interval.gamma == 0.0:
+    if dd.interval.gamma == 0.0 or norm_sq == 0.0:
         return ActionResult(vector=None if form else coeffs[0] * v, degree_used=0,
                             error_estimate=0.0, matvecs=0, converged=True,
-                            error_history=np.zeros(1),
+                            error_history=None if form else np.zeros(1),
                             form=float(coeffs[0] * norm_sq) if form else None)
 
     m_sp = Q.to_scipy()
@@ -139,7 +128,7 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
         return daxpy(w, y, a=-(shift + node))     # updates y in place, returns it
 
     if form:
-        return _form(step, v, norm_sq, dd, rtol)
+        return _form(m_sp, step, v, norm_sq, dd, rtol)
     cap = coeffs.shape[0] - 1
     p = coeffs[0] * v
     bound = rtol * math.sqrt(norm_sq)
@@ -163,70 +152,58 @@ def log_matvec(Q: SparseMatrixCSR, v: np.ndarray, dd: DividedDiffs,
                         converged=converged, error_history=np.asarray(history))
 
 
-def _form(step, v, norm_sq, dd, rtol):
-    """v' P(Q) v on the doubled sequence, stopped on its Gauss-Radau bracket
-    or, after a breakdown, on the tail rule (module docstring).
-
-    A form stopped on its bracket returns the midpoint, with half the
-    bracket as its ``error_estimate``; ``error_history`` holds the tail
-    indicator after every product either way.  At rtol 0 no rule is solved,
-    and the form is the interpolant's after the cap's products.
+def _form(m_sp, step, v, norm_sq, dd, rtol):
+    """v' P(Q) v on the doubled sequence, stopped on a Gauss-Radau bracket
+    (module docstring): its midpoint, with half its width as the
+    ``error_estimate``, or 0 after a Lanczos breakdown, whose Gauss rule is
+    exact.  At rtol 0 no rule is solved.  A form the cap stops is the
+    interpolant's, with the last half-width (|d_0| ||v||^2 before any), or
+    Lanczos's Gauss rule, within its last width (inf before any).
     """
     coeffs, iv = dd.coeffs, dd.interval
-    c, gamma = iv.c, iv.gamma
     cap = (coeffs.shape[0] - 1) // 2
     xi = dd.nodes[:2 * cap:2]
     if not np.array_equal(xi, dd.nodes[1:2 * cap:2]):
         raise ValueError("a form needs divided differences on the doubled sequence")
-    root = math.sqrt(iv.condition)
-    tail = (root + 1.0) ** 2 / (4.0 * root)     # 1 / (1 - rho^2)
     total = coeffs[0] * norm_sq
-    err = tail * abs(total)
+    err = abs(total)
     bound = rtol * norm_sq
     # the rules integrate log z; P interpolates log z - log(z_0) + d_0
-    offset = norm_sq * (coeffs[0] - math.log(c + gamma * dd.nodes[0]))
-    moments = ModifiedChebyshev(dd.nodes.tolist()) if rtol > 0 else None
-    bracket = Bracket(-2.0, bound, c, gamma)
-    stop = None
-    if moments is not None and not moments.add(norm_sq):
-        moments, stop = None, "tail"
-    history = [err]
-    converged = True
-    w = v
-    m = 0
-    while moments is not None or err > bound:     # the tail rule stops a form it governs
-        if m >= cap:
-            converged = False
-            break
+    offset = norm_sq * (coeffs[0] - math.log(iv.c + iv.gamma * dd.nodes[0]))
+    moments = ModifiedChebyshev(dd.nodes.tolist())
+    moments.add(norm_sq)        # beta_0 = ||v||^2 > 0
+    bracket = Bracket(-2.0, bound, iv.c, iv.gamma)
+    stop, converged = None, False
+    w, m = v, 0
+    while m < cap:
         y = step(w, xi[m])
         m += 1
         cross, square = ddot(w, y), ddot(y, y)
         w = y
-        terms = coeffs[2 * m - 1] * cross, coeffs[2 * m] * square
-        total += terms[0] + terms[1]
-        err = tail * (abs(terms[0]) + abs(terms[1]))
-        history.append(err)
-        if not np.isfinite(err):
+        total += coeffs[2 * m - 1] * cross + coeffs[2 * m] * square
+        if not math.isfinite(total):
             raise FloatingPointError(f"non-finite iterate at degree {m}")
-        if moments is None:
+        if rtol == 0:
             continue
-        if not (moments.add(cross) and moments.add(square)):
-            moments, stop = None, "tail"
-            continue
-        if m != bracket.due and m != cap:
-            continue
-        midpoint = bracket.check(moments.betas[0], moments.alphas, moments.betas[1:])
-        gauss = bracket.gauss
-        if gauss is not None and gauss.lowest < iv.lambda_min - _NODE_SLACK * 4.0 * gamma:
-            raise ValueError(
-                f"a Gauss node of the probe's moments lies at {gauss.lowest:.6g}, below "
-                f"the interval [{iv.lambda_min:.6g}, {iv.lambda_max:.6g}]: it does "
-                f"not enclose the spectrum")
-        if midpoint is not None:
-            total, err, stop = midpoint + offset, 0.5 * bracket.width, "bracket"
-            break
-        if bracket.due is None:
-            moments, stop = None, "tail"
+        if moments.add(cross) and moments.add(square):
+            if m != bracket.due and m != cap:
+                continue
+            midpoint = bracket.check(moments.betas[0], moments.alphas, moments.betas[1:])
+            if midpoint is not None:
+                total, err, stop = midpoint + offset, 0.5 * bracket.width, "bracket"
+                converged = True
+                break
+            if bracket.due is not None:
+                err = 0.5 * bracket.width
+                continue
+        if m < cap:
+            del w, y
+            value, steps, half, width = _lanczos_quadrature(
+                m_sp, v, cap - m, iv.lambda_min, bound, iv.lambda_max)
+            # a breakdown before the cap leaves an exact Gauss rule
+            converged = half is not None or steps < cap - m
+            err = half if half is not None else 0.0 if converged else width or math.inf
+            total, m, stop = value + offset, m + steps, "lanczos"
+        break
     return ActionResult(vector=None, degree_used=m, error_estimate=err, matvecs=m,
-                        converged=converged, error_history=np.asarray(history),
-                        form=float(total), stop=stop)
+                        converged=converged, form=float(total), stop=stop)

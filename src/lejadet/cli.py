@@ -198,7 +198,7 @@ def _render_estimate(result: dict, fmt: str) -> str:
         f"queries         {rep['queries']}",
         f"degrees         min {rep['degrees']['min']} / median {rep['degrees']['median']} / max {rep['degrees']['max']}",
         f"forms           {rep['bracket_stops']} stopped on the bracket / "
-        f"{rep['tail_fallbacks']} fell back to the tail rule",
+        f"{rep['handoffs']} handed to Lanczos",
         f"matvecs         {rep['matvecs_total']}",
         f"wall time       {rep['wall_time']:.3f} s",
         f"seed            {rep['seed']}",

@@ -48,9 +48,9 @@ from .action import log_matvec
 from .divdiff import divided_differences_log
 from .leja import generate_fast_leja
 from .oracle import band_logdet_cholesky, gmrf_grid_logdet_analytic, lattice_of
-from .quadrature import Bracket, gauss_rule
+from .quadrature import _lanczos_quadrature
 from .sparse import SparseMatrixCSR, _checked_seed, _row_blocks
-from .spectral import SpectralInterval, _lanczos, estimate_interval
+from .spectral import SpectralInterval, estimate_interval
 
 __all__ = [
     "METHODS",
@@ -93,12 +93,13 @@ class LogDetReport:
     enclosure: str | None = None
     # |estimate - log det Q| is at most this when the trace was summed exactly
     error_bound: float | None = None
-    # quadratic forms that stopped on their Gauss-Radau bracket, and those
-    # whose moments broke down so that the tail rule took over
+    # quadratic forms that stopped on their Gauss-Radau bracket, and Leja
+    # forms whose moments broke down so that Lanczos took their probe over
     bracket_stops: int = 0
-    tail_fallbacks: int = 0
-    # the Leja forms' certified truncation error where every one stopped on
-    # its bracket (``hutchpp_logdet``); None on every other report
+    handoffs: int = 0
+    # the Leja forms' certified truncation error where every one converged
+    # on a bracket, its moments' or Lanczos's (``hutchpp_logdet``); None on
+    # every other report
     truncation_bound: float | None = None
 
     def to_dict(self) -> dict:
@@ -157,8 +158,8 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
     ``records`` holds one ``_ActionRecord`` per action (per probe for SLQ);
     the degree statistics, matvec total (their degrees, plus the ``matvecs``
     of the spectral enclosure), warnings, convergence flag and the counts of
-    forms that stopped on their bracket or fell back to the tail rule come
-    from them.  ``trace_estimate`` may be a numpy scalar (the exact trace, an
+    forms that stopped on their moments' bracket or were handed to Lanczos
+    come from them.  ``trace_estimate`` may be a numpy scalar (the exact trace, an
     oracle); it is cast to a Python float here, and ``queries`` and
     ``seed`` to Python ints, so that the report's numbers, and comparisons
     on them, serialize with ``json``.
@@ -192,7 +193,7 @@ def _report(method, trace_estimate, *, queries, seed, t0, records=(), terms=(),
         enclosure=enclosure,
         error_bound=error_bound,
         bracket_stops=sum(r.stop == "bracket" for r in records),
-        tail_fallbacks=sum(r.stop == "tail" for r in records),
+        handoffs=sum(r.stop == "lanczos" for r in records),
         truncation_bound=truncation_bound,
     )
 
@@ -378,7 +379,7 @@ def _leja_trace(method, Q, m_vec, k, action_tol, seed, bounds, max_degree):
     forms = eng.records[k:]
     truncation = (sum(r.error_estimate for r in forms[:kept])
                   + sum(r.error_estimate for r in forms[kept:]) / n_res
-                  if all(r.stop == "bracket" for r in forms) else None)
+                  if all(r.converged and r.stop for r in forms) else None)
     return _report(method, det_term + res_term, queries=m_vec, seed=seed, t0=t0,
                    records=eng.records, terms=terms, sigma=eng.sigma, n=n,
                    enclosure=eng.bounds.method, matvecs=eng.enclosure_matvecs,
@@ -407,15 +408,16 @@ def hutchpp_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAULT_T
     builds no vector log(Q/sigma) v, and stops once the Gauss-Radau bracket
     of its own products' inner products (``quadrature.Bracket``) is no
     wider than its share, and returns its midpoint; where those moments
-    break down it stops on the tail rule instead (``log_matvec``).
-    ``report.bracket_stops`` and ``report.tail_fallbacks`` count the two.  Where every form stopped on
-    its bracket, ``report.truncation_bound`` (the deterministic forms'
+    break down it hands its probe to Lanczos, which stops on the same
+    bracket (``log_matvec``).  ``report.bracket_stops`` and
+    ``report.handoffs`` count the two.  Where every form converged on a
+    bracket, ``report.truncation_bound`` (the deterministic forms'
     half-widths plus the mean of the residual ones') bounds their
     truncation error by B / 2, but not the probes' Monte Carlo error: at
     1e-2 the 12-query estimate of ``gen_gmrf_grid(30, -0.24)`` is 4.58%
-    off, and at 0.5 9.54% off.  A Gauss node below the
-    interval's lower end proves that the interval does not enclose the
-    spectrum, and the estimate is refused.  The sketch actions run to
+    off, and at 0.5 9.54% off.  A Ritz value below the interval's lower
+    end proves that the interval does not enclose the spectrum, and the
+    estimate is refused.  The sketch actions run to
     ``sqrt(action_tol)``: the estimator is unbiased for any basis that does
     not depend on the residual probes, and a basis off by delta changes the
     residual operator (I - AA') log(Q/sigma) (I - AA') only at order
@@ -456,42 +458,6 @@ def hutchinson_logdet(Q: SparseMatrixCSR, m_vec: int, action_tol: float = DEFAUL
     return _leja_trace("hutchinson", Q, m_vec, 0, action_tol, seed, bounds, max_degree)
 
 
-def _lanczos_quadrature(m_sp, v, m_l, lowest):
-    """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
-
-    Plain Lanczos (``spectral._lanczos``) on ``v`` for at most ``m_l``
-    steps; returns the value, the steps and, where the probe stopped on its
-    bracket, half its width (else None).  Where ``lowest``, a lower bound
-    on the spectrum, is positive, the tridiagonal feeds a
-    ``quadrature.Bracket`` with its Radau node there and no bound, so the
-    probe returns the midpoint once the Gauss and Gauss-Radau rules agree
-    to rounding.  A probe with no bracket, or whose bracket ended, runs to
-    ``m_l`` steps or breakdown and returns its Gauss rule; a Ritz value
-    within rounding of zero, relative to the largest, then refuses the
-    matrix as singular or indefinite.  Lost orthogonality only adds copies
-    of converged Ritz values, whose weights sum to the weight of the one
-    they copy, so the rules stay accurate (Greenbaum, "Behavior of slightly
-    perturbed Lanczos and conjugate-gradient recurrences", LAA 1989;
-    Knizhnerman, "The simple Lanczos procedure: estimates of the error of
-    the Gauss quadrature formula", 1996).
-    """
-    beta0_sq = ddot(v, v)
-    bracket = Bracket(lowest) if lowest > 0 else None
-    for alphas, betas in _lanczos(lambda x: m_sp @ x, v, m_l):
-        k = alphas.shape[0]
-        if k == m_l:
-            break
-        if bracket is None or k != bracket.due or betas.shape[0] < k:
-            continue
-        midpoint = bracket.check(beta0_sq, alphas, betas ** 2)
-        if midpoint is not None:
-            return midpoint, k, 0.5 * bracket.width
-    gauss = gauss_rule(beta0_sq, alphas, betas[:k - 1] ** 2)
-    if gauss is None:
-        raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
-    return gauss.value, k, None
-
-
 def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetReport:
     """Stochastic Lanczos quadrature baseline.
 
@@ -499,8 +465,8 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     rule G for v' log(Q) v in at most ``m_l`` steps; the estimate is the
     probe average.  Where Q's raw Gershgorin lower end ``Q.gershgorin[0]``
     is positive, a probe may stop earlier on its Gauss-Radau bracket with a
-    node there (``_lanczos_quadrature``); its record keeps half the
-    bracket's width as its error estimate, and ``report.bracket_stops``
+    node there (``quadrature._lanczos_quadrature``); its record keeps half
+    the bracket's width as its error estimate, and ``report.bracket_stops``
     counts it.  Its breakdown rule is relative to the scale of Q
     (``spectral._lanczos``).  No normalization is applied: negative log
     eigenvalues enter the quadrature directly.  A probe holds two Lanczos
@@ -518,7 +484,7 @@ def slq_logdet(Q: SparseMatrixCSR, m_l: int, n_v: int, seed: int = 0) -> LogDetR
     probes = _rademacher(np.random.default_rng(seed), Q.n, n_v)
     total, terms, records = 0.0, [], []
     for j in range(n_v):
-        val, steps, half = _lanczos_quadrature(m_sp, _column(probes, j), m_l,
+        val, steps, half, _ = _lanczos_quadrature(m_sp, _column(probes, j), m_l,
                                                Q.gershgorin[0])
         total += val
         terms.append(val)
@@ -540,7 +506,9 @@ def estimate(Q: SparseMatrixCSR, method: str, *, queries: int = 12, probes: int 
     (Gershgorin, or Lanczos when Gershgorin's condition number exceeds 1e4;
     ``report.enclosure``), with divided differences from one trapezoid sum
     (``divided_differences_log``).  Their quadratic forms share a
-    truncation budget of n * ``tol`` by their weights in the estimate, and
+    truncation budget of n * ``tol`` by their weights in the estimate, each
+    stopped on a Gauss-Radau bracket, its moments' or, where they break
+    down, Lanczos's within the same cap (``log_matvec``), and
     Hutch++ runs its sketch actions to ``sqrt(tol)`` relative to the
     probe's norm (``hutchpp_logdet``).  When that interval certifies an
     interpolant of degree at most 2 to ``tol``, the estimate is its exact

@@ -17,7 +17,8 @@ on the integral and the Gauss-Radau rule with one node fixed at a is a lower
 bound (Golub and Meurant, *Matrices, Moments and Quadrature with
 Applications*, 2010): the two bracket v' log(A) v whenever a is at or below
 the spectrum.  ``Bracket`` is the one stop rule built on them, for the Leja
-forms (``action``) and the SLQ probes (``logdet``) alike.
+forms (``action``) and the Lanczos probes (``_lanczos_quadrature``) of SLQ
+and of the forms whose moments break down alike.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import ddot
+
+from .spectral import _lanczos
 
 __all__ = ["Bracket", "GaussRule", "ModifiedChebyshev", "gauss_rule", "radau_rule"]
 
@@ -35,15 +39,20 @@ __all__ = ["Bracket", "GaussRule", "ModifiedChebyshev", "gauss_rule", "radau_rul
 # points of its measure the recursion's betas are rounding (5e-13 and 1e-12
 # on an 8-point measure), while on the lattices they stay near 1
 _BETA_FLOOR = 16.0 * math.sqrt(np.finfo(float).eps)
+# the rounding allowed a Gauss node below the Radau node, relative to the
+# largest: on exact intervals the moments' nodes fell at most 7e-16 of the
+# width below it, and Ritz values leave the hull by about eps ||A|| (Paige 1980)
+_NODE_SLACK = math.sqrt(np.finfo(float).eps)
 
 
 class GaussRule(NamedTuple):
-    """beta_0 sum tau_j^2 log(z_j), its rounding bound and the lowest node."""
+    """beta_0 sum tau_j^2 log(z_j), its rounding bound and the extreme nodes."""
 
     value: float
     # steps * eps * beta_0 sum tau_j^2 |log(z_j)|
     rounding: float
     lowest: float
+    highest: float
 
 
 def gauss_rule(beta0_sq, alphas, betas, c=0.0, gamma=1.0):
@@ -61,8 +70,8 @@ def gauss_rule(beta0_sq, alphas, betas, c=0.0, gamma=1.0):
         return None
     tau_sq = vecs[0, :] ** 2
     logs = np.log(z)
-    return GaussRule(beta0_sq * float(tau_sq @ logs),
-                     rounding * beta0_sq * float(tau_sq @ np.abs(logs)), float(z[0]))
+    rounding = rounding * beta0_sq * float(tau_sq @ np.abs(logs))
+    return GaussRule(beta0_sq * float(tau_sq @ logs), rounding, *z[[0, -1]].tolist())
 
 
 def radau_rule(beta0_sq, alphas, betas, fixed, c=0.0, gamma=1.0):
@@ -104,8 +113,9 @@ class Bracket:
     of the integral.  It is due after 2 steps, then after 4, then at the
     step where the width's geometric decay between the last two check
     points reaches the bound, at least one step on (twice the steps where
-    the width did not fall).  A rule that is None, or a width above the
-    last check point's, which exact arithmetic rules out, ends the bracket:
+    the width did not fall).  A rule that is None, a width above the last
+    check point's or a Gauss node below ``fixed`` by more than rounding
+    (``escaped``), which exact arithmetic rules out, ends the bracket:
     ``due`` becomes None, and the probe goes on without it.
     """
 
@@ -114,6 +124,7 @@ class Bracket:
         self.due = 2            # steps at the next check point
         self.gauss = None       # the Gauss rule of the last check
         self.width = None
+        self.escaped = False
         self._last = None       # (steps, width) at the last check point
 
     def check(self, beta0_sq, alphas, betas):
@@ -122,7 +133,9 @@ class Bracket:
         gauss = self.gauss = gauss_rule(beta0_sq, alphas, betas[:k - 1], self.c,
                                         self.gamma)
         radau = radau_rule(beta0_sq, alphas, betas, self.fixed, self.c, self.gamma)
-        if gauss is None or radau is None:
+        self.escaped = gauss is not None and gauss.lowest < (
+            self.c + self.gamma * self.fixed - _NODE_SLACK * gauss.highest)
+        if gauss is None or radau is None or self.escaped:
             self.due = None
             return None
         width = self.width = abs(gauss.value - radau.value)
@@ -196,3 +209,44 @@ class ModifiedChebyshev:
             ok = betas[-1] > (_BETA_FLOOR if k else 0.0) and math.isfinite(betas[-1])
         self._before, self._last = last, new
         return ok
+
+
+def _lanczos_quadrature(m_sp, v, m_l, lowest, bound=None, highest=math.inf):
+    """One probe of Lanczos quadrature for the log: ||v||^2 sum tau_k^2 log(theta_k).
+
+    Plain Lanczos (``spectral._lanczos``) on ``v`` for at most ``m_l``
+    steps; returns the value, the steps, half the bracket's width where the
+    probe stopped on it (else None) and its last width (else None).  Where
+    ``lowest``, a lower bound on the spectrum, is positive, a ``Bracket``
+    with its Radau node there and ``bound`` (SLQ gives none) returns the
+    midpoint once it closes, and a Ritz value that escapes below ``lowest``
+    refuses [lowest, ``highest``] as no enclosure.  Otherwise the probe runs
+    to ``m_l`` steps or breakdown and returns its Gauss rule; a Ritz value
+    within rounding of zero, relative to the largest, then refuses the
+    matrix as singular or indefinite.  Lost orthogonality only adds copies
+    of converged Ritz values, whose weights sum to the weight of the one
+    they copy, so the rules stay accurate (Greenbaum, "Behavior of slightly
+    perturbed Lanczos and conjugate-gradient recurrences", LAA 1989;
+    Knizhnerman, "The simple Lanczos procedure: estimates of the error of
+    the Gauss quadrature formula", 1996).
+    """
+    beta0_sq = ddot(v, v)
+    bracket = Bracket(lowest, bound) if lowest > 0 else None
+    for alphas, betas in _lanczos(lambda x: m_sp @ x, v, m_l):
+        k = alphas.shape[0]
+        if k == m_l:
+            break
+        if bracket is None or k != bracket.due or betas.shape[0] < k:
+            continue
+        midpoint = bracket.check(beta0_sq, alphas, betas ** 2)
+        if midpoint is not None:
+            return midpoint, k, 0.5 * bracket.width, bracket.width
+        if bracket.escaped:
+            raise ValueError(
+                f"a Ritz value of the probe lies at {bracket.gauss.lowest:.6g}, below "
+                f"the interval [{lowest:.6g}, {highest:.6g}]: it does not enclose the "
+                f"spectrum")
+    gauss = gauss_rule(beta0_sq, alphas, betas[:k - 1] ** 2)
+    if gauss is None:
+        raise ValueError("non-positive Ritz value, to rounding; matrix does not appear SPD")
+    return gauss.value, k, None, bracket and bracket.width

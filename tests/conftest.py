@@ -31,6 +31,20 @@ def random_spd(seed, n=None, kappa=None, lo=2.0):
     return Q, w, v
 
 
+def crowded_spd():
+    """Dense SPD matrix of n = 400 whose spectrum crowds its lower end:
+    eigenvalues exp(5 k^-2), k = 1..400, in [1.0000313, 148.4132], rotated
+    by the Q factor of ``default_rng(0).standard_normal((400, 400))``.
+
+    The product is summed by ``einsum``, whose bits do not depend on the
+    number of BLAS threads, as a matrix product's do.
+    """
+    basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((400, 400)))
+    eig = np.exp(5.0 / np.arange(1, 401) ** 2)
+    dense = np.einsum("ik,jk->ij", basis * eig, basis, optimize=False)
+    return SparseMatrixCSR.from_scipy(0.5 * (dense + dense.T))
+
+
 def scaled(Q, c):
     """c * Q; a power of two c scales every stored entry exactly."""
     return SparseMatrixCSR(Q.row_ptr, Q.col_idx, c * Q.values)

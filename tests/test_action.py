@@ -9,8 +9,8 @@ from conftest import gmrf_spectrum, random_spd
 from lejadet import SparseMatrixCSR, SpectralInterval, gen_gmrf_grid, generate_fast_leja
 from lejadet.action import log_matvec
 from lejadet.divdiff import divided_differences_log
-from lejadet.logdet import _lanczos_quadrature
-from lejadet.quadrature import ModifiedChebyshev, gauss_rule, radau_rule
+from lejadet.quadrature import (ModifiedChebyshev, _lanczos_quadrature, gauss_rule,
+                                radau_rule)
 from lejadet.spectral import gershgorin_bounds
 
 
@@ -234,7 +234,7 @@ class TestQuadraticForm:
             for k in (0, 1, 2, 7, 20):
                 res = log_matvec(Q, v, capped(dd, 2 * k), rtol=0.0, form=True)
                 assert res.degree_used == res.matvecs == k and res.stop is None
-                assert res.error_history.shape == (k + 1,)
+                assert res.error_history is None
                 ref = v @ textbook_log_matvec(Q, v, dd, 2 * k)
                 assert abs(res.form - ref) <= 1e-12 * abs(ref)
 
@@ -305,7 +305,7 @@ class TestQuadraticForm:
                                iv.c, iv.gamma).value
                  for k, table in self.moments(Q, v, make_form_dd(iv), 32)}
         for k in range(1, 33):
-            lanczos, steps, _ = _lanczos_quadrature(m_sp, v, k, 0.0)
+            lanczos, steps, _, _ = _lanczos_quadrature(m_sp, v, k, 0.0)
             assert abs(rules[steps] - lanczos) <= 1e-12 * abs(lanczos)
 
     @pytest.mark.parametrize("array", [list, np.array], ids=["list", "array"])
@@ -335,17 +335,41 @@ class TestQuadraticForm:
         v = np.random.default_rng(0).integers(0, 2, Q.n) * 2.0 - 1.0
         res = log_matvec(Q, v, make_form_dd(gershgorin_bounds(Q)), rtol=1e-7, form=True)
         assert res.stop == "bracket" and res.converged
-        assert res.degree_used == 22 and res.error_history.shape == (23,)
+        assert res.degree_used == 22 and res.error_history is None
 
-    def test_falls_back_to_the_tail_rule_on_breakdown(self):
+    def test_hands_the_probe_to_lanczos_on_breakdown(self):
         # on a log-uniform spectrum the moment recursion breaks down (a
         # negative beta at product 45) long before the bracket closes; the
-        # tail rule then stops the form where it stopped before there was a
-        # bracket, after 95 products at 1e-7 (it reads 1.2e-6 ||v||^2 off)
-        Q, w, _ = random_spd(1, n=300, kappa=1e3)
+        # probe then goes to Lanczos, whose bracket closes within rtol: the
+        # tail rule stopped this form after 95 products 1.2e-6 ||v||^2 off
+        Q, w, V = random_spd(1, n=300, kappa=1e3)
         dd = make_form_dd(SpectralInterval(w.min(), w.max()))
         v = np.random.default_rng(0).integers(0, 2, 300) * 2.0 - 1.0
+        rtol = 1e-7
+        res = log_matvec(Q, v, dd, rtol=rtol, form=True)
+        assert res.stop == "lanczos" and res.converged
+        assert res.degree_used == res.matvecs <= 400
+        assert res.error_estimate <= rtol * (v @ v) / 2
+        exact = v @ (V @ (np.log(w) * (V.T @ v)))
+        assert abs(res.form - exact) <= rtol * (v @ v) / 2
+
+    def test_hand_off_at_the_cap_keeps_its_last_width(self):
+        # 80 products: the moments break down near 45, and Lanczos's bracket
+        # is still open when the rest run out; its Gauss rule lies inside it
+        Q, w, V = random_spd(1, n=300, kappa=1e3)
+        dd = capped(make_form_dd(SpectralInterval(w.min(), w.max())), 160)
+        v = np.random.default_rng(0).integers(0, 2, 300) * 2.0 - 1.0
         res = log_matvec(Q, v, dd, rtol=1e-7, form=True)
-        assert res.stop == "tail" and res.converged
-        assert res.degree_used == 95
-        assert res.error_estimate == res.error_history[-1] <= 1e-7 * (v @ v)
+        assert res.stop == "lanczos" and not res.converged and res.degree_used == 80
+        exact = v @ (V @ (np.log(w) * (V.T @ v)))
+        assert abs(res.form - exact) <= res.error_estimate < math.inf
+
+    def test_lanczos_breakdown_is_exact(self):
+        # diag(1..5) has 5 eigenvalues: the moments break down at product
+        # 5 and Lanczos breaks down after 5 steps, with an exact Gauss rule
+        diag = np.arange(1.0, 6.0)
+        Q = SparseMatrixCSR.from_scipy(np.diag(diag))
+        res = log_matvec(Q, np.ones(5), make_form_dd(SpectralInterval(1.0, 5.0)),
+                         rtol=1e-10, form=True)
+        assert res.stop == "lanczos" and res.converged and res.error_estimate == 0.0
+        assert res.form == pytest.approx(np.sum(np.log(diag)), rel=1e-13)

@@ -28,7 +28,7 @@ CONFIG_KEYS = ["method", "matrix", "gen", "queries", "probes", "slq_degree", "to
 REPORT_KEYS = {"method", "estimate", "trace_estimate", "n_log_sigma", "sigma",
                "queries", "degrees", "seed", "wall_time", "matvecs_total",
                "warnings", "converged", "std_error", "enclosure", "error_bound",
-               "bracket_stops", "tail_fallbacks", "truncation_bound"}
+               "bracket_stops", "handoffs", "truncation_bound"}
 
 # the estimator options every estimator command refuses before it runs, with
 # their messages; each command line below is complete apart from them
@@ -134,7 +134,7 @@ class TestEstimate:
         assert code == 0
         assert "estimate" in out and "wall time" in out
         # every probe's form closes its Gauss-Radau bracket on the lattice
-        assert ("forms           8 stopped on the bracket / 0 fell back to the tail rule"
+        assert ("forms           8 stopped on the bracket / 0 handed to Lanczos"
                 in out.splitlines())
         assert "enclosure       gershgorin" in out.splitlines()
         (line,) = [ln for ln in out.splitlines() if ln.startswith("std error")]

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lejadet.quadrature import Bracket, gauss_rule, radau_rule
+from lejadet import SparseMatrixCSR
+from lejadet.quadrature import Bracket, _lanczos_quadrature, gauss_rule, radau_rule
 
 # the measure of a probe of ones on diag(DIAG): v' log(D) v = sum(log(DIAG))
 DIAG = np.geomspace(1.0, 10.0, 300)
@@ -97,3 +99,32 @@ class TestBracket:
         bracket = Bracket(fixed, 1e-8, c=c)
         assert check(bracket, 2) is None and bracket.due is None
         assert (bracket.gauss is not None) == gauss
+
+
+class TestLanczosQuadrature:
+    M_SP = SparseMatrixCSR.from_scipy(np.diag(DIAG)).to_scipy()
+
+    def test_closes_at_its_bound(self):
+        # the same check points as the bracket fed the same Jacobi matrix
+        bound = 1e-8
+        value, steps, half, width = _lanczos_quadrature(self.M_SP, np.ones(300), 40,
+                                                        DIAG[0], bound)
+        bracket = Bracket(DIAG[0], bound)
+        while check(bracket, bracket.due) is None:
+            pass
+        assert steps == bracket.due < 40
+        assert half == 0.5 * width <= bound / 2
+        assert width == pytest.approx(bracket.width, rel=1e-6)
+        assert abs(value - EXACT) <= half + 1e-13 * EXACT
+
+    def test_no_bound_is_the_rules_rounding(self):
+        _, steps, half, _ = _lanczos_quadrature(self.M_SP, np.ones(300), 40, DIAG[0])
+        _, bounded, _, _ = _lanczos_quadrature(self.M_SP, np.ones(300), 40, DIAG[0], 1e-8)
+        assert half < 1e-8 and steps > bounded
+
+    def test_refuses_a_ritz_value_below_its_radau_node(self):
+        # a Radau node at 1.5 with eigenvalues from 1: after 2 steps the
+        # lowest Ritz value, 1.43, lies below it
+        with pytest.raises(ValueError, match=re.escape(
+                "below the interval [1.5, 10]: it does not enclose the spectrum")):
+            _lanczos_quadrature(self.M_SP, np.ones(300), 40, 1.5, 1e-8, 10.0)
